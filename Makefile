@@ -22,13 +22,10 @@ faults-check:
 	FAULTS_STRESS=1 pytest tests/faults/ -q
 	python benchmarks/bench_faults_overhead.py --smoke
 
-# Serving gate: the serve unit tests plus the long hot-swap storms
-# (SERVE_STRESS=1) and the serving benchmark in smoke mode, which
-# asserts the inline pass-through overhead budget and writes
-# BENCH_serve.json (see docs/SERVING.md).
+# Registry gate: the serve unit tests plus the long hot-swap storm
+# (SERVE_STRESS=1; see docs/SERVING.md).
 serve-check:
 	SERVE_STRESS=1 pytest tests/serve/ -q
-	python benchmarks/bench_serve.py --smoke
 
 bench:
 	pytest benchmarks/ --benchmark-only

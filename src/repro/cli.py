@@ -9,7 +9,7 @@ Subcommands mirror the paper's workflow stages:
     repro inspect    describe a saved .kml model file
     repro obs        run a workload fully instrumented; export metrics
     repro faults     inject faults: named scenarios or the crash matrix
-    repro serve      manage the model registry; run the serving benchmark
+    repro serve      manage the versioned model registry
 
 Invoke as ``python -m repro <subcommand> --help``.
 
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="manage the versioned model registry; run the serving bench",
+        help="manage the versioned model registry",
     )
     serve.add_argument("--registry", required=True,
                        help="registry directory (created if missing)")
@@ -149,21 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="publish this .kml model as the next version")
     serve.add_argument("--activate", type=int, default=None, metavar="N",
                        help="activate version N (hot-swap)")
-    serve.add_argument("--bench", action="store_true",
-                       help="run an in-process serving benchmark against "
-                            "the active version")
-    serve.add_argument("--shadow", type=int, default=None, metavar="N",
-                       help="with --bench: mirror sampled traffic to "
-                            "candidate version N and report the deltas")
-    serve.add_argument("--requests", type=int, default=2000,
-                       help="requests to serve in --bench")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="worker threads (0 = inline pass-through)")
-    serve.add_argument("--batch-window", type=float, default=0.002,
-                       help="micro-batch window in seconds")
-    serve.add_argument("--max-batch", type=int, default=16,
-                       help="max rows per coalesced forward pass")
-    serve.add_argument("--seed", type=int, default=42)
 
     report = sub.add_parser(
         "report", help="assemble benchmark results into one summary"
@@ -563,19 +548,14 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Registry management + an in-process serving benchmark."""
-    from .serve import InferenceEngine, ModelRegistry, ServeConfig, ShadowDeployer
+    """Registry management: publish, activate, list."""
+    from .serve import ModelRegistry
 
-    if not (args.list_versions or args.model or args.activate is not None
-            or args.bench):
+    if not (args.list_versions or args.model or args.activate is not None):
         print(
-            "nothing to do: pass --list, --model PATH, --activate N, "
-            "and/or --bench",
+            "nothing to do: pass --list, --model PATH and/or --activate N",
             file=sys.stderr,
         )
-        return EXIT_USAGE
-    if args.shadow is not None and not args.bench:
-        print("--shadow only makes sense with --bench", file=sys.stderr)
         return EXIT_USAGE
 
     registry = ModelRegistry(args.registry)
@@ -597,59 +577,6 @@ def _cmd_serve(args) -> int:
               f"{snapshot.dtype})")
     if args.list_versions:
         print(registry.describe())
-    if not args.bench:
-        return EXIT_OK
-
-    if registry.active() is None:
-        versions = registry.versions()
-        if not versions:
-            print("registry is empty; publish a model first", file=sys.stderr)
-            return EXIT_CONFIG
-        registry.activate(versions[-1])
-        print(f"auto-activated latest version v{versions[-1]:05d}")
-    snapshot = registry.active()
-    if snapshot.n_features < 1:
-        print("active model exposes no feature width; cannot synthesize "
-              "bench traffic", file=sys.stderr)
-        return EXIT_CONFIG
-
-    config = ServeConfig(
-        batch_window_s=args.batch_window,
-        max_batch_size=args.max_batch,
-        num_workers=args.workers,
-        queue_capacity=max(args.requests, 1),
-    )
-    rng = np.random.default_rng(args.seed)
-    x = rng.normal(size=(args.requests, snapshot.n_features))
-    engine = InferenceEngine(registry, config)
-    shadow = None
-    if args.shadow is not None:
-        shadow = ShadowDeployer(registry, args.shadow, sample_every=2)
-        engine.set_shadow(shadow)
-    import time as _time
-    with engine:
-        t0 = _time.perf_counter()
-        pending = [engine.submit(row) for row in x]
-        results = [p.result(30.0) for p in pending]
-        elapsed = _time.perf_counter() - t0
-    latencies = np.array([r.latency_s for r in results])
-    batch_sizes = np.array([r.batch_size for r in results])
-    mode = "inline pass-through" if args.workers == 0 else (
-        f"{args.workers} worker(s), window {args.batch_window * 1e3:.2f}ms, "
-        f"max batch {args.max_batch}"
-    )
-    print(f"served {len(results)} requests against v{snapshot.version:05d} "
-          f"({mode})")
-    print(f"  throughput : {len(results) / elapsed:,.0f} req/s")
-    print(f"  latency    : p50 {np.percentile(latencies, 50) * 1e6:.0f}us  "
-          f"p99 {np.percentile(latencies, 99) * 1e6:.0f}us")
-    print(f"  batch size : mean {batch_sizes.mean():.1f}  "
-          f"max {int(batch_sizes.max())}")
-    print(f"  admission  : admitted {engine.admission.admitted}  "
-          f"rejected {engine.admission.rejected}  "
-          f"shed {engine.admission.shed_deadline}")
-    if shadow is not None:
-        print(shadow.report().describe())
     return EXIT_OK
 
 

@@ -130,11 +130,6 @@ SITES: Dict[str, Tuple[str, Tuple[FaultKind, ...]]] = {
         "ModelRegistry load: corrupt/truncate the model image in flight",
         (FaultKind.CORRUPT, FaultKind.ERROR),
     ),
-    "serve.worker.batch": (
-        "InferenceEngine worker batch: fail the batch, or crash the "
-        "worker thread (supervised restart)",
-        (FaultKind.ERROR, FaultKind.CRASH),
-    ),
 }
 
 

@@ -8,9 +8,7 @@ decomposition -- no ``numpy`` transcendental kernels and no ``math``
 module calls on the approximation path.
 
 All functions accept scalars or numpy arrays and are vectorized.  They
-are used directly by the fixed-point matrix backend and can be selected
-for the float backends via :func:`use_approximations` to mirror the
-paper's in-kernel numerics exactly.
+are used directly by the fixed-point matrix backend.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ matrices so users can trade accuracy against kernel-side FPU cost
 type; the element representation is selected by ``dtype``:
 
 - ``"float32"`` / ``"float64"`` -- IEEE floats,
-- ``"fixed32"`` -- Q16.16 fixed point on int32 (no FPU required).
+- ``"fixed32"`` -- Q16.16 fixed point on int32.  Add, mul and matmul
+  are integer-only; nonlinearities and losses still decode to float64,
+  compute there, and re-encode.
 
 All arithmetic dispatches through the backend so higher layers (layers,
 losses, autodiff) are dtype-agnostic, exactly as in KML where the same

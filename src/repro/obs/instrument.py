@@ -525,87 +525,19 @@ def instrument_minikv(
 
 
 # ----------------------------------------------------------------------
-# serve: registry + inference engine + admission
+# serve: model registry
 # ----------------------------------------------------------------------
 
 
-class ServeObs:
-    """Hook object the inference engine feeds per served request/batch."""
+def instrument_serve(
+    model_registry, registry: MetricsRegistry
+) -> Dict[str, object]:
+    """Model-registry metrics: the active version and swap lifecycle.
 
-    __slots__ = ("request_latency", "batch_size")
-
-    def __init__(self, request_latency: Histogram, batch_size: Histogram):
-        self.request_latency = request_latency
-        self.batch_size = batch_size
-
-
-def instrument_serve(engine, registry: MetricsRegistry) -> Dict[str, object]:
-    """Serving-plane metrics: throughput, queue health, swap lifecycle.
-
-    Counters bind to the plain attributes the engine, its admission
-    controller, and its model registry already keep (callback metrics,
-    zero hot-path cost); the request-latency and batch-size histograms
-    attach via the engine's duck-typed ``attach_obs`` slot.
+    Every family binds to a plain attribute the
+    :class:`~repro.serve.ModelRegistry` already keeps (callback metrics,
+    zero cost to inference).
     """
-    served = registry.counter(
-        "kml_serve_requests_total", "Inference requests served"
-    )
-    served.set_function(lambda: float(getattr(engine, "requests_served", 0)))
-    errors = registry.counter(
-        "kml_serve_request_errors_total",
-        "Requests resolved with a serving error",
-    )
-    errors.set_function(lambda: float(getattr(engine, "request_errors", 0)))
-    batches = registry.counter(
-        "kml_serve_batches_total", "Coalesced forward passes executed"
-    )
-    batches.set_function(lambda: float(getattr(engine, "batches", 0)))
-    crashes = registry.counter(
-        "kml_serve_worker_crashes_total", "Serve-worker thread crashes"
-    )
-    crashes.set_function(lambda: float(getattr(engine, "worker_crashes", 0)))
-    restarts = registry.counter(
-        "kml_serve_worker_restarts_total",
-        "Supervised serve-worker restarts",
-    )
-    restarts.set_function(lambda: float(getattr(engine, "worker_restarts", 0)))
-    degraded = registry.gauge(
-        "kml_serve_degraded",
-        "1 when the engine gave up restarting workers (DEGRADED)",
-    )
-    degraded.set_function(
-        lambda: 1.0 if getattr(engine, "degraded", False) else 0.0
-    )
-
-    admission = getattr(engine, "admission", None)
-    depth = registry.gauge(
-        "kml_serve_queue_depth", "Requests waiting for a worker"
-    )
-    depth.set_function(
-        lambda: float(admission.depth) if admission is not None else 0.0
-    )
-    admitted = registry.counter(
-        "kml_serve_admitted_total", "Requests accepted by admission control"
-    )
-    admitted.set_function(
-        lambda: float(getattr(admission, "admitted", 0))
-    )
-    rejected = registry.counter(
-        "kml_serve_rejected_total",
-        "Requests rejected by backpressure (queue full)",
-    )
-    rejected.set_function(
-        lambda: float(getattr(admission, "rejected", 0))
-    )
-    shed = registry.counter(
-        "kml_serve_shed_total",
-        "Requests shed because their deadline passed while queued",
-    )
-    shed.set_function(
-        lambda: float(getattr(admission, "shed_deadline", 0))
-    )
-
-    model_registry = getattr(engine, "registry", None)
     active_version = registry.gauge(
         "kml_serve_active_version",
         "Active model version (-1 when nothing is activated)",
@@ -636,34 +568,12 @@ def instrument_serve(engine, registry: MetricsRegistry) -> Dict[str, object]:
     rollbacks.set_function(
         lambda: float(getattr(model_registry, "rollbacks", 0))
     )
-
-    request_latency = registry.histogram(
-        "kml_serve_request_latency_seconds",
-        "Submit-to-resolve wall time of one served request",
-    )
-    batch_size = registry.histogram(
-        "kml_serve_batch_rows",
-        "Rows coalesced into one forward pass",
-    )
-    _attach(engine, ServeObs(request_latency, batch_size))
     return {
-        "served": served,
-        "errors": errors,
-        "batches": batches,
-        "crashes": crashes,
-        "restarts": restarts,
-        "degraded": degraded,
-        "depth": depth,
-        "admitted": admitted,
-        "rejected": rejected,
-        "shed": shed,
         "active_version": active_version,
         "loads": loads,
         "load_failures": load_failures,
         "activations": activations,
         "rollbacks": rollbacks,
-        "request_latency": request_latency,
-        "batch_size": batch_size,
     }
 
 

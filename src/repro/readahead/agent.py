@@ -69,15 +69,13 @@ class ReadaheadAgent:
     fallback_ra:
         Readahead applied while unhealthy; defaults to the kernel
         default (``DEFAULT_RA_PAGES``).
-    engine:
-        Optional serving engine (duck-typed: ``healthy()`` and
-        ``predict(features) -> result`` with an ``output`` row, i.e.
-        :class:`repro.serve.InferenceEngine`).  When given and healthy,
-        inference routes through the engine -- picking up hot-swappable
-        model versions, micro-batching, and admission control.  When
-        the engine is unhealthy or its predict fails, the agent falls
-        back to its own local model for that tick, mirroring the
-        DEGRADED-path containment of the ``health`` gate.
+    registry:
+        Optional :class:`repro.serve.ModelRegistry`.  When given, each
+        tick runs inference on the registry's active snapshot, so a
+        ``registry.activate(n)`` hot-swaps the model between ticks.
+        With no active version, or when the snapshot's predict fails,
+        the agent falls back to its own local model for that tick,
+        mirroring the DEGRADED-path containment of the ``health`` gate.
     """
 
     def __init__(
@@ -94,7 +92,7 @@ class ReadaheadAgent:
         confidence_threshold: float = 0.0,
         health: Optional[Callable[[], bool]] = None,
         fallback_ra: int = DEFAULT_RA_PAGES,
-        engine=None,
+        registry=None,
     ):
         if smoothing < 1:
             raise ValueError("smoothing must be >= 1")
@@ -114,14 +112,14 @@ class ReadaheadAgent:
         self.confidence_threshold = confidence_threshold
         self.health = health
         self.fallback_ra = fallback_ra
-        self.engine = engine
+        self.registry = registry
         self.collector = FeatureCollector(stack)
         self.history: List[AgentDecision] = []
         self._recent_classes: List[int] = []
         self.skipped_low_confidence = 0
         self.skipped_degraded = 0
-        self.engine_decisions = 0
-        self.engine_fallbacks = 0
+        self.registry_decisions = 0
+        self.registry_fallbacks = 0
 
     # ------------------------------------------------------------------
 
@@ -146,7 +144,23 @@ class ReadaheadAgent:
         if self.sample_buffer is not None:
             self.sample_buffer.push(features)
         wall_start = time.perf_counter_ns()
-        logits = self._engine_logits(features)
+        logits = None
+        if self.registry is not None:
+            snapshot = self.registry.active()
+            if snapshot is not None:
+                try:
+                    logits = np.asarray(
+                        snapshot.predict(features.reshape(1, -1))[0],
+                        dtype=np.float64,
+                    )
+                except Exception:
+                    # A failing model must never cost the agent a
+                    # decision: the local model takes this tick.
+                    pass
+            if logits is None:
+                self.registry_fallbacks += 1
+            else:
+                self.registry_decisions += 1
         if self.confidence_threshold > 0.0:
             if logits is not None:
                 shifted = np.exp(logits - logits.max())
@@ -204,29 +218,6 @@ class ReadaheadAgent:
         )
         self.history.append(decision)
         return decision
-
-    def _engine_logits(self, features: np.ndarray) -> Optional[np.ndarray]:
-        """One logits row from the serving engine, or ``None``.
-
-        The engine path picks up whatever model version the registry
-        has active; an unhealthy engine or any serving failure
-        (backpressure, shed deadline, stopped/degraded) returns
-        ``None`` so the caller falls back to the agent's local model
-        for this tick -- a readahead decision must never be lost to the
-        serving plane.
-        """
-        if self.engine is None:
-            return None
-        if not self.engine.healthy():
-            self.engine_fallbacks += 1
-            return None
-        try:
-            result = self.engine.predict(features.reshape(-1))
-        except Exception:
-            self.engine_fallbacks += 1
-            return None
-        self.engine_decisions += 1
-        return np.asarray(result.output, dtype=np.float64).reshape(-1)
 
     def apply(self, ra_pages: int) -> None:
         """Actuate: block-layer ioctl plus per-file struct updates."""

@@ -1,56 +1,18 @@
-"""Model-serving plane: registry, micro-batched engine, admission.
+"""Model serving: the versioned model registry.
 
 The paper stops at the handoff -- train in user space, load the saved
-model in the kernel.  This package grows that handoff into a serving
-lifecycle with the operational properties a deployed learning system
-needs:
-
-- :class:`ModelRegistry` -- versioned, integrity-checked model store
-  with atomic hot-swap (``publish`` / ``activate`` / ``rollback``);
-- :class:`InferenceEngine` -- micro-batching request scheduler over a
-  supervised worker pool, with per-request deadlines and an inline
-  pass-through mode for embedded callers;
-- :class:`AdmissionController` -- bounded queue with backpressure and
-  deadline-based load shedding;
-- :class:`ShadowDeployer` -- candidate evaluation on mirrored live
-  traffic before promotion.
+model in the kernel.  :class:`ModelRegistry` turns that handoff into a
+lifecycle: a versioned, integrity-checked ``.kml`` store with atomic
+hot-swap (``publish`` / ``activate`` / ``rollback``).  Inference stays
+inline: a caller reads ``registry.active()`` and runs the immutable
+:class:`ModelSnapshot` it gets back, as ``ReadaheadAgent(registry=...)``
+does once per tick.
 
 Layering: ``serve`` sits beside ``readahead`` and imports only ``kml``
-(models, model_io) and ``faults.errors`` (exception types, by the
-documented catching-code convention).  Fault injection and
-observability attach from the outside via the duck-typed
-``attach_faults`` / ``attach_obs`` hooks, same as every other plane.
+(models, model_io).  Fault injection attaches from the outside via the
+duck-typed ``attach_faults`` hook, same as every other plane.
 """
 
-from .admission import AdmissionController
-from .engine import InferenceEngine, InferenceRequest, ServeConfig, ServeResult
-from .errors import (
-    AdmissionError,
-    DeadlineExceededError,
-    EngineStoppedError,
-    NoActiveModelError,
-    QueueFullError,
-    RegistryError,
-    ServeError,
-)
-from .registry import ModelRegistry, ModelSnapshot
-from .shadow import ShadowDeployer, ShadowReport
+from .registry import ModelRegistry, ModelSnapshot, RegistryError
 
-__all__ = [
-    "AdmissionController",
-    "InferenceEngine",
-    "InferenceRequest",
-    "ServeConfig",
-    "ServeResult",
-    "ModelRegistry",
-    "ModelSnapshot",
-    "ShadowDeployer",
-    "ShadowReport",
-    "ServeError",
-    "RegistryError",
-    "NoActiveModelError",
-    "AdmissionError",
-    "QueueFullError",
-    "DeadlineExceededError",
-    "EngineStoppedError",
-]
+__all__ = ["ModelRegistry", "ModelSnapshot", "RegistryError"]

@@ -14,7 +14,7 @@ registry turns that one-shot handoff into a lifecycle:
   request ever observes a torn model -- every response is produced by
   exactly one complete version;
 - :meth:`ModelRegistry.rollback` re-activates the previously active
-  version (the shadow-deploy escape hatch).
+  version (the escape hatch for a bad deploy).
 
 Integrity reuses ``kml.model_io``: every load runs the full
 magic/version/CRC validation of :func:`repro.kml.model_io.parse_model`,
@@ -37,9 +37,8 @@ from ..kml.decision_tree import DecisionTreeClassifier
 from ..kml.matrix import Matrix
 from ..kml.model_io import Model, dump_model, parse_model
 from ..kml.network import Sequential
-from .errors import RegistryError
 
-__all__ = ["ModelSnapshot", "ModelRegistry"]
+__all__ = ["RegistryError", "ModelSnapshot", "ModelRegistry"]
 
 _VERSION_RE = re.compile(r"^v(\d{5})\.kml$")
 
@@ -48,14 +47,20 @@ def _version_filename(version: int) -> str:
     return f"v{version:05d}.kml"
 
 
+class RegistryError(Exception):
+    """A registry operation failed: unknown version, corrupt model
+    image, or an I/O error underneath the store.  Activation failures
+    leave the previously active snapshot in place."""
+
+
 class ModelSnapshot:
     """An immutable handle on one fully-loaded model version.
 
-    Snapshots are what the inference engine actually runs: the model
-    instance is private to the snapshot (decoded fresh from the stored
-    image), inference goes through the stateless ``infer`` path, and no
-    field is ever reassigned after construction -- which is what makes
-    the registry's hot-swap safe for readers that never take a lock.
+    Snapshots are what inference actually runs: the model instance is
+    private to the snapshot (decoded fresh from the stored image),
+    inference goes through the stateless ``infer`` path, and no field is
+    ever reassigned after construction -- which is what makes the
+    registry's hot-swap safe for readers that never take a lock.
     """
 
     __slots__ = ("version", "model", "kind", "dtype", "nbytes", "checksum",

@@ -137,7 +137,7 @@ class TestInference:
 class TestConcurrentPredict:
     """predict/infer must be safe to call from many threads at once.
 
-    The serving plane runs concurrent inference against a shared model
+    Every caller that resolves a registry snapshot shares its model
     instance; the stateless ``infer`` path must not toggle train/eval
     mode, write activation caches, update running statistics, or apply
     dropout randomness.

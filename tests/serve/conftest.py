@@ -1,6 +1,6 @@
-"""Shared fixtures + stress gating for the serving-plane tests.
+"""Shared fixtures + stress gating for the model-registry tests.
 
-Tests marked ``serve_stress`` (the long hot-swap storms) only run when
+Tests marked ``serve_stress`` (the long hot-swap storm) only run when
 ``SERVE_STRESS=1`` is set -- ``make serve-check`` does that; the tier-1
 run keeps a quick deterministic slice so the atomicity property is
 exercised on every test run.

@@ -1,28 +1,12 @@
-"""Fault injection into the serving plane: corrupt loads, worker crashes."""
-
-import time
+"""Fault injection into the model registry, and its metric exports."""
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultKind, FaultPlane
-from repro.serve import (
-    InferenceEngine,
-    RegistryError,
-    ServeConfig,
-    ServeError,
-)
+from repro.serve import RegistryError
 
 from .conftest import constant_model
-
-
-def wait_until(predicate, timeout_s=5.0, poll_s=0.005):
-    deadline = time.perf_counter() + timeout_s
-    while time.perf_counter() < deadline:
-        if predicate():
-            return True
-        time.sleep(poll_s)
-    return predicate()
 
 
 class TestRegistryCorruption:
@@ -82,117 +66,42 @@ class TestRegistryCorruption:
         assert registry.load(version).version == version
 
 
-class TestWorkerFaults:
-    def test_batch_error_fails_requests_not_worker(self, registry):
-        registry.publish(constant_model(1.0), activate=True)
-        plane = FaultPlane(seed=6).inject(
-            "serve.worker.batch", FaultKind.ERROR, nth=1
-        )
-        engine = InferenceEngine(
-            registry, ServeConfig(num_workers=1, batch_window_s=0.0,
-                                  max_batch_size=1)
-        )
-        engine.attach_faults(plane)
-        with engine:
-            first = engine.submit(np.ones(4))
-            with pytest.raises(ServeError):
-                first.result(5.0)
-            # The worker survived and keeps serving.
-            second = engine.submit(np.ones(4))
-            assert second.result(5.0).version == 1
-        assert engine.request_errors >= 1
-        assert engine.worker_crashes == 0
-
-    def test_worker_crash_is_supervised_and_request_survives(self, registry):
-        registry.publish(constant_model(1.0), activate=True)
-        plane = FaultPlane(seed=7).inject(
-            "serve.worker.batch", FaultKind.CRASH, nth=1
-        )
-        engine = InferenceEngine(
-            registry,
-            ServeConfig(num_workers=1, batch_window_s=0.0, max_batch_size=4,
-                        monitor_poll_s=0.005, restart_backoff_s=0.001),
-        )
-        engine.attach_faults(plane)
-        with engine:
-            request = engine.submit(np.ones(4))
-            # The crash killed the worker mid-batch; the batch was
-            # re-queued and the restarted worker serves it.
-            result = request.result(5.0)
-            np.testing.assert_array_equal(result.output, np.full(3, 1.0))
-            assert wait_until(lambda: engine.worker_restarts >= 1)
-            assert engine.worker_crashes == 1
-            assert engine.healthy()
-
-    def test_restart_budget_exhaustion_degrades(self, registry):
-        registry.publish(constant_model(1.0), activate=True)
-        plane = FaultPlane(seed=8).inject(
-            "serve.worker.batch", FaultKind.CRASH, probability=1.0
-        )
-        engine = InferenceEngine(
-            registry,
-            ServeConfig(num_workers=1, batch_window_s=0.0, max_batch_size=4,
-                        max_worker_restarts=2, monitor_poll_s=0.005,
-                        restart_backoff_s=0.001),
-        )
-        engine.attach_faults(plane)
-        engine.start()
-        try:
-            request = engine.submit(np.ones(4))
-            assert wait_until(lambda: engine.degraded)
-            assert not engine.healthy()
-            # The stranded request fails loudly instead of hanging.
-            with pytest.raises(ServeError):
-                request.result(5.0)
-            assert engine.worker_crashes >= 3  # initial + both restarts
-            assert engine.worker_restarts == 2
-        finally:
-            engine.stop()
-
-    def test_agent_falls_back_when_engine_degrades(self, registry):
-        """The readahead agent gates on engine health like the DEGRADED
-        path: a dead serving plane must not cost the agent decisions."""
-        from repro.os_sim import make_stack
-        from repro.readahead import ReadaheadAgent, TuningTable
-
-        registry.publish(constant_model(1.0, in_features=5), activate=True)
-        engine = InferenceEngine(registry, ServeConfig(num_workers=0))
-        tuning = TuningTable()
-        for name in ("readseq", "readrandom", "readreverse",
-                     "readrandomwriterandom"):
-            tuning.set("nvme", name, 64)
-        stack = make_stack("nvme")
-        model = constant_model(1.0, in_features=5)
-        agent = ReadaheadAgent(stack, model, tuning, "nvme", engine=engine)
-        with engine:
-            agent.on_tick(0.1, 100.0)
-            assert agent.engine_decisions == 1
-        # Engine stopped: healthy() is False, local model takes over.
-        agent.on_tick(0.2, 100.0)
-        assert agent.engine_fallbacks == 1
-        assert len(agent.history) == 2
-        agent.detach()
-
-
 class TestObsIntegration:
     def test_instrument_serve_exports_counters(self, registry):
+        """Golden export: the five registry families, byte for byte."""
         from repro.obs import MetricsRegistry, instrument_serve, prometheus_text
 
-        registry.publish(constant_model(1.0), activate=True)
-        engine = InferenceEngine(
-            registry, ServeConfig(num_workers=1, batch_window_s=0.001)
-        )
         metrics = MetricsRegistry()
-        handles = instrument_serve(engine, metrics)
-        with engine:
-            pending = [engine.submit(np.ones(4)) for _ in range(8)]
-            for p in pending:
-                p.result(5.0)
+        instrument_serve(registry, metrics)
+        registry.publish(constant_model(1.0), activate=True)
+        registry.publish(constant_model(2.0))
+        registry.activate(2)
+        registry.attach_faults(FaultPlane(seed=1).inject(
+            "serve.registry.load", FaultKind.CORRUPT, nth=1
+        ))
+        with pytest.raises(RegistryError):
+            registry.load(1)
+        registry.detach_faults()
+        registry.rollback()
         metrics.collect()
-        text = prometheus_text(metrics)
-        assert "kml_serve_requests_total 8" in text
-        assert "kml_serve_active_version 1" in text
-        assert "kml_serve_admitted_total 8" in text
-        assert "kml_serve_batches_total" in text
-        # The attached histograms saw traffic.
-        assert handles["request_latency"].count == 8
+        assert prometheus_text(metrics).splitlines() == [
+            "# HELP kml_serve_activations_total Model hot-swaps (activate calls)",
+            "# TYPE kml_serve_activations_total counter",
+            "kml_serve_activations_total 3",
+            "# HELP kml_serve_active_version Active model version "
+            "(-1 when nothing is activated)",
+            "# TYPE kml_serve_active_version gauge",
+            "kml_serve_active_version 1",
+            "# HELP kml_serve_model_load_failures_total Loads rejected by "
+            "integrity checking (corrupt image, I/O error)",
+            "# TYPE kml_serve_model_load_failures_total counter",
+            "kml_serve_model_load_failures_total 1",
+            "# HELP kml_serve_model_loads_total Model image loads from the "
+            "registry",
+            "# TYPE kml_serve_model_loads_total counter",
+            "kml_serve_model_loads_total 4",
+            "# HELP kml_serve_rollbacks_total Registry rollbacks to a prior "
+            "version",
+            "# TYPE kml_serve_rollbacks_total counter",
+            "kml_serve_rollbacks_total 1",
+        ]

@@ -1,4 +1,4 @@
-"""Hot-swap atomicity under load: the serving plane's core guarantee.
+"""Hot-swap atomicity under load: the model registry's core guarantee.
 
 Every published model is a *constant* network: version ``v`` outputs
 ``[v, v, v]`` for any input.  That choice makes the two failure modes
@@ -6,8 +6,12 @@ of a non-atomic swap directly observable:
 
 - a **torn read** (weights from one version, bias from another) breaks
   the all-equal property of the output row;
-- a **version mix-up** (response attributed to a version that did not
-  produce it) breaks ``output == float(response.version)``.
+- a **version mix-up** (a row attributed to a version that did not
+  produce it) breaks ``output == float(snapshot.version)``.
+
+Clients infer the way every in-repo caller does: resolve
+``registry.active()`` once, then run ``snapshot.predict`` on it, with
+no lock and no intermediary.
 
 Version diversity is guaranteed by construction, not by timing: the
 swapper waits for the first response (served by the initially-active
@@ -17,24 +21,23 @@ two versions mid-traffic, while a free-running swapper thread churns
 activations among the rest.
 
 The quick slice runs on every tier-1 test run; the ``serve_stress``
-variants scale up clients, swaps, and concurrent publishes (enabled by
-``SERVE_STRESS=1`` via ``make serve-check``).
+variant scales up clients and swaps and adds concurrent publishes
+(enabled by ``SERVE_STRESS=1`` via ``make serve-check``).
 """
 
 import itertools
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.serve import InferenceEngine, ServeConfig
-
 from .conftest import constant_model
 
 
 def run_swap_storm(registry, *, versions, clients, requests_per_client,
-                   swaps, workers, publish_concurrently=False):
+                   swaps, publish_concurrently=False):
     """Drive inference from ``clients`` threads while activations churn.
 
     Returns (violations, responses, served_versions).
@@ -44,30 +47,23 @@ def run_swap_storm(registry, *, versions, clients, requests_per_client,
         registry.publish(constant_model(float(v)))
     registry.activate(1)
 
-    engine = InferenceEngine(
-        registry,
-        ServeConfig(num_workers=workers, batch_window_s=0.001,
-                    max_batch_size=8,
-                    queue_capacity=clients * requests_per_client),
-    )
     violations = []
     responses = []
     lock = threading.Lock()
     start = threading.Barrier(clients + 1)
     clients_done = threading.Event()
 
-    def record(result):
-        row = np.asarray(result.output)
+    def record(version, row):
         with lock:
             # Atomicity: the row came from exactly one complete model.
             if not np.all(row == row[0]):
                 violations.append(f"torn read: {row!r}")
-            elif float(row[0]) != float(result.version):
+            elif float(row[0]) != float(version):
                 violations.append(
                     f"version mix-up: output {row[0]!r} attributed to "
-                    f"v{result.version}"
+                    f"v{version}"
                 )
-            responses.append(result.version)
+            responses.append(version)
 
     def client(index):
         rng = np.random.default_rng(index)
@@ -75,13 +71,15 @@ def run_swap_storm(registry, *, versions, clients, requests_per_client,
         for i in range(requests_per_client):
             if i == requests_per_client // 2:
                 # Mid-stream activation from inside a serving client:
-                # this client's remaining requests were all submitted
-                # after a version >= 2 became active, and no code path
-                # ever re-activates v1, so at least one of them is
-                # served by a later version -- deterministically.
+                # this client's remaining requests all resolve the
+                # active snapshot after a version >= 2 became active,
+                # and no code path ever re-activates v1, so at least
+                # one of them is served by a later version --
+                # deterministically.
                 registry.activate(2 + index)
-            request = engine.submit(rng.normal(size=4))
-            record(request.result(10.0))
+            snapshot = registry.active()
+            row = snapshot.predict(rng.normal(size=(1, 4)))[0]
+            record(snapshot.version, row)
 
     def swapper():
         start.wait(timeout=10)
@@ -116,7 +114,9 @@ def run_swap_storm(registry, *, versions, clients, requests_per_client,
     threads.append(threading.Thread(target=swapper))
     if publish_concurrently:
         threads.append(threading.Thread(target=publisher))
-    with engine:
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-predict too
+    try:
         for thread in threads:
             thread.start()
         for thread in threads[:clients]:
@@ -124,6 +124,9 @@ def run_swap_storm(registry, *, versions, clients, requests_per_client,
         clients_done.set()
         for thread in threads[clients:]:
             thread.join(60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
     return violations, responses, set(responses)
 
 
@@ -132,10 +135,10 @@ class TestHotSwapAtomicity:
         """Tier-1 slice: enough churn to catch a torn swap, fast."""
         violations, responses, served = run_swap_storm(
             registry, versions=5, clients=3, requests_per_client=60,
-            swaps=30, workers=2,
+            swaps=30,
         )
         assert not violations, violations[:5]
-        # No dropped in-flight requests: every submit produced a response.
+        # Every request produced a response.
         assert len(responses) == 3 * 60
         # Swaps landed mid-traffic: v1 served first, later versions after.
         assert 1 in served
@@ -145,19 +148,8 @@ class TestHotSwapAtomicity:
     def test_long_swap_storm_with_concurrent_publishes(self, registry):
         violations, responses, served = run_swap_storm(
             registry, versions=8, clients=6, requests_per_client=400,
-            swaps=300, workers=4, publish_concurrently=True,
+            swaps=300, publish_concurrently=True,
         )
         assert not violations, violations[:5]
         assert len(responses) == 6 * 400
-        assert 1 in served and any(v >= 2 for v in served)
-
-    @pytest.mark.serve_stress
-    def test_inline_mode_swap_storm(self, registry):
-        """Pass-through mode has the same guarantee (snapshot reads)."""
-        violations, responses, served = run_swap_storm(
-            registry, versions=9, clients=8, requests_per_client=300,
-            swaps=200, workers=0,
-        )
-        assert not violations, violations[:5]
-        assert len(responses) == 8 * 300
         assert 1 in served and any(v >= 2 for v in served)

@@ -195,13 +195,8 @@ class TestServe:
 
     def test_no_action_is_usage_error(self, tmp_path, capsys):
         assert main(["serve", "--registry", str(tmp_path / "r")]) == 2
-        assert "nothing to do" in capsys.readouterr().err
-
-    def test_shadow_requires_bench(self, tmp_path, capsys):
-        code = main(["serve", "--registry", str(tmp_path / "r"),
-                     "--list", "--shadow", "1"])
-        assert code == 2
-        assert "--shadow" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nothing to do: pass --list, --model PATH and/or --activate N" in err
 
     def test_publish_activate_list(self, tmp_path, model_file, capsys):
         reg = str(tmp_path / "r")
@@ -232,36 +227,6 @@ class TestServe:
         capsys.readouterr()
         assert main(["serve", "--registry", reg, "--activate", "99"]) == 1
         assert "repro:" in capsys.readouterr().err
-
-    def test_bench_empty_registry_is_config_error(self, tmp_path, capsys):
-        code = main(["serve", "--registry", str(tmp_path / "r"), "--bench"])
-        assert code == 5
-        assert "registry is empty" in capsys.readouterr().err
-
-    def test_bench_inline_reports_latency(self, tmp_path, model_file, capsys):
-        reg = str(tmp_path / "r")
-        assert main(["serve", "--registry", reg, "--model", model_file]) == 0
-        capsys.readouterr()
-        code = main(["serve", "--registry", reg, "--bench",
-                     "--workers", "0", "--requests", "64"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "auto-activated latest version v00001" in out
-        assert "throughput" in out and "p99" in out
-        assert "inline pass-through" in out
-
-    def test_bench_batched_with_shadow(self, tmp_path, model_file, capsys):
-        reg = str(tmp_path / "r")
-        assert main(["serve", "--registry", reg, "--model", model_file]) == 0
-        assert main(["serve", "--registry", reg, "--model", model_file]) == 0
-        capsys.readouterr()
-        code = main(["serve", "--registry", reg, "--activate", "1", "--bench",
-                     "--shadow", "2", "--workers", "1", "--requests", "64",
-                     "--batch-window", "0.001"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "batch size" in out
-        assert "agreement" in out  # the shadow report made it to stdout
 
 
 class TestReport:
