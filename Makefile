@@ -1,11 +1,11 @@
 # Convenience targets for the KML reproduction.
 
-.PHONY: install test obs-check faults-check serve-check bench report clean
+.PHONY: install test obs-check faults-check serve-check perf-check bench report clean
 
 install:
 	pip install -e . || python setup.py develop
 
-test: obs-check faults-check serve-check
+test: obs-check faults-check serve-check perf-check
 	pytest tests/
 
 # Observability gate: the obs unit tests plus the instrumentation
@@ -26,6 +26,12 @@ faults-check:
 # (SERVE_STRESS=1; see docs/SERVING.md).
 serve-check:
 	SERVE_STRESS=1 pytest tests/serve/ -q
+
+# Performance-refactor gate: the simulator golden test (bit-identical
+# throughputs, cache/device stats, feature vectors, .ktrace bytes and
+# page-cache event streams) plus the benchmark harness's own tests.
+perf-check:
+	pytest tests/integration/test_sim_golden.py perfbench/tests -q
 
 bench:
 	pytest benchmarks/ --benchmark-only

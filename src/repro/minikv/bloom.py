@@ -4,6 +4,11 @@ RocksDB consults a per-table bloom filter before touching data blocks;
 minikv does the same so that point reads of absent keys cost no I/O.
 Hashing is double hashing over two independent 32-bit hashes (FNV-1a
 and CRC32), the standard Kirsch-Mitzenmacher construction.
+
+A point lookup probes the filter of every table in turn with the same
+key, so :meth:`BloomFilter.may_contain` remembers the hash pair of the
+last key it saw (one entry, shared by all filters) and hashes each key
+once per lookup instead of once per table.
 """
 
 from __future__ import annotations
@@ -23,6 +28,13 @@ def _fnv1a(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & 0xFFFFFFFF
     return h
+
+
+# (key, fnv1a, crc32) of the last key probed: a cache of a pure
+# function of the key bytes, so sharing it changes no answer.  The key is
+# kept as an immutable bytes copy, so a caller mutating a bytearray key
+# afterwards cannot make a stale pair look current.
+_last_probe = (b"", _fnv1a(b""), zlib.crc32(b""))
 
 
 class BloomFilter:
@@ -61,9 +73,23 @@ class BloomFilter:
         self.count += 1
 
     def may_contain(self, key: bytes) -> bool:
-        return all(
-            self._bits[bit >> 3] & (1 << (bit & 7)) for bit in self._probes(key)
-        )
+        """False if ``key`` was never added; the same probes as ``add``."""
+        global _last_probe
+        last_key, h1, h2 = _last_probe
+        if key != last_key:
+            key = bytes(key)
+            h1 = _fnv1a(key)
+            h2 = zlib.crc32(key) & 0xFFFFFFFF
+            _last_probe = (key, h1, h2)
+        n_bits = self.n_bits
+        if h2 % n_bits == 0:
+            h2 += 1
+        bits = self._bits
+        for i in range(self.n_hashes):
+            bit = (h1 + i * h2) % n_bits
+            if not bits[bit >> 3] & (1 << (bit & 7)):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Serialization (embedded in the SSTable file)

@@ -316,33 +316,36 @@ class MiniKV:
     # Reads
     # ------------------------------------------------------------------
 
-    def _with_io_retries(self, fn):
-        """Run ``fn`` retrying *transient* I/O errors with capped
-        exponential backoff.
+    def _retry_io(self, fn, exc: Exception):
+        """Retry ``fn``, whose first attempt raised ``exc``, while its
+        errors are *transient*, with capped exponential backoff.
 
         Only exceptions carrying a truthy ``transient`` attribute (the
         convention :class:`repro.faults.errors.InjectedIOError` follows)
         are retried; everything else propagates immediately.  Backoff
         is charged to the simulated clock so retry storms are visible
-        in the timing results, not hidden wall-clock sleeps.
+        in the timing results, not hidden wall-clock sleeps.  Callers
+        make the first attempt themselves, so the error-free path costs
+        no extra call.
         """
         attempt = 0
         while True:
+            if not getattr(exc, "transient", False):
+                raise exc
+            if attempt >= self.options.io_retries:
+                self.stats.io_giveups += 1
+                raise exc
+            delay = min(
+                self.options.io_retry_backoff_s * (2 ** attempt),
+                self.options.io_retry_backoff_cap_s,
+            )
+            self.fs.clock.advance(delay)
+            attempt += 1
+            self.stats.io_retries += 1
             try:
                 return fn()
-            except Exception as exc:
-                if not getattr(exc, "transient", False):
-                    raise
-                if attempt >= self.options.io_retries:
-                    self.stats.io_giveups += 1
-                    raise
-                delay = min(
-                    self.options.io_retry_backoff_s * (2 ** attempt),
-                    self.options.io_retry_backoff_cap_s,
-                )
-                self.fs.clock.advance(delay)
-                attempt += 1
-                self.stats.io_retries += 1
+            except Exception as retry_exc:
+                exc = retry_exc
 
     def get(self, key: bytes) -> Optional[bytes]:
         self._check_key(key)
@@ -357,7 +360,10 @@ class MiniKV:
         value = self._memtable.get(key)
         if value is None:
             for table in self._l0 + self._l1:
-                value = self._with_io_retries(lambda: table.get(key))
+                try:
+                    value = table.get(key)
+                except Exception as exc:
+                    value = self._retry_io(lambda: table.get(key), exc)
                 if value is not None:
                     break
         if t0:

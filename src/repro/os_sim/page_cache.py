@@ -10,8 +10,15 @@ Every page access goes through :meth:`PageCache.read_page` /
 - hits touch LRU state, emit ``mark_page_accessed``, and may trigger an
   asynchronous readahead window;
 - misses consult the per-file readahead state for a window, charge the
-  device for one request covering the non-resident pages, emit
-  ``add_to_page_cache`` per inserted page, and block until completion;
+  device for one request covering the non-resident pages, and block
+  until completion;
+- a window's pages are inserted in one loop and its
+  ``add_to_page_cache`` events, one per inserted page, are dispatched
+  as one batch (:meth:`TracepointRegistry.emit_pages`).  A dirty page
+  evicted to make room cuts the batch: the adds of the window's earlier
+  pages are dispatched, then the page is written back, then the add of
+  the page that evicted it follows.  The event stream is therefore the
+  one a per-page ``emit`` gives;
 - prefetched pages carry their in-flight completion time; a reader
   arriving early waits only the remaining time (that is how async
   readahead hides latency);
@@ -37,14 +44,22 @@ from .tracepoints import TracepointRegistry
 __all__ = ["PageCache", "CacheStats", "PageEntry"]
 
 
-@dataclass
 class PageEntry:
     """Metadata for one resident page."""
 
-    ready_at: float      # device completion time (may be in the future)
-    dirty: bool = False
-    prefetched: bool = False  # inserted by readahead, not by demand
-    accessed: bool = False    # demanded at least once since insertion
+    __slots__ = ("ready_at", "dirty", "prefetched", "accessed")
+
+    def __init__(
+        self,
+        ready_at: float,  # device completion time (may be in the future)
+        dirty: bool = False,
+        prefetched: bool = False,  # inserted by readahead, not by demand
+        accessed: bool = False,  # demanded at least once since insertion
+    ):
+        self.ready_at = ready_at
+        self.dirty = dirty
+        self.prefetched = prefetched
+        self.accessed = accessed
 
 
 @dataclass
@@ -189,34 +204,42 @@ class PageCache:
         Returns the completion time, or None if every page was already
         resident (nothing to read).
         """
-        missing = [
-            p
-            for p in range(plan.start, plan.start + plan.count)
-            if (ino, p) not in self._pages
-        ]
+        pages = self._pages
+        start = plan.start
+        missing = [p for p in range(start, start + plan.count) if (ino, p) not in pages]
         if not missing:
             return None
-        done = self.device.submit(self.clock, len(missing), is_write=False)
-        self.tracepoints.emit(
-            "readahead",
-            self.clock.now,
-            ino=ino,
-            start=plan.start,
-            count=len(missing),
-            is_async=plan.is_async,
+        clock = self.clock
+        tracepoints = self.tracepoints
+        done = self.device.submit(clock, len(missing), is_write=False)
+        now = clock.now
+        is_async = plan.is_async
+        tracepoints.emit(
+            "readahead", now, ino=ino, start=start, count=len(missing), is_async=is_async
         )
-        demanded_page = plan.start if not plan.is_async else None
+        demanded_page = start if not is_async else None
+        stats = self.stats
+        capacity = self.capacity_pages
+        added = []  # pages whose add_to_page_cache is not dispatched yet
         for p in missing:
-            entry = PageEntry(
-                ready_at=done,
-                prefetched=plan.is_async or p != demanded_page,
-            )
-            self._insert((ino, p), entry)
-            if entry.prefetched:
-                self.stats.prefetch_inserted += 1
-            self.tracepoints.emit(
-                "add_to_page_cache", self.clock.now, ino=ino, page=p
-            )
+            prefetched = is_async or p != demanded_page
+            pages[(ino, p)] = PageEntry(done, False, prefetched)
+            stats.inserted += 1
+            while len(pages) > capacity:
+                key, entry = pages.popitem(last=False)
+                stats.evicted += 1
+                if entry.prefetched and not entry.accessed:
+                    stats.prefetch_wasted += 1
+                if entry.dirty:
+                    if added:
+                        tracepoints.emit_pages("add_to_page_cache", now, ino, added)
+                        added = []
+                    self._dirty_count -= 1
+                    self._write_back_pages(1, key[0], key[1])
+            if prefetched:
+                stats.prefetch_inserted += 1
+            added.append(p)
+        tracepoints.emit_pages("add_to_page_cache", now, ino, added)
         return done
 
     def _insert(self, key, entry: PageEntry) -> None:

@@ -19,12 +19,15 @@ paper's five by default.
 users implement: it subscribes to ``add_to_page_cache`` /
 ``mark_page_accessed`` / ``writeback_dirty_page``, recording the inode
 number, the page offset, and the event time -- exactly the fields the
-paper's readahead hooks record.
+paper's readahead hooks record.  A readahead window's inserts arrive as
+one page batch (see :meth:`TracepointRegistry.emit_pages`), folded into
+the statistics in one loop with the same arithmetic, in the same order,
+as one event at a time.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -68,7 +71,11 @@ class FeatureCollector:
     """
 
     def __init__(self, stack: StorageStack):
-        self.stack = stack
+        # Keep the tracepoints and the block layer, not the stack: the
+        # registry holds this collector's hooks, and a reference back to
+        # the whole stack would keep a dropped stack (and its files)
+        # alive until the cyclic garbage collector runs.
+        self._block = stack.block
         self._registry: TracepointRegistry = stack.tracepoints
         self._offset_cma = CumulativeMovingAverage()
         self._offset_cmstd = CumulativeMovingStd()
@@ -90,7 +97,9 @@ class FeatureCollector:
         if self._attached:
             return
         for name in _OFFSET_EVENTS:
-            self._registry.subscribe(name, self._on_offset_event)
+            self._registry.subscribe(
+                name, self._on_offset_event, pages=self._on_offset_pages
+            )
         for name in _COUNT_ONLY_EVENTS:
             self._registry.subscribe(name, self._on_count_event)
         self._attached = True
@@ -125,6 +134,59 @@ class FeatureCollector:
             self._inserts += 1
         self._inodes.add(event.fields["ino"])
 
+    def _on_offset_pages(
+        self, name: str, timestamp: float, ino: int, pages: Sequence[int]
+    ) -> None:
+        """``_on_offset_event`` for each page of a batch, in one loop.
+
+        The statistics live in local variables for the loop; every
+        update is the one the per-event path makes (``update`` of
+        ``CumulativeMovingAverage``, ``CumulativeMovingStd`` and
+        ``MeanAbsoluteDelta``, then the signed delta), in the same
+        order, so the result is bit-identical.
+        """
+        n = len(pages)
+        if not n:
+            return
+        cma, std, absd = self._offset_cma, self._offset_cmstd, self._abs_delta
+        absd_cma = absd._cma
+        cma_count, cma_mean = cma._count, cma._mean
+        std_count, std_mean, std_m2 = std._count, std._mean, std._m2
+        has_previous, previous = absd._has_previous, absd._previous
+        absd_count, absd_mean = absd_cma._count, absd_cma._mean
+        signed_sum, signed_count = self._signed_delta_sum, self._signed_delta_count
+        prev_offset = self._prev_offset
+        for page in pages:
+            offset = float(page)
+            cma_count += 1
+            cma_mean += (offset - cma_mean) / cma_count
+            std_count += 1
+            delta = offset - std_mean
+            std_mean += delta / std_count
+            std_m2 += delta * (offset - std_mean)
+            if has_previous:
+                absd_count += 1
+                absd_mean += (abs(offset - previous) - absd_mean) / absd_count
+            previous = offset
+            has_previous = True
+            if prev_offset is not None:
+                signed_sum += page - prev_offset
+                signed_count += 1
+            prev_offset = offset
+        cma._count, cma._mean = cma_count, cma_mean
+        std._count, std._mean, std._m2 = std_count, std_mean, std_m2
+        absd._has_previous, absd._previous = has_previous, previous
+        absd_cma._count, absd_cma._mean = absd_count, absd_mean
+        self._signed_delta_sum, self._signed_delta_count = signed_sum, signed_count
+        self._prev_offset = prev_offset
+        self._window_events += n
+        self.events_seen += n
+        if name == "mark_page_accessed":
+            self._hits += n
+        else:
+            self._inserts += n
+        self._inodes.add(ino)
+
     def _on_count_event(self, event: TraceEvent) -> None:
         self._window_events += 1
         self.events_seen += 1
@@ -145,7 +207,7 @@ class FeatureCollector:
                 self._offset_cma.value,
                 self._offset_cmstd.std,
                 self._abs_delta.value,
-                float(self.stack.block.ra_pages),
+                float(self._block.ra_pages),
                 signed,
                 self._hits / total if total else 0.0,
                 float(len(self._inodes)),

@@ -25,6 +25,34 @@ class TestBloom:
         )
         assert false_positives / 10_000 < 0.05  # ~1% expected, 5% margin
 
+    def test_may_contain_agrees_with_probes(self):
+        """The early-exit probe loop and its hash memo answer exactly
+        what the full probe sequence does, across filter geometries."""
+        rng = np.random.default_rng(5)
+        blooms = [BloomFilter(n_bits, n_hashes) for n_bits, n_hashes in
+                  ((64, 1), (1000, 3), (4099, 7), (65536, 16))]
+        for bloom in blooms:
+            for key in rng.integers(0, 20_000, size=bloom.n_bits // 8):
+                bloom.add(b"key-%d" % key)
+        for key in rng.integers(0, 20_000, size=10_000):
+            key = b"key-%d" % key
+            for bloom in blooms:  # the same key, probed table after table
+                expected = all(
+                    bloom._bits[bit >> 3] & (1 << (bit & 7))
+                    for bit in bloom._probes(key)
+                )
+                assert bloom.may_contain(key) == expected
+
+    def test_mutated_bytearray_key_is_rehashed(self):
+        bloom = BloomFilter.for_capacity(100)
+        bloom.add(b"present")
+        key = bytearray(b"absent!")
+        assert not bloom.may_contain(key)
+        key[:] = b"present"
+        assert bloom.may_contain(key)
+        key[:] = b"absent!"
+        assert not bloom.may_contain(key)
+
     def test_empty_filter_rejects(self):
         bloom = BloomFilter.for_capacity(100)
         assert not bloom.may_contain(b"anything")

@@ -1,5 +1,8 @@
 """Tests for the feature collector."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -123,3 +126,31 @@ class TestCollection:
         features = collector.snapshot()
         assert features[0] > 0
         assert features[3] < 10  # sequential
+
+    def test_page_batches_match_per_event_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        per_event = make_stack("nvme", cache_pages=256, ra_pages=64)
+        batched = make_stack("nvme", cache_pages=256, ra_pages=64)
+        one, many = FeatureCollector(per_event), FeatureCollector(batched)
+        for window in range(5):
+            for _ in range(20):
+                ino = int(rng.integers(1, 4))
+                pages = rng.integers(0, 1 << 40, size=int(rng.integers(0, 17))).tolist()
+                emit_accesses(per_event, pages, ino=ino, name="add_to_page_cache")
+                batched.tracepoints.emit_pages("add_to_page_cache", 0.0, ino, pages)
+                hit = int(rng.integers(0, 1 << 40))
+                emit_accesses(per_event, [hit], ino=ino)
+                emit_accesses(batched, [hit], ino=ino)
+            assert one.snapshot_all().tobytes() == many.snapshot_all().tobytes()
+        assert one.events_seen == many.events_seen
+
+    def test_dropped_stack_freed_without_cycle_collection(self):
+        stack = make_stack("nvme", cache_pages=16)
+        FeatureCollector(stack)
+        alive = weakref.ref(stack)
+        gc.disable()
+        try:
+            del stack
+            assert alive() is None
+        finally:
+            gc.enable()
