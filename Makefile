@@ -1,37 +1,22 @@
 # Convenience targets for the KML reproduction.
 
-.PHONY: install test obs-check faults-check serve-check perf-check bench report clean
+.PHONY: install test check bench report clean
 
 install:
 	pip install -e . || python setup.py develop
 
-test: obs-check faults-check serve-check perf-check
-	pytest tests/
+test: check
 
-# Observability gate: the obs unit tests plus the instrumentation
-# overhead budget (smoke mode; see docs/OBSERVABILITY.md).
-obs-check:
-	pytest tests/obs/ -q
+# The full gate, each suite once: every test with the stress matrices
+# on (FAULTS_STRESS: >= 200 seeded minikv crash cases, the buffer storm,
+# exhaustive model-file fuzzing; SERVE_STRESS: the long hot-swap storm),
+# the simulator and export goldens, the benchmark harness's own tests,
+# and the obs (< 10%) and fault-plane (< 2%) overhead budgets in smoke
+# mode (see docs/OBSERVABILITY.md, docs/FAULTS.md, docs/SERVING.md).
+check:
+	FAULTS_STRESS=1 SERVE_STRESS=1 pytest tests/ perfbench/tests -q
 	python benchmarks/bench_obs_overhead.py --smoke
-
-# Fault-injection gate: the full stress matrices (fixed seed matrix:
-# >= 200 seeded minikv crash cases, the multi-producer buffer storm,
-# exhaustive model-file fuzzing) plus the fault-plane overhead budget
-# (smoke mode; see docs/FAULTS.md).
-faults-check:
-	FAULTS_STRESS=1 pytest tests/faults/ -q
 	python benchmarks/bench_faults_overhead.py --smoke
-
-# Registry gate: the serve unit tests plus the long hot-swap storm
-# (SERVE_STRESS=1; see docs/SERVING.md).
-serve-check:
-	SERVE_STRESS=1 pytest tests/serve/ -q
-
-# Performance-refactor gate: the simulator golden test (bit-identical
-# throughputs, cache/device stats, feature vectors, .ktrace bytes and
-# page-cache event streams) plus the benchmark harness's own tests.
-perf-check:
-	pytest tests/integration/test_sim_golden.py perfbench/tests -q
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -17,25 +17,33 @@ Runs three ways, mirroring ``bench_obs_overhead.py``:
 
 - ``python benchmarks/bench_faults_overhead.py`` -- full run, asserts
   the budget, writes ``benchmarks/results/faults_overhead.txt``;
-- ``... --smoke`` -- fewer iterations (the ``make faults-check`` path);
+- ``... --smoke`` -- fewer iterations (the ``make check`` path);
 - ``pytest benchmarks/bench_faults_overhead.py`` -- budget checks as
   tests.
 
-Timing interleaves base and armed runs and keeps the pair with the
-lowest overhead, so a transient load spike cannot bias one side.
+Timing (``common.min_overhead_pair``) interleaves base and armed runs
+and keeps the pair with the lowest overhead, so a transient load spike
+cannot bias one side.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
-from typing import Callable, List, Optional, Tuple
+from functools import partial
+from typing import Callable
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from common import write_result  # noqa: E402
+from common import (  # noqa: E402
+    Overhead,
+    buffer_rate,
+    gate_iters,
+    gate_main,
+    min_overhead_pair,
+    run_overhead_gate,
+)
 
 from repro.faults import FaultKind, FaultPlane  # noqa: E402
 from repro.os_sim import make_stack  # noqa: E402
@@ -44,37 +52,11 @@ from repro.runtime.circular_buffer import CircularBuffer  # noqa: E402
 #: The acceptance-criteria budget for faults-disabled hot paths.
 MAX_OVERHEAD = 0.02
 
-_SMOKE = bool(int(os.environ.get("FAULTS_BENCH_SMOKE", "0")))
+#: Interleaved base/armed pairs per measurement.
+REPEATS = 7
 
 
-def _iters(full: int) -> int:
-    return full // 10 if _SMOKE else full
-
-
-def _min_overhead_pair(
-    run_base: Callable[[], float],
-    run_inst: Callable[[], float],
-    repeats: int = 7,
-) -> Tuple[float, float, float]:
-    """(base ops/s, armed ops/s, overhead) from the best interleaved pair.
-
-    Base and armed runs alternate back-to-back so both see the same
-    machine conditions; the pair with the lowest overhead wins, since
-    the intrinsic cost is a floor and anything above it is noise.
-    """
-    run_base(), run_inst()  # warm up caches / allocators
-    best: Optional[Tuple[float, float, float]] = None
-    for _ in range(repeats):
-        base = run_base()
-        inst = run_inst()
-        overhead = base / inst - 1.0
-        if best is None or overhead < best[2]:
-            best = (base, inst, overhead)
-    assert best is not None
-    return best
-
-
-def _untargeted_plane() -> FaultPlane:
+def _untargeted_plane(site: str) -> FaultPlane:
     """A plane with a rule, but not on any site measured here."""
     return FaultPlane(seed=0).inject(
         "model_io.load", FaultKind.ERROR, probability=1.0
@@ -86,11 +68,6 @@ def _inert_plane(site: str) -> FaultPlane:
     return FaultPlane(seed=0).inject(site, FaultKind.ERROR, probability=0.0)
 
 
-# ----------------------------------------------------------------------
-# VFS write
-# ----------------------------------------------------------------------
-
-
 def _vfs_write_rate(stack, handle, iters: int) -> float:
     write, data = stack.fs.write, b"x" * 64
     t0 = time.perf_counter()
@@ -100,10 +77,9 @@ def _vfs_write_rate(stack, handle, iters: int) -> float:
 
 
 def measure_vfs_overhead(
-    plane_for: Callable[[str], FaultPlane],
-    iters: Optional[int] = None,
-) -> Tuple[float, float, float]:
-    n = iters if iters is not None else _iters(50_000)
+    plane_for: Callable[[str], FaultPlane], smoke: bool = False
+) -> Overhead:
+    n = gate_iters(50_000, smoke)
     stack = make_stack("nvme")
     handle = stack.fs.open("bench", create=True)
 
@@ -118,117 +94,67 @@ def measure_vfs_overhead(
         finally:
             stack.fs.detach_faults()
 
-    return _min_overhead_pair(run_base, run_armed)
-
-
-# ----------------------------------------------------------------------
-# Buffer push/pop
-# ----------------------------------------------------------------------
-
-
-def _buffer_rate(buf: CircularBuffer, iters: int) -> float:
-    push, pop = buf.push, buf.pop
-    t0 = time.perf_counter()
-    for i in range(iters):
-        push(i)
-        pop()
-    return iters / (time.perf_counter() - t0)
+    return min_overhead_pair(run_base, run_armed, REPEATS)
 
 
 def measure_buffer_overhead(
-    plane_for: Callable[[str], FaultPlane],
-    iters: Optional[int] = None,
-) -> Tuple[float, float, float]:
-    n = iters if iters is not None else _iters(200_000)
+    plane_for: Callable[[str], FaultPlane], smoke: bool = False
+) -> Overhead:
+    n = gate_iters(200_000, smoke)
     buf = CircularBuffer(1024)
 
     def run_base() -> float:
         buf.detach_faults()
-        return _buffer_rate(buf, n)
+        return buffer_rate(buf, n)
 
     def run_armed() -> float:
         buf.attach_faults(plane_for("buffer.push"))
         try:
-            return _buffer_rate(buf, n)
+            return buffer_rate(buf, n)
         finally:
             buf.detach_faults()
 
-    return _min_overhead_pair(run_base, run_armed)
+    return min_overhead_pair(run_base, run_armed, REPEATS)
 
 
-# ----------------------------------------------------------------------
-# Harness
-# ----------------------------------------------------------------------
+CASES = (
+    ("vfs write (untargeted)",
+     partial(measure_vfs_overhead, _untargeted_plane), True),
+    ("buffer push+pop (untargeted)",
+     partial(measure_buffer_overhead, _untargeted_plane), True),
+    ("vfs write (inert rule)",
+     partial(measure_vfs_overhead, _inert_plane), False),
+    ("buffer push+pop (inert rule)",
+     partial(measure_buffer_overhead, _inert_plane), False),
+)
 
 
-def _row(name: str, base: float, inst: float, overhead: float) -> str:
-    return (
-        f"{name:<30} {base / 1e6:>10.2f} {inst / 1e6:>12.2f} "
-        f"{overhead * 100:>9.1f}%"
-    )
-
-
-def run(smoke: bool = False, write: bool = True) -> int:
-    global _SMOKE
-    _SMOKE = _SMOKE or smoke
-    budgeted: List[Tuple[str, float, float, float]] = [
-        ("vfs write (untargeted)",
-         *measure_vfs_overhead(lambda site: _untargeted_plane())),
-        ("buffer push+pop (untargeted)",
-         *measure_buffer_overhead(lambda site: _untargeted_plane())),
-    ]
-    informational: List[Tuple[str, float, float, float]] = [
-        ("vfs write (inert rule)", *measure_vfs_overhead(_inert_plane)),
-        ("buffer push+pop (inert rule)",
-         *measure_buffer_overhead(_inert_plane)),
-    ]
-    lines = [
+def run(smoke: bool = False) -> int:
+    return run_overhead_gate(
         "Fault-plane overhead (armed plane vs. no plane)",
-        f"{'hot path':<30} {'base Mop/s':>10} {'armed Mop/s':>12} "
-        f"{'overhead':>10}",
-    ]
-    lines += [_row(*r) for r in budgeted]
-    lines.append(
-        f"budget: < {MAX_OVERHEAD * 100:.0f}% with no rule on the site "
-        "(the faults-disabled criterion; see docs/FAULTS.md)"
+        "armed",
+        CASES,
+        MAX_OVERHEAD,
+        "with no rule on the site "
+        "(the faults-disabled criterion; see docs/FAULTS.md)",
+        "faults_overhead.txt",
+        smoke=smoke,
+        info_note="inert-rule rows are informational (test-only config)",
     )
-    lines += [_row(*r) for r in informational]
-    lines.append("inert-rule rows are informational (test-only config)")
-    text = "\n".join(lines)
-    if write and not _SMOKE:
-        write_result("faults_overhead.txt", text)
-    else:
-        print("\n" + text)
-    worst = max(overhead for _, _, _, overhead in budgeted)
-    if worst >= MAX_OVERHEAD:
-        print(
-            f"FAIL: worst untargeted overhead {worst * 100:.1f}% exceeds "
-            f"{MAX_OVERHEAD * 100:.0f}% budget"
-        )
-        return 1
-    return 0
 
 
 # -- pytest entry points ------------------------------------------------
 
 
 def test_vfs_write_untargeted_within_budget():
-    _, _, overhead = measure_vfs_overhead(lambda site: _untargeted_plane())
+    _, _, overhead = measure_vfs_overhead(_untargeted_plane)
     assert overhead < MAX_OVERHEAD, f"vfs overhead {overhead * 100:.1f}%"
 
 
 def test_buffer_push_untargeted_within_budget():
-    _, _, overhead = measure_buffer_overhead(lambda site: _untargeted_plane())
+    _, _, overhead = measure_buffer_overhead(_untargeted_plane)
     assert overhead < MAX_OVERHEAD, f"buffer overhead {overhead * 100:.1f}%"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="fewer iterations (CI smoke mode)")
-    args = parser.parse_args(argv)
-    return run(smoke=args.smoke)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate_main(__doc__, run))

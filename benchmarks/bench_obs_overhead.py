@@ -12,29 +12,34 @@ Runs three ways:
 
 - ``python benchmarks/bench_obs_overhead.py`` -- full run, asserts the
   budget, writes ``benchmarks/results/obs_overhead.txt``;
-- ``... --smoke`` -- fewer iterations (the ``make obs-check`` path);
+- ``... --smoke`` -- fewer iterations (the ``make check`` path);
 - ``pytest benchmarks/bench_obs_overhead.py`` -- same checks as tests
   (skipped under ``--benchmark-only``; wall-clock timing needs no
   fixture).
 
-Timing interleaves base and instrumented runs and keeps the pair with
-the lowest overhead, so a transient load spike on the box cannot bias
-one side and fail the assertion.
+Timing (``common.min_overhead_pair``) interleaves base and instrumented
+runs and keeps the pair with the lowest overhead, so a transient load
+spike on the box cannot bias one side and fail the assertion.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
-from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from common import write_result  # noqa: E402
+from common import (  # noqa: E402
+    Overhead,
+    buffer_rate,
+    gate_iters,
+    gate_main,
+    min_overhead_pair,
+    run_overhead_gate,
+)
 
 from repro.kml.matrix import Matrix  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
@@ -47,70 +52,21 @@ from repro.runtime.circular_buffer import CircularBuffer  # noqa: E402
 #: The overhead budget from the issue's acceptance criteria.
 MAX_OVERHEAD = 0.10
 
-_SMOKE = bool(int(os.environ.get("OBS_BENCH_SMOKE", "0")))
+#: Interleaved base/instrumented pairs per measurement.
+REPEATS = 5
 
 
-def _iters(full: int) -> int:
-    return full // 10 if _SMOKE else full
-
-
-def _min_overhead_pair(
-    run_base: Callable[[], float],
-    run_inst: Callable[[], float],
-    repeats: int = 5,
-) -> Tuple[float, float, float]:
-    """(base ops/s, inst ops/s, overhead) from the best interleaved pair.
-
-    Base and instrumented runs alternate back-to-back so both see the
-    same machine conditions, and the pair with the *lowest* overhead
-    wins -- timeit-style reasoning: the intrinsic instrumentation cost
-    is a floor, anything above it in a given pair is scheduler or
-    frequency noise.
-    """
-    run_base(), run_inst()  # warm up caches / allocators
-    best: Optional[Tuple[float, float, float]] = None
-    for _ in range(repeats):
-        base = run_base()
-        inst = run_inst()
-        overhead = base / inst - 1.0
-        if best is None or overhead < best[2]:
-            best = (base, inst, overhead)
-    assert best is not None
-    return best
-
-
-# ----------------------------------------------------------------------
-# Buffer push/pop
-# ----------------------------------------------------------------------
-
-
-def _buffer_rate(buf: CircularBuffer, iters: int) -> float:
-    push, pop = buf.push, buf.pop
-    t0 = time.perf_counter()
-    for i in range(iters):
-        push(i)
-        pop()
-    return iters / (time.perf_counter() - t0)
-
-
-def measure_buffer_overhead(
-    iters: Optional[int] = None,
-) -> Tuple[float, float, float]:
+def measure_buffer_overhead(smoke: bool = False) -> Overhead:
     """Returns (base ops/s, instrumented ops/s, fractional overhead)."""
-    n = iters if iters is not None else _iters(200_000)
+    n = gate_iters(200_000, smoke)
     base_buf = CircularBuffer(1024)
     inst_buf = CircularBuffer(1024)
-    registry = MetricsRegistry()
-    instrument_buffer(inst_buf, registry)
-    return _min_overhead_pair(
-        lambda: _buffer_rate(base_buf, n),
-        lambda: _buffer_rate(inst_buf, n),
+    instrument_buffer(inst_buf, MetricsRegistry())
+    return min_overhead_pair(
+        lambda: buffer_rate(base_buf, n),
+        lambda: buffer_rate(inst_buf, n),
+        REPEATS,
     )
-
-
-# ----------------------------------------------------------------------
-# Matmul
-# ----------------------------------------------------------------------
 
 
 def _matmul_rate(a: Matrix, b: Matrix, iters: int) -> float:
@@ -120,11 +76,9 @@ def _matmul_rate(a: Matrix, b: Matrix, iters: int) -> float:
     return iters / (time.perf_counter() - t0)
 
 
-def measure_matmul_overhead(
-    iters: Optional[int] = None,
-) -> Tuple[float, float, float]:
+def measure_matmul_overhead(smoke: bool = False) -> Overhead:
     """Batch-sized matmul (64x32 @ 32x32), as one training step runs."""
-    n = iters if iters is not None else _iters(20_000)
+    n = gate_iters(20_000, smoke)
     rng = np.random.default_rng(0)
     a = Matrix(rng.normal(size=(64, 32)), dtype="float32")
     b = Matrix(rng.normal(size=(32, 32)), dtype="float32")
@@ -143,51 +97,25 @@ def measure_matmul_overhead(
         finally:
             detach()
 
-    return _min_overhead_pair(run_base, run_inst)
+    return min_overhead_pair(run_base, run_inst, REPEATS)
 
 
-# ----------------------------------------------------------------------
-# Harness
-# ----------------------------------------------------------------------
+CASES = (
+    ("buffer push+pop", measure_buffer_overhead, True),
+    ("matmul 64x32@32x32", measure_matmul_overhead, True),
+)
 
 
-def _row(name: str, base: float, inst: float, overhead: float) -> str:
-    return (
-        f"{name:<24} {base / 1e6:>10.2f} {inst / 1e6:>12.2f} "
-        f"{overhead * 100:>9.1f}%"
-    )
-
-
-def run(smoke: bool = False, write: bool = True) -> int:
-    global _SMOKE
-    _SMOKE = _SMOKE or smoke
-    results: List[Tuple[str, float, float, float]] = [
-        ("buffer push+pop", *measure_buffer_overhead()),
-        ("matmul 64x32@32x32", *measure_matmul_overhead()),
-    ]
-    lines = [
+def run(smoke: bool = False) -> int:
+    return run_overhead_gate(
         "Observability overhead (instrumented vs. uninstrumented)",
-        f"{'hot path':<24} {'base Mop/s':>10} {'instr Mop/s':>12} "
-        f"{'overhead':>10}",
-    ]
-    lines += [_row(*r) for r in results]
-    lines.append(
-        f"budget: < {MAX_OVERHEAD * 100:.0f}% "
-        "(paper-style overhead accounting; see docs/OBSERVABILITY.md)"
+        "instr",
+        CASES,
+        MAX_OVERHEAD,
+        "(paper-style overhead accounting; see docs/OBSERVABILITY.md)",
+        "obs_overhead.txt",
+        smoke=smoke,
     )
-    text = "\n".join(lines)
-    if write and not _SMOKE:
-        write_result("obs_overhead.txt", text)
-    else:
-        print("\n" + text)
-    worst = max(overhead for _, _, _, overhead in results)
-    if worst >= MAX_OVERHEAD:
-        print(
-            f"FAIL: worst overhead {worst * 100:.1f}% exceeds "
-            f"{MAX_OVERHEAD * 100:.0f}% budget"
-        )
-        return 1
-    return 0
 
 
 # -- pytest entry points ------------------------------------------------
@@ -203,13 +131,5 @@ def test_matmul_overhead_within_budget():
     assert overhead < MAX_OVERHEAD, f"matmul overhead {overhead * 100:.1f}%"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="fewer iterations (CI smoke mode)")
-    args = parser.parse_args(argv)
-    return run(smoke=args.smoke)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(gate_main(__doc__, run))

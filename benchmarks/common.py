@@ -9,9 +9,11 @@ the paper's RocksDB runs were in.
 
 from __future__ import annotations
 
+import argparse
 import os
+import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,3 +152,108 @@ def run_pair(
     vanilla, _ = one(False)
     kml, predictions = one(True)
     return PairResult(workload_name, device, vanilla, kml, predictions)
+
+
+# ----------------------------------------------------------------------
+# Overhead gates (bench_obs_overhead.py, bench_faults_overhead.py)
+# ----------------------------------------------------------------------
+
+#: ``(base ops/s, instrumented ops/s, fractional overhead)``.
+Overhead = Tuple[float, float, float]
+
+
+def gate_iters(full: int, smoke: bool) -> int:
+    """Iteration count for one timed run: a tenth of ``full`` in smoke mode."""
+    return full // 10 if smoke else full
+
+
+def min_overhead_pair(
+    run_base: Callable[[], float],
+    run_inst: Callable[[], float],
+    repeats: int,
+) -> Overhead:
+    """(base ops/s, inst ops/s, overhead) from the best interleaved pair.
+
+    Base and instrumented runs alternate back-to-back so both see the
+    same machine conditions, and the pair with the *lowest* overhead
+    wins -- timeit-style reasoning: the intrinsic instrumentation cost
+    is a floor, anything above it in a given pair is scheduler or
+    frequency noise.
+    """
+    run_base(), run_inst()  # warm up caches / allocators
+    best: Optional[Overhead] = None
+    for _ in range(repeats):
+        base = run_base()
+        inst = run_inst()
+        overhead = base / inst - 1.0
+        if best is None or overhead < best[2]:
+            best = (base, inst, overhead)
+    assert best is not None
+    return best
+
+
+def buffer_rate(buf, iters: int) -> float:
+    """Push+pop pairs per second through a circular buffer."""
+    push, pop = buf.push, buf.pop
+    t0 = time.perf_counter()
+    for i in range(iters):
+        push(i)
+        pop()
+    return iters / (time.perf_counter() - t0)
+
+
+def _gate_row(name: str, result: Overhead) -> str:
+    base, inst, overhead = result
+    return (
+        f"{name:<30} {base / 1e6:>10.2f} {inst / 1e6:>12.2f} "
+        f"{overhead * 100:>9.1f}%"
+    )
+
+
+def run_overhead_gate(
+    title: str,
+    inst_column: str,
+    cases: Sequence[Tuple[str, Callable[..., Overhead], bool]],
+    max_overhead: float,
+    budget_note: str,
+    result_file: str,
+    smoke: bool = False,
+    info_note: str = "",
+) -> int:
+    """Measure each ``(name, measure, budgeted)`` case and gate the worst.
+
+    ``measure(smoke=...)`` returns an :data:`Overhead`.  Budgeted rows
+    come first, then the budget line, then the informational rows and
+    ``info_note``.  A full run writes ``result_file``; a smoke run only
+    prints.  Returns 1 when a budgeted overhead reaches ``max_overhead``.
+    """
+    results = [(name, measure(smoke=smoke), budgeted)
+               for name, measure, budgeted in cases]
+    lines = [title, f"{'hot path':<30} {'base Mop/s':>10} "
+                    f"{inst_column + ' Mop/s':>12} {'overhead':>10}"]
+    lines += [_gate_row(name, r) for name, r, budgeted in results if budgeted]
+    lines.append(f"budget: < {max_overhead * 100:.0f}% {budget_note}")
+    info = [_gate_row(name, r) for name, r, budgeted in results if not budgeted]
+    if info:
+        lines += info + [info_note]
+    text = "\n".join(lines)
+    if not smoke:
+        write_result(result_file, text)
+    else:
+        print("\n" + text)
+    worst = max(r[2] for _, r, budgeted in results if budgeted)
+    if worst >= max_overhead:
+        print(
+            f"FAIL: worst budgeted overhead {worst * 100:.1f}% exceeds "
+            f"{max_overhead * 100:.0f}% budget"
+        )
+        return 1
+    return 0
+
+
+def gate_main(description: str, run: Callable[..., int], argv=None) -> int:
+    """Command line of an overhead gate: ``--smoke`` for fewer iterations."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--smoke", action="store_true",
+                        help="fewer iterations (CI smoke mode)")
+    return run(smoke=parser.parse_args(argv).smoke)

@@ -42,10 +42,8 @@ _NUMPY_DTYPES = {
 # Installed by repro.runtime.memory to account matrix allocations.
 _alloc_observer: Optional[Callable[[int], None]] = None
 
-# Installed by repro.obs to count ops and their wall time.  Duck-typed
-# hook object: ``matmul_calls`` / ``sample_mask`` attributes (every op
-# is counted, one in ``sample_mask + 1`` is timed) and an
-# ``observe(op, seconds)`` method for the sampled timings.
+# Installed by repro.obs: a duck-typed ``Probe`` that counts every matmul
+# and times one in ``mask + 1`` (see ``repro.obs.instrument.Probe``).
 _op_observer = None
 
 
@@ -59,14 +57,14 @@ def set_alloc_observer(observer: Optional[Callable[[int], None]]) -> None:
     _alloc_observer = observer
 
 
-def set_op_observer(observer) -> None:
-    """Install the op-timing hook object (see module comment above).
+def set_op_observer(probe) -> None:
+    """Install the matmul probe (see module comment above).
 
     Only the compute-heavy ops report (currently ``matmul``).  Pass
     ``None`` to remove; installed by ``repro.obs.instrument``.
     """
     global _op_observer
-    _op_observer = observer
+    _op_observer = probe
 
 
 def _check_dtype(dtype: str) -> str:
@@ -284,20 +282,18 @@ class Matrix:
             raise ValueError(
                 f"matmul shape mismatch: {self.shape} @ {other.shape}"
             )
-        obs = _op_observer
+        probe = _op_observer
         t0 = 0.0
-        if obs is not None:
-            # Count every op; time one in sample_mask + 1.
-            n = obs.matmul_calls + 1
-            obs.matmul_calls = n
-            if not (n & obs.sample_mask):
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
                 t0 = time.perf_counter()
         if self._dtype == "fixed32":
             out = fx.fx_matmul(self._data, other._data)
         else:
             out = (self._data @ other._data).astype(self._data.dtype)
         if t0:
-            obs.observe("matmul", time.perf_counter() - t0)
+            probe.hist.observe(time.perf_counter() - t0)
         return Matrix.from_raw(out, self._dtype)
 
     def transpose(self) -> "Matrix":

@@ -11,7 +11,7 @@ autodiff tests.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,15 +22,15 @@ from .optimizers import Optimizer
 
 __all__ = ["Sequential", "set_pass_observer"]
 
-# Installed by repro.obs to time graph traversals; called as
-# ``observer(phase, seconds)`` with phase "forward" or "backward".
-_pass_observer: Optional[Callable[[str, float], None]] = None
+# Installed by repro.obs: duck-typed ``Probe`` objects that count and
+# time forward (``forward``/``infer``) and ``backward`` traversals.
+_forward_probe = _backward_probe = None
 
 
-def set_pass_observer(observer: Optional[Callable[[str, float], None]]) -> None:
-    """Install a per-traversal observer (``None`` removes it)."""
-    global _pass_observer
-    _pass_observer = observer
+def set_pass_observer(forward, backward) -> None:
+    """Install the forward and backward pass probes (``None`` removes one)."""
+    global _forward_probe, _backward_probe
+    _forward_probe, _backward_probe = forward, backward
 
 
 class Sequential:
@@ -51,13 +51,17 @@ class Sequential:
 
     def forward(self, x: Matrix) -> Matrix:
         """Traverse the chain, feeding each output to the next layer."""
-        obs = _pass_observer
-        t0 = time.perf_counter() if obs is not None else 0.0
+        probe = _forward_probe
+        t0 = 0.0
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
+                t0 = time.perf_counter()
         out = x
         for layer in self.layers:
             out = layer.forward(out)
-        if obs is not None:
-            obs("forward", time.perf_counter() - t0)
+        if t0:
+            probe.hist.observe(time.perf_counter() - t0)
         return out
 
     __call__ = forward
@@ -69,26 +73,34 @@ class Sequential:
         nothing is cached for a later ``backward()`` and the running
         statistics of normalization layers are left untouched.  Safe to
         call concurrently from many serving threads over one model
-        instance; reported to the pass observer as a forward traversal.
+        instance; counted and timed by the forward pass probe.
         """
-        obs = _pass_observer
-        t0 = time.perf_counter() if obs is not None else 0.0
+        probe = _forward_probe
+        t0 = 0.0
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
+                t0 = time.perf_counter()
         out = x
         for layer in self.layers:
             out = layer.infer(out)
-        if obs is not None:
-            obs("forward", time.perf_counter() - t0)
+        if t0:
+            probe.hist.observe(time.perf_counter() - t0)
         return out
 
     def backward(self, grad_output: Matrix) -> Matrix:
         """Propagate gradients in reverse layer order."""
-        obs = _pass_observer
-        t0 = time.perf_counter() if obs is not None else 0.0
+        probe = _backward_probe
+        t0 = 0.0
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
+                t0 = time.perf_counter()
         grad = grad_output
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        if obs is not None:
-            obs("backward", time.perf_counter() - t0)
+        if t0:
+            probe.hist.observe(time.perf_counter() - t0)
         return grad
 
     # ------------------------------------------------------------------

@@ -95,19 +95,19 @@ class MiniKV:
         self._l0: List[SSTableReader] = []  # newest first
         self._l1: List[SSTableReader] = []  # at most one table
         self._next_table_seq = 0
-        # Optional observability hooks (duck-typed; see repro.obs).
-        self._obs = None
+        # Optional latency probes (duck-typed; see repro.obs).
+        self._obs_get = self._obs_put = self._obs_compact = None
         # Optional fault-injection site handles (duck-typed; see
         # repro.faults): short crash-point name -> FaultSite.
         self._fault_sites = None
         self._recover()
 
-    def attach_obs(self, hooks) -> None:
-        """Install an observability hook object (``repro.obs``)."""
-        self._obs = hooks
+    def attach_obs(self, get, put, compaction) -> None:
+        """Install the get, put and compaction probes (``repro.obs``)."""
+        self._obs_get, self._obs_put, self._obs_compact = get, put, compaction
 
     def detach_obs(self) -> None:
-        self._obs = None
+        self._obs_get = self._obs_put = self._obs_compact = None
 
     def attach_faults(self, plane) -> None:
         """Resolve crash-point site handles (and the WAL's) from a plane."""
@@ -207,12 +207,11 @@ class MiniKV:
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_key(key)
-        obs = self._obs
+        probe = self._obs_put
         t0 = 0.0
-        if obs is not None:
-            n = obs.put_calls + 1
-            obs.put_calls = n
-            if not (n & obs.sample_mask):
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
                 t0 = time.perf_counter()
         if self.options.wal_enabled:
             self._wal.append(key, value)
@@ -226,7 +225,7 @@ class MiniKV:
         self.stats.puts += 1
         self._maybe_flush()
         if t0:
-            obs.put_latency.observe(time.perf_counter() - t0)
+            probe.hist.observe(time.perf_counter() - t0)
 
     def delete(self, key: bytes) -> None:
         self._check_key(key)
@@ -286,8 +285,12 @@ class MiniKV:
     def _maybe_compact(self) -> None:
         if len(self._l0) <= self.options.l0_compaction_trigger:
             return
-        obs = self._obs
-        t0 = time.perf_counter() if obs is not None else 0.0
+        probe = self._obs_compact
+        t0 = 0.0
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
+                t0 = time.perf_counter()
         inputs = self._l0 + self._l1  # newest first, L1 oldest
         out_name = self._new_table_name()
         merged = compact_tables(
@@ -309,8 +312,8 @@ class MiniKV:
             self.fs.unlink(table.name)
         self._crash_point("compact.after_unlink")
         self.stats.compactions += 1
-        if obs is not None:
-            obs.compaction_seconds.observe(time.perf_counter() - t0)
+        if t0:
+            probe.hist.observe(time.perf_counter() - t0)
 
     # ------------------------------------------------------------------
     # Reads
@@ -349,12 +352,11 @@ class MiniKV:
 
     def get(self, key: bytes) -> Optional[bytes]:
         self._check_key(key)
-        obs = self._obs
+        probe = self._obs_get
         t0 = 0.0
-        if obs is not None:
-            n = obs.get_calls + 1
-            obs.get_calls = n
-            if not (n & obs.sample_mask):
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
                 t0 = time.perf_counter()
         self.stats.gets += 1
         value = self._memtable.get(key)
@@ -367,7 +369,7 @@ class MiniKV:
                 if value is not None:
                     break
         if t0:
-            obs.get_latency.observe(time.perf_counter() - t0)
+            probe.hist.observe(time.perf_counter() - t0)
         if value is None or value is TOMBSTONE:
             return None
         self.stats.get_hits += 1

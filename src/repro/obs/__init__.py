@@ -16,12 +16,13 @@ package is that measurement substrate, three pillars:
   and a human-readable report.
 
 :mod:`repro.obs.instrument` wires the pillars into the hot paths
-(circular buffer, trainer, tracepoints, matrix ops, minikv, the block
-layer) behind cheap guard checks; ``benchmarks/bench_obs_overhead.py``
-holds the instrumented paths to < 10% throughput overhead.
+(circular buffer, trainer, tracepoints, matrix ops, network passes,
+minikv, the block layer) through one hook type, ``Probe``, behind one
+``is not None`` guard; ``benchmarks/bench_obs_overhead.py`` holds the
+instrumented paths to < 10% throughput overhead.
 
 This package deliberately imports nothing from the rest of ``repro`` at
-module scope: hot-path modules see only duck-typed hook objects, so no
+module scope: hot-path modules see only duck-typed probes, so no
 layering cycles can form.
 """
 

@@ -14,6 +14,7 @@ Three consumers of one :class:`~repro.obs.metrics.MetricsRegistry`:
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Optional
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -23,16 +24,14 @@ __all__ = ["prometheus_text", "jsonl_lines", "dump_jsonl", "format_report"]
 
 
 def _fmt_value(value: float) -> str:
-    """Integers without a trailing ``.0``; floats via repr (lossless)."""
+    """Integers without a trailing ``.0``; floats via repr (lossless);
+    non-finite values spelled ``+Inf`` / ``-Inf`` / ``NaN`` as the text
+    format has them."""
+    if not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("+Inf" if value > 0 else "-Inf")
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
-
-
-def _fmt_bound(bound: float) -> str:
-    if bound == float("inf"):
-        return "+Inf"
-    return _fmt_value(bound) if bound == int(bound) else repr(bound)
 
 
 def _escape_label(value: str) -> str:
@@ -58,7 +57,7 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         for labels, child in family.samples():
             if isinstance(child, Histogram):
                 for bound, cumulative in child.bucket_counts():
-                    le = _label_str(labels, f'le="{_fmt_bound(bound)}"')
+                    le = _label_str(labels, f'le="{_fmt_value(bound)}"')
                     lines.append(
                         f"{family.name}_bucket{le} {cumulative}"
                     )
@@ -94,7 +93,7 @@ def jsonl_lines(
                 record["count"] = child.count
                 record["sum"] = child.sum
                 record["buckets"] = [
-                    [_fmt_bound(bound), cumulative]
+                    [_fmt_value(bound), cumulative]
                     for bound, cumulative in child.bucket_counts()
                 ]
             else:

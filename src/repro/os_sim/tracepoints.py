@@ -70,12 +70,12 @@ class TracepointRegistry:
         }
         self.hit_counts: Dict[str, int] = {n: 0 for n in names}
         self.subscriber_errors = 0
-        # Optional observability hooks (duck-typed; see repro.obs).
+        # Optional dispatch-latency probe (duck-typed; see repro.obs).
         self._obs = None
 
-    def attach_obs(self, hooks) -> None:
-        """Install an observability hook object (``repro.obs``)."""
-        self._obs = hooks
+    def attach_obs(self, probe) -> None:
+        """Install the dispatch-latency probe (``repro.obs.instrument.Probe``)."""
+        self._obs = probe
 
     def detach_obs(self) -> None:
         self._obs = None
@@ -117,16 +117,20 @@ class TracepointRegistry:
         if not hooks:
             return
         event = TraceEvent(name=name, timestamp=timestamp, fields=fields)
-        obs = self._obs
-        t0 = time.perf_counter() if obs is not None else 0.0
+        probe = self._obs
+        t0 = 0.0
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
+                t0 = time.perf_counter()
         for hook in hooks:
             try:
                 hook(event)
             except Exception:
                 # A tracing hook must never take down the I/O path.
                 self.subscriber_errors += 1
-        if obs is not None:
-            obs.hook_latency.observe(time.perf_counter() - t0)
+        if t0:
+            probe.hist.observe(time.perf_counter() - t0)
 
     def emit_pages(
         self, name: str, timestamp: float, ino: int, pages: Sequence[int]

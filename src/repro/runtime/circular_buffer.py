@@ -57,16 +57,16 @@ class CircularBuffer:
         self._push_lock = (
             threading.Lock() if producers == "multi" else None
         )
-        # Optional observability hooks (duck-typed; see repro.obs).  The
-        # producer owns the sampling counter, so plain ints are safe.
+        # Optional push-latency probe (duck-typed; see repro.obs).  The
+        # producer owns its call counter, so plain ints are safe.
         self._obs = None
         # Optional fault-injection site handle (duck-typed; see
         # repro.faults): forces drops to simulate overflow pressure.
         self._fault_push = None
 
-    def attach_obs(self, hooks) -> None:
-        """Install an observability hook object (``repro.obs``)."""
-        self._obs = hooks
+    def attach_obs(self, probe) -> None:
+        """Install the push-latency probe (``repro.obs.instrument.Probe``)."""
+        self._obs = probe
 
     def detach_obs(self) -> None:
         self._obs = None
@@ -133,13 +133,11 @@ class CircularBuffer:
             # as if the ring were full, and accounted the same way.
             self._dropped.fetch_add(1)
             return False
-        obs = self._obs
+        probe = self._obs
         t0 = 0.0
-        if obs is not None:
-            # Sampled latency: count every push, time one in mask+1.
-            n = obs.push_calls + 1
-            obs.push_calls = n
-            if not (n & obs.sample_mask):
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
                 t0 = time.perf_counter()
         head = self._head.load()
         nxt = self._next(head)
@@ -150,7 +148,7 @@ class CircularBuffer:
         self._head.store(nxt)  # publish after the slot is written
         self._pushed.fetch_add(1)
         if t0:
-            obs.push_latency.observe(time.perf_counter() - t0)
+            probe.hist.observe(time.perf_counter() - t0)
         return True
 
     def pop(self) -> Optional[Any]:

@@ -90,15 +90,15 @@ class AsyncTrainer:
         self._error: Optional[BaseException] = None
         self.batches_trained = 0
         self.samples_seen = 0
-        # Optional observability hooks (duck-typed; see repro.obs).
+        # Optional batch-latency probe (duck-typed; see repro.obs).
         self._obs = None
         # Optional fault-injection site handle (duck-typed; see
         # repro.faults): provokes training-thread crashes.
         self._fault_batch = None
 
-    def attach_obs(self, hooks) -> None:
-        """Install an observability hook object (``repro.obs``)."""
-        self._obs = hooks
+    def attach_obs(self, probe) -> None:
+        """Install the batch-latency probe (``repro.obs.instrument.Probe``)."""
+        self._obs = probe
 
     def detach_obs(self) -> None:
         self._obs = None
@@ -172,8 +172,12 @@ class AsyncTrainer:
                     pass  # a broken callback must not mask the crash
 
     def _process(self, batch: List[Any]) -> None:
-        obs = self._obs
-        t0 = time.perf_counter() if obs is not None else 0.0
+        probe = self._obs
+        t0 = 0.0
+        if probe is not None:
+            probe.calls = n = probe.calls + 1
+            if not n & probe.mask:
+                t0 = time.perf_counter()
         if self.normalize_fn is not None:
             batch = self.normalize_fn(batch)
         self.samples_seen += len(batch)
@@ -182,8 +186,8 @@ class AsyncTrainer:
                 self._fault_batch.fire()  # may raise an injected fault
             self.train_fn(batch)
             self.batches_trained += 1
-        if obs is not None:
-            obs.batch_latency.observe(time.perf_counter() - t0)
+        if t0:
+            probe.hist.observe(time.perf_counter() - t0)
 
     def join(self, timeout: Optional[float] = None) -> None:
         """Wait for the thread to exit without shutdown semantics.

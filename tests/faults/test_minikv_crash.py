@@ -7,7 +7,7 @@ reference (modulo the one in-flight op, which may legally be present or
 absent -- never torn).
 
 The tier-1 slice covers every site with two seeds; the ``faults_stress``
-matrix (``make faults-check``) runs every site with 24 seeds -- 216
+matrix (``make check``) runs every site with 24 seeds -- 216
 fully deterministic cases.
 """
 

@@ -65,6 +65,24 @@ class TestPrometheusText:
         reg.gauge("kml_g").set(0.1)
         assert "kml_g 0.1\n" in prometheus_text(reg)
 
+    def test_non_finite_values_use_text_format_spelling(self):
+        reg = MetricsRegistry()
+        reg.gauge("kml_pos").set(float("inf"))
+        reg.gauge("kml_neg").set(float("-inf"))
+        reg.gauge("kml_nan").set(float("nan"))
+        assert prometheus_text(reg).splitlines() == [
+            "# TYPE kml_nan gauge",
+            "kml_nan NaN",
+            "# TYPE kml_neg gauge",
+            "kml_neg -Inf",
+            "# TYPE kml_pos gauge",
+            "kml_pos +Inf",
+        ]
+        report = format_report(reg)
+        assert "kml_nan: NaN" in report
+        assert "kml_neg: -Inf" in report
+        assert "kml_pos: +Inf" in report
+
 
 class TestJsonl:
     def test_records_round_trip(self, registry):

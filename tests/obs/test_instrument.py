@@ -216,6 +216,21 @@ class TestNetwork:
         assert passes.labels(phase="backward").value == 1
         assert seconds.labels(phase="forward").value > 0.0
 
+    def test_infer_counted_and_timed_as_forward_pass(self, registry):
+        net = build_network()
+        x = Matrix(np.random.default_rng(0).normal(size=(1, 5)), dtype="float32")
+        with instrument_network(registry):
+            net.infer(x)
+            net.infer(x)
+        passes = registry.counter("kml_network_passes_total", labels=("phase",))
+        seconds = registry.counter(
+            "kml_network_pass_seconds_total", labels=("phase",)
+        )
+        assert passes.labels(phase="forward").value == 2
+        assert passes.labels(phase="backward").value == 0
+        assert seconds.labels(phase="forward").value > 0.0
+        assert seconds.labels(phase="backward").value == 0.0
+
 
 class TestFaults:
     def test_injection_counts_exported(self, registry):

@@ -135,19 +135,21 @@ class TestEmitPages:
             def observe(self, value):
                 self.count += 1
 
-        class Obs:
-            hook_latency = Histogram()
+        class Probe:
+            hist = Histogram()
+            mask = 0
+            calls = 0
 
         registry = TracepointRegistry()
         events, batches = [], []
         registry.subscribe(
             "add_to_page_cache", events.append, pages=lambda *b: batches.append(b)
         )
-        registry.attach_obs(Obs)
+        registry.attach_obs(Probe)
         registry.emit_pages("add_to_page_cache", 0.0, 1, [1, 2, 3])
         assert batches == []
         assert len(events) == 3
-        assert Obs.hook_latency.count == 3
+        assert Probe.hist.count == 3
 
     def test_raising_batch_hook_counted_once_and_suppressed(self):
         registry = TracepointRegistry()

@@ -1,7 +1,7 @@
 """Shared fixtures + stress gating for the model-registry tests.
 
 Tests marked ``serve_stress`` (the long hot-swap storm) only run when
-``SERVE_STRESS=1`` is set -- ``make serve-check`` does that; the tier-1
+``SERVE_STRESS=1`` is set -- ``make check`` does that; the tier-1
 run keeps a quick deterministic slice so the atomicity property is
 exercised on every test run.
 
@@ -30,7 +30,7 @@ def pytest_collection_modifyitems(config, items):
     if STRESS:
         return
     skip = pytest.mark.skip(
-        reason="stress run; enable via SERVE_STRESS=1 (make serve-check)"
+        reason="stress run; enable via SERVE_STRESS=1 (make check)"
     )
     for item in items:
         if "serve_stress" in item.keywords:

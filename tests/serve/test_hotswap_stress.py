@@ -22,7 +22,7 @@ activations among the rest.
 
 The quick slice runs on every tier-1 test run; the ``serve_stress``
 variant scales up clients and swaps and adds concurrent publishes
-(enabled by ``SERVE_STRESS=1`` via ``make serve-check``).
+(enabled by ``SERVE_STRESS=1`` via ``make check``).
 """
 
 import itertools
