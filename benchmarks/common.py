@@ -237,10 +237,10 @@ def run_overhead_gate(
     if info:
         lines += info + [info_note]
     text = "\n".join(lines)
-    if not smoke:
-        write_result(result_file, text)
-    else:
+    if smoke:
         print("\n" + text)
+    else:
+        write_result(result_file, text)
     worst = max(r[2] for _, r, budgeted in results if budgeted)
     if worst >= max_overhead:
         print(
