@@ -21,6 +21,14 @@ import numpy as np
 from repro.kml import CrossEntropyLoss, SGD
 from repro.kml.matrix import Matrix
 from repro.minikv import DBOptions, MiniKV
+from repro.obs import (
+    MetricsRegistry,
+    format_report,
+    instrument_buffer,
+    instrument_memory,
+    instrument_tracepoints,
+    instrument_trainer,
+)
 from repro.os_sim import make_stack
 from repro.readahead import BanditReadaheadTuner
 from repro.readahead.features import FeatureCollector
@@ -28,7 +36,6 @@ from repro.readahead.model import build_network
 from repro.runtime import (
     AsyncTrainer,
     CircularBuffer,
-    KmlTelemetry,
     kernel_environment,
 )
 from repro.workloads import populate_db, run_workload, workload_by_name
@@ -66,6 +73,12 @@ def part1_online_training():
             env.kml_fpu_end()
 
     trainer = AsyncTrainer(buffer, train_fn=train_on_batch)
+    # Instrument before the run so every push and batch is timed.
+    registry = MetricsRegistry()
+    instrument_buffer(buffer, registry, sample_mask=0)
+    instrument_trainer(trainer, registry)
+    instrument_memory(env.memory, registry)
+    instrument_tracepoints(stack.tracepoints, registry)
     workload = workload_by_name("readrandom", NUM_KEYS, VALUE_SIZE)
 
     def on_tick(t, rate):
@@ -84,9 +97,7 @@ def part1_online_training():
     print(f"  FPU sections used  : {env.fpu_sections}")
     print(f"  memory in use      : {env.kml_mem_in_use()} B "
           f"(peak {env.kml_mem_peak()} B, reservation 8 MiB)")
-    telemetry = KmlTelemetry(buffer, trainer, env.memory, stack.tracepoints)
-    print(telemetry.format_report())
-    print(f"  healthy: {telemetry.healthy()}")
+    print(format_report(registry))
 
 
 def part2_bandit_tuner():

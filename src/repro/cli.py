@@ -459,9 +459,9 @@ def _cmd_faults(args) -> int:
             wanted = [s.strip() for s in args.sites.split(",") if s.strip()]
             unknown = [s for s in wanted if s not in ALL_CRASH_SITES]
             if unknown:
-                print(f"unknown sites: {', '.join(unknown)}")
-                print(f"known: {', '.join(ALL_CRASH_SITES)}")
-                return 2
+                print(f"unknown sites: {', '.join(unknown)}", file=sys.stderr)
+                print(f"known: {', '.join(ALL_CRASH_SITES)}", file=sys.stderr)
+                return EXIT_USAGE
             sites = tuple(wanted)
         seeds = range(args.seed, args.seed + args.seeds)
         reports = harness.run_matrix(sites=sites, seeds=seeds)
@@ -487,8 +487,11 @@ def _cmd_faults(args) -> int:
         return 1 if failures else 0
 
     if args.scenario is None:
-        print("nothing to do: pass --list, --scenario NAME, or --crash-matrix")
-        return 2
+        print(
+            "nothing to do: pass --list, --scenario NAME, or --crash-matrix",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
 
     from .minikv import DBOptions, MiniKV
     from .obs import (

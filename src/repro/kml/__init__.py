@@ -10,7 +10,7 @@ from .matrix import Matrix, DTYPES
 from .network import Sequential
 from .layers import Layer, Parameter, Linear, Sigmoid, ReLU, Tanh, Softmax, Dropout
 from .losses import Loss, one_hot, CrossEntropyLoss, MSELoss, BinaryCrossEntropyLoss
-from .optimizers import Optimizer, SGD, Adam
+from .optimizers import Optimizer, SGD
 from .decision_tree import DecisionTreeClassifier
 from .metrics import (
     accuracy_score,
@@ -28,15 +28,6 @@ from .model_io import (
     ModelFormatError,
 )
 from .quantize import QuantizedLinear, quantize_model, quantization_error
-from .rnn import LSTMCell, LSTMClassifier
-from .layers import BatchNorm1d, LayerNorm
-from .training import (
-    EarlyStopping,
-    StepDecay,
-    TrainReport,
-    fit_with_validation,
-    train_val_split,
-)
 
 __all__ = [
     "Matrix",
@@ -57,7 +48,6 @@ __all__ = [
     "BinaryCrossEntropyLoss",
     "Optimizer",
     "SGD",
-    "Adam",
     "DecisionTreeClassifier",
     "accuracy_score",
     "classification_report",
@@ -73,13 +63,4 @@ __all__ = [
     "QuantizedLinear",
     "quantize_model",
     "quantization_error",
-    "LSTMCell",
-    "LSTMClassifier",
-    "BatchNorm1d",
-    "LayerNorm",
-    "EarlyStopping",
-    "StepDecay",
-    "TrainReport",
-    "fit_with_validation",
-    "train_val_split",
 ]

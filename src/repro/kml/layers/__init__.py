@@ -5,7 +5,6 @@ from .linear import Linear
 from .activations import ReLU, Sigmoid, Tanh
 from .softmax import Softmax
 from .dropout import Dropout
-from .normalization import BatchNorm1d, LayerNorm
 
 __all__ = [
     "Layer",
@@ -16,6 +15,4 @@ __all__ = [
     "Tanh",
     "Softmax",
     "Dropout",
-    "BatchNorm1d",
-    "LayerNorm",
 ]

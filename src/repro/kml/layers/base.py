@@ -67,7 +67,7 @@ class Layer:
         """Forward pass for inference only: eval semantics, no caching.
 
         Unlike :meth:`forward`, ``infer`` must not write any shared
-        layer state (cached activations, masks, running statistics), so
+        layer state (cached activations, dropout masks), so
         concurrent calls from multiple serving threads are safe.  The
         base implementation falls back to :meth:`forward` -- correct
         only for layers whose forward is already pure; stateful layers

@@ -28,9 +28,7 @@ import numpy as np
 
 from .decision_tree import DecisionTreeClassifier
 from .layers import (
-    BatchNorm1d,
     Dropout,
-    LayerNorm,
     Linear,
     ReLU,
     Sigmoid,
@@ -145,16 +143,6 @@ def _encode_sequential(model: Sequential) -> bytes:
             _write_array(buf, layer.bias)
         elif isinstance(layer, Dropout):
             buf.write(struct.pack("<d", layer.p))
-        elif isinstance(layer, BatchNorm1d):
-            buf.write(struct.pack("<Id", layer.num_features, layer.running_momentum))
-            _write_array(buf, layer.gamma.value.to_numpy())
-            _write_array(buf, layer.beta.value.to_numpy())
-            _write_array(buf, layer.running_mean.reshape(1, -1))
-            _write_array(buf, layer.running_var.reshape(1, -1))
-        elif isinstance(layer, LayerNorm):
-            buf.write(struct.pack("<I", layer.num_features))
-            _write_array(buf, layer.gamma.value.to_numpy())
-            _write_array(buf, layer.beta.value.to_numpy())
         elif layer.kind in _STATELESS_LAYERS:
             pass
         else:
@@ -196,18 +184,6 @@ def _decode_sequential(buf: BinaryIO) -> Sequential:
         elif kind == "dropout":
             (p,) = struct.unpack("<d", _read_exact(buf, 8))
             layer = Dropout(p=p, name=layer_name)
-        elif kind == "batchnorm":
-            num_features, momentum = struct.unpack("<Id", _read_exact(buf, 12))
-            layer = BatchNorm1d(num_features, momentum, name=layer_name)
-            layer.gamma.value = Matrix(_read_array(buf), dtype="float64")
-            layer.beta.value = Matrix(_read_array(buf), dtype="float64")
-            layer.running_mean = _read_array(buf).reshape(-1)
-            layer.running_var = _read_array(buf).reshape(-1)
-        elif kind == "layernorm":
-            (num_features,) = struct.unpack("<I", _read_exact(buf, 4))
-            layer = LayerNorm(num_features, name=layer_name)
-            layer.gamma.value = Matrix(_read_array(buf), dtype="float64")
-            layer.beta.value = Matrix(_read_array(buf), dtype="float64")
         elif kind in _STATELESS_LAYERS:
             layer = _STATELESS_LAYERS[kind](name=layer_name)
         else:

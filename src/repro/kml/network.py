@@ -70,10 +70,9 @@ class Sequential:
         """Inference-only traversal: eval semantics, no shared-state writes.
 
         Uses each layer's :meth:`~repro.kml.layers.base.Layer.infer`, so
-        nothing is cached for a later ``backward()`` and the running
-        statistics of normalization layers are left untouched.  Safe to
-        call concurrently from many serving threads over one model
-        instance; counted and timed by the forward pass probe.
+        nothing is cached for a later ``backward()`` and dropout is off.
+        Safe to call concurrently from many serving threads over one
+        model instance; counted and timed by the forward pass probe.
         """
         probe = _forward_probe
         t0 = 0.0

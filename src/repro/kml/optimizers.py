@@ -1,8 +1,8 @@
-"""Parameter optimizers: SGD with momentum (the paper's choice) and Adam.
+"""Parameter optimizers: SGD with momentum, the paper's choice.
 
 The readahead network trains with SGD, learning rate 0.01 and momentum
-0.99 (HotStorage '21, section 4).  Adam is provided as an extension to
-demonstrate that optimizers plug in behind the same interface.
+0.99 (HotStorage '21, section 4).  Other optimizers plug in by
+subclassing :class:`Optimizer` and implementing ``step``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List
 from .layers.base import Parameter
 from .matrix import Matrix
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "SGD"]
 
 
 class Optimizer:
@@ -67,43 +67,3 @@ class SGD(Optimizer):
                 update = grad
             param.value = param.value - update * self.lr
 
-
-class Adam(Optimizer):
-    """Adam optimizer (extension beyond the paper's SGD)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m: Dict[int, Matrix] = {}
-        self._v: Dict[int, Matrix] = {}
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for param in self.parameters:
-            grad = param.grad
-            key = id(param)
-            m = self._m.get(key) or Matrix.zeros(grad.rows, grad.cols, dtype=grad.dtype)
-            v = self._v.get(key) or Matrix.zeros(grad.rows, grad.cols, dtype=grad.dtype)
-            m = m * self.beta1 + grad * (1.0 - self.beta1)
-            v = v * self.beta2 + grad * grad * (1.0 - self.beta2)
-            self._m[key] = m
-            self._v[key] = v
-            m_hat = m * (1.0 / bias1)
-            v_hat = v * (1.0 / bias2)
-            denom = v_hat.sqrt() + self.eps
-            param.value = param.value - (m_hat / denom) * self.lr

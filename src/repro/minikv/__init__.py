@@ -1,7 +1,6 @@
 """minikv: from-scratch mini LSM key-value store (RocksDB stand-in)."""
 
 from .bloom import BloomFilter
-from .block_cache import BlockCache
 from .compaction import compact_tables, merge_records
 from .db import DBOptions, DBStats, MiniKV
 from .memtable import MemTable, TOMBSTONE
@@ -10,7 +9,6 @@ from .wal import WriteAheadLog
 
 __all__ = [
     "BloomFilter",
-    "BlockCache",
     "compact_tables",
     "merge_records",
     "DBOptions",

@@ -67,7 +67,18 @@ class TuningTable:
         table = json.loads(raw)
         if not isinstance(table, dict):
             raise ValueError("tuning table JSON must be an object")
-        return cls(table={d: dict(w) for d, w in table.items()})
+        for device, entries in table.items():
+            if not isinstance(entries, dict):
+                raise ValueError(
+                    f"tuning table: device {device!r} must map to an object"
+                )
+            for workload, ra in entries.items():
+                if type(ra) is not int or ra < 0:
+                    raise ValueError(
+                        f"tuning table: device={device!r} workload={workload!r}"
+                        f" readahead must be a non-negative integer, got {ra!r}"
+                    )
+        return cls(table=table)
 
     def save(self, path: str) -> None:
         with open(path, "w") as f:

@@ -16,7 +16,6 @@ from .portability import (
     kernel_environment,
     user_environment,
 )
-from .telemetry import KmlTelemetry
 from .training_thread import AsyncTrainer, Mode
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "user_environment",
     "AsyncTrainer",
     "Mode",
-    "KmlTelemetry",
 ]

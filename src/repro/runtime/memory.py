@@ -101,12 +101,6 @@ class MemoryAccountant:
         with self._lock:
             self._in_use -= size
 
-    def release(self, size: int) -> None:
-        """Manually credit back bytes charged with :meth:`charge`."""
-        if size < 0:
-            raise ValueError("release size must be non-negative")
-        self._release(size)
-
     # ------------------------------------------------------------------
 
     @property

@@ -1,11 +1,11 @@
-"""Tests for SGD (with momentum) and Adam."""
+"""Tests for SGD with momentum."""
 
 import numpy as np
 import pytest
 
 from repro.kml.layers.base import Parameter
 from repro.kml.matrix import Matrix
-from repro.kml.optimizers import SGD, Adam
+from repro.kml.optimizers import SGD
 
 
 def make_param(value):
@@ -54,26 +54,3 @@ class TestSGD:
             opt.step()
         assert p.value.item() == pytest.approx(3.0, abs=1e-3)
 
-
-class TestAdam:
-    def test_minimizes_quadratic(self):
-        p = make_param([[0.0]])
-        opt = Adam([p], lr=0.2)
-        for _ in range(200):
-            w = p.value.item()
-            p.grad = Matrix([[2 * (w - 3.0)]], dtype="float64")
-            opt.step()
-        assert p.value.item() == pytest.approx(3.0, abs=1e-2)
-
-    def test_first_step_magnitude_is_lr(self):
-        # Adam's first step is ~lr regardless of gradient scale.
-        for scale in (1e-3, 1e3):
-            p = make_param([[0.0]])
-            opt = Adam([p], lr=0.1)
-            p.grad = Matrix([[scale]], dtype="float64")
-            opt.step()
-            assert abs(p.value.item()) == pytest.approx(0.1, rel=1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Adam([make_param([[1.0]])], lr=-1.0)

@@ -47,6 +47,20 @@ class TestTuningTable:
         with pytest.raises(ValueError):
             TuningTable.from_json("[1, 2]")
 
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ('{"nvme": 5}', "device 'nvme'"),
+            ('{"nvme": {"readrandom": -5}}', "workload='readrandom'"),
+            ('{"nvme": {"readrandom": "128"}}', "workload='readrandom'"),
+            ('{"nvme": {"readrandom": 12.7}}', "workload='readrandom'"),
+            ('{"nvme": {"readrandom": true}}', "workload='readrandom'"),
+        ],
+    )
+    def test_malformed_entries_rejected_at_load(self, raw, named):
+        with pytest.raises(ValueError, match=named):
+            TuningTable.from_json(raw)
+
     def test_default_covers_both_devices_all_classes(self):
         for device in ("nvme", "ssd"):
             for workload in (

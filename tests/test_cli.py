@@ -111,6 +111,20 @@ class TestPipeline:
         assert "DecisionTreeClassifier" in capsys.readouterr().out
 
 
+class TestRunConfig:
+    def test_malformed_tuning_table_is_config_error(self, tmp_path, capsys):
+        from repro.kml import Sequential, save_model
+        from repro.kml.layers import Linear
+
+        model = str(tmp_path / "model.kml")
+        save_model(Sequential([Linear(5, 4, dtype="float32")]), model)
+        tuning = tmp_path / "bad.json"
+        tuning.write_text('{"nvme": {"readrandom": -5}}')
+        code = main(["run", "--model", model, "--tuning", str(tuning)])
+        assert code == 5
+        assert "workload='readrandom'" in capsys.readouterr().err
+
+
 class TestObs:
     REQUIRED_FAMILIES = (
         "kml_buffer_pushed_total",
@@ -156,7 +170,7 @@ class TestFaults:
 
     def test_no_action_is_usage_error(self, capsys):
         assert main(["faults"]) == 2
-        assert "nothing to do" in capsys.readouterr().out
+        assert "nothing to do" in capsys.readouterr().err
 
     def test_crash_matrix_smoke(self, capsys):
         code = main(["faults", "--crash-matrix", "--seeds", "1",
@@ -167,7 +181,7 @@ class TestFaults:
 
     def test_crash_matrix_rejects_unknown_site(self, capsys):
         assert main(["faults", "--crash-matrix", "--sites", "nope"]) == 2
-        assert "unknown sites: nope" in capsys.readouterr().out
+        assert "unknown sites: nope" in capsys.readouterr().err
 
     def test_scenario_run_reports_injections(self, capsys):
         code = main(["faults", "--scenario", "flaky-device", "--ops", "400"])
