@@ -10,7 +10,9 @@ must not move:
   SHA-256 of the per-window feature vectors (all eight candidates, as
   float64 bytes);
 - one readrandom run with a TraceWriter attached: the SHA-256 of the
-  ``.ktrace`` bytes;
+  ``.ktrace`` bytes, and of the feature windows.  The TraceWriter has
+  no page-batch form, so the collector here folds every page one
+  event at a time;
 - tiny-cache page-cache scenarios (a window larger than the cache, dirty
   pages evicted in the middle of a window, async windows issued on a
   hit): the full tracepoint event stream, the order of device requests
@@ -155,14 +157,19 @@ def run_ktrace_golden(path: str) -> dict:
     stack, db = _build("nvme")
     collector = FeatureCollector(stack)
     collector.reset()
+    windows = []
     with TraceWriter(stack, path) as writer:
-        result = _run(stack, db, "readrandom", lambda t, rate: collector.snapshot())
+        result = _run(
+            stack, db, "readrandom", lambda t, rate: windows.append(collector.snapshot_all())
+        )
+    windows.append(collector.snapshot_all())
     with open(path, "rb") as f:
         raw = f.read()
     return {
         "ops": result.ops,
         "records": writer.records_written,
         "ktrace_sha256": _sha256(raw),
+        "features_sha256": _sha256(np.asarray(windows, dtype=np.float64).tobytes()),
     }
 
 
