@@ -453,10 +453,16 @@ def _cmd_faults(args) -> int:
         return 0
 
     if args.crash_matrix:
+        if args.seeds < 1:
+            print(f"--seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+            return EXIT_USAGE
         harness = CrashRecoveryHarness()
         sites = ALL_CRASH_SITES
-        if args.sites:
+        if args.sites is not None:
             wanted = [s.strip() for s in args.sites.split(",") if s.strip()]
+            if not wanted:
+                print(f"--sites names no site: {args.sites!r}", file=sys.stderr)
+                return EXIT_USAGE
             unknown = [s for s in wanted if s not in ALL_CRASH_SITES]
             if unknown:
                 print(f"unknown sites: {', '.join(unknown)}", file=sys.stderr)

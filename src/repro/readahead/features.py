@@ -19,10 +19,11 @@ paper's five by default.
 users implement: it subscribes to ``add_to_page_cache`` /
 ``mark_page_accessed`` / ``writeback_dirty_page``, recording the inode
 number, the page offset, and the event time -- exactly the fields the
-paper's readahead hooks record.  A readahead window's inserts arrive as
-one page batch (see :meth:`TracepointRegistry.emit_pages`), folded into
-the statistics in one loop with the same arithmetic, in the same order,
-as one event at a time.
+paper's readahead hooks record.  There is one fold of the offset
+statistics, whichever form a page arrives in: a readahead window's
+inserts arrive as one page batch (see
+:meth:`TracepointRegistry.emit_pages`), and a single event is a batch
+of one page.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
+from ..kml.mathops import kml_sqrt
 from ..os_sim.stack import StorageStack
 from ..os_sim.tracepoints import TraceEvent, TracepointRegistry
-from ..stats.moving import (
-    CumulativeMovingAverage,
-    CumulativeMovingStd,
-    MeanAbsoluteDelta,
-)
 
 __all__ = ["FeatureCollector", "FEATURE_NAMES", "PAPER_FEATURES", "NUM_FEATURES"]
 
@@ -68,6 +65,11 @@ class FeatureCollector:
     calls :meth:`snapshot` on that cadence.  Offset statistics are
     cumulative (reset only via :meth:`reset`), the event count is per
     window -- matching how the model was trained.
+
+    The offset state is plain numbers, set in :meth:`reset`: ``count``,
+    ``mean`` and ``m2`` (Welford), the ``previous`` offset, the number
+    of ``deltas`` between consecutive offsets, their ``abs_mean`` and
+    their ``signed_sum``.
     """
 
     def __init__(self, stack: StorageStack):
@@ -77,17 +79,7 @@ class FeatureCollector:
         # alive until the cyclic garbage collector runs.
         self._block = stack.block
         self._registry: TracepointRegistry = stack.tracepoints
-        self._offset_cma = CumulativeMovingAverage()
-        self._offset_cmstd = CumulativeMovingStd()
-        self._abs_delta = MeanAbsoluteDelta()
-        self._signed_delta_sum = 0.0
-        self._signed_delta_count = 0
-        self._prev_offset: Optional[float] = None
-        self._window_events = 0
-        self._hits = 0
-        self._inserts = 0
-        self._inodes: Set[int] = set()
-        self.events_seen = 0
+        self.reset()
         self._attached = False
         self.attach()
 
@@ -118,67 +110,40 @@ class FeatureCollector:
     # ------------------------------------------------------------------
 
     def _on_offset_event(self, event: TraceEvent) -> None:
-        offset = event.fields["page"]
-        self._window_events += 1
-        self.events_seen += 1
-        self._offset_cma.update(offset)
-        self._offset_cmstd.update(offset)
-        self._abs_delta.update(offset)
-        if self._prev_offset is not None:
-            self._signed_delta_sum += offset - self._prev_offset
-            self._signed_delta_count += 1
-        self._prev_offset = float(offset)
-        if event.name == "mark_page_accessed":
-            self._hits += 1
-        else:
-            self._inserts += 1
-        self._inodes.add(event.fields["ino"])
+        fields = event.fields
+        self._on_offset_pages(event.name, event.timestamp, fields["ino"], (fields["page"],))
 
     def _on_offset_pages(
         self, name: str, timestamp: float, ino: int, pages: Sequence[int]
     ) -> None:
-        """``_on_offset_event`` for each page of a batch, in one loop.
+        """Fold ``pages`` into the offset statistics, in order.
 
-        The statistics live in local variables for the loop; every
-        update is the one the per-event path makes (``update`` of
-        ``CumulativeMovingAverage``, ``CumulativeMovingStd`` and
-        ``MeanAbsoluteDelta``, then the signed delta), in the same
-        order, so the result is bit-identical.
+        Welford's update gives the mean (ii) and, through ``m2``, the
+        standard deviation (iii); the step from the previous offset
+        feeds the mean absolute delta (iv) and the signed delta sum.
+        The state lives in local variables for the loop.
         """
         n = len(pages)
         if not n:
             return
-        cma, std, absd = self._offset_cma, self._offset_cmstd, self._abs_delta
-        absd_cma = absd._cma
-        cma_count, cma_mean = cma._count, cma._mean
-        std_count, std_mean, std_m2 = std._count, std._mean, std._m2
-        has_previous, previous = absd._has_previous, absd._previous
-        absd_count, absd_mean = absd_cma._count, absd_cma._mean
-        signed_sum, signed_count = self._signed_delta_sum, self._signed_delta_count
-        prev_offset = self._prev_offset
+        count, mean, m2 = self.count, self.mean, self.m2
+        previous, deltas = self.previous, self.deltas
+        abs_mean, signed_sum = self.abs_mean, self.signed_sum
         for page in pages:
             offset = float(page)
-            cma_count += 1
-            cma_mean += (offset - cma_mean) / cma_count
-            std_count += 1
-            delta = offset - std_mean
-            std_mean += delta / std_count
-            std_m2 += delta * (offset - std_mean)
-            if has_previous:
-                absd_count += 1
-                absd_mean += (abs(offset - previous) - absd_mean) / absd_count
+            count += 1
+            delta = offset - mean
+            mean += delta / count
+            m2 += delta * (offset - mean)
+            if previous is not None:
+                step = offset - previous
+                deltas += 1
+                abs_mean += (abs(step) - abs_mean) / deltas
+                signed_sum += step
             previous = offset
-            has_previous = True
-            if prev_offset is not None:
-                signed_sum += page - prev_offset
-                signed_count += 1
-            prev_offset = offset
-        cma._count, cma._mean = cma_count, cma_mean
-        std._count, std._mean, std._m2 = std_count, std_mean, std_m2
-        absd._has_previous, absd._previous = has_previous, previous
-        absd_cma._count, absd_cma._mean = absd_count, absd_mean
-        self._signed_delta_sum, self._signed_delta_count = signed_sum, signed_count
-        self._prev_offset = prev_offset
+        self.count, self.mean, self.m2 = count, mean, m2
+        self.previous, self.deltas = previous, deltas
+        self.abs_mean, self.signed_sum = abs_mean, signed_sum
         self._window_events += n
         self.events_seen += n
         if name == "mark_page_accessed":
@@ -196,19 +161,14 @@ class FeatureCollector:
     def snapshot_all(self) -> np.ndarray:
         """All eight candidate features; closes the current window."""
         total = self._hits + self._inserts
-        signed = (
-            self._signed_delta_sum / self._signed_delta_count
-            if self._signed_delta_count
-            else 0.0
-        )
         features = np.array(
             [
                 float(self._window_events),
-                self._offset_cma.value,
-                self._offset_cmstd.std,
-                self._abs_delta.value,
+                self.mean,
+                float(kml_sqrt(self.m2 / self.count)) if self.count >= 2 else 0.0,
+                self.abs_mean,
                 float(self._block.ra_pages),
-                signed,
+                self.signed_sum / self.deltas if self.deltas else 0.0,
                 self._hits / total if total else 0.0,
                 float(len(self._inodes)),
             ]
@@ -222,16 +182,17 @@ class FeatureCollector:
 
     def reset(self) -> None:
         """Forget all cumulative state (used between training runs)."""
-        self._offset_cma.reset()
-        self._offset_cmstd.reset()
-        self._abs_delta.reset()
-        self._signed_delta_sum = 0.0
-        self._signed_delta_count = 0
-        self._prev_offset = None
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+        self.previous: Optional[float] = None
+        self.deltas = 0
+        self.abs_mean = 0.0
+        self.signed_sum = 0.0
         self._window_events = 0
         self._hits = 0
         self._inserts = 0
-        self._inodes.clear()
+        self._inodes: Set[int] = set()
         self.events_seen = 0
 
     def __enter__(self) -> "FeatureCollector":

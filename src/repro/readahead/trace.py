@@ -126,13 +126,20 @@ def read_trace(path: str) -> Iterator[TraceEvent]:
         magic = f.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a KTRC trace (magic {magic!r})")
-        version, n_names = struct.unpack("<BB", f.read(2))
+
+        def header(size: int) -> bytes:
+            raw = f.read(size)
+            if len(raw) != size:
+                raise ValueError(f"{path}: truncated header")
+            return raw
+
+        version, n_names = header(2)
         if version != VERSION:
             raise ValueError(f"{path}: unsupported trace version {version}")
         names = []
         for _ in range(n_names):
-            (length,) = struct.unpack("<B", f.read(1))
-            names.append(f.read(length).decode("ascii"))
+            (length,) = header(1)
+            names.append(header(length).decode("ascii"))
         while True:
             raw = f.read(_RECORD.size)
             if not raw:

@@ -1,9 +1,9 @@
-"""Streaming statistics: moving average and moving standard deviation.
+"""Streaming statistics: cumulative moving average and standard deviation.
 
 KML "offers several data normalization and statistical functions:
 moving average, standard deviation, and Z-score calculation" (section
-3.2).  The readahead features use the *cumulative* forms over page
-offsets; windowed variants are provided for bounded-memory use.
+3.2).  :class:`CumulativeMovingStd` keeps both; the Z-score normaliser
+folds each feature through one.
 
 The cumulative standard deviation uses Welford's online algorithm,
 which is numerically stable for the enormous page-offset magnitudes a
@@ -13,51 +13,9 @@ cancels there.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable
-
 from ..kml.mathops import kml_sqrt
 
-__all__ = [
-    "CumulativeMovingAverage",
-    "CumulativeMovingStd",
-    "WindowedMovingAverage",
-    "MeanAbsoluteDelta",
-]
-
-
-class CumulativeMovingAverage:
-    """Running mean over everything seen so far."""
-
-    __slots__ = ("_count", "_mean")
-
-    def __init__(self):
-        self._count = 0
-        self._mean = 0.0
-
-    def update(self, value: float) -> float:
-        """Fold in one observation; returns the new mean."""
-        self._count += 1
-        self._mean += (float(value) - self._mean) / self._count
-        return self._mean
-
-    def update_many(self, values: Iterable[float]) -> float:
-        for value in values:
-            self.update(value)
-        return self._mean
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def value(self) -> float:
-        """The current mean (0.0 before any observation)."""
-        return self._mean
-
-    def reset(self) -> None:
-        self._count = 0
-        self._mean = 0.0
+__all__ = ["CumulativeMovingStd"]
 
 
 class CumulativeMovingStd:
@@ -76,10 +34,6 @@ class CumulativeMovingStd:
         delta = value - self._mean
         self._mean += delta / self._count
         self._m2 += delta * (value - self._mean)
-
-    def update_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.update(value)
 
     @property
     def count(self) -> int:
@@ -104,74 +58,3 @@ class CumulativeMovingStd:
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0
-
-
-class WindowedMovingAverage:
-    """Mean over the last ``window`` observations (O(1) update)."""
-
-    def __init__(self, window: int):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
-        self._items: Deque[float] = deque()
-        self._sum = 0.0
-
-    def update(self, value: float) -> float:
-        value = float(value)
-        self._items.append(value)
-        self._sum += value
-        if len(self._items) > self.window:
-            self._sum -= self._items.popleft()
-        return self.value
-
-    @property
-    def count(self) -> int:
-        return len(self._items)
-
-    @property
-    def value(self) -> float:
-        if not self._items:
-            return 0.0
-        return self._sum / len(self._items)
-
-    def reset(self) -> None:
-        self._items.clear()
-        self._sum = 0.0
-
-
-class MeanAbsoluteDelta:
-    """Mean absolute difference between consecutive observations.
-
-    Readahead feature (iv): "the mean absolute page offset differences
-    for consecutive tracepoints" -- a sequentiality signal (near the
-    stream's stride when sequential, huge when random).
-    """
-
-    __slots__ = ("_previous", "_cma", "_has_previous")
-
-    def __init__(self):
-        self._previous = 0.0
-        self._has_previous = False
-        self._cma = CumulativeMovingAverage()
-
-    def update(self, value: float) -> float:
-        value = float(value)
-        if self._has_previous:
-            self._cma.update(abs(value - self._previous))
-        self._previous = value
-        self._has_previous = True
-        return self._cma.value
-
-    @property
-    def count(self) -> int:
-        """Number of consecutive pairs folded in."""
-        return self._cma.count
-
-    @property
-    def value(self) -> float:
-        return self._cma.value
-
-    def reset(self) -> None:
-        self._previous = 0.0
-        self._has_previous = False
-        self._cma.reset()

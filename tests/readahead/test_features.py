@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.os_sim import make_stack
 from repro.readahead.features import (
@@ -143,6 +145,44 @@ class TestCollection:
                 emit_accesses(batched, [hit], ino=ino)
             assert one.snapshot_all().tobytes() == many.snapshot_all().tobytes()
         assert one.events_seen == many.events_seen
+
+    @given(
+        base=st.integers(0, 1 << 40),
+        spread=st.sampled_from([64, 1 << 40]),
+        batches=st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(0, 1 << 40), max_size=16)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_offset_features_match_numpy(self, base, spread, batches):
+        """(ii), (iii) and (iv) against numpy, per event and as batches.
+
+        With ``spread`` 64 the offsets are a small spread on a mean near
+        2^40, where a sum-of-squares variance cancels catastrophically.
+        """
+        stack = make_stack("nvme", cache_pages=16)
+        collector = FeatureCollector(stack)
+        offsets = []
+        for batched, draws in batches:
+            pages = [base + draw % (spread + 1) for draw in draws]
+            offsets += pages
+            if batched:
+                stack.tracepoints.emit_pages("add_to_page_cache", 0.0, 1, pages)
+            else:
+                emit_accesses(stack, pages, name="add_to_page_cache")
+        values = np.array(offsets, dtype=np.float64)
+        features = collector.snapshot()
+        assert features[0] == len(offsets)
+        if not offsets:
+            assert features[1:4].tolist() == [0.0, 0.0, 0.0]
+            return
+        assert features[1] == pytest.approx(values.mean(), rel=1e-12)
+        assert features[2] == pytest.approx(values.std(), rel=1e-6, abs=1e-3)
+        deltas = np.abs(np.diff(values))
+        expected = deltas.mean() if len(deltas) else 0.0
+        assert features[3] == pytest.approx(expected, rel=1e-9)
 
     def test_dropped_stack_freed_without_cycle_collection(self):
         stack = make_stack("nvme", cache_pages=16)

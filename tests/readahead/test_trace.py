@@ -90,6 +90,17 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="truncated"):
             list(read_trace(path))
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"KTRC", b"KTRC\x01", b"KTRC\x01\x02\x05ab"],
+        ids=["no-version", "no-name-count", "short-name"],
+    )
+    def test_truncated_header_rejected(self, tmp_path, data):
+        path = str(tmp_path / "header.ktrace")
+        open(path, "wb").write(data)
+        with pytest.raises(ValueError, match="truncated header"):
+            list(read_trace(path))
+
 
 class TestOfflineDataset:
     def test_dataset_built_from_traces(self, tmp_path):

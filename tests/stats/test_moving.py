@@ -5,49 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.moving import (
-    CumulativeMovingAverage,
-    CumulativeMovingStd,
-    MeanAbsoluteDelta,
-    WindowedMovingAverage,
-)
+from repro.stats.moving import CumulativeMovingStd
 
 float_lists = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=100
 )
 
 
-class TestCMA:
-    def test_matches_numpy_mean(self):
-        values = [1.0, 5.0, 3.0, -2.0]
-        cma = CumulativeMovingAverage()
-        cma.update_many(values)
-        assert cma.value == pytest.approx(np.mean(values))
-        assert cma.count == 4
-
-    def test_empty_is_zero(self):
-        assert CumulativeMovingAverage().value == 0.0
-
-    def test_reset(self):
-        cma = CumulativeMovingAverage()
-        cma.update(10)
-        cma.reset()
-        assert cma.count == 0 and cma.value == 0.0
-
-    @given(float_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_property_matches_numpy(self, values):
-        cma = CumulativeMovingAverage()
-        cma.update_many(values)
-        assert cma.value == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
+def welford(values) -> CumulativeMovingStd:
+    stat = CumulativeMovingStd()
+    for value in values:
+        stat.update(value)
+    return stat
 
 
 class TestWelfordStd:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
         values = rng.normal(100, 15, size=500)
-        stat = CumulativeMovingStd()
-        stat.update_many(values)
+        stat = welford(values)
         assert stat.mean == pytest.approx(values.mean())
         assert stat.std == pytest.approx(values.std(), rel=1e-9)
 
@@ -62,69 +38,16 @@ class TestWelfordStd:
         # huge mean (page offsets of big files look exactly like this).
         base = 1e12
         values = [base + v for v in (0.0, 1.0, 2.0)]
-        stat = CumulativeMovingStd()
-        stat.update_many(values)
+        stat = welford(values)
         assert stat.std == pytest.approx(np.std(values), rel=1e-6)
 
     @given(float_lists)
     @settings(max_examples=100, deadline=None)
     def test_property_matches_numpy(self, values):
-        stat = CumulativeMovingStd()
-        stat.update_many(values)
+        stat = welford(values)
         assert stat.std == pytest.approx(float(np.std(values)), rel=1e-6, abs=1e-6)
 
     def test_reset(self):
-        stat = CumulativeMovingStd()
-        stat.update_many([1, 2, 3])
+        stat = welford([1, 2, 3])
         stat.reset()
         assert stat.count == 0 and stat.std == 0.0
-
-
-class TestWindowed:
-    def test_window_drops_old(self):
-        wma = WindowedMovingAverage(3)
-        for v in [1, 2, 3, 4]:
-            wma.update(v)
-        assert wma.value == pytest.approx(3.0)  # mean of 2,3,4
-        assert wma.count == 3
-
-    def test_before_full_window(self):
-        wma = WindowedMovingAverage(10)
-        wma.update(4)
-        wma.update(6)
-        assert wma.value == pytest.approx(5.0)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            WindowedMovingAverage(0)
-
-    def test_empty(self):
-        assert WindowedMovingAverage(3).value == 0.0
-
-
-class TestMeanAbsDelta:
-    def test_pairs(self):
-        mad = MeanAbsoluteDelta()
-        for v in [10.0, 13.0, 9.0]:
-            mad.update(v)
-        # |13-10| = 3, |9-13| = 4 -> mean 3.5
-        assert mad.value == pytest.approx(3.5)
-        assert mad.count == 2
-
-    def test_single_value_no_delta(self):
-        mad = MeanAbsoluteDelta()
-        mad.update(5.0)
-        assert mad.value == 0.0 and mad.count == 0
-
-    def test_sequential_stream_has_unit_delta(self):
-        mad = MeanAbsoluteDelta()
-        for v in range(100):
-            mad.update(float(v))
-        assert mad.value == pytest.approx(1.0)
-
-    def test_reset(self):
-        mad = MeanAbsoluteDelta()
-        mad.update(1)
-        mad.update(2)
-        mad.reset()
-        assert mad.count == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults import CrashRecoveryHarness
 
 
 class TestParser:
@@ -182,6 +183,25 @@ class TestFaults:
     def test_crash_matrix_rejects_unknown_site(self, capsys):
         assert main(["faults", "--crash-matrix", "--sites", "nope"]) == 2
         assert "unknown sites: nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seeds", "0"], "--seeds must be at least 1, got 0"),
+            (["--seeds", "-3"], "--seeds must be at least 1, got -3"),
+            (["--sites", ","], "--sites names no site: ','"),
+            (["--sites", ""], "--sites names no site: ''"),
+        ],
+    )
+    def test_crash_matrix_usage_errors(self, capsys, monkeypatch, argv, message):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("the matrix ran")
+
+        monkeypatch.setattr(CrashRecoveryHarness, "run_matrix", no_matrix)
+        assert main(["faults", "--crash-matrix", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_scenario_run_reports_injections(self, capsys):
         code = main(["faults", "--scenario", "flaky-device", "--ops", "400"])
