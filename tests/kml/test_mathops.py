@@ -1,5 +1,7 @@
 """Tests for the from-scratch math approximations."""
 
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,3 +133,40 @@ class TestSoftmax:
         np.testing.assert_allclose(
             mathops.kml_softmax(x), mathops.kml_softmax(x + 100.0), atol=1e-12
         )
+
+
+class TestLibmFree:
+    """mathops builds its kernels from +, -, *, / and frexp/ldexp only."""
+
+    FORBIDDEN = {"exp", "expm1", "log", "log1p", "log2", "tanh", "sqrt", "power"}
+
+    def _violations(self, source: str) -> list:
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found += [a.name for a in node.names if a.name == "math"]
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "math":
+                    found.append("from math import")
+                elif node.module == "numpy":
+                    found += [a.name for a in node.names if a.name in self.FORBIDDEN]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and node.func.attr in self.FORBIDDEN
+            ):
+                found.append(f"{node.func.value.id}.{node.func.attr}")
+        return found
+
+    def test_mathops_calls_no_libm(self):
+        with open(mathops.__file__) as f:
+            assert self._violations(f.read()) == []
+
+    @pytest.mark.parametrize(
+        "snippet",
+        ["import math", "from math import exp", "from numpy import log1p", "y = np.exp(x)", "np.sqrt(2.0)"],
+    )
+    def test_guard_catches(self, snippet):
+        assert self._violations(snippet)

@@ -103,3 +103,24 @@ class TestMatrixObservation:
         with acc:
             Matrix.zeros(5, 5)
         assert acc.in_use == 0
+
+    def test_single_row_inference_traffic(self):
+        """The E5 "transient inference memory" row, allocation by allocation.
+
+        A fused z-score ``Linear(5, 5)`` in front of the readahead network;
+        one float32 row allocates its input and, per Linear, a matmul and a
+        bias-add result, per Sigmoid one output: 11 buffers, 668 bytes.
+        """
+        import numpy as np
+
+        from repro.kml import Linear, Sequential
+        from repro.readahead.model import build_network
+
+        network = build_network(rng=np.random.default_rng(0))
+        model = Sequential([Linear(5, 5, rng=np.random.default_rng(1))] + network.layers)
+        features = np.array([[30_000.0, 950.0, 830.0, 70.0, 128.0]])
+        acc = MemoryAccountant()
+        with acc:
+            model.predict_classes(features)
+        assert acc.total_allocated == 668
+        assert acc.allocation_count == 11
