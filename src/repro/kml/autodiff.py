@@ -218,8 +218,7 @@ def softmax_cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
         raise ValueError(
             f"one-hot shape {onehot.shape} != logits {logits.value.shape}"
         )
-    log_probs = mathops.kml_log_softmax(logits.value, axis=1)
-    probs = mathops.kml_softmax(logits.value, axis=1)
+    probs, log_probs = mathops.kml_softmax_and_log(logits.value, axis=1)
     n = logits.value.shape[0]
     loss_value = -np.sum(onehot * log_probs) / n
     out = Tensor(

@@ -47,9 +47,18 @@ FX_MIN_REAL = float(FX_MIN) / SCALE
 FX_EPS = 1.0 / SCALE
 
 
+# The kernels' constants as 0-d arrays: numpy applies a ufunc to two
+# arrays faster than to an array and a Python number, whose conversion
+# it repeats on every call.  The arithmetic is the same.
+_LO, _HI = np.array(int(FX_MIN), np.int64), np.array(int(FX_MAX), np.int64)
+_LO_F64, _HI_F64 = np.array(float(FX_MIN)), np.array(float(FX_MAX))
+_SCALE = np.array(float(SCALE))
+_SHIFT = np.array(FRAC_BITS, np.int64)
+
+
 def _saturate(x64):
     """Clamp an int64 array into the int32 range and narrow it."""
-    return np.clip(x64, int(FX_MIN), int(FX_MAX)).astype(np.int32)
+    return np.minimum(np.maximum(x64, _LO), _HI).astype(np.int32)
 
 
 def to_fixed(values):
@@ -59,14 +68,14 @@ def to_fixed(values):
     which is the conventional kernel-safe choice.
     """
     arr = np.asarray(values, dtype=np.float64)
-    scaled = np.where(np.isnan(arr), 0.0, arr) * SCALE
-    scaled = np.clip(np.rint(scaled), int(FX_MIN), int(FX_MAX))
-    return scaled.astype(np.int64).astype(np.int32)
+    scaled = np.where(np.isnan(arr), 0.0, arr) * _SCALE
+    scaled = np.minimum(np.maximum(np.rint(scaled), _LO_F64), _HI_F64)
+    return scaled.astype(np.int32)
 
 
 def from_fixed(raw):
     """Convert Q16.16 raw int32 back to float64."""
-    return np.asarray(raw, dtype=np.float64) / SCALE
+    return np.asarray(raw, dtype=np.float64) / _SCALE
 
 
 def fx_from_int(values):
@@ -93,7 +102,7 @@ def fx_neg(a):
 def fx_mul(a, b):
     """Fixed-point multiply: (a * b) >> FRAC_BITS with int64 intermediate."""
     prod = np.asarray(a, np.int64) * np.asarray(b, np.int64)
-    return _saturate(prod >> FRAC_BITS)
+    return _saturate(prod >> _SHIFT)
 
 
 def fx_div(a, b):
@@ -125,4 +134,4 @@ def fx_matmul(a, b):
     a64 = np.asarray(a, dtype=np.int64)
     b64 = np.asarray(b, dtype=np.int64)
     acc = a64 @ b64
-    return _saturate(acc >> FRAC_BITS)
+    return _saturate(acc >> _SHIFT)

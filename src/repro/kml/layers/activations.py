@@ -36,8 +36,7 @@ class Sigmoid(Layer):
         if self._output is None:
             raise RuntimeError(f"{self.name}: backward() before forward()")
         s = self._output
-        one = Matrix.ones(s.rows, s.cols, dtype=s.dtype)
-        return grad_output * s * (one - s)
+        return grad_output * s * (1.0 - s)
 
 
 class ReLU(Layer):
@@ -83,5 +82,4 @@ class Tanh(Layer):
         if self._output is None:
             raise RuntimeError(f"{self.name}: backward() before forward()")
         t = self._output
-        one = Matrix.ones(t.rows, t.cols, dtype=t.dtype)
-        return grad_output * (one - t * t)
+        return grad_output * (1.0 - t * t)

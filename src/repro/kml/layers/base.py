@@ -24,12 +24,11 @@ class Parameter:
     def __init__(self, name: str, value: Matrix):
         self.name = name
         self.value = value
-        self.grad = Matrix.zeros(value.rows, value.cols, dtype=value.dtype)
+        self.zero_grad()
 
     def zero_grad(self) -> None:
-        self.grad = Matrix.zeros(
-            self.value.rows, self.value.cols, dtype=self.value.dtype
-        )
+        rows, cols = self.value.shape
+        self.grad = Matrix.zeros(rows, cols, dtype=self.value.dtype)
 
     @property
     def nbytes(self) -> int:

@@ -6,16 +6,22 @@ import numpy as np
 
 from ..matrix import Matrix
 
-__all__ = ["Loss", "one_hot"]
+__all__ = ["Loss", "one_hot", "one_hot_array"]
 
 
-def one_hot(labels, num_classes: int, dtype: str = "float32") -> Matrix:
-    """Encode integer class labels as a one-hot Matrix.
+def one_hot_array(labels, num_classes: int) -> np.ndarray:
+    """Encode integer class labels as a one-hot float64 array.
 
     Raises ``ValueError`` on labels outside ``[0, num_classes)`` rather
-    than silently wrapping.
+    than silently wrapping, and on labels that are not integral (a float
+    label such as ``1.0`` is accepted; ``1.7`` is not truncated to 1).
     """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
+    if labels.dtype.kind == "f":
+        integral = np.isfinite(labels) & (np.trunc(labels) == labels)
+        if not integral.all():
+            raise ValueError(f"labels must be integral, got {labels[~integral][0]}")
+    labels = labels.astype(np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(
             f"labels out of range [0, {num_classes}): "
@@ -23,7 +29,12 @@ def one_hot(labels, num_classes: int, dtype: str = "float32") -> Matrix:
         )
     encoded = np.zeros((labels.size, num_classes), dtype=np.float64)
     encoded[np.arange(labels.size), labels] = 1.0
-    return Matrix(encoded, dtype=dtype)
+    return encoded
+
+
+def one_hot(labels, num_classes: int, dtype: str = "float32") -> Matrix:
+    """:func:`one_hot_array` as a Matrix of ``dtype``."""
+    return Matrix(one_hot_array(labels, num_classes), dtype=dtype)
 
 
 class Loss:

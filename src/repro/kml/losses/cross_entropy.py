@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import mathops
 from ..matrix import Matrix
-from .base import Loss, one_hot
+from .base import Loss, one_hot_array
 
 __all__ = ["CrossEntropyLoss"]
 
@@ -35,16 +35,15 @@ class CrossEntropyLoss(Loss):
                     f"one-hot target shape {onehot.shape} != logits {logits.shape}"
                 )
         else:
-            onehot = one_hot(target, logits.shape[1]).to_numpy()
+            onehot = one_hot_array(target, logits.shape[1])
             if onehot.shape[0] != logits.shape[0]:
                 raise ValueError(
                     f"{onehot.shape[0]} labels for {logits.shape[0]} rows"
                 )
-        log_probs = mathops.kml_log_softmax(logits, axis=1)
-        self._softmax = mathops.kml_softmax(logits, axis=1)
+        self._softmax, log_probs = mathops.kml_softmax_and_log(logits, axis=1)
         self._onehot = onehot
         self._dtype = prediction.dtype
-        return float(-np.sum(onehot * log_probs) / logits.shape[0])
+        return float(-(onehot * log_probs).sum() / logits.shape[0])
 
     def backward(self) -> Matrix:
         if self._softmax is None or self._onehot is None:

@@ -7,8 +7,10 @@ function here is built only from +, -, *, / and bit-level float
 decomposition -- no ``numpy`` transcendental kernels and no ``math``
 module calls on the approximation path.
 
-All functions accept scalars or numpy arrays and are vectorized.  They
-are used directly by the fixed-point matrix backend.
+All functions accept scalars or numpy arrays, compute in float64 and
+are vectorized.  Every ``Matrix`` dtype takes its nonlinearities from
+here (fixed32 decodes to float64 first), and the losses take softmax
+and log-softmax from here.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "kml_sqrt",
     "kml_softmax",
     "kml_log_softmax",
+    "kml_softmax_and_log",
     "LN2",
     "EXP_CLAMP",
 ]
@@ -35,23 +38,51 @@ LN2 = 0.6931471805599453
 # sigmoid saturates far earlier than this in practice.
 EXP_CLAMP = 80.0
 
+
+def _f64(value):
+    """``value`` as a 0-d float64 array, for the constants of the hot kernels.
+
+    numpy applies a ufunc to two arrays faster than to an array and a
+    Python float, whose conversion it repeats on every call; the float64
+    arithmetic is the same.
+    """
+    return np.array(value, dtype=np.float64)
+
+
+_LN2 = _f64(LN2)
+_ZERO = _f64(0.0)
+_HALF = _f64(0.5)
+_ONE = _f64(1.0)
+_TWO = _f64(2.0)
+_NEG_INF = _f64(-np.inf)
+_NAN = _f64(np.nan)
+_SQRT_HALF = _f64(0.70710678118654752)
+_CLAMP_LO = _f64(-EXP_CLAMP)
+_CLAMP_HI = _f64(EXP_CLAMP)
+
 # Degree-7 Taylor/minimax-style coefficients for exp(r), |r| <= ln2/2.
-_EXP_COEFFS = (
-    1.0,
-    1.0,
-    0.5,
-    1.0 / 6.0,
-    1.0 / 24.0,
-    1.0 / 120.0,
-    1.0 / 720.0,
-    1.0 / 5040.0,
+_EXP_COEFFS = tuple(
+    _f64(c)
+    for c in (
+        1.0,
+        1.0,
+        0.5,
+        1.0 / 6.0,
+        1.0 / 24.0,
+        1.0 / 120.0,
+        1.0 / 720.0,
+        1.0 / 5040.0,
+    )
 )
+
+# 1/3, 1/5, 1/7 and 9: the terms of the atanh series in kml_log.
+_ATANH_SERIES = tuple(_f64(c) for c in (1.0 / 3.0, 1.0 / 5.0, 1.0 / 7.0, 9.0))
 
 
 def _polyval(coeffs, x):
-    """Horner evaluation of sum(coeffs[i] * x**i)."""
-    result = np.zeros_like(x) + coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    """Horner evaluation of sum(coeffs[i] * x**i) (at least two coefficients)."""
+    result = coeffs[-1] * x + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
         result = result * x + c
     return result
 
@@ -64,9 +95,9 @@ def kml_exp(x):
     is applied with ``ldexp``-style scaling (exact in binary floats).
     """
     x = np.asarray(x, dtype=np.float64)
-    x = np.clip(x, -EXP_CLAMP, EXP_CLAMP)
-    k = np.floor(x / LN2 + 0.5)
-    r = x - k * LN2
+    x = np.minimum(np.maximum(x, _CLAMP_LO), _CLAMP_HI)
+    k = np.floor(x / _LN2 + _HALF)
+    r = x - k * _LN2
     poly = _polyval(_EXP_COEFFS, r)
     return np.ldexp(poly, k.astype(np.int64))
 
@@ -82,17 +113,16 @@ def kml_log(x):
     with np.errstate(divide="ignore", invalid="ignore"):
         m, e = np.frexp(x)  # x = m * 2**e, m in [0.5, 1)
         # Shift mantissa into [sqrt(1/2), sqrt(2)) so |t| stays small.
-        adjust = m < 0.70710678118654752
-        m = np.where(adjust, m * 2.0, m)
+        adjust = m < _SQRT_HALF
+        m = np.where(adjust, m * _TWO, m)
         e = e - adjust.astype(np.int64)
-        t = (m - 1.0) / (m + 1.0)
+        t = (m - _ONE) / (m + _ONE)
         t2 = t * t
         # 2*atanh(t) = 2t * (1 + t^2/3 + t^4/5 + t^6/7 + t^8/9)
-        series = 1.0 + t2 * (
-            1.0 / 3.0 + t2 * (1.0 / 5.0 + t2 * (1.0 / 7.0 + t2 / 9.0))
-        )
-        result = 2.0 * t * series + e * LN2
-        result = np.where(x > 0, result, np.where(x == 0, -np.inf, np.nan))
+        third, fifth, seventh, nine = _ATANH_SERIES
+        series = _ONE + t2 * (third + t2 * (fifth + t2 * (seventh + t2 / nine)))
+        result = _TWO * t * series + e * _LN2
+        result = np.where(x > _ZERO, result, np.where(x == _ZERO, _NEG_INF, _NAN))
     return result
 
 
@@ -108,9 +138,10 @@ def kml_sigmoid(x):
     avoiding overflow for large-magnitude inputs.
     """
     x = np.asarray(x, dtype=np.float64)
-    pos = x >= 0
+    pos = x >= _ZERO
     ez = kml_exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    # Each element divides the numerator its branch selects: 1 or ez.
+    return np.where(pos, _ONE, ez) / (_ONE + ez)
 
 
 def kml_tanh(x):
@@ -138,17 +169,27 @@ def kml_sqrt(x):
     return result
 
 
+def _shifted_exp(x, axis):
+    """(x - max, exp(x - max), sum of that exp): the stable softmax parts."""
+    x = np.asarray(x, dtype=np.float64)
+    shifted = x - x.max(axis=axis, keepdims=True)
+    ex = kml_exp(shifted)
+    return shifted, ex, ex.sum(axis=axis, keepdims=True)
+
+
 def kml_softmax(x, axis=-1):
     """Stable softmax: shift by the max before exponentiating."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    ex = kml_exp(shifted)
-    return ex / np.sum(ex, axis=axis, keepdims=True)
+    _, ex, total = _shifted_exp(x, axis)
+    return ex / total
 
 
 def kml_log_softmax(x, axis=-1):
     """log(softmax(x)) without forming the softmax (stable for CE loss)."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    log_sum = kml_log(np.sum(kml_exp(shifted), axis=axis, keepdims=True))
-    return shifted - log_sum
+    shifted, _, total = _shifted_exp(x, axis)
+    return shifted - kml_log(total)
+
+
+def kml_softmax_and_log(x, axis=-1):
+    """``(kml_softmax(x), kml_log_softmax(x))`` from one exp pass."""
+    shifted, ex, total = _shifted_exp(x, axis)
+    return ex / total, shifted - kml_log(total)

@@ -14,6 +14,16 @@ All arithmetic dispatches through the backend so higher layers (layers,
 losses, autodiff) are dtype-agnostic, exactly as in KML where the same
 model graph can be instantiated over any supported element type.
 
+A real scalar operand (any ``numbers.Real``: Python or numpy ints and
+floats) is encoded once into the matrix's element type -- a 0-d
+float32/float64 array for the floats, ``fixedpoint.to_fixed(v)`` for
+fixed32 -- and broadcast against the buffer, so ``m * 0.5`` and
+``1.0 - m`` allocate only their result and compute exactly what a
+constant matrix of that value would give.
+
+Op results are wrapped without re-validation (they are 2-D and encoded
+by construction); :meth:`Matrix.from_raw` validates outside buffers.
+
 Matrix allocations report their byte size to an optional observer so
 the runtime memory accountant (``repro.runtime.memory``) can reproduce
 the paper's memory-footprint measurements.
@@ -21,6 +31,7 @@ the paper's memory-footprint measurements.
 
 from __future__ import annotations
 
+import numbers
 import time
 from typing import Callable, Optional, Tuple
 
@@ -73,6 +84,23 @@ def _check_dtype(dtype: str) -> str:
     return dtype
 
 
+def _wrap(data: np.ndarray, dtype: str) -> "Matrix":
+    """Wrap an op result, already 2-D and encoded, without re-validating it."""
+    self = object.__new__(Matrix)
+    self._data = data
+    self._dtype = dtype
+    if _alloc_observer is not None:
+        _alloc_observer(data.nbytes)
+    return self
+
+
+def _wrap_real(real: np.ndarray, dtype: str) -> "Matrix":
+    """Encode a fresh 2-D float64 op result into ``dtype`` and wrap it."""
+    if dtype == "fixed32":
+        return _wrap(fx.to_fixed(real), dtype)
+    return _wrap(real.astype(_NUMPY_DTYPES[dtype], copy=False), dtype)
+
+
 class Matrix:
     """A 2-D matrix over one of the KML element types.
 
@@ -113,16 +141,12 @@ class Matrix:
         expected = _NUMPY_DTYPES[dtype]
         if raw.dtype != expected:
             raise TypeError(f"raw dtype {raw.dtype} does not match {dtype}")
-        self = cls.__new__(cls)
-        self._data = raw
-        self._dtype = dtype
-        if _alloc_observer is not None:
-            _alloc_observer(int(raw.nbytes))
-        return self
+        return _wrap(raw, dtype)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, dtype: str = "float32") -> "Matrix":
-        return cls(np.zeros((rows, cols)), dtype=dtype)
+        _check_dtype(dtype)
+        return _wrap(np.zeros((rows, cols), dtype=_NUMPY_DTYPES[dtype]), dtype)
 
     @classmethod
     def ones(cls, rows: int, cols: int, dtype: str = "float32") -> "Matrix":
@@ -193,7 +217,7 @@ class Matrix:
         return Matrix(self.to_numpy(), dtype=dtype)
 
     def copy(self) -> "Matrix":
-        return Matrix.from_raw(self._data.copy(), self._dtype)
+        return _wrap(self._data.copy(), self._dtype)
 
     def __repr__(self) -> str:
         return f"Matrix(shape={self.shape}, dtype={self._dtype!r})"
@@ -216,32 +240,38 @@ class Matrix:
     # Arithmetic
     # ------------------------------------------------------------------
 
-    def _coerce(self, other) -> "Matrix":
+    def _dtype_mismatch(self, other: "Matrix") -> TypeError:
+        return TypeError(
+            f"dtype mismatch: {self._dtype} vs {other._dtype}; "
+            "convert explicitly with astype()"
+        )
+
+    def _binary(self, other, float_op, fixed_op, reflected: bool = False) -> "Matrix":
+        a = self._data
         if isinstance(other, Matrix):
             if other._dtype != self._dtype:
-                raise TypeError(
-                    f"dtype mismatch: {self._dtype} vs {other._dtype}; "
-                    "convert explicitly with astype()"
-                )
-            return other
-        if isinstance(other, (int, float)):
-            return Matrix.full(self.rows, self.cols, float(other), dtype=self._dtype)
-        raise TypeError(f"cannot operate on Matrix and {type(other).__name__}")
-
-    def _binary(self, other, float_op, fixed_op) -> "Matrix":
-        other = self._coerce(other)
-        a, b = self._data, other._data
-        if a.shape != b.shape:
-            # Allow row/column broadcast, the only forms layers need.
-            try:
-                np.broadcast_shapes(a.shape, b.shape)
-            except ValueError:
-                raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}") from None
-        if self._dtype == "fixed32":
-            out = fixed_op(a, b)
+                raise self._dtype_mismatch(other)
+            b = other._data
+            if a.shape != b.shape:
+                # Allow row/column broadcast, the only forms layers need.
+                try:
+                    np.broadcast_shapes(a.shape, b.shape)
+                except ValueError:
+                    raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}") from None
+        # A real scalar is encoded once, as a 0-d value (builtins first:
+        # the numbers.Real check is slower).
+        elif isinstance(other, (float, int)) or isinstance(other, numbers.Real):
+            if self._dtype == "fixed32":
+                b = fx.to_fixed(other)
+            else:
+                b = np.array(other, dtype=a.dtype)
         else:
-            out = float_op(a, b).astype(a.dtype)
-        return Matrix.from_raw(out, self._dtype)
+            raise TypeError(f"cannot operate on Matrix and {type(other).__name__}")
+        if reflected:
+            a, b = b, a
+        if self._dtype == "fixed32":
+            return _wrap(fixed_op(a, b), "fixed32")
+        return _wrap(float_op(a, b).astype(self._data.dtype, copy=False), self._dtype)
 
     def __add__(self, other) -> "Matrix":
         return self._binary(other, np.add, fx.fx_add)
@@ -253,7 +283,7 @@ class Matrix:
         return self._binary(other, np.subtract, fx.fx_sub)
 
     def __rsub__(self, other) -> "Matrix":
-        return self._coerce(other).__sub__(self)
+        return self._binary(other, np.subtract, fx.fx_sub, reflected=True)
 
     def __mul__(self, other) -> "Matrix":
         """Elementwise (Hadamard) product."""
@@ -273,14 +303,18 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         if self._dtype == "fixed32":
-            return Matrix.from_raw(fx.fx_neg(self._data), self._dtype)
-        return Matrix.from_raw((-self._data).astype(self._data.dtype), self._dtype)
+            return _wrap(fx.fx_neg(self._data), self._dtype)
+        return _wrap(-self._data, self._dtype)
 
     def __matmul__(self, other) -> "Matrix":
-        other = self._coerce(other)
-        if self.cols != other.rows:
+        if not isinstance(other, Matrix):
+            raise TypeError(f"cannot operate on Matrix and {type(other).__name__}")
+        if other._dtype != self._dtype:
+            raise self._dtype_mismatch(other)
+        a, b = self._data, other._data
+        if a.shape[1] != b.shape[0]:
             raise ValueError(
-                f"matmul shape mismatch: {self.shape} @ {other.shape}"
+                f"matmul shape mismatch: {a.shape} @ {b.shape}"
             )
         probe = _op_observer
         t0 = 0.0
@@ -289,17 +323,15 @@ class Matrix:
             if not n & probe.mask:
                 t0 = time.perf_counter()
         if self._dtype == "fixed32":
-            out = fx.fx_matmul(self._data, other._data)
+            out = fx.fx_matmul(a, b)
         else:
-            out = (self._data @ other._data).astype(self._data.dtype)
+            out = (a @ b).astype(a.dtype, copy=False)
         if t0:
             probe.hist.observe(time.perf_counter() - t0)
-        return Matrix.from_raw(out, self._dtype)
+        return _wrap(out, self._dtype)
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_raw(
-            np.ascontiguousarray(self._data.T), self._dtype
-        )
+        return _wrap(np.ascontiguousarray(self._data.T), self._dtype)
 
     @property
     def T(self) -> "Matrix":
@@ -310,8 +342,14 @@ class Matrix:
     # ------------------------------------------------------------------
 
     def _unary_real(self, func) -> "Matrix":
-        """Apply a real-valued function elementwise, re-encoding after."""
-        return Matrix(func(self.to_numpy()), dtype=self._dtype)
+        """Apply a real-valued function elementwise, re-encoding after.
+
+        The mathops kernels compute in float64 whatever their input, so
+        a float buffer goes in as it is; fixed32 decodes first.
+        """
+        if self._dtype == "fixed32":
+            return _wrap_real(func(fx.from_fixed(self._data)), "fixed32")
+        return _wrap_real(func(self._data), self._dtype)
 
     def sigmoid(self) -> "Matrix":
         return self._unary_real(mathops.kml_sigmoid)
@@ -322,9 +360,9 @@ class Matrix:
     def relu(self) -> "Matrix":
         if self._dtype == "fixed32":
             out = np.where(self._data > 0, self._data, np.int32(0))
-            return Matrix.from_raw(out.astype(np.int32), self._dtype)
+            return _wrap(out.astype(np.int32), self._dtype)
         out = np.where(self._data > 0, self._data, 0).astype(self._data.dtype)
-        return Matrix.from_raw(out, self._dtype)
+        return _wrap(out, self._dtype)
 
     def exp(self) -> "Matrix":
         return self._unary_real(mathops.kml_exp)
@@ -344,20 +382,18 @@ class Matrix:
 
     def sum(self, axis=None) -> "Matrix":
         """Sum; with an axis, keeps the result 2-D (row or column)."""
-        real = self.to_numpy()
-        if axis is None:
-            return Matrix([[float(real.sum())]], dtype=self._dtype)
-        return Matrix(np.sum(real, axis=axis, keepdims=True), dtype=self._dtype)
+        return _wrap_real(self.to_numpy().sum(axis=axis, keepdims=True), self._dtype)
 
     def mean(self, axis=None) -> "Matrix":
-        real = self.to_numpy()
-        if axis is None:
-            return Matrix([[float(real.mean())]], dtype=self._dtype)
-        return Matrix(np.mean(real, axis=axis, keepdims=True), dtype=self._dtype)
+        return _wrap_real(self.to_numpy().mean(axis=axis, keepdims=True), self._dtype)
 
     def argmax(self, axis: int = 1) -> np.ndarray:
-        """Index of the maximum along ``axis`` (plain numpy int array)."""
-        return np.argmax(self.to_numpy(), axis=axis)
+        """Index of the maximum along ``axis`` (plain numpy int array).
+
+        Decoding is exact and order-preserving, so the encoded buffer
+        has the same argmax as the real values.
+        """
+        return np.argmax(self._data, axis=axis)
 
     def item(self) -> float:
         """Decode a 1x1 matrix to a Python float."""
@@ -366,7 +402,7 @@ class Matrix:
         return float(self.to_numpy()[0, 0])
 
     def row(self, i: int) -> "Matrix":
-        return Matrix.from_raw(self._data[i : i + 1].copy(), self._dtype)
+        return _wrap(self._data[i : i + 1].copy(), self._dtype)
 
     def __getitem__(self, idx) -> float:
         """Scalar element access, decoded to float."""

@@ -141,8 +141,10 @@ class Sequential:
         """Resolve the input dtype: explicit > first parameter > float32."""
         if dtype is not None:
             return dtype
-        params = self.parameters()
-        return params[0].value.dtype if params else "float32"
+        for layer in self.layers:
+            for param in layer.parameters():
+                return param.value.dtype
+        return "float32"
 
     def train_step(
         self, x: Matrix, target, loss_fn: Loss, optimizer: Optimizer

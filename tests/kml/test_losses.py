@@ -36,6 +36,18 @@ class TestOneHot:
         with pytest.raises(ValueError):
             one_hot([-1], 3)
 
+    @pytest.mark.parametrize("label", [1.7, -0.5, float("nan"), float("inf")])
+    def test_non_integral_label_rejected(self, label):
+        with pytest.raises(ValueError, match="integral"):
+            one_hot([0.0, label], 4)
+
+    def test_integral_float_labels_accepted(self):
+        assert one_hot(np.array([1.0, 3.0]), 4) == one_hot([1, 3], 4)
+
+    def test_cross_entropy_rejects_non_integral_label(self):
+        with pytest.raises(ValueError, match="integral"):
+            CrossEntropyLoss().forward(Matrix(np.zeros((1, 4))), [1.7])
+
 
 class TestCrossEntropy:
     def test_perfect_prediction_near_zero_loss(self):

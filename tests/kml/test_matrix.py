@@ -74,6 +74,36 @@ class TestArithmetic:
         np.testing.assert_allclose((a * 0.5).to_numpy(), [[1, 2]], atol=1e-4)
         np.testing.assert_allclose((2.0 * a).to_numpy(), [[4, 8]], atol=1e-4)
 
+    @pytest.mark.parametrize(
+        "scalar", [np.float32(0.5), np.float64(-1.25), np.int64(2), np.int32(-3), 3, 0.1, True]
+    )
+    def test_python_and_numpy_real_scalars(self, dtype, scalar):
+        a = Matrix([[1.0, 2.0]], dtype=dtype)
+        v = float(scalar)
+        np.testing.assert_allclose((a * scalar).to_numpy(), [[v, 2 * v]], atol=1e-4)
+        np.testing.assert_allclose((scalar * a).to_numpy(), [[v, 2 * v]], atol=1e-4)
+        np.testing.assert_allclose((a + scalar).to_numpy(), [[1 + v, 2 + v]], atol=1e-4)
+        np.testing.assert_allclose((scalar - a).to_numpy(), [[v - 1, v - 2]], atol=1e-4)
+
+    @pytest.mark.parametrize("scalar", [0.99, -0.01, 1.0, 2, np.float32(1e-3), 1e10, -7])
+    def test_scalar_equals_full_matrix_operand(self, dtype, scalar):
+        """A scalar gives exactly what a same-shaped constant matrix gives."""
+        a = Matrix([[0.3, -7.5, 1e4], [2.0, 0.0, -1e-3]], dtype=dtype)
+        full = Matrix.full(a.rows, a.cols, float(scalar), dtype=dtype)
+        assert a + scalar == a + full
+        assert a - scalar == a - full
+        assert scalar - a == full - a
+        assert a * scalar == a * full
+        assert a / scalar == a / full
+
+    def test_non_real_operand_rejected(self, dtype):
+        a = Matrix([[1.0, 2.0]], dtype=dtype)
+        for other in ("2", 1 + 2j, np.ones((1, 2)), None):
+            with pytest.raises(TypeError, match="cannot operate"):
+                a * other
+        with pytest.raises(TypeError, match="cannot operate"):
+            a @ 2.0
+
     def test_hadamard(self, dtype):
         a = Matrix([[1.0, 2.0], [3.0, 4.0]], dtype=dtype)
         np.testing.assert_allclose((a * a).to_numpy(), [[1, 4], [9, 16]], atol=1e-3)
