@@ -16,7 +16,7 @@ from .device import (
     nvme_ssd,
     sata_ssd,
 )
-from .page_cache import CacheStats, PageCache, PageEntry
+from .page_cache import CacheStats, PageCache
 from .readahead import (
     INITIAL_SEQ_WINDOW,
     RANDOM_WINDOW_DIVISOR,
@@ -42,7 +42,6 @@ __all__ = [
     "sata_ssd",
     "CacheStats",
     "PageCache",
-    "PageEntry",
     "INITIAL_SEQ_WINDOW",
     "RANDOM_WINDOW_DIVISOR",
     "ReadaheadPlan",

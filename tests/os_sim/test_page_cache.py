@@ -68,8 +68,14 @@ class TestReadPath:
     def test_demanded_page_marked_accessed(self):
         cache, _, _, _ = make_cache()
         cache.read_page(INO, 9, ReadaheadState(), 64, FILE_PAGES)
-        assert cache._pages[(INO, 9)].accessed
-        assert cache._pages[(INO, 10)].prefetched
+        # The demanded page was not prefetched: hitting it uses no prefetch.
+        cache.read_page(INO, 9, ReadaheadState(), 64, FILE_PAGES)
+        assert cache.stats.prefetch_used == 0
+        # Its neighbour was prefetched and is used once, on its first hit.
+        cache.read_page(INO, 10, ReadaheadState(), 64, FILE_PAGES)
+        assert cache.stats.prefetch_used == 1
+        cache.read_page(INO, 10, ReadaheadState(), 64, FILE_PAGES)
+        assert cache.stats.prefetch_used == 1
 
 
 class TestEviction:
@@ -194,3 +200,9 @@ class TestTracepoints:
             PageCache(clock, device, registry, capacity_pages=0)
         with pytest.raises(ValueError):
             PageCache(clock, device, registry, capacity_pages=10, dirty_threshold=0.0)
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_writeback_batch_validated(self, batch):
+        clock, device, registry = SimClock(), nvme_ssd(), TracepointRegistry()
+        with pytest.raises(ValueError, match="writeback_batch must be >= 1"):
+            PageCache(clock, device, registry, capacity_pages=10, writeback_batch=batch)
