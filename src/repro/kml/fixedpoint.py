@@ -10,11 +10,21 @@ an ``int32``.  Intermediate products are computed in ``int64`` and
 shifted back, matching what in-kernel C code would do.  Overflowing
 values saturate at the representable limits rather than wrapping, which
 is the numerically safer behaviour for neural-network weights.
+
+The kernels ``fx_add``/``sub``/``neg``/``mul``/``div``/``matmul``/``sum``
+and ``fx_sigmoid`` are integer-only.  ``fx_sigmoid`` reads a Q16.16
+lookup table that is built once per process, on first use, by running
+the float path (decode, :func:`~repro.kml.mathops.kml_sigmoid`,
+re-encode) over every input below saturation, so it is bit-identical to
+that path by construction.  The build takes a few tens of milliseconds
+and the table holds about 1.5 MiB.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import mathops
 
 __all__ = [
     "FRAC_BITS",
@@ -32,7 +42,11 @@ __all__ = [
     "fx_div",
     "fx_neg",
     "fx_matmul",
+    "fx_sum",
+    "fx_sigmoid",
     "fx_from_int",
+    "SIGMOID_LAST",
+    "sigmoid_table",
 ]
 
 FRAC_BITS = 16
@@ -115,7 +129,10 @@ def fx_div(a, b):
     den = np.asarray(b, np.int64)
     zero_den = den == 0
     safe_den = np.where(zero_den, 1, den)
-    quotient = (num / safe_den).astype(np.int64)  # trunc toward zero
+    # Truncation toward zero: divide the magnitudes, then negate where
+    # the signs differ (their xor is negative).
+    quotient = np.abs(num) // np.abs(safe_den)
+    quotient = np.where((num ^ safe_den) < 0, -quotient, quotient)
     quotient = np.where(
         zero_den,
         np.where(num > 0, int(FX_MAX), np.where(num < 0, int(FX_MIN), 0)),
@@ -135,3 +152,65 @@ def fx_matmul(a, b):
     b64 = np.asarray(b, dtype=np.int64)
     acc = a64 @ b64
     return _saturate(acc >> _SHIFT)
+
+
+def fx_sum(a, axis=None):
+    """Saturating sum with int64 accumulation; keeps the result 2-D."""
+    return _saturate(np.asarray(a).sum(axis=axis, keepdims=True, dtype=np.int64))
+
+
+#: Largest raw input whose sigmoid is not yet exactly one: from
+#: ``SIGMOID_LAST + 1`` up (11.7835 in real terms) the float path returns
+#: ``SCALE``, and 0 for the mirrored negative input.
+SIGMOID_LAST = 772243
+
+_SIGMOID_CAP = np.array(SIGMOID_LAST + 1, np.int64)
+_ONE = np.array(SCALE, np.int32)
+#: Inputs per chunk of the table build, which bounds its transient memory.
+_TABLE_CHUNK = 4096
+
+_sigmoid_table = None
+
+
+def _real_sigmoid(raw):
+    """The float path the table reproduces: decode, kml_sigmoid, encode."""
+    return to_fixed(mathops.kml_sigmoid(from_fixed(raw)))
+
+
+def sigmoid_table():
+    """``sigmoid(-r)`` in Q16.16 for ``r = 0 .. SIGMOID_LAST + 1``, as uint16.
+
+    Built on first call and shared, read-only, by the whole process
+    (concurrent first calls may each build it; the builds are equal).
+    The build checks the two facts the lookup relies on: the float path
+    is symmetric, ``f(-r) == SCALE - f(r)``, over the table, and it
+    saturates from ``SIGMOID_LAST + 1`` to the int32 extremes.
+    """
+    global _sigmoid_table
+    if _sigmoid_table is None:
+        table = np.empty(SIGMOID_LAST + 2, dtype=np.uint16)
+        for lo in range(0, len(table), _TABLE_CHUNK):
+            r = np.arange(lo, min(lo + _TABLE_CHUNK, len(table)), dtype=np.int64)
+            low = _real_sigmoid(-r)
+            if not np.array_equal(_real_sigmoid(r), SCALE - low):
+                raise RuntimeError(f"float sigmoid is asymmetric in [{lo}, {r[-1]}]")
+            table[lo : lo + len(r)] = low
+        edges = np.array([SIGMOID_LAST, SIGMOID_LAST + 1, int(FX_MAX), int(FX_MIN)])
+        if _real_sigmoid(edges).tolist() != [SCALE - 1, SCALE, SCALE, 0]:
+            raise RuntimeError("float sigmoid does not saturate past SIGMOID_LAST")
+        table.flags.writeable = False
+        _sigmoid_table = table
+    return _sigmoid_table
+
+
+def fx_sigmoid(a):
+    """Q16.16 logistic function by exact table lookup, integer-only.
+
+    Looks ``sigmoid(-|a|)`` up at ``min(|a|, SIGMOID_LAST + 1)`` (in
+    int64, so ``FX_MIN`` is safe) and mirrors it to ``SCALE - t`` for
+    non-negative inputs.
+    """
+    a = np.asarray(a)
+    index = np.minimum(np.abs(a.astype(np.int64)), _SIGMOID_CAP)
+    low = sigmoid_table()[index].astype(np.int32)
+    return np.where(a < 0, low, _ONE - low)

@@ -9,8 +9,9 @@ module calls on the approximation path.
 
 All functions accept scalars or numpy arrays, compute in float64 and
 are vectorized.  Every ``Matrix`` dtype takes its nonlinearities from
-here (fixed32 decodes to float64 first), and the losses take softmax
-and log-softmax from here.
+here (fixed32 decodes to float64 first, except sigmoid, whose exact
+table ``repro.kml.fixedpoint`` builds from :func:`kml_sigmoid`), and
+the losses take softmax and log-softmax from here.
 """
 
 from __future__ import annotations

@@ -6,9 +6,11 @@ matrices so users can trade accuracy against kernel-side FPU cost
 type; the element representation is selected by ``dtype``:
 
 - ``"float32"`` / ``"float64"`` -- IEEE floats,
-- ``"fixed32"`` -- Q16.16 fixed point on int32.  Add, mul and matmul
-  are integer-only; nonlinearities and losses still decode to float64,
-  compute there, and re-encode.
+- ``"fixed32"`` -- Q16.16 fixed point on int32.  Add, sub, neg, mul,
+  div, matmul, sum, relu and sigmoid are integer-only (sigmoid by an
+  exact lookup table, see ``repro.kml.fixedpoint``); exp, log, tanh,
+  sqrt, softmax, mean and the losses still decode to float64, compute
+  there, and re-encode.
 
 All arithmetic dispatches through the backend so higher layers (layers,
 losses, autodiff) are dtype-agnostic, exactly as in KML where the same
@@ -338,7 +340,8 @@ class Matrix:
         return self.transpose()
 
     # ------------------------------------------------------------------
-    # Elementwise nonlinearities (via decoded space for fixed point)
+    # Elementwise nonlinearities (fixed point decodes, except for
+    # sigmoid and relu)
     # ------------------------------------------------------------------
 
     def _unary_real(self, func) -> "Matrix":
@@ -352,6 +355,8 @@ class Matrix:
         return _wrap_real(func(self._data), self._dtype)
 
     def sigmoid(self) -> "Matrix":
+        if self._dtype == "fixed32":
+            return _wrap(fx.fx_sigmoid(self._data), self._dtype)
         return self._unary_real(mathops.kml_sigmoid)
 
     def tanh(self) -> "Matrix":
@@ -382,6 +387,8 @@ class Matrix:
 
     def sum(self, axis=None) -> "Matrix":
         """Sum; with an axis, keeps the result 2-D (row or column)."""
+        if self._dtype == "fixed32":
+            return _wrap(fx.fx_sum(self._data, axis=axis), self._dtype)
         return _wrap_real(self.to_numpy().sum(axis=axis, keepdims=True), self._dtype)
 
     def mean(self, axis=None) -> "Matrix":

@@ -7,10 +7,13 @@ subclassing :class:`Optimizer` and implementing ``step``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
+import numpy as np
+
+from . import fixedpoint as fx
 from .layers.base import Parameter
-from .matrix import Matrix
+from .matrix import _wrap
 
 __all__ = ["Optimizer", "SGD"]
 
@@ -31,11 +34,40 @@ class Optimizer:
             param.zero_grad()
 
 
+class _Slot:
+    """One parameter's update kernels, encoded scalars and velocity.
+
+    The kernels and scalars are exactly what ``Matrix`` arithmetic
+    applies for the parameter's dtype (see ``Matrix._binary``), so the
+    step computes the same values without wrapping each intermediate.
+    """
+
+    __slots__ = ("param", "dtype", "mul", "add", "sub", "momentum", "lr", "velocity")
+
+    def __init__(self, param: Parameter, lr: float, momentum: float):
+        raw = param.value.raw
+        self.param = param
+        self.dtype = param.value.dtype
+        if self.dtype == "fixed32":
+            self.mul, self.add, self.sub = fx.fx_mul, fx.fx_add, fx.fx_sub
+            self.momentum, self.lr = fx.to_fixed(momentum), fx.to_fixed(lr)
+        else:
+            self.mul, self.add, self.sub = np.multiply, np.add, np.subtract
+            self.momentum = np.array(momentum, dtype=raw.dtype)
+            self.lr = np.array(lr, dtype=raw.dtype)
+        self.velocity = np.zeros_like(raw)
+
+
 class SGD(Optimizer):
     """Stochastic gradient descent with classical momentum.
 
     ``v <- momentum * v + grad;  w <- w - lr * v`` -- the Sutskever et
     al. formulation cited by the paper.
+
+    The step runs on the raw buffers, with each parameter's kernels and
+    encoded ``lr``/``momentum`` resolved once, at construction; only the
+    new ``param.value`` is wrapped.  It is rebound, never written in
+    place, because callers may hold the old value.
     """
 
     def __init__(
@@ -51,19 +83,15 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        self._velocity: Dict[int, Matrix] = {}
+        self._slots = [_Slot(param, lr, momentum) for param in self.parameters]
 
     def step(self) -> None:
-        for param in self.parameters:
-            grad = param.grad
-            if self.momentum > 0.0:
-                vel = self._velocity.get(id(param))
-                if vel is None:
-                    vel = Matrix.zeros(grad.rows, grad.cols, dtype=grad.dtype)
-                vel = vel * self.momentum + grad
-                self._velocity[id(param)] = vel
-                update = vel
-            else:
-                update = grad
-            param.value = param.value - update * self.lr
-
+        use_momentum = self.momentum > 0.0
+        for slot in self._slots:
+            param = slot.param
+            update = param.grad.raw
+            if use_momentum:
+                update = slot.add(slot.mul(slot.velocity, slot.momentum), update)
+                slot.velocity = update
+            new_value = slot.sub(param.value.raw, slot.mul(update, slot.lr))
+            param.value = _wrap(new_value, slot.dtype)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kml import mathops
+from repro.kml import fixedpoint, mathops
 
 
 class TestExp:
@@ -170,3 +170,65 @@ class TestLibmFree:
     )
     def test_guard_catches(self, snippet):
         assert self._violations(snippet)
+
+
+class TestFixedpointIntegerOnly:
+    """The fixed32 arithmetic kernels divide only with ``//`` and use no
+    float literal, the way FPU-free kernel code must."""
+
+    KERNELS = {
+        "_saturate",
+        "fx_add",
+        "fx_sub",
+        "fx_neg",
+        "fx_mul",
+        "fx_div",
+        "fx_matmul",
+        "fx_sum",
+        "fx_sigmoid",
+    }
+
+    def _violations(self, source: str) -> list:
+        found = []
+        for func in ast.walk(ast.parse(source)):
+            if not (isinstance(func, ast.FunctionDef) and func.name in self.KERNELS):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.Div
+                ):
+                    found.append(f"{func.name}: true division")
+                elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+                    found.append(f"{func.name}: float literal {node.value!r}")
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")
+                    and node.attr in ("divide", "true_divide", "float32", "float64")
+                ):
+                    found.append(f"{func.name}: np.{node.attr}")
+        return found
+
+    def test_fixedpoint_kernels_are_integer_only(self):
+        with open(fixedpoint.__file__) as f:
+            source = f.read()
+        tree = ast.parse(source)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert self.KERNELS <= defined
+        assert self._violations(source) == []
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "def fx_div(a, b):\n    return a / b",
+            "def fx_mul(a, b):\n    a /= b",
+            "def _saturate(x):\n    return x * 0.5",
+            "def fx_sum(a):\n    return np.divide(a, 2)",
+            "def fx_sigmoid(a):\n    return a.astype(np.float64)",
+        ],
+    )
+    def test_guard_catches(self, snippet):
+        assert self._violations(snippet)
+
+    def test_guard_ignores_other_functions(self):
+        assert self._violations("def to_fixed(v):\n    return v * 65536.0 / 1.0") == []

@@ -54,3 +54,24 @@ class TestSGD:
             opt.step()
         assert p.value.item() == pytest.approx(3.0, abs=1e-3)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64", "fixed32"])
+    @pytest.mark.parametrize("momentum", [0.0, 0.99])
+    def test_raw_step_matches_matrix_arithmetic(self, dtype, momentum):
+        """The raw-buffer step computes what the Matrix formula does, bit for bit."""
+        rng = np.random.default_rng(4)
+        p = Parameter("w", Matrix(rng.uniform(-2, 2, size=(3, 4)), dtype=dtype))
+        opt = SGD([p], lr=0.01, momentum=momentum)
+        value = p.value
+        vel = Matrix.zeros(3, 4, dtype=dtype)
+        for _ in range(5):
+            p.grad = Matrix(rng.uniform(-3, 3, size=(3, 4)), dtype=dtype)
+            old = p.value
+            old_raw = old.raw.copy()
+            opt.step()
+            update = p.grad
+            if momentum:
+                vel = update = vel * momentum + p.grad
+            value = value - update * 0.01
+            assert p.value == value
+            assert p.value is not old
+            np.testing.assert_array_equal(old.raw, old_raw)

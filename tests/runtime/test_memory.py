@@ -1,8 +1,11 @@
 """Tests for memory accounting and reservation."""
 
+import numpy as np
 import pytest
 
+from repro.kml import Linear, Sequential
 from repro.kml.matrix import Matrix
+from repro.readahead.model import build_network
 from repro.runtime.memory import KmlMemoryError, MemoryAccountant
 
 
@@ -111,16 +114,29 @@ class TestMatrixObservation:
         one float32 row allocates its input and, per Linear, a matmul and a
         bias-add result, per Sigmoid one output: 11 buffers, 668 bytes.
         """
-        import numpy as np
-
-        from repro.kml import Linear, Sequential
-        from repro.readahead.model import build_network
-
-        network = build_network(rng=np.random.default_rng(0))
-        model = Sequential([Linear(5, 5, rng=np.random.default_rng(1))] + network.layers)
-        features = np.array([[30_000.0, 950.0, 830.0, 70.0, 128.0]])
-        acc = MemoryAccountant()
-        with acc:
-            model.predict_classes(features)
+        acc = _single_row_inference_traffic("float32")
         assert acc.total_allocated == 668
         assert acc.allocation_count == 11
+
+    def test_single_row_inference_traffic_fixed32(self):
+        """The same 11 buffers and 668 bytes in fixed32 (int32 is 4 bytes).
+
+        The sigmoid lookup table is shared by the process and built
+        outside any model, so it is not a per-model allocation.
+        """
+        acc = _single_row_inference_traffic("fixed32")
+        assert acc.total_allocated == 668
+        assert acc.allocation_count == 11
+
+
+def _single_row_inference_traffic(dtype: str) -> MemoryAccountant:
+    """Account one single-row ``predict_classes`` through a fused
+    z-score ``Linear(5, 5)`` and the readahead network in ``dtype``."""
+    network = build_network(dtype=dtype, rng=np.random.default_rng(0))
+    fused = Linear(5, 5, dtype=dtype, rng=np.random.default_rng(1))
+    model = Sequential([fused] + network.layers)
+    features = np.array([[30_000.0, 950.0, 830.0, 70.0, 128.0]])
+    acc = MemoryAccountant()
+    with acc:
+        model.predict_classes(features)
+    return acc
