@@ -13,26 +13,19 @@ Expected shapes:
     semantics), readrandom behaves like the small-ra configuration.
 """
 
-import numpy as np
 import pytest
 
 from common import MEMTABLE_BYTES, NUM_KEYS, SEED, VALUE_SIZE, write_result
 
-from repro.minikv import DBOptions, MiniKV
-from repro.os_sim import make_stack
-from repro.workloads import populate_db, run_workload, workload_by_name
+from repro.workloads import load_stack, run_closed_loop
 
 
 def throughput(device, cache_pages, ra, n_ops=4000):
-    stack = make_stack(device, ra_pages=ra, cache_pages=cache_pages)
-    db = MiniKV(stack, DBOptions(memtable_bytes=MEMTABLE_BYTES))
-    populate_db(db, NUM_KEYS, VALUE_SIZE, np.random.default_rng(SEED))
-    stack.set_readahead(ra)
-    stack.drop_caches()
-    workload = workload_by_name("readrandom", NUM_KEYS, VALUE_SIZE)
-    result = run_workload(
-        stack, db, workload, n_ops, np.random.default_rng(SEED + 1)
+    loaded = load_stack(
+        device, NUM_KEYS, VALUE_SIZE, cache_pages,
+        memtable_bytes=MEMTABLE_BYTES, seed=SEED, ra_pages=ra,
     )
+    result, _ = run_closed_loop(loaded, "readrandom", ra_pages=ra, n_ops=n_ops)
     return result.throughput
 
 

@@ -10,44 +10,23 @@ series, window by window.
 import numpy as np
 import pytest
 
-from common import (
-    SEED,
-    VANILLA_RA,
-    WINDOW_S,
-    fresh_loaded_stack,
-    write_result,
-)
+from common import VANILLA_RA, WINDOW_S, run_loop, write_result
 
 from repro.readahead import ReadaheadAgent
-from repro.workloads import run_workload, workload_by_name
 
 SIM_SECONDS = 2.0
-NUM_KEYS = 60_000
-VALUE_SIZE = 400
 
 
 def run_timeline(deployable, tuning_table, use_agent):
-    stack, db = fresh_loaded_stack("nvme")
-    agent = (
-        ReadaheadAgent(stack, deployable, tuning_table, "nvme", smoothing=3)
+    policy = (
+        (lambda stack: ReadaheadAgent(
+            stack, deployable, tuning_table, "nvme", smoothing=3
+        ))
         if use_agent
         else None
     )
-    workload = workload_by_name("mixgraph", NUM_KEYS, VALUE_SIZE)
-    result = run_workload(
-        stack,
-        db,
-        workload,
-        n_ops=10**9,
-        rng=np.random.default_rng(SEED + 1),
-        tick_interval=WINDOW_S,
-        on_tick=agent.on_tick if agent else None,
-        max_sim_seconds=SIM_SECONDS,
-    )
-    ra_series = dict(agent.ra_timeline) if agent else {}
-    if agent:
-        agent.detach()
-    return result, ra_series
+    result, agent = run_loop("nvme", "mixgraph", policy, SIM_SECONDS)
+    return result, dict(agent.ra_timeline) if agent else {}
 
 
 @pytest.mark.benchmark(group="fig2")

@@ -11,39 +11,21 @@ data at all), but pays an exploration tax early, so the classifier
 wins on short runs.
 """
 
-import numpy as np
 import pytest
 
-from common import (
-    SEED,
-    VANILLA_RA,
-    WINDOW_S,
-    fresh_loaded_stack,
-    run_pair,
-    write_result,
-)
+from common import run_loop, run_pair, write_result
 
 from repro.readahead import BanditReadaheadTuner
-from repro.workloads import run_workload, workload_by_name
 
-NUM_KEYS = 60_000
-VALUE_SIZE = 400
 SIM_SECONDS = 2.0
 
 
 def bandit_throughput(workload_name):
-    stack, db = fresh_loaded_stack("nvme")
-    tuner = BanditReadaheadTuner(stack, arms=(8, 32, 128, 512))
-    workload = workload_by_name(workload_name, NUM_KEYS, VALUE_SIZE)
-    result = run_workload(
-        stack,
-        db,
-        workload,
-        n_ops=10**9,
-        rng=np.random.default_rng(SEED + 1),
-        tick_interval=WINDOW_S,
-        on_tick=tuner.on_tick,
-        max_sim_seconds=SIM_SECONDS,
+    result, tuner = run_loop(
+        "nvme",
+        workload_name,
+        lambda stack: BanditReadaheadTuner(stack, arms=(8, 32, 128, 512)),
+        SIM_SECONDS,
     )
     return result.throughput, tuner
 

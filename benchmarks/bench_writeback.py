@@ -11,14 +11,11 @@ Expected shapes: eager unbatched writeback is far worse than batched
 the online tuner lands on a batched configuration.
 """
 
-import numpy as np
 import pytest
 
 from common import write_result
 
-from repro.minikv import DBOptions, MiniKV
-from repro.os_sim import make_stack
-from repro.workloads import populate_db, run_workload, workload_by_name
+from repro.workloads import load_stack, run_closed_loop
 from repro.writeback import (
     DEFAULT_CONFIGS,
     WritebackBanditTuner,
@@ -74,34 +71,22 @@ def test_writeback_policy_sweep(benchmark):
 def test_online_tuner_beats_worst_policy(benchmark):
     outcome = {}
 
+    def run_fillrandom(policy=None):
+        loaded = load_stack(
+            "ssd", NUM_KEYS, VALUE_SIZE, CACHE_PAGES, memtable_bytes=MEMTABLE
+        )
+        # Start from the worst policy; a tuner must climb out.
+        return run_closed_loop(
+            loaded, "fillrandom", policy=policy,
+            prepare=DEFAULT_CONFIGS[0].apply, sim_seconds=0.2, window=0.002,
+        )
+
     def run_tuned():
-        stack = make_stack("ssd", cache_pages=CACHE_PAGES)
-        db = MiniKV(stack, DBOptions(memtable_bytes=MEMTABLE))
-        populate_db(db, NUM_KEYS, VALUE_SIZE, np.random.default_rng(42))
-        # Start from the worst policy; the tuner must climb out.
-        DEFAULT_CONFIGS[0].apply(stack)
-        stack.drop_caches()
-        tuner = WritebackBanditTuner(stack, exploration=0.5)
-        workload = workload_by_name("fillrandom", NUM_KEYS, VALUE_SIZE)
-        result = run_workload(
-            stack, db, workload, n_ops=10**9,
-            rng=np.random.default_rng(43),
-            tick_interval=0.002, on_tick=tuner.on_tick,
-            max_sim_seconds=0.2,
+        result, outcome["tuner"] = run_fillrandom(
+            lambda stack: WritebackBanditTuner(stack, exploration=0.5)
         )
         outcome["tuned"] = result.throughput
-        outcome["tuner"] = tuner
-
-        stack2 = make_stack("ssd", cache_pages=CACHE_PAGES)
-        db2 = MiniKV(stack2, DBOptions(memtable_bytes=MEMTABLE))
-        populate_db(db2, NUM_KEYS, VALUE_SIZE, np.random.default_rng(42))
-        DEFAULT_CONFIGS[0].apply(stack2)  # pinned worst policy
-        stack2.drop_caches()
-        workload = workload_by_name("fillrandom", NUM_KEYS, VALUE_SIZE)
-        outcome["pinned"] = run_workload(
-            stack2, db2, workload, n_ops=10**9,
-            rng=np.random.default_rng(43), max_sim_seconds=0.2,
-        ).throughput
+        outcome["pinned"] = run_fillrandom()[0].throughput
         return outcome
 
     benchmark.pedantic(run_tuned, rounds=1, iterations=1)

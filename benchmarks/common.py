@@ -15,12 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.minikv import DBOptions, MiniKV
-from repro.os_sim import make_stack
 from repro.readahead import ReadaheadAgent, TuningTable
-from repro.workloads import populate_db, run_workload, workload_by_name
+from repro.workloads import load_stack, run_closed_loop
 
 # ----------------------------------------------------------------------
 # Scale
@@ -87,14 +83,31 @@ def write_result(name: str, text: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def fresh_loaded_stack(device: str, seed: int = SEED):
-    """A populated DB on a cold stack with the vanilla readahead."""
-    stack = make_stack(device, ra_pages=VANILLA_RA, cache_pages=CACHE_PAGES)
-    db = MiniKV(stack, DBOptions(memtable_bytes=MEMTABLE_BYTES))
-    populate_db(db, NUM_KEYS, VALUE_SIZE, np.random.default_rng(seed))
-    stack.set_readahead(VANILLA_RA)
-    stack.drop_caches()
-    return stack, db
+def run_loop(
+    device: str,
+    workload_name: str,
+    policy=None,
+    sim_seconds: Optional[float] = None,
+    seed: int = SEED,
+):
+    """One Table-2 run under ``policy`` on a freshly populated cold stack.
+
+    Returns the run and the policy, as ``run_closed_loop`` does.
+    """
+    loaded = load_stack(
+        device, NUM_KEYS, VALUE_SIZE, CACHE_PAGES,
+        memtable_bytes=MEMTABLE_BYTES, seed=seed, ra_pages=VANILLA_RA,
+    )
+    return run_closed_loop(
+        loaded,
+        workload_name,
+        policy=policy,
+        ra_pages=VANILLA_RA,
+        sim_seconds=(
+            sim_seconds if sim_seconds is not None else SIM_SECONDS[workload_name]
+        ),
+        window=WINDOW_S,
+    )
 
 
 @dataclass
@@ -122,36 +135,20 @@ def run_pair(
     seed: int = SEED,
 ) -> PairResult:
     """Measure the same workload under vanilla and KML-tuned readahead."""
-    sim_s = sim_seconds if sim_seconds is not None else SIM_SECONDS[workload_name]
-
-    def one(use_agent: bool) -> Tuple[float, Dict[str, int]]:
-        stack, db = fresh_loaded_stack(device, seed=seed)
-        agent = (
-            ReadaheadAgent(
-                stack, deployable, tuning, device, smoothing=smoothing
-            )
-            if use_agent
-            else None
-        )
-        workload = workload_by_name(workload_name, NUM_KEYS, VALUE_SIZE)
-        result = run_workload(
-            stack,
-            db,
-            workload,
-            n_ops=10**9,
-            rng=np.random.default_rng(seed + 1),
-            tick_interval=WINDOW_S,
-            on_tick=agent.on_tick if agent else None,
-            max_sim_seconds=sim_s,
-        )
-        predictions = agent.predicted_class_counts() if agent else {}
-        if agent:
-            agent.detach()
-        return result.throughput, predictions
-
-    vanilla, _ = one(False)
-    kml, predictions = one(True)
-    return PairResult(workload_name, device, vanilla, kml, predictions)
+    vanilla, _ = run_loop(device, workload_name, None, sim_seconds, seed)
+    kml, agent = run_loop(
+        device,
+        workload_name,
+        lambda stack: ReadaheadAgent(
+            stack, deployable, tuning, device, smoothing=smoothing
+        ),
+        sim_seconds,
+        seed,
+    )
+    return PairResult(
+        workload_name, device, vanilla.throughput, kml.throughput,
+        agent.predicted_class_counts(),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.kml import CrossEntropyLoss, SGD
 from repro.kml.matrix import Matrix
-from repro.minikv import DBOptions, MiniKV
 from repro.obs import (
     MetricsRegistry,
     format_report,
@@ -29,7 +28,6 @@ from repro.obs import (
     instrument_tracepoints,
     instrument_trainer,
 )
-from repro.os_sim import make_stack
 from repro.readahead import BanditReadaheadTuner
 from repro.readahead.features import FeatureCollector
 from repro.readahead.model import build_network
@@ -38,7 +36,7 @@ from repro.runtime import (
     CircularBuffer,
     kernel_environment,
 )
-from repro.workloads import populate_db, run_workload, workload_by_name
+from repro.workloads import load_stack, run_closed_loop
 
 NUM_KEYS = 20_000
 VALUE_SIZE = 400
@@ -49,16 +47,14 @@ def part1_online_training():
     print("=== part 1: online (in-kernel) training ===")
     env = kernel_environment(reservation=8 << 20)
 
-    stack = make_stack("nvme", ra_pages=128, cache_pages=CACHE_PAGES)
-    db = MiniKV(stack, DBOptions(memtable_bytes=1 << 20))
-    populate_db(db, NUM_KEYS, VALUE_SIZE, np.random.default_rng(0))
-    stack.drop_caches()
+    loaded = load_stack(
+        "nvme", NUM_KEYS, VALUE_SIZE, CACHE_PAGES, memtable_bytes=1 << 20, seed=0
+    )
 
     network = build_network(rng=np.random.default_rng(1))
     optimizer = SGD(network.parameters(), lr=0.01, momentum=0.99)
     loss_fn = CrossEntropyLoss()
     buffer = CircularBuffer(256)
-    collector = FeatureCollector(stack)
     label = 1  # we know readrandom is running: self-supervision stand-in
 
     def train_on_batch(batch):
@@ -78,20 +74,26 @@ def part1_online_training():
     instrument_buffer(buffer, registry, sample_mask=0)
     instrument_trainer(trainer, registry)
     instrument_memory(env.memory, registry)
-    instrument_tracepoints(stack.tracepoints, registry)
-    workload = workload_by_name("readrandom", NUM_KEYS, VALUE_SIZE)
 
-    def on_tick(t, rate):
-        sample = collector.snapshot()
-        if not buffer.push(sample):
-            env.kml_log_warn(f"t={t:.1f}: sample dropped (buffer full)")
+    class Sampler:
+        """Per-window policy: push the window's features for training."""
+
+        def __init__(self, stack):
+            self.collector = FeatureCollector(stack)
+            instrument_tracepoints(stack.tracepoints, registry)
+
+        def on_tick(self, t, rate):
+            if not buffer.push(self.collector.snapshot()):
+                env.kml_log_warn(f"t={t:.1f}: sample dropped (buffer full)")
+
+        def detach(self):
+            self.collector.detach()
 
     with trainer:
-        run_workload(
-            stack, db, workload, n_ops=10**9, rng=np.random.default_rng(2),
-            tick_interval=0.05, on_tick=on_tick, max_sim_seconds=1.0,
+        run_closed_loop(
+            loaded, "readrandom", policy=Sampler, sim_seconds=1.0,
+            window=0.05, rng_seed=2,
         )
-    collector.detach()
     print(f"  samples trained on : {trainer.samples_seen} "
           f"(dropped: {buffer.dropped})")
     print(f"  FPU sections used  : {env.fpu_sections}")
@@ -102,26 +104,21 @@ def part1_online_training():
 
 def part2_bandit_tuner():
     print("\n=== part 2: reinforcement-learning readahead tuner ===")
-    stack = make_stack("ssd", ra_pages=128, cache_pages=CACHE_PAGES)
-    db = MiniKV(stack, DBOptions(memtable_bytes=1 << 20))
-    populate_db(db, NUM_KEYS, VALUE_SIZE, np.random.default_rng(0))
-    stack.drop_caches()
+    loaded = load_stack(
+        "ssd", NUM_KEYS, VALUE_SIZE, CACHE_PAGES, memtable_bytes=1 << 20, seed=0
+    )
 
     # Baseline: untouched default.
-    workload = workload_by_name("readrandom", NUM_KEYS, VALUE_SIZE)
-    baseline = run_workload(
-        stack, db, workload, n_ops=10**9, rng=np.random.default_rng(3),
-        max_sim_seconds=0.6,
-    ).throughput
+    baseline = run_closed_loop(
+        loaded, "readrandom", sim_seconds=0.6, rng_seed=3
+    )[0].throughput
 
-    stack.set_readahead(128)
-    stack.drop_caches()
-    tuner = BanditReadaheadTuner(stack, arms=(8, 32, 128, 512))
-    workload = workload_by_name("readrandom", NUM_KEYS, VALUE_SIZE)
-    tuned = run_workload(
-        stack, db, workload, n_ops=10**9, rng=np.random.default_rng(3),
-        tick_interval=0.05, on_tick=tuner.on_tick, max_sim_seconds=1.5,
-    ).throughput
+    result, tuner = run_closed_loop(
+        loaded, "readrandom",
+        policy=lambda stack: BanditReadaheadTuner(stack, arms=(8, 32, 128, 512)),
+        ra_pages=128, sim_seconds=1.5, window=0.05, rng_seed=3,
+    )
+    tuned = result.throughput
 
     print(f"  vanilla (ra=128)      : {baseline:,.0f} ops/s")
     print(f"  bandit-tuned          : {tuned:,.0f} ops/s "

@@ -22,15 +22,13 @@ import tempfile
 import numpy as np
 
 from repro.kml import load_model, save_model
-from repro.minikv import DBOptions, MiniKV
-from repro.os_sim import make_stack
 from repro.readahead import (
     ReadaheadClassifier,
     TraceWriter,
     dataset_from_traces,
     read_trace,
 )
-from repro.workloads import populate_db, run_workload, workload_by_name
+from repro.workloads import load_stack, run_workload, workload_by_name
 
 NUM_KEYS = 20_000
 VALUE_SIZE = 400
@@ -40,17 +38,17 @@ WORKLOADS = ("readseq", "readrandom", "readreverse", "readrandomwriterandom")
 
 def record(workload_name: str, path: str, seed: int = 0) -> int:
     """Run one workload with the trace recorder attached."""
-    stack = make_stack("nvme", ra_pages=128, cache_pages=CACHE_PAGES)
-    db = MiniKV(stack, DBOptions(memtable_bytes=8 << 20))
-    populate_db(db, NUM_KEYS, VALUE_SIZE, np.random.default_rng(seed))
+    loaded = load_stack("nvme", NUM_KEYS, VALUE_SIZE, CACHE_PAGES, seed=seed)
+    stack = loaded.stack
     stack.drop_caches()
     with TraceWriter(stack, path) as writer:
-        # Vary the readahead knob mid-run so feature (v) is informative.
+        # Vary the readahead knob mid-run so feature (v) is informative;
+        # the three segments share one warm page cache.
         for i, ra in enumerate((8, 64, 512)):
             stack.set_readahead(ra)
             workload = workload_by_name(workload_name, NUM_KEYS, VALUE_SIZE)
             run_workload(
-                stack, db, workload, n_ops=10**9,
+                stack, loaded.db, workload, n_ops=10**9,
                 rng=np.random.default_rng(seed + i),
                 max_sim_seconds=0.25,
             )

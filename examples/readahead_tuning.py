@@ -21,8 +21,6 @@ import tempfile
 import numpy as np
 
 from repro.kml import load_model, save_model
-from repro.minikv import DBOptions, MiniKV
-from repro.os_sim import make_stack
 from repro.readahead import (
     CollectionConfig,
     ReadaheadAgent,
@@ -30,7 +28,7 @@ from repro.readahead import (
     collect_training_data,
     sweep_best_readahead,
 )
-from repro.workloads import populate_db, run_workload, workload_by_name
+from repro.workloads import load_stack, run_closed_loop
 
 NUM_KEYS = 30_000
 VALUE_SIZE = 400
@@ -87,23 +85,20 @@ def main():
 
     # --- 6. closed loop on a never-seen workload
     def run_mixgraph(agent_enabled):
-        stack = make_stack("nvme", ra_pages=128, cache_pages=CACHE_PAGES)
-        db = MiniKV(stack, DBOptions(memtable_bytes=1 << 20))
-        populate_db(db, NUM_KEYS, VALUE_SIZE, np.random.default_rng(SEED))
-        stack.set_readahead(128)
-        stack.drop_caches()
-        agent = (
-            ReadaheadAgent(stack, deployed, tuning, "nvme", smoothing=3)
-            if agent_enabled
-            else None
+        loaded = load_stack(
+            "nvme", NUM_KEYS, VALUE_SIZE, CACHE_PAGES,
+            memtable_bytes=1 << 20, seed=SEED,
         )
-        workload = workload_by_name("mixgraph", NUM_KEYS, VALUE_SIZE)
-        result = run_workload(
-            stack, db, workload, n_ops=10**9,
-            rng=np.random.default_rng(SEED + 1),
-            tick_interval=WINDOW_S,
-            on_tick=agent.on_tick if agent else None,
-            max_sim_seconds=1.2,
+        result, agent = run_closed_loop(
+            loaded, "mixgraph",
+            policy=(
+                (lambda stack: ReadaheadAgent(
+                    stack, deployed, tuning, "nvme", smoothing=3
+                ))
+                if agent_enabled
+                else None
+            ),
+            ra_pages=128, sim_seconds=1.2, window=WINDOW_S,
         )
         return result.throughput, agent
 

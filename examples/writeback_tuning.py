@@ -11,11 +11,7 @@ throughput rewards alone, starting from the *worst* policy.
 Run:  python examples/writeback_tuning.py    (~1 minute)
 """
 
-import numpy as np
-
-from repro.minikv import DBOptions, MiniKV
-from repro.os_sim import make_stack
-from repro.workloads import populate_db, run_workload, workload_by_name
+from repro.workloads import load_stack, run_closed_loop
 from repro.writeback import (
     DEFAULT_CONFIGS,
     WritebackBanditTuner,
@@ -46,16 +42,14 @@ def main():
         print(f"    best: {sweep.best()}")
 
     print("\nonline tuner, starting pinned at the worst policy (ssd) ...")
-    stack = make_stack("ssd", cache_pages=CACHE_PAGES)
-    db = MiniKV(stack, DBOptions(memtable_bytes=MEMTABLE))
-    populate_db(db, NUM_KEYS, VALUE_SIZE, np.random.default_rng(0))
-    DEFAULT_CONFIGS[0].apply(stack)  # eager, unbatched: the worst arm
-    stack.drop_caches()
-    tuner = WritebackBanditTuner(stack, exploration=0.5)
-    workload = workload_by_name("fillrandom", NUM_KEYS, VALUE_SIZE)
-    result = run_workload(
-        stack, db, workload, n_ops=10**9, rng=np.random.default_rng(1),
-        tick_interval=0.002, on_tick=tuner.on_tick, max_sim_seconds=0.2,
+    loaded = load_stack(
+        "ssd", NUM_KEYS, VALUE_SIZE, CACHE_PAGES, memtable_bytes=MEMTABLE, seed=0
+    )
+    result, tuner = run_closed_loop(
+        loaded, "fillrandom",
+        policy=lambda stack: WritebackBanditTuner(stack, exploration=0.5),
+        prepare=DEFAULT_CONFIGS[0].apply,  # eager, unbatched: the worst arm
+        sim_seconds=0.2, window=0.002,
     )
     print(f"  tuned throughput : {result.throughput:,.0f} ops/s")
     print(f"  converged config : {tuner.best_config}")

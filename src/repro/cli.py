@@ -5,9 +5,9 @@ Subcommands mirror the paper's workflow stages:
     repro collect    collect labeled training windows (tracepoints -> features)
     repro train      train the readahead classifier and save a .kml model
     repro sweep      build the workload -> best-readahead table
-    repro run        run a workload vanilla vs with the KML agent
+    repro run        run a workload vanilla vs with the KML agent, then
+                     report where the KML run's time went (metrics, spans)
     repro inspect    describe a saved .kml model file
-    repro obs        run a workload fully instrumented; export metrics
     repro faults     inject faults: named scenarios or the crash matrix
     repro serve      manage the versioned model registry
 
@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--ops-per-point", type=int, default=3000)
     sweep.add_argument("--seed", type=int, default=42)
 
-    run = sub.add_parser("run", help="run a workload vanilla vs KML")
+    run = sub.add_parser("run", help="run a workload vanilla vs KML, "
+                                     "then report the KML run's metrics")
     run.add_argument("--model", required=True, help=".kml model from `train`")
     run.add_argument("--tuning", required=True, help=".json from `sweep`")
     run.add_argument("--workload", default="mixgraph")
@@ -93,27 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--window", type=float, default=0.1)
     run.add_argument("--smoothing", type=int, default=3)
     run.add_argument("--seed", type=int, default=42)
+    run.add_argument("--prom-out", default=None,
+                     help="also write the KML run's Prometheus export here")
+    run.add_argument("--jsonl-out", default=None,
+                     help="also write a JSONL dump (metrics + spans) here")
 
     inspect = sub.add_parser("inspect", help="describe a .kml model file")
     inspect.add_argument("path")
-
-    obs = sub.add_parser(
-        "obs",
-        help="run a workload with full observability and export the metrics",
-    )
-    obs.add_argument("--workload", default="readrandom")
-    obs.add_argument("--device", default="nvme", choices=("nvme", "ssd"))
-    obs.add_argument("--num-keys", type=int, default=8_000)
-    obs.add_argument("--value-size", type=int, default=200)
-    obs.add_argument("--cache-pages", type=int, default=256)
-    obs.add_argument("--sim-seconds", type=float, default=0.5)
-    obs.add_argument("--pipeline-cycles", type=int, default=32,
-                     help="traced tracepoint->train->infer cycles to run")
-    obs.add_argument("--prom-out", default=None,
-                     help="also write the Prometheus text export here")
-    obs.add_argument("--jsonl-out", default=None,
-                     help="also write a JSONL dump (metrics + spans) here")
-    obs.add_argument("--seed", type=int, default=42)
 
     faults = sub.add_parser(
         "faults",
@@ -262,48 +249,65 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    """Vanilla vs the KML closed loop; the KML run fully instrumented."""
+    from . import obs
     from .kml import load_model
-    from .minikv import DBOptions, MiniKV
-    from .os_sim import make_stack
     from .readahead import ReadaheadAgent, TuningTable
-    from .workloads import populate_db, run_workload, workload_by_name
+    from .readahead.model import WORKLOAD_CLASSES
+    from .workloads import load_stack, run_closed_loop
 
     deployable = load_model(args.model)
     tuning = TuningTable.load(args.tuning)
+    for name in WORKLOAD_CLASSES:
+        tuning.best_ra(args.device, name)  # fail before any simulation
+    registry = obs.MetricsRegistry()
+    tracer = obs.Tracer(max_spans=4096)
 
-    def one(use_agent: bool):
-        stack = make_stack(
-            args.device, ra_pages=128, cache_pages=args.cache_pages
-        )
-        db = MiniKV(stack, DBOptions(memtable_bytes=8 << 20))
-        populate_db(
-            db, args.num_keys, args.value_size, np.random.default_rng(args.seed)
-        )
-        stack.set_readahead(128)
-        stack.drop_caches()
-        agent = (
-            ReadaheadAgent(
-                stack, deployable, tuning, args.device, smoothing=args.smoothing
-            )
-            if use_agent
-            else None
-        )
-        workload = workload_by_name(args.workload, args.num_keys, args.value_size)
-        result = run_workload(
-            stack, db, workload, n_ops=10**9,
-            rng=np.random.default_rng(args.seed + 1),
-            tick_interval=args.window,
-            on_tick=agent.on_tick if agent else None,
-            max_sim_seconds=args.sim_seconds,
-        )
-        return result.throughput, agent
+    class TracedAgent(ReadaheadAgent):
+        """The agent with each tick, one decision, as one span."""
 
-    vanilla, _ = one(False)
-    tuned, agent = one(True)
+        def on_tick(self, sim_time, rate):
+            with tracer.span("agent_tick", sim_time=sim_time) as span:
+                decision = super().on_tick(sim_time, rate)
+                span.tags.update(predicted=decision.predicted_name,
+                                 ra_pages=decision.ra_pages)
+            return decision
+
+    def leg(policy=None):
+        loaded = load_stack(args.device, args.num_keys, args.value_size,
+                            args.cache_pages, seed=args.seed)
+        if policy is not None:
+            obs.instrument_stack(loaded.stack, registry)
+            obs.instrument_minikv(loaded.db, registry)
+        return run_closed_loop(
+            loaded, args.workload, policy=policy, ra_pages=128,
+            sim_seconds=args.sim_seconds, window=args.window,
+        )
+
+    vanilla, _ = leg()
+    detach_matrix = obs.instrument_matrix_ops(registry)
+    detach_network = obs.instrument_network(registry)
+    try:
+        tuned, agent = leg(lambda stack: TracedAgent(
+            stack, deployable, tuning, args.device, smoothing=args.smoothing
+        ))
+    finally:
+        detach_matrix()
+        detach_network()
     print(f"{args.workload} on {args.device}:")
-    print(f"  vanilla (ra=128): {vanilla:,.0f} ops/s")
-    print(f"  KML closed loop : {tuned:,.0f} ops/s ({tuned / vanilla:.2f}x)")
+    print(f"  vanilla (ra=128): {vanilla.throughput:,.0f} ops/s")
+    print(f"  KML closed loop : {tuned.throughput:,.0f} ops/s "
+          f"({tuned.throughput / vanilla.throughput:.2f}x)")
     print(f"  classified as   : {agent.predicted_class_counts()}")
+    print()
+    print(obs.format_report(registry, tracer=tracer))
+    if args.prom_out:
+        with open(args.prom_out, "w") as f:
+            f.write(obs.prometheus_text(registry))
+        print(f"wrote {args.prom_out}")
+    if args.jsonl_out:
+        n = obs.dump_jsonl(registry, args.jsonl_out, tracer=tracer)
+        print(f"wrote {args.jsonl_out} ({n} records)")
     return 0
 
 
@@ -319,118 +323,6 @@ def _cmd_inspect(args) -> int:
             f"{model.num_features} features, depth {model.depth}, "
             f"{model.num_nodes} nodes"
         )
-    return 0
-
-
-def _cmd_obs(args) -> int:
-    """Run a workload + a traced ML pipeline under full instrumentation."""
-    from .kml import CrossEntropyLoss, SGD
-    from .kml.matrix import Matrix
-    from .minikv import DBOptions, MiniKV
-    from .obs import (
-        MetricsRegistry,
-        PipelineTrace,
-        Tracer,
-        dump_jsonl,
-        format_report,
-        instrument_buffer,
-        instrument_matrix_ops,
-        instrument_minikv,
-        instrument_network,
-        instrument_stack,
-        instrument_trainer,
-        prometheus_text,
-    )
-    from .os_sim import make_stack
-    from .readahead.model import build_network
-    from .runtime import AsyncTrainer, CircularBuffer
-    from .workloads import populate_db, run_workload, workload_by_name
-
-    registry = MetricsRegistry()
-    tracer = Tracer(max_spans=4096)
-    pipeline = PipelineTrace(tracer)
-    rng = np.random.default_rng(args.seed)
-
-    detach_matrix = instrument_matrix_ops(registry)
-    detach_network = instrument_network(registry)
-    try:
-        # -- storage side: an instrumented stack + DB running a workload
-        stack = make_stack(args.device, cache_pages=args.cache_pages)
-        instrument_stack(stack, registry)
-        db = MiniKV(stack, DBOptions(memtable_bytes=8 << 20))
-        instrument_minikv(db, registry)
-        populate_db(db, args.num_keys, args.value_size, rng)
-        stack.set_readahead(128)
-        stack.drop_caches()
-        workload = workload_by_name(
-            args.workload, args.num_keys, args.value_size
-        )
-        result = run_workload(
-            stack, db, workload, n_ops=10**9,
-            rng=np.random.default_rng(args.seed + 1),
-            tick_interval=0.1, max_sim_seconds=args.sim_seconds,
-        )
-        print(
-            f"workload {args.workload} on {args.device}: "
-            f"{result.ops} ops in {result.elapsed:.2f} simulated s "
-            f"({result.throughput:,.0f} ops/s)"
-        )
-
-        # -- ML side: the async tracepoint->buffer->train pipeline
-        network = build_network(rng=np.random.default_rng(args.seed))
-        loss_fn = CrossEntropyLoss()
-        optimizer = SGD(network.parameters(), lr=0.01)
-
-        def train_fn(batch):
-            x = Matrix(np.stack([features for features, _ in batch]))
-            labels = [label for _, label in batch]
-            network.train_step(x, labels, loss_fn, optimizer)
-
-        buffer = CircularBuffer(1024)
-        instrument_buffer(buffer, registry)
-        trainer = AsyncTrainer(buffer, train_fn, batch_size=16,
-                               poll_interval=0.0005)
-        instrument_trainer(trainer, registry)
-        n_samples = 128
-        with trainer:
-            for _ in range(n_samples):
-                buffer.push((rng.normal(size=5), int(rng.integers(0, 4))))
-        # trainer.stop() (via the context manager) drains the ring.
-
-        # -- traced cycles: one causally-linked trace per data cycle
-        for i in range(args.pipeline_cycles):
-            features = rng.normal(size=5)
-            label = int(rng.integers(0, 4))
-            with pipeline.cycle(cycle=i):
-                with pipeline.stage("tracepoint_emit"):
-                    stack.tracepoints.emit(
-                        "mark_page_accessed", stack.now, ino=1, page=i
-                    )
-                with pipeline.stage("buffer_push"):
-                    buffer.push((features, label))
-                with pipeline.stage("buffer_pop"):
-                    batch = buffer.drain(1)
-                with pipeline.stage("train_batch"):
-                    train_fn(batch)
-                with pipeline.stage("inference"):
-                    network.predict_classes(features.reshape(1, -1))
-
-        print()
-        print(format_report(registry, tracer=tracer, pipeline=pipeline))
-        prom = prometheus_text(registry)
-        print()
-        print("# ---- Prometheus text exposition ----")
-        print(prom, end="")
-        if args.prom_out:
-            with open(args.prom_out, "w") as f:
-                f.write(prom)
-            print(f"wrote {args.prom_out}")
-        if args.jsonl_out:
-            n = dump_jsonl(registry, args.jsonl_out, tracer=tracer)
-            print(f"wrote {args.jsonl_out} ({n} records)")
-    finally:
-        detach_matrix()
-        detach_network()
     return 0
 
 
@@ -621,7 +513,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "run": _cmd_run,
     "inspect": _cmd_inspect,
-    "obs": _cmd_obs,
     "faults": _cmd_faults,
     "serve": _cmd_serve,
     "report": _cmd_report,

@@ -9,9 +9,7 @@ package is that measurement substrate, three pillars:
   families in a :class:`MetricsRegistry` (process-global default plus
   injectable instances for tests);
 - :mod:`repro.obs.tracing` -- :class:`Tracer` with nested spans on the
-  monotonic clock and :class:`PipelineTrace`, which stitches
-  tracepoint-emit -> buffer-push -> buffer-pop -> train-batch ->
-  inference into one causally-linked trace;
+  monotonic clock;
 - :mod:`repro.obs.exporters` -- Prometheus text exposition, JSONL dump,
   and a human-readable report.
 
@@ -36,7 +34,7 @@ from .metrics import (
     get_default_registry,
     set_default_registry,
 )
-from .tracing import PIPELINE_STAGES, PipelineTrace, Span, Tracer
+from .tracing import Span, Tracer
 from .exporters import dump_jsonl, format_report, jsonl_lines, prometheus_text
 from .instrument import (
     instrument_buffer,
@@ -62,8 +60,6 @@ __all__ = [
     "MetricsRegistry",
     "get_default_registry",
     "set_default_registry",
-    "PIPELINE_STAGES",
-    "PipelineTrace",
     "Span",
     "Tracer",
     "dump_jsonl",

@@ -8,7 +8,7 @@ Three consumers of one :class:`~repro.obs.metrics.MetricsRegistry`:
 - :func:`jsonl_lines` / :func:`dump_jsonl` -- one JSON object per
   sample (plus optional span records) for offline analysis;
 - :func:`format_report` -- the at-a-glance operator report, optionally
-  with the pipeline-trace latency breakdown appended.
+  with a line on the tracer's spans.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from typing import Any, Dict, List, Optional
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .tracing import PipelineTrace, Tracer
+from .tracing import Tracer
 
 __all__ = ["prometheus_text", "jsonl_lines", "dump_jsonl", "format_report"]
 
@@ -146,7 +146,6 @@ def _format_child(name: str, labels: Dict[str, str], child) -> str:
 def format_report(
     registry: MetricsRegistry,
     tracer: Optional[Tracer] = None,
-    pipeline: Optional[PipelineTrace] = None,
 ) -> str:
     """Human-readable metrics report, grouped by subsystem prefix."""
     groups: Dict[str, List[str]] = {}
@@ -169,6 +168,4 @@ def format_report(
             f"{len(tracer.finished())} in the ring "
             f"(capacity {tracer.max_spans})"
         )
-    if pipeline is not None:
-        lines.append(pipeline.format())
     return "\n".join(lines)

@@ -1,15 +1,10 @@
-"""Span tracing on the monotonic clock, plus the pipeline stitcher.
+"""Span tracing on the monotonic clock.
 
 :class:`Tracer` produces nested :class:`Span` records: per-thread span
 stacks give parent/child causality, ``time.perf_counter`` gives
 monotonic timing, and finished spans land in a bounded ring (old spans
-are evicted, never the hot path blocked).
-
-:class:`PipelineTrace` is the KML-specific helper: it stitches one
-tracepoint-emit -> buffer-push -> buffer-pop -> train-batch ->
-inference cycle into a single causally-linked trace (all five stage
-spans share the root span's trace id) and keeps a per-stage latency
-breakdown the exporters can print.
+are evicted, never the hot path blocked).  ``repro run`` records each
+agent tick of the closed loop as one span.
 """
 
 from __future__ import annotations
@@ -19,18 +14,9 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-__all__ = ["Span", "Tracer", "PipelineTrace", "PIPELINE_STAGES"]
-
-#: The stages of one KML data cycle, in causal order.
-PIPELINE_STAGES: Tuple[str, ...] = (
-    "tracepoint_emit",
-    "buffer_push",
-    "buffer_pop",
-    "train_batch",
-    "inference",
-)
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -141,116 +127,3 @@ class Tracer:
         with self._lock:
             self._finished.clear()
 
-
-class PipelineTrace:
-    """Causally-linked per-cycle latency breakdown of the KML pipeline.
-
-    Usage::
-
-        pipeline = PipelineTrace(tracer)
-        with pipeline.cycle(cycle=7):
-            with pipeline.stage("tracepoint_emit"):
-                tracepoints.emit(...)
-            with pipeline.stage("buffer_push"):
-                buffer.push(sample)
-            ...
-
-    Each ``cycle`` opens a root ``pipeline_cycle`` span; every ``stage``
-    span nests under it, so all share one trace id.  Completed cycles
-    (all five stages seen) are what :meth:`stage_stats` summarizes.
-    """
-
-    ROOT_SPAN = "pipeline_cycle"
-
-    def __init__(self, tracer: Optional[Tracer] = None, max_cycles: int = 512):
-        self.tracer = tracer or Tracer()
-        self._cycles: deque = deque(maxlen=max_cycles)
-        self._local = threading.local()
-
-    @contextmanager
-    def cycle(self, **tags: Any):
-        if getattr(self._local, "current", None) is not None:
-            raise RuntimeError("pipeline cycles cannot nest")
-        stages: Dict[str, float] = {}
-        self._local.current = stages
-        trace_id = None
-        try:
-            with self.tracer.span(self.ROOT_SPAN, **tags) as root:
-                trace_id = root.trace_id
-                yield root
-        finally:
-            self._local.current = None
-            self._cycles.append({"trace_id": trace_id,
-                                 "tags": dict(tags), "stages": stages})
-
-    @contextmanager
-    def stage(self, name: str):
-        if name not in PIPELINE_STAGES:
-            raise ValueError(
-                f"unknown pipeline stage {name!r}; expected one of "
-                f"{PIPELINE_STAGES}"
-            )
-        stages = getattr(self._local, "current", None)
-        if stages is None:
-            raise RuntimeError("stage() must run inside a cycle()")
-        with self.tracer.span(name) as sp:
-            yield sp
-        stages[name] = sp.duration or 0.0
-
-    # ------------------------------------------------------------------
-
-    def cycles(self) -> List[Dict[str, Any]]:
-        return list(self._cycles)
-
-    def complete_cycles(self) -> List[Dict[str, Any]]:
-        """Cycles in which every pipeline stage was recorded."""
-        return [
-            c for c in self._cycles
-            if all(s in c["stages"] for s in PIPELINE_STAGES)
-        ]
-
-    def stage_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-stage latency stats over the complete cycles."""
-        complete = self.complete_cycles()
-        stats: Dict[str, Dict[str, float]] = {}
-        for stage in PIPELINE_STAGES:
-            values = sorted(c["stages"][stage] for c in complete)
-            if not values:
-                stats[stage] = {"count": 0, "mean": 0.0, "p50": 0.0,
-                                "p99": 0.0, "max": 0.0}
-                continue
-            n = len(values)
-            stats[stage] = {
-                "count": n,
-                "mean": sum(values) / n,
-                "p50": values[n // 2],
-                "p99": values[min(n - 1, int(n * 0.99))],
-                "max": values[-1],
-            }
-        return stats
-
-    def format(self) -> str:
-        """Human-readable per-stage latency breakdown."""
-        complete = self.complete_cycles()
-        lines = [
-            f"pipeline trace: {len(complete)} complete cycle(s) "
-            f"of {len(self._cycles)} recorded"
-        ]
-        if not complete:
-            lines.append("  (no complete tracepoint->train->infer cycle yet)")
-            return "\n".join(lines)
-        stats = self.stage_stats()
-        lines.append(
-            f"  {'stage':<16} {'count':>6} {'mean':>10} {'p50':>10} "
-            f"{'p99':>10} {'max':>10}"
-        )
-        for stage in PIPELINE_STAGES:
-            s = stats[stage]
-            lines.append(
-                f"  {stage:<16} {s['count']:>6d} "
-                f"{s['mean'] * 1e6:>8.1f}us {s['p50'] * 1e6:>8.1f}us "
-                f"{s['p99'] * 1e6:>8.1f}us {s['max'] * 1e6:>8.1f}us"
-            )
-        total = sum(stats[s]["mean"] for s in PIPELINE_STAGES)
-        lines.append(f"  {'end-to-end mean':<16} {'':>6} {total * 1e6:>8.1f}us")
-        return "\n".join(lines)

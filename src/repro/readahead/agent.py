@@ -52,7 +52,8 @@ class ReadaheadAgent:
         ``ReadaheadClassifier.to_deployable``) -- typically loaded from
         a KML model file, as in the paper's kernel deployment.
     tuning:
-        The workload -> best-readahead mapping from the empirical sweep.
+        The workload -> best-readahead mapping from the empirical sweep;
+        it must have an entry for every class on ``device``.
     device:
         Key into the tuning table ("nvme" or "ssd").
     files:
@@ -105,6 +106,9 @@ class ReadaheadAgent:
         self.tuning = tuning
         self.device = device
         self.classes = tuple(classes)
+        for name in self.classes:
+            # A class the table lacks fails here, not at the first tick.
+            tuning.best_ra(device, name)
         self.files: List[File] = list(files or [])
         self.sample_buffer = sample_buffer
         self.dtype = dtype
@@ -227,19 +231,10 @@ class ReadaheadAgent:
 
     # ------------------------------------------------------------------
 
-    def track_file(self, file: File) -> None:
-        self.files.append(file)
-
     @property
     def ra_timeline(self) -> List[tuple]:
         """(sim_time, ra_pages) pairs for Figure-2-style plots."""
         return [(d.sim_time, d.ra_pages) for d in self.history]
-
-    @property
-    def mean_inference_wall_s(self) -> float:
-        if not self.history:
-            return 0.0
-        return float(np.mean([d.inference_wall_s for d in self.history]))
 
     def predicted_class_counts(self) -> dict:
         counts: dict = {}

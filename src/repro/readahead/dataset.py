@@ -20,9 +20,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..minikv.db import DBOptions, MiniKV
-from ..os_sim.stack import make_stack
-from ..workloads import populate_db, run_workload, workload_by_name
+from ..os_sim.stack import StorageStack
+from ..workloads import load_stack, run_closed_loop
 from .features import FeatureCollector
 from .model import WORKLOAD_CLASSES
 
@@ -89,6 +88,34 @@ class CollectionConfig:
         return self.windows_per_value * len(self.ra_values) * self.ra_passes
 
 
+class _ScheduledCollection:
+    """Collection policy: a feature sample per window, ra on a schedule.
+
+    The readahead moves to the next ``schedule`` entry every
+    ``windows_per_value`` windows; the collector attaches before the
+    first value is set.
+    """
+
+    def __init__(
+        self, stack: StorageStack, schedule: List[int], windows_per_value: int
+    ):
+        self.stack = stack
+        self.schedule = schedule
+        self.windows_per_value = windows_per_value
+        self.collector = FeatureCollector(stack)
+        self.samples: List[np.ndarray] = []
+        stack.set_readahead(schedule[0])
+
+    def on_tick(self, sim_time: float, rate: float) -> None:
+        self.samples.append(self.collector.snapshot())
+        slot = len(self.samples) // self.windows_per_value
+        if slot < len(self.schedule):
+            self.stack.set_readahead(self.schedule[slot])
+
+    def detach(self) -> None:
+        self.collector.detach()
+
+
 def collect_training_data(
     config: Optional[CollectionConfig] = None,
     on_progress: Optional[Callable[[str, int], None]] = None,
@@ -108,51 +135,26 @@ def collect_training_data(
     ys: List[int] = []
     shuffle_rng = np.random.default_rng(config.seed + 777)
     for label, name in enumerate(config.workloads):
-        stack = make_stack(
-            config.device,
-            cache_pages=config.cache_pages,
-            ra_pages=config.ra_values[0],
+        loaded = load_stack(
+            config.device, config.num_keys, config.value_size,
+            config.cache_pages, memtable_bytes=config.memtable_bytes,
+            seed=config.seed, ra_pages=config.ra_values[0],
         )
-        db = MiniKV(stack, DBOptions(memtable_bytes=config.memtable_bytes))
-        populate_db(
-            db,
-            config.num_keys,
-            config.value_size,
-            np.random.default_rng(config.seed),
-        )
-        stack.drop_caches()
         # The ra schedule: shuffled passes so transitions vary.
         schedule: List[int] = []
         for _ in range(config.ra_passes):
             values = list(config.ra_values)
             shuffle_rng.shuffle(values)
             schedule.extend(values)
-        collector = FeatureCollector(stack)
-        collector.reset()
-        stack.set_readahead(schedule[0])
-        workload = workload_by_name(name, config.num_keys, config.value_size)
-        samples: List[np.ndarray] = []
-        state = {"window": 0}
-
-        def on_tick(t: float, rate: float) -> None:
-            samples.append(collector.snapshot())
-            state["window"] += 1
-            slot = state["window"] // config.windows_per_value
-            if slot < len(schedule):
-                stack.set_readahead(schedule[slot])
-
-        run_workload(
-            stack,
-            db,
-            workload,
-            n_ops=10**9,
-            rng=np.random.default_rng(config.seed + label),
-            tick_interval=config.window_s,
-            on_tick=on_tick,
-            max_sim_seconds=(config.windows_per_run + 0.5) * config.window_s,
+        _, policy = run_closed_loop(
+            loaded, name,
+            policy=lambda stack: _ScheduledCollection(
+                stack, schedule, config.windows_per_value
+            ),
+            sim_seconds=(config.windows_per_run + 0.5) * config.window_s,
+            window=config.window_s, rng_seed=config.seed + label,
         )
-        collector.detach()
-        kept = samples[config.skip_first_windows :]
+        kept = policy.samples[config.skip_first_windows :]
         xs.extend(kept)
         ys.extend([label] * len(kept))
         if on_progress is not None:

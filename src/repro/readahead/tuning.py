@@ -14,13 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from ..minikv.db import DBOptions, MiniKV
-from ..os_sim.stack import make_stack
-from ..workloads import populate_db, run_workload, workload_by_name
+from ..workloads import load_stack, run_closed_loop
 
 __all__ = [
     "PAPER_RA_VALUES",
@@ -128,16 +124,14 @@ def sweep_best_readahead(
     result = SweepResult(device=device)
     tuning = TuningTable()
     for name in workloads:
-        stack = make_stack(device, cache_pages=cache_pages, ra_pages=ra_values[0])
-        db = MiniKV(stack, DBOptions(memtable_bytes=memtable_bytes))
-        populate_db(db, num_keys, value_size, np.random.default_rng(seed))
+        loaded = load_stack(
+            device, num_keys, value_size, cache_pages,
+            memtable_bytes=memtable_bytes, seed=seed, ra_pages=ra_values[0],
+        )
         curve: Dict[int, float] = {}
         for ra in ra_values:
-            stack.set_readahead(int(ra))
-            stack.drop_caches()
-            workload = workload_by_name(name, num_keys, value_size)
-            run = run_workload(
-                stack, db, workload, ops_per_point, np.random.default_rng(seed + 1)
+            run, _ = run_closed_loop(
+                loaded, name, ra_pages=int(ra), n_ops=ops_per_point
             )
             curve[int(ra)] = run.throughput
         result.throughput[name] = curve

@@ -12,9 +12,17 @@ from .generators import (
     TRAINING_WORKLOADS,
     UpdateRandom,
     populate_db,
+    workload_by_name,
 )
 from .mixgraph import MixGraph
-from .runner import DEFAULT_CPU_OP_S, RunResult, run_workload
+from .runner import (
+    DEFAULT_CPU_OP_S,
+    LoadedStack,
+    RunResult,
+    load_stack,
+    run_closed_loop,
+    run_workload,
+)
 from .zipf import ZipfGenerator
 
 __all__ = [
@@ -36,24 +44,9 @@ __all__ = [
     "DEFAULT_CPU_OP_S",
     "RunResult",
     "run_workload",
+    "workload_by_name",
+    "LoadedStack",
+    "load_stack",
+    "run_closed_loop",
     "ZipfGenerator",
 ]
-
-
-def workload_by_name(name: str, num_keys: int, value_size: int = 100) -> Workload:
-    """Factory for the paper's six evaluation workloads."""
-    classes = {
-        "readseq": ReadSeq,
-        "readrandom": ReadRandom,
-        "readreverse": ReadReverse,
-        "readrandomwriterandom": ReadRandomWriteRandom,
-        "updaterandom": UpdateRandom,
-        "mixgraph": MixGraph,
-        "fillseq": FillSeq,
-        "fillrandom": FillRandom,
-    }
-    try:
-        cls = classes[name]
-    except KeyError:
-        raise ValueError(f"unknown workload {name!r}") from None
-    return cls(num_keys, value_size)

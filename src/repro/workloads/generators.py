@@ -14,6 +14,7 @@ import numpy as np
 
 from ..minikv.db import MiniKV
 from .base import Workload, make_key, make_value
+from .mixgraph import MixGraph
 
 __all__ = [
     "ReadSeq",
@@ -24,6 +25,7 @@ __all__ = [
     "FillSeq",
     "FillRandom",
     "populate_db",
+    "workload_by_name",
     "TRAINING_WORKLOADS",
     "EVAL_WORKLOADS",
 ]
@@ -165,3 +167,19 @@ EVAL_WORKLOADS = (
     "updaterandom",
     "mixgraph",
 )
+
+
+_BY_NAME = {
+    cls.name: cls
+    for cls in (ReadSeq, ReadRandom, ReadReverse, ReadRandomWriteRandom,
+                UpdateRandom, MixGraph, FillSeq, FillRandom)
+}
+
+
+def workload_by_name(name: str, num_keys: int, value_size: int = 100) -> Workload:
+    """Factory for the paper's six evaluation workloads (and the fills)."""
+    try:
+        cls = _BY_NAME[name]
+    except KeyError:
+        raise ValueError(f"unknown workload {name!r}") from None
+    return cls(num_keys, value_size)

@@ -6,11 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
-import numpy as np
-
-from ..minikv.db import DBOptions, MiniKV
-from ..os_sim.stack import make_stack
-from ..workloads import populate_db, run_workload, workload_by_name
+from ..workloads import load_stack, run_closed_loop
 from .configs import DEFAULT_CONFIGS, WritebackConfig
 
 __all__ = ["WritebackSweep", "sweep_writeback_configs"]
@@ -53,14 +49,12 @@ def sweep_writeback_configs(
     """
     sweep = WritebackSweep(device=device, workload=workload_name)
     for config in configs:
-        stack = make_stack(device, cache_pages=cache_pages)
-        db = MiniKV(stack, DBOptions(memtable_bytes=memtable_bytes))
-        populate_db(db, num_keys, value_size, np.random.default_rng(seed))
-        config.apply(stack)
-        stack.drop_caches()
-        workload = workload_by_name(workload_name, num_keys, value_size)
-        result = run_workload(
-            stack, db, workload, ops_per_point, np.random.default_rng(seed + 1)
+        loaded = load_stack(
+            device, num_keys, value_size, cache_pages,
+            memtable_bytes=memtable_bytes, seed=seed,
+        )
+        result, _ = run_closed_loop(
+            loaded, workload_name, prepare=config.apply, n_ops=ops_per_point
         )
         sweep.throughput[config] = result.throughput
     return sweep

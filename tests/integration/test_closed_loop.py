@@ -10,8 +10,6 @@ import pytest
 
 from repro.kml import load_model, save_model
 from repro.kml.metrics import k_fold_cross_validate
-from repro.minikv import DBOptions, MiniKV
-from repro.os_sim import make_stack
 from repro.readahead import (
     CollectionConfig,
     ReadaheadAgent,
@@ -21,9 +19,18 @@ from repro.readahead import (
     sweep_best_readahead,
 )
 from repro.runtime import AsyncTrainer, CircularBuffer, Mode
-from repro.workloads import populate_db, run_workload, workload_by_name
+from repro.workloads import load_stack, run_closed_loop
 
 TINY = dict(num_keys=6000, value_size=200, cache_pages=128)
+
+
+def run_tiny_loop(device, policy=None, sim_seconds=0.8):
+    """readrandom at TINY scale from vanilla readahead, under ``policy``."""
+    loaded = load_stack(device, memtable_bytes=1 << 20, **TINY)
+    return run_closed_loop(
+        loaded, "readrandom", policy=policy, ra_pages=128,
+        sim_seconds=sim_seconds, window=0.1, rng_seed=1,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -120,30 +127,13 @@ class TestClosedLoop:
             tuning.set("nvme", workload, ra)
         deployable = tiny_classifier.to_deployable()
 
-        def run(use_agent):
-            stack = make_stack("nvme", ra_pages=128, cache_pages=TINY["cache_pages"])
-            db = MiniKV(stack, DBOptions(memtable_bytes=1 << 20))
-            populate_db(db, TINY["num_keys"], TINY["value_size"],
-                        np.random.default_rng(42))
-            stack.set_readahead(128)
-            stack.drop_caches()
-            agent = (
-                ReadaheadAgent(stack, deployable, tuning, "nvme", smoothing=3)
-                if use_agent
-                else None
-            )
-            workload = workload_by_name("readrandom", TINY["num_keys"],
-                                        TINY["value_size"])
-            result = run_workload(
-                stack, db, workload, 10**9, np.random.default_rng(1),
-                tick_interval=0.1,
-                on_tick=agent.on_tick if agent else None,
-                max_sim_seconds=0.8,
-            )
-            return result.throughput
-
-        vanilla = run(False)
-        tuned = run(True)
+        vanilla = run_tiny_loop("nvme")[0].throughput
+        tuned = run_tiny_loop(
+            "nvme",
+            lambda stack: ReadaheadAgent(
+                stack, deployable, tuning, "nvme", smoothing=3
+            ),
+        )[0].throughput
         assert tuned > vanilla * 1.1  # the loop must actually help
 
     def test_agent_with_async_trainer_in_the_loop(self, tiny_classifier, tiny_dataset):
@@ -153,26 +143,26 @@ class TestClosedLoop:
         for workload in ("readseq", "readrandom", "readreverse",
                          "readrandomwriterandom"):
             tuning.set("nvme", workload, 32)
-        stack = make_stack("nvme", ra_pages=128, cache_pages=TINY["cache_pages"])
-        db = MiniKV(stack, DBOptions(memtable_bytes=1 << 20))
-        populate_db(db, 3000, 200, np.random.default_rng(0))
-        stack.drop_caches()
-
+        loaded = load_stack(
+            "nvme", 3000, 200, TINY["cache_pages"], memtable_bytes=1 << 20,
+            seed=0,
+        )
         buffer = CircularBuffer(256)
         trained_batches = []
         trainer = AsyncTrainer(buffer, train_fn=trained_batches.append)
-        agent = ReadaheadAgent(
-            stack,
-            tiny_classifier.to_deployable(),
-            tuning,
-            "nvme",
-            sample_buffer=buffer,
-        )
-        workload = workload_by_name("readrandom", 3000, 200)
         with trainer:
-            run_workload(
-                stack, db, workload, 10**9, np.random.default_rng(1),
-                tick_interval=0.1, on_tick=agent.on_tick, max_sim_seconds=0.6,
+            _, agent = run_closed_loop(
+                loaded,
+                "readrandom",
+                policy=lambda stack: ReadaheadAgent(
+                    stack,
+                    tiny_classifier.to_deployable(),
+                    tuning,
+                    "nvme",
+                    sample_buffer=buffer,
+                ),
+                sim_seconds=0.6,
+                window=0.1,
             )
         assert trainer.samples_seen == len(agent.history)
         assert sum(len(b) for b in trained_batches) == len(agent.history)
@@ -194,30 +184,13 @@ class TestCrossDeviceGeneralization:
                 tuning.set(device, workload, ra)
         deployable = tiny_classifier.to_deployable()
 
-        def run(use_agent):
-            stack = make_stack("ssd", ra_pages=128,
-                               cache_pages=TINY["cache_pages"])
-            db = MiniKV(stack, DBOptions(memtable_bytes=1 << 20))
-            populate_db(db, TINY["num_keys"], TINY["value_size"],
-                        np.random.default_rng(42))
-            stack.set_readahead(128)
-            stack.drop_caches()
-            agent = (
-                ReadaheadAgent(stack, deployable, tuning, "ssd", smoothing=3)
-                if use_agent
-                else None
-            )
-            workload = workload_by_name("readrandom", TINY["num_keys"],
-                                        TINY["value_size"])
-            result = run_workload(
-                stack, db, workload, 10**9, np.random.default_rng(1),
-                tick_interval=0.1,
-                on_tick=agent.on_tick if agent else None,
-                max_sim_seconds=1.0,
-            )
-            return result.throughput
-
-        vanilla = run(False)
-        tuned = run(True)
+        vanilla = run_tiny_loop("ssd", sim_seconds=1.0)[0].throughput
+        tuned = run_tiny_loop(
+            "ssd",
+            lambda stack: ReadaheadAgent(
+                stack, deployable, tuning, "ssd", smoothing=3
+            ),
+            sim_seconds=1.0,
+        )[0].throughput
         # Trained on NVMe features, deployed on SSD: must still win.
         assert tuned > vanilla * 1.15

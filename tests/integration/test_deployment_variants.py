@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from repro.kml import quantize_model
-from repro.minikv import DBOptions, MiniKV
-from repro.os_sim import make_stack
 from repro.readahead import ReadaheadAgent, ReadaheadClassifier, TuningTable
-from repro.workloads import populate_db, run_workload, workload_by_name
 
-from .test_closed_loop import TINY, tiny_classifier, tiny_dataset  # noqa: F401
+from .test_closed_loop import (  # noqa: F401
+    run_tiny_loop,
+    tiny_classifier,
+    tiny_dataset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +32,14 @@ def tuning():
     return table
 
 
-def run_loop(deployable, tuning, dtype="float32", sim_s=0.6):
-    stack = make_stack("nvme", ra_pages=128, cache_pages=TINY["cache_pages"])
-    db = MiniKV(stack, DBOptions(memtable_bytes=1 << 20))
-    populate_db(db, TINY["num_keys"], TINY["value_size"], np.random.default_rng(42))
-    stack.set_readahead(128)
-    stack.drop_caches()
-    agent = ReadaheadAgent(
-        stack, deployable, tuning, "nvme", smoothing=3, dtype=dtype
+def run_loop(deployable, tuning, dtype="float32"):
+    result, agent = run_tiny_loop(
+        "nvme",
+        lambda stack: ReadaheadAgent(
+            stack, deployable, tuning, "nvme", smoothing=3, dtype=dtype
+        ),
+        sim_seconds=0.6,
     )
-    workload = workload_by_name("readrandom", TINY["num_keys"], TINY["value_size"])
-    result = run_workload(
-        stack, db, workload, 10**9, np.random.default_rng(1),
-        tick_interval=0.1, on_tick=agent.on_tick, max_sim_seconds=sim_s,
-    )
-    agent.detach()
     return result.throughput, agent
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    PipelineTrace,
     Tracer,
     dump_jsonl,
     format_report,
@@ -134,11 +133,11 @@ class TestFormatReport:
     def test_empty_registry(self):
         assert "no metrics registered" in format_report(MetricsRegistry())
 
-    def test_tracer_and_pipeline_sections(self, registry):
+    def test_tracer_section(self, registry):
         tracer = Tracer()
-        pipeline = PipelineTrace(tracer)
         with tracer.span("x"):
             pass
-        report = format_report(registry, tracer=tracer, pipeline=pipeline)
-        assert "[tracing] 1 spans started" in report
-        assert "pipeline trace:" in report
+        report = format_report(registry, tracer=tracer)
+        assert report.endswith(
+            "[tracing] 1 spans started, 1 in the ring (capacity 1024)"
+        )

@@ -1,8 +1,8 @@
-"""Tests for span tracing and the pipeline-cycle stitcher."""
+"""Tests for span tracing."""
 
 import pytest
 
-from repro.obs import PIPELINE_STAGES, PipelineTrace, Tracer
+from repro.obs import Tracer
 
 
 class TestTracer:
@@ -68,70 +68,3 @@ class TestTracer:
         with pytest.raises(ValueError):
             Tracer(max_spans=0)
 
-
-class TestPipelineTrace:
-    def _run_cycle(self, pipeline, stages=PIPELINE_STAGES):
-        with pipeline.cycle():
-            for stage in stages:
-                with pipeline.stage(stage):
-                    pass
-
-    def test_complete_cycle_detection(self):
-        pipeline = PipelineTrace()
-        self._run_cycle(pipeline)
-        self._run_cycle(pipeline, stages=PIPELINE_STAGES[:2])  # incomplete
-        assert len(pipeline.cycles()) == 2
-        assert len(pipeline.complete_cycles()) == 1
-
-    def test_all_stage_spans_share_root_trace(self):
-        tracer = Tracer()
-        pipeline = PipelineTrace(tracer)
-        self._run_cycle(pipeline)
-        trace_id = pipeline.complete_cycles()[0]["trace_id"]
-        spans = tracer.trace(trace_id)
-        assert {s.name for s in spans} == set(PIPELINE_STAGES) | {
-            PipelineTrace.ROOT_SPAN
-        }
-
-    def test_unknown_stage_raises(self):
-        pipeline = PipelineTrace()
-        with pipeline.cycle():
-            with pytest.raises(ValueError):
-                with pipeline.stage("disk_format"):
-                    pass
-
-    def test_stage_outside_cycle_raises(self):
-        pipeline = PipelineTrace()
-        with pytest.raises(RuntimeError):
-            with pipeline.stage("buffer_push"):
-                pass
-
-    def test_cycles_cannot_nest(self):
-        pipeline = PipelineTrace()
-        with pipeline.cycle():
-            with pytest.raises(RuntimeError):
-                with pipeline.cycle():
-                    pass
-
-    def test_stage_stats_and_format(self):
-        pipeline = PipelineTrace()
-        for _ in range(3):
-            self._run_cycle(pipeline)
-        stats = pipeline.stage_stats()
-        for stage in PIPELINE_STAGES:
-            assert stats[stage]["count"] == 3
-            assert stats[stage]["max"] >= stats[stage]["p50"] >= 0.0
-        text = pipeline.format()
-        assert "3 complete cycle(s)" in text
-        assert "end-to-end mean" in text
-        for stage in PIPELINE_STAGES:
-            assert stage in text
-
-    def test_format_with_no_cycles(self):
-        assert "0 complete cycle(s)" in PipelineTrace().format()
-
-    def test_cycle_ring_bounded(self):
-        pipeline = PipelineTrace(max_cycles=2)
-        for _ in range(5):
-            self._run_cycle(pipeline)
-        assert len(pipeline.cycles()) == 2

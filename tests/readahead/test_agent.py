@@ -79,14 +79,6 @@ class TestAgent:
         assert handle.ra_override == 8
         assert stack.block.ra_pages == 8
 
-    def test_track_file(self, trained_deployable, tuning):
-        stack = make_stack("nvme", ra_pages=128)
-        agent = ReadaheadAgent(stack, trained_deployable, tuning, "nvme")
-        handle = stack.fs.open("f", create=True)
-        agent.track_file(handle)
-        agent.apply(16)
-        assert handle.ra_override == 16
-
     def test_sample_buffer_receives_snapshots(self, trained_deployable, tuning):
         stack = make_stack("nvme", ra_pages=128)
         buffer = CircularBuffer(16)
@@ -139,7 +131,7 @@ class TestAgent:
         agent = ReadaheadAgent(stack, trained_deployable, tuning, "nvme")
         feed_random_pattern(stack, np.random.default_rng(4), n=50)
         agent.on_tick(0.1, 1.0)
-        assert agent.mean_inference_wall_s > 0
+        assert agent.history[0].inference_wall_s > 0
 
     def test_detach_stops_observing(self, trained_deployable, tuning):
         stack = make_stack("nvme", ra_pages=128)

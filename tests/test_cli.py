@@ -8,12 +8,13 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.faults import CrashRecoveryHarness
+from repro.workloads import runner
 
 
 class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
-        for command in ("collect", "train", "sweep", "run", "inspect", "obs",
+        for command in ("collect", "train", "sweep", "run", "inspect",
                         "faults", "serve"):
             args = {
                 "collect": ["collect", "--output", "x.npz"],
@@ -21,7 +22,6 @@ class TestParser:
                 "sweep": ["sweep", "--output", "t.json"],
                 "run": ["run", "--model", "m.kml", "--tuning", "t.json"],
                 "inspect": ["inspect", "m.kml"],
-                "obs": ["obs", "--workload", "readrandom"],
                 "faults": ["faults", "--list"],
                 "serve": ["serve", "--registry", "r", "--list"],
             }[command]
@@ -112,54 +112,94 @@ class TestPipeline:
         assert "DecisionTreeClassifier" in capsys.readouterr().out
 
 
+def _tiny_model(path):
+    from repro.kml import Sequential, save_model
+    from repro.kml.layers import Linear
+
+    save_model(Sequential([Linear(5, 4, dtype="float32")]), path)
+    return path
+
+
 class TestRunConfig:
     def test_malformed_tuning_table_is_config_error(self, tmp_path, capsys):
-        from repro.kml import Sequential, save_model
-        from repro.kml.layers import Linear
-
-        model = str(tmp_path / "model.kml")
-        save_model(Sequential([Linear(5, 4, dtype="float32")]), model)
+        model = _tiny_model(str(tmp_path / "model.kml"))
         tuning = tmp_path / "bad.json"
         tuning.write_text('{"nvme": {"readrandom": -5}}')
         code = main(["run", "--model", model, "--tuning", str(tuning)])
         assert code == 5
         assert "workload='readrandom'" in capsys.readouterr().err
 
+    def test_table_missing_a_class_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the simulation ran")
 
-class TestObs:
+        monkeypatch.setattr(runner, "populate_db", no_simulation)
+        monkeypatch.setattr(runner, "run_workload", no_simulation)
+        model = _tiny_model(str(tmp_path / "model.kml"))
+        tuning = tmp_path / "nvme_only.json"
+        tuning.write_text(json.dumps({"nvme": {
+            "readseq": 32, "readrandom": 8, "readreverse": 32,
+            "readrandomwriterandom": 8,
+        }}))
+        code = main(["run", "--model", model, "--tuning", str(tuning),
+                     "--device", "ssd"])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert "no tuning entry for device='ssd'" in captured.err
+        assert captured.out == ""
+
+    def test_non_positive_sim_seconds_is_config_error(self, workspace, capsys):
+        code = main([
+            "run", "--model", workspace["model"],
+            "--tuning", workspace["tuning"], "--sim-seconds", "-1",
+            *workspace["tiny"],
+        ])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert "max_sim_seconds must be positive" in captured.err
+        assert "ops/s" not in captured.out
+
+
+class TestRun:
     REQUIRED_FAMILIES = (
-        "kml_buffer_pushed_total",
-        "kml_trainer_batches_total",
         "kml_tracepoint_hits_total",
-        "kml_matrix_ops_total",
         "kml_block_requests_total",
+        "kml_matrix_ops_total",
+        "kml_network_passes_total",
     )
 
-    def test_obs_emits_metrics_and_pipeline_trace(self, tmp_path, capsys):
+    def test_run_exports_the_kml_loop(self, workspace, tmp_path, capsys):
         prom = tmp_path / "metrics.prom"
         jsonl = tmp_path / "metrics.jsonl"
         code = main([
-            "obs", "--workload", "readrandom", "--sim-seconds", "0.2",
-            "--num-keys", "2000", "--cache-pages", "128",
-            "--pipeline-cycles", "4",
+            "run", "--model", workspace["model"],
+            "--tuning", workspace["tuning"],
+            "--workload", "readrandom", "--sim-seconds", "0.4",
+            *workspace["tiny"],
             "--prom-out", str(prom), "--jsonl-out", str(jsonl),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        # every required metric family appears in the Prometheus export
+        # the grouped report follows the throughput lines
+        assert out.index("KML closed loop") < out.index(
+            "KML observability report:"
+        )
         prom_text = prom.read_text()
         for family in self.REQUIRED_FAMILIES:
             assert f"# TYPE {family} counter" in prom_text
             assert family in out
-        # at least one complete causally-linked pipeline trace
-        assert "4 complete cycle(s)" in out
-        for stage in ("tracepoint_emit", "buffer_push", "buffer_pop",
-                      "train_batch", "inference"):
-            assert stage in out
-        # the JSONL dump parses, and includes span records
+        forward = [line for line in prom_text.splitlines()
+                   if line.startswith('kml_network_passes_total{phase="forward"}')]
+        assert len(forward) == 1 and int(forward[0].split()[-1]) > 0
+        # exactly one span per agent decision (0.4 s at 0.1 s windows)
         records = [json.loads(line)
                    for line in jsonl.read_text().splitlines()]
-        assert any(r["kind"] == "span" for r in records)
+        spans = [r for r in records if r["kind"] == "span"]
+        assert len(spans) == 4
+        assert {s["name"] for s in spans} == {"agent_tick"}
+        assert all(s["tags"]["ra_pages"] in (8, 128) for s in spans)
 
 
 class TestFaults:

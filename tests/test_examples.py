@@ -9,6 +9,11 @@ The repo benchmark in ``perfbench/`` is parsed the same way, never
 imported, and so are the methods it patches by name: each
 ``(owner, attr)`` of ``perfbench/layers.py``'s ``BOUNDARIES`` and each
 ``Owner.__dict__["attr"]`` it reads must be defined on that class.
+
+The same AST pass keeps the closed loop in one place: outside
+``repro/workloads/``, no module in ``src/``, ``benchmarks/`` or
+``examples/`` calls ``populate_db``; they go through ``load_stack`` and
+``run_closed_loop``.
 """
 
 import ast
@@ -22,6 +27,13 @@ SCRIPTS = sorted(
     [*ROOT.glob("examples/*.py"), *ROOT.glob("benchmarks/*.py"), *ROOT.glob("perfbench/*.py")]
 )
 LAYERS = ROOT / "perfbench" / "layers.py"
+WORKLOADS_PKG = ROOT / "src" / "repro" / "workloads"
+LOOP_GUARDED = sorted(
+    path
+    for path in [*ROOT.glob("src/**/*.py"), *ROOT.glob("benchmarks/*.py"),
+                 *ROOT.glob("examples/*.py")]
+    if WORKLOADS_PKG not in path.parents
+)
 
 
 def _repro_imports(path):
@@ -84,3 +96,38 @@ def test_perfbench_patched_methods_exist():
         f"{owner}.{attr}" for owner, attr in patched if attr not in vars(owners[owner])
     ]
     assert not missing, f"perfbench/layers.py patches missing methods: {missing}"
+
+
+def _populate_calls(source):
+    """Line numbers of each call to ``populate_db`` in ``source``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            getattr(node.func, "id", None) == "populate_db"
+            or getattr(node.func, "attr", None) == "populate_db"
+        )
+    ]
+
+
+def test_closed_loop_set_up_lives_in_the_runner():
+    assert any(p.parent.name == "examples" for p in LOOP_GUARDED)
+    assert ROOT / "src" / "repro" / "cli.py" in LOOP_GUARDED
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in LOOP_GUARDED
+        for line in _populate_calls(path.read_text())
+    ]
+    assert not offenders, f"populate_db outside repro/workloads: {offenders}"
+
+
+def test_loop_guard_catches_a_copy():
+    source = (
+        "from repro import workloads\n"
+        "from repro.workloads import populate_db\n"
+        "populate_db(db, 10, 8, rng)\n"
+        "workloads.populate_db(db, 10, 8, rng)\n"
+        "load_stack('nvme', 10, 8, 64)\n"
+    )
+    assert _populate_calls(source) == [3, 4]

@@ -12,8 +12,10 @@ from repro.workloads import (
     ReadReverse,
     ReadSeq,
     UpdateRandom,
+    load_stack,
     make_key,
     populate_db,
+    run_closed_loop,
     run_workload,
     workload_by_name,
 )
@@ -203,6 +205,74 @@ class TestRunner:
                 stack, db, ReadRandom(10), 10, np.random.default_rng(0),
                 tick_interval=0,
             )
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="max_sim_seconds"):
+                run_workload(
+                    stack, db, ReadRandom(10), 10, np.random.default_rng(0),
+                    max_sim_seconds=bound,
+                )
+
+
+class Recorder:
+    """A policy that logs what it sees and when it is detached."""
+
+    def __init__(self, stack):
+        self.stack = stack
+        self.cached_at_start = len(stack.cache)
+        self.ra_at_start = stack.block.ra_pages
+        self.ticks = []
+        self.detached = False
+
+    def on_tick(self, sim_time, rate):
+        self.ticks.append(sim_time)
+
+    def detach(self):
+        self.detached = True
+
+
+def load_small():
+    return load_stack(
+        "nvme", NUM_KEYS, 50, 64, memtable_bytes=16 * 1024, seed=0, ra_pages=32
+    )
+
+
+class TestClosedLoop:
+    @pytest.fixture
+    def small(self):
+        return load_small()
+
+    def test_cold_start_protocol(self, small):
+        calls = []
+        result, policy = run_closed_loop(
+            small, "readrandom", policy=Recorder, ra_pages=8,
+            prepare=lambda stack: calls.append(stack.block.ra_pages),
+            sim_seconds=0.05, window=0.01,
+        )
+        assert calls == [32]  # prepare runs before the readahead is set
+        assert policy.cached_at_start == 0
+        assert policy.ra_at_start == 8
+        assert len(policy.ticks) == len(result.timeline) >= 4
+        assert policy.detached
+
+    def test_default_rng_is_populate_seed_plus_one(self, small):
+        first, none = run_closed_loop(small, "readrandom", n_ops=300)
+        again, _ = run_closed_loop(load_small(), "readrandom", n_ops=300,
+                                   rng_seed=1)
+        other, _ = run_closed_loop(load_small(), "readrandom", n_ops=300,
+                                   rng_seed=2)
+        assert none is None
+        assert first.ops == again.ops == 300
+        assert first.throughput == again.throughput != other.throughput
+
+    def test_rerun_sees_earlier_writes(self, small):
+        puts = small.db.stats.puts
+        run_closed_loop(small, "updaterandom", n_ops=50)
+        run_closed_loop(small, "updaterandom", n_ops=50)
+        assert small.db.stats.puts == puts + 100
+
+    def test_unbounded_run_is_rejected(self, small):
+        with pytest.raises(ValueError, match="n_ops or sim_seconds"):
+            run_closed_loop(small, "readrandom")
 
 
 class TestFillRandom:
