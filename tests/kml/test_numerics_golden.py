@@ -9,8 +9,10 @@ meant to make the library faster must leave these values unchanged:
 - the logits of a seeded readahead network with a fused z-score
   ``Linear(5, 5)`` in front, in float32, float64 and fixed32, on fixed
   windows, as one batch and one row at a time;
-- the SHA-256 of a 50-step SGD trajectory (losses and raw weights after
-  every step), in float32 and fixed32;
+- the SHA-256 of 50-step SGD trajectories (losses and raw weights after
+  every step), in float32 and fixed32: batches of 4, of 1 (a single
+  z-scored window, the online-training shape) and of 32 (``fit``'s
+  default batch, over a larger window set);
 - ``CrossEntropyLoss`` and the autodiff cross-entropy: values and
   gradients;
 - a ``.kml`` dump/parse round-trip.
@@ -68,6 +70,9 @@ LABELS = np.array([0, 1, 2, 3, 3, 2, 1, 0])
 NETWORK_SEED = 11
 SGD_STEPS = 50
 BATCH = 4
+#: The batch-32 trajectory's windows: 64, so each step sees a new half.
+FIT_WINDOWS = np.random.default_rng(5).normal(MEANS, STDS, size=(64, 5))
+FIT_LABELS = np.arange(len(FIT_WINDOWS)) % 4
 
 #: Logits for the loss records: ordinary, tied and huge (stability).
 LOSS_LOGITS = np.array(
@@ -144,20 +149,26 @@ def logits_records(dtype: str) -> list:
     ]
 
 
-def sgd_records(dtype: str) -> list:
+def sgd_records(dtype: str, batch_size: int = BATCH, windows=WINDOWS, labels=LABELS) -> list:
+    """A seeded network's SGD trajectory over ``windows``, ``batch_size`` rows a step.
+
+    The batch-4 records keep their original names; the others carry
+    their batch size.
+    """
     network = build_network(dtype=dtype, rng=np.random.default_rng(NETWORK_SEED))
     optimizer = SGD(network.parameters(), lr=0.01, momentum=0.99)
     loss_fn = CrossEntropyLoss()
-    x = (WINDOWS - MEANS) / STDS
+    x = (windows - MEANS) / STDS
     chunks = []
     for step in range(SGD_STEPS):
-        batch = [(step * BATCH + j) % len(x) for j in range(BATCH)]
-        loss = network.train_step(Matrix(x[batch], dtype=dtype), LABELS[batch], loss_fn, optimizer)
+        batch = [(step * batch_size + j) % len(x) for j in range(batch_size)]
+        loss = network.train_step(Matrix(x[batch], dtype=dtype), labels[batch], loss_fn, optimizer)
         chunks.append(np.float64(loss).tobytes())
         chunks.extend(p.value.raw.tobytes() for p in network.parameters())
+    prefix = f"sgd.{dtype}" if batch_size == BATCH else f"sgd.{dtype}.batch{batch_size}"
     return [
-        _sha256(f"sgd.{dtype}.trajectory", chunks),
-        _pin(f"sgd.{dtype}.final_loss", np.float64(loss)),
+        _sha256(f"{prefix}.trajectory", chunks),
+        _pin(f"{prefix}.final_loss", np.float64(loss)),
     ]
 
 
@@ -192,6 +203,11 @@ SECTIONS = {
     "mathops": mathops_records,
     **{f"logits.{d}": (lambda d=d: logits_records(d)) for d in DTYPES},
     **{f"sgd.{d}": (lambda d=d: sgd_records(d)) for d in TRAIN_DTYPES},
+    **{f"sgd.{d}.batch1": (lambda d=d: sgd_records(d, 1)) for d in TRAIN_DTYPES},
+    **{
+        f"sgd.{d}.batch32": (lambda d=d: sgd_records(d, 32, FIT_WINDOWS, FIT_LABELS))
+        for d in TRAIN_DTYPES
+    },
     "losses": loss_records,
     "model_file": model_file_records,
 }
