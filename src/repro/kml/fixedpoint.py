@@ -61,6 +61,10 @@ FX_MIN_REAL = float(FX_MIN) / SCALE
 FX_EPS = 1.0 / SCALE
 
 
+# The kernels compute in int64 by passing ``dtype=np.int64`` to the
+# ufunc, which widens int32 operands inside the loop instead of copying
+# each one first; integer results do not depend on how they are formed.
+#
 # The kernels' constants as 0-d arrays: numpy applies a ufunc to two
 # arrays faster than to an array and a Python number, whose conversion
 # it repeats on every call.  The arithmetic is the same.
@@ -100,23 +104,22 @@ def fx_from_int(values):
 
 def fx_add(a, b):
     """Saturating fixed-point addition."""
-    return _saturate(np.asarray(a, np.int64) + np.asarray(b, np.int64))
+    return _saturate(np.add(a, b, dtype=np.int64))
 
 
 def fx_sub(a, b):
     """Saturating fixed-point subtraction."""
-    return _saturate(np.asarray(a, np.int64) - np.asarray(b, np.int64))
+    return _saturate(np.subtract(a, b, dtype=np.int64))
 
 
 def fx_neg(a):
     """Saturating fixed-point negation (-FX_MIN saturates to FX_MAX)."""
-    return _saturate(-np.asarray(a, np.int64))
+    return _saturate(np.negative(a, dtype=np.int64))
 
 
 def fx_mul(a, b):
     """Fixed-point multiply: (a * b) >> FRAC_BITS with int64 intermediate."""
-    prod = np.asarray(a, np.int64) * np.asarray(b, np.int64)
-    return _saturate(prod >> _SHIFT)
+    return _saturate(np.multiply(a, b, dtype=np.int64) >> _SHIFT)
 
 
 def fx_div(a, b):
@@ -148,10 +151,7 @@ def fx_matmul(a, b):
     single shift at the end, preserving one extra bit of precision over
     shifting every term (the same trick in-kernel KML uses).
     """
-    a64 = np.asarray(a, dtype=np.int64)
-    b64 = np.asarray(b, dtype=np.int64)
-    acc = a64 @ b64
-    return _saturate(acc >> _SHIFT)
+    return _saturate(np.matmul(a, b, dtype=np.int64) >> _SHIFT)
 
 
 def fx_sum(a, axis=None):
@@ -211,6 +211,7 @@ def fx_sigmoid(a):
     non-negative inputs.
     """
     a = np.asarray(a)
-    index = np.minimum(np.abs(a.astype(np.int64)), _SIGMOID_CAP)
-    low = sigmoid_table()[index].astype(np.int32)
+    index = np.minimum(np.abs(a, dtype=np.int64), _SIGMOID_CAP)
+    low = sigmoid_table()[index]
+    # ``low`` is uint16 and ``_ONE - low`` int32, so the result is int32.
     return np.where(a < 0, low, _ONE - low)

@@ -2,6 +2,8 @@
 
 Each caches what its backward pass needs during forward, exactly one
 matrix -- KML keeps per-layer state minimal to bound kernel memory.
+Sigmoid, the readahead network's activation, caches its raw output
+and the kernel table of its dtype and runs backward on raw buffers.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..matrix import Matrix
+from ..matrix import Kernels, Matrix, _wrap, checked_raw, kernels
 from .base import Layer
 
 __all__ = ["Sigmoid", "ReLU", "Tanh"]
@@ -23,20 +25,24 @@ class Sigmoid(Layer):
 
     def __init__(self, name: Optional[str] = None):
         super().__init__(name=name)
-        self._output: Optional[Matrix] = None
+        self._output: Optional[np.ndarray] = None
+        self._kernels: Optional[Kernels] = None
 
     def forward(self, x: Matrix) -> Matrix:
-        self._output = x.sigmoid()
-        return self._output
+        out = x.sigmoid()
+        self._output, self._kernels = out.raw, kernels(out.dtype)
+        return out
 
     def infer(self, x: Matrix) -> Matrix:
         return x.sigmoid()
 
     def backward(self, grad_output: Matrix) -> Matrix:
-        if self._output is None:
+        s, k = self._output, self._kernels
+        if s is None:
             raise RuntimeError(f"{self.name}: backward() before forward()")
-        s = self._output
-        return grad_output * s * (1.0 - s)
+        # grad_output * s * (1.0 - s)
+        g = checked_raw(grad_output, k.dtype)
+        return _wrap(k.mul(k.mul(g, s), k.sub(k.one, s)), k.dtype)
 
 
 class ReLU(Layer):

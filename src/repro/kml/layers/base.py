@@ -11,24 +11,53 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..matrix import Matrix
+import numpy as np
+
+from ..matrix import Kernels, Matrix
 
 __all__ = ["Parameter", "Layer"]
 
 
 class Parameter:
-    """A trainable matrix together with its accumulated gradient."""
+    """A trainable matrix together with its accumulated gradient.
 
-    __slots__ = ("name", "value", "grad")
+    ``grad`` is an accumulator written in place: the parameter allocates
+    its buffer once, layers add each backward pass into it
+    (:meth:`accumulate`) and :meth:`zero_grad` refills it with zeros.
+    Hold a copy, not ``grad`` itself, to keep a gradient across steps.
+    A matrix a caller assigns to ``grad`` is never written: the next
+    accumulation rebinds ``grad`` to a new sum and the next
+    ``zero_grad`` to the parameter's own buffer.  ``value`` is the
+    reverse: optimizers rebind it and never write it in place.
+    """
+
+    __slots__ = ("name", "value", "grad", "_own_grad")
 
     def __init__(self, name: str, value: Matrix):
         self.name = name
         self.value = value
+        self._own_grad: Optional[Matrix] = None
         self.zero_grad()
 
     def zero_grad(self) -> None:
-        rows, cols = self.value.shape
-        self.grad = Matrix.zeros(rows, cols, dtype=self.value.dtype)
+        own, value = self._own_grad, self.value
+        if own is None or own.shape != value.shape or own.dtype != value.dtype:
+            rows, cols = value.shape
+            own = self._own_grad = Matrix.zeros(rows, cols, dtype=value.dtype)
+        else:
+            own.raw.fill(0)
+        self.grad = own
+
+    def accumulate(self, delta: np.ndarray, kernels: Kernels) -> None:
+        """Add the raw, encoded gradient ``delta`` into ``grad``.
+
+        ``kernels`` is the table of the parameter's dtype.
+        """
+        grad = self.grad
+        if grad is self._own_grad:
+            kernels.add_into(grad.raw, delta)
+        else:
+            self.grad = grad + Matrix.from_raw(delta, kernels.dtype)
 
     @property
     def nbytes(self) -> int:

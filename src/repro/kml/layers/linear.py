@@ -1,4 +1,9 @@
-"""Fully connected (linear) layer: y = x @ W + b."""
+"""Fully connected (linear) layer: y = x @ W + b.
+
+Both passes run on raw buffers through the layer's kernel table
+(``repro.kml.matrix.kernels``), looked up once at construction, and
+compute what the same ``Matrix`` expressions would, bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..matrix import Matrix
+from ..matrix import Matrix, _wrap, checked_raw, kernels, observe_alloc
 from .base import Layer, Parameter
 
 __all__ = ["Linear"]
@@ -43,32 +48,43 @@ class Linear(Layer):
             Matrix.uniform(in_features, out_features, -bound, bound, rng, dtype=dtype),
         )
         self.bias = Parameter(f"{self.name}.bias", Matrix.zeros(1, out_features, dtype=dtype))
-        self._input: Optional[Matrix] = None
+        self._kernels = kernels(dtype)
+        self._input: Optional[np.ndarray] = None
 
-    def forward(self, x: Matrix) -> Matrix:
+    def _affine(self, x: Matrix):
+        """``(x's raw buffer, x @ W + b)``; the matmul buffer is reported
+        to the allocation observer as the ``Matrix`` expression would."""
         if x.cols != self.in_features:
             raise ValueError(
                 f"{self.name}: expected {self.in_features} input features, got {x.cols}"
             )
-        self._input = x
-        return x @ self.weight.value + self.bias.value
+        k = self._kernels
+        a = checked_raw(x, self.dtype)
+        product = k.matmul(a, checked_raw(self.weight.value, self.dtype))
+        observe_alloc(product)
+        return a, _wrap(k.add(product, self.bias.value.raw), self.dtype)
+
+    def forward(self, x: Matrix) -> Matrix:
+        self._input, out = self._affine(x)
+        return out
 
     def infer(self, x: Matrix) -> Matrix:
         # Same affine map as forward, but no cached input: safe for
         # concurrent inference threads sharing one layer instance.
-        if x.cols != self.in_features:
-            raise ValueError(
-                f"{self.name}: expected {self.in_features} input features, got {x.cols}"
-            )
-        return x @ self.weight.value + self.bias.value
+        return self._affine(x)[1]
 
     def backward(self, grad_output: Matrix) -> Matrix:
-        if self._input is None:
-            raise RuntimeError(f"{self.name}: backward() before forward()")
         x = self._input
-        self.weight.grad = self.weight.grad + x.T @ grad_output
-        self.bias.grad = self.bias.grad + grad_output.sum(axis=0)
-        return grad_output @ self.weight.value.T
+        if x is None:
+            raise RuntimeError(f"{self.name}: backward() before forward()")
+        k = self._kernels
+        g = checked_raw(grad_output, self.dtype)
+        # Transposes are contiguous copies, as Matrix.T makes them, so
+        # BLAS picks the same kernels.
+        self.weight.accumulate(k.matmul(np.ascontiguousarray(x.T), g), k)
+        self.bias.accumulate(k.colsum(g), k)
+        w_t = np.ascontiguousarray(self.weight.value.raw.T)
+        return _wrap(k.matmul(g, w_t), self.dtype)
 
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]

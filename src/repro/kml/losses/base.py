@@ -22,10 +22,12 @@ def one_hot_array(labels, num_classes: int) -> np.ndarray:
         if not integral.all():
             raise ValueError(f"labels must be integral, got {labels[~integral][0]}")
     labels = labels.astype(np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    # Python's min/max over a batch's few labels beat two numpy reductions.
+    values = labels.tolist()
+    if values and (min(values) < 0 or max(values) >= num_classes):
         raise ValueError(
             f"labels out of range [0, {num_classes}): "
-            f"min={labels.min()}, max={labels.max()}"
+            f"min={min(values)}, max={max(values)}"
         )
     encoded = np.zeros((labels.size, num_classes), dtype=np.float64)
     encoded[np.arange(labels.size), labels] = 1.0

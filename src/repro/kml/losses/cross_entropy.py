@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .. import mathops
-from ..matrix import Matrix
+from ..matrix import Kernels, Matrix, _wrap, kernels
 from .base import Loss, one_hot_array
 
 __all__ = ["CrossEntropyLoss"]
@@ -24,10 +24,11 @@ class CrossEntropyLoss(Loss):
     def __init__(self):
         self._softmax: Optional[np.ndarray] = None
         self._onehot: Optional[np.ndarray] = None
-        self._dtype: str = "float32"
+        self._kernels: Optional[Kernels] = None
 
     def forward(self, prediction: Matrix, target) -> float:
-        logits = prediction.to_numpy()
+        k = kernels(prediction.dtype)
+        logits = k.decode(prediction.raw)
         if isinstance(target, Matrix):
             onehot = target.to_numpy()
             if onehot.shape != logits.shape:
@@ -42,11 +43,12 @@ class CrossEntropyLoss(Loss):
                 )
         self._softmax, log_probs = mathops.kml_softmax_and_log(logits, axis=1)
         self._onehot = onehot
-        self._dtype = prediction.dtype
+        self._kernels = k
         return float(-(onehot * log_probs).sum() / logits.shape[0])
 
     def backward(self) -> Matrix:
         if self._softmax is None or self._onehot is None:
             raise RuntimeError("backward() before forward()")
         n = self._softmax.shape[0]
-        return Matrix((self._softmax - self._onehot) / n, dtype=self._dtype)
+        k = self._kernels
+        return _wrap(k.encode((self._softmax - self._onehot) / n), k.dtype)

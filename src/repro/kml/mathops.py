@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "kml_exp",
     "kml_log",
-    "kml_log2",
     "kml_sigmoid",
     "kml_tanh",
     "kml_sqrt",
@@ -125,11 +124,6 @@ def kml_log(x):
         result = _TWO * t * series + e * _LN2
         result = np.where(x > _ZERO, result, np.where(x == _ZERO, _NEG_INF, _NAN))
     return result
-
-
-def kml_log2(x):
-    """Base-2 logarithm built on :func:`kml_log`."""
-    return kml_log(x) / LN2
 
 
 def kml_sigmoid(x):

@@ -10,6 +10,7 @@ autodiff tests.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Iterable, List, Optional, Sequence
 
@@ -149,10 +150,19 @@ class Sequential:
     def train_step(
         self, x: Matrix, target, loss_fn: Loss, optimizer: Optimizer
     ) -> float:
-        """One SGD iteration: forward, loss, backward, parameter update."""
-        self.zero_grad()
+        """One SGD iteration: forward, loss, backward, parameter update.
+
+        Raises ``ValueError`` when the loss is not finite (a NaN or
+        infinite input, say), before any gradient is computed: the
+        parameters, their gradients and the optimizer state are left as
+        they were, where one such step would otherwise spread NaN into
+        every weight, and with momentum into every later step.
+        """
         prediction = self.forward(x)
         loss = loss_fn.forward(prediction, target)
+        if not math.isfinite(loss):
+            raise ValueError(f"training loss is {loss}; the step was not applied")
+        self.zero_grad()
         self.backward(loss_fn.backward())
         optimizer.step()
         return loss
@@ -173,15 +183,24 @@ class Sequential:
 
         ``labels`` may be integer class labels (for classification
         losses) or a 2-D float array (for regression losses).  The
-        input dtype defaults to the model's parameter dtype.
+        input dtype defaults to the model's parameter dtype.  Raises
+        ``ValueError`` on no samples, ``epochs <= 0`` or
+        ``batch_size <= 0``, and (from :meth:`train_step`) on a batch
+        whose loss is not finite.
         """
         dtype = self._infer_dtype(dtype)
         x = np.asarray(x, dtype=np.float64)
         labels = np.asarray(labels)
         if x.ndim != 2:
             raise ValueError(f"x must be 2-D, got shape {x.shape}")
+        if len(x) == 0:
+            raise ValueError("x has no samples")
         if len(labels) != len(x):
             raise ValueError(f"{len(labels)} labels for {len(x)} samples")
+        if epochs <= 0:
+            raise ValueError(f"epochs must be positive, got {epochs}")
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
         rng = rng or np.random.default_rng()
         self.train()
         history: List[float] = []

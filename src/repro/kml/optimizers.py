@@ -11,9 +11,8 @@ from typing import Iterable, List
 
 import numpy as np
 
-from . import fixedpoint as fx
 from .layers.base import Parameter
-from .matrix import _wrap
+from .matrix import _wrap, kernels
 
 __all__ = ["Optimizer", "SGD"]
 
@@ -35,27 +34,20 @@ class Optimizer:
 
 
 class _Slot:
-    """One parameter's update kernels, encoded scalars and velocity.
+    """One parameter's kernel table, encoded scalars and velocity.
 
     The kernels and scalars are exactly what ``Matrix`` arithmetic
-    applies for the parameter's dtype (see ``Matrix._binary``), so the
-    step computes the same values without wrapping each intermediate.
+    applies for the parameter's dtype, so the step computes the same
+    values without wrapping each intermediate.
     """
 
-    __slots__ = ("param", "dtype", "mul", "add", "sub", "momentum", "lr", "velocity")
+    __slots__ = ("param", "kernels", "momentum", "lr", "velocity")
 
     def __init__(self, param: Parameter, lr: float, momentum: float):
-        raw = param.value.raw
         self.param = param
-        self.dtype = param.value.dtype
-        if self.dtype == "fixed32":
-            self.mul, self.add, self.sub = fx.fx_mul, fx.fx_add, fx.fx_sub
-            self.momentum, self.lr = fx.to_fixed(momentum), fx.to_fixed(lr)
-        else:
-            self.mul, self.add, self.sub = np.multiply, np.add, np.subtract
-            self.momentum = np.array(momentum, dtype=raw.dtype)
-            self.lr = np.array(lr, dtype=raw.dtype)
-        self.velocity = np.zeros_like(raw)
+        self.kernels = k = kernels(param.value.dtype)
+        self.momentum, self.lr = k.encode(momentum), k.encode(lr)
+        self.velocity = np.zeros_like(param.value.raw)
 
 
 class SGD(Optimizer):
@@ -88,10 +80,10 @@ class SGD(Optimizer):
     def step(self) -> None:
         use_momentum = self.momentum > 0.0
         for slot in self._slots:
-            param = slot.param
+            param, k = slot.param, slot.kernels
             update = param.grad.raw
             if use_momentum:
-                update = slot.add(slot.mul(slot.velocity, slot.momentum), update)
+                update = k.add(k.mul(slot.velocity, slot.momentum), update)
                 slot.velocity = update
-            new_value = slot.sub(param.value.raw, slot.mul(update, slot.lr))
-            param.value = _wrap(new_value, slot.dtype)
+            new_value = k.sub(param.value.raw, k.mul(update, slot.lr))
+            param.value = _wrap(new_value, k.dtype)

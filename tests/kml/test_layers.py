@@ -105,6 +105,38 @@ class TestLinear:
         layer.zero_grad()
         assert layer.weight.grad.to_numpy().sum() == 0
 
+    def test_assigned_grad_is_never_written(self):
+        rng = np.random.default_rng(6)
+        layer = Linear(2, 2, dtype="float64", rng=rng)
+        x = Matrix(rng.normal(size=(3, 2)), dtype="float64")
+        up = Matrix(rng.normal(size=(3, 2)), dtype="float64")
+        layer.forward(x)
+        layer.backward(up)
+        delta = layer.weight.grad.to_numpy().copy()
+        assigned = Matrix(np.ones((2, 2)), dtype="float64")
+        layer.weight.grad = assigned
+        layer.forward(x)
+        layer.backward(up)
+        np.testing.assert_array_equal(assigned.to_numpy(), np.ones((2, 2)))
+        np.testing.assert_allclose(layer.weight.grad.to_numpy(), 1.0 + delta, atol=1e-12)
+        layer.zero_grad()
+        np.testing.assert_array_equal(assigned.to_numpy(), np.ones((2, 2)))
+        assert layer.weight.grad.to_numpy().sum() == 0
+
+    def test_dtype_mismatch_raises(self):
+        layer = Linear(2, 2, dtype="float32", rng=np.random.default_rng(0))
+        fixed = Matrix([[1.0, 2.0]], dtype="fixed32")
+        for call in (layer.forward, layer.infer):
+            with pytest.raises(TypeError, match="dtype mismatch"):
+                call(fixed)
+        layer.forward(Matrix([[1.0, 2.0]], dtype="float32"))
+        with pytest.raises(TypeError, match="dtype mismatch"):
+            layer.backward(fixed)
+        sigmoid = Sigmoid()
+        sigmoid.forward(Matrix([[1.0, 2.0]], dtype="float32"))
+        with pytest.raises(TypeError, match="dtype mismatch"):
+            sigmoid.backward(fixed)
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             Linear(0, 2)

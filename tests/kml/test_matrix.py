@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.kml.matrix import DTYPES, Matrix, set_alloc_observer
+from repro.kml.matrix import DTYPES, Matrix, kernels, set_alloc_observer
 
 ALL_DTYPES = list(DTYPES)
 
@@ -197,6 +197,11 @@ class TestReductions:
         s = m.sum(axis=0)
         assert s.shape == (1, 2)
         np.testing.assert_allclose(s.to_numpy(), [[4, 6]], atol=1e-3)
+
+    def test_kernel_colsum_is_sum_axis0(self, dtype):
+        """The column sum layers call computes ``Matrix.sum(axis=0)``'s bits."""
+        m = Matrix(np.random.default_rng(0).normal(size=(33, 7)), dtype=dtype)
+        np.testing.assert_array_equal(kernels(dtype).colsum(m.raw), m.sum(axis=0).raw)
 
     def test_mean(self, dtype):
         m = Matrix([[2.0, 4.0]], dtype=dtype)

@@ -1,5 +1,7 @@
 """Tests for the Sequential model container."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.kml import (
 )
 from repro.kml.layers import Dropout, ReLU
 from repro.kml.matrix import Matrix
+from repro.readahead.model import build_network
 
 
 def two_layer(rng, dtype="float64"):
@@ -80,6 +83,50 @@ class TestTraining:
             model.fit(np.zeros((4, 4)), [0, 1], CrossEntropyLoss(), opt)
         with pytest.raises(ValueError):
             model.fit(np.zeros(4), [0] * 4, CrossEntropyLoss(), opt)
+
+    @pytest.mark.parametrize(
+        "x, kwargs, message",
+        [
+            (np.zeros((0, 4)), {}, "no samples"),
+            (np.zeros((4, 4)), {"batch_size": 0}, "batch_size must be positive"),
+            (np.zeros((4, 4)), {"epochs": 0}, "epochs must be positive"),
+            (np.zeros((4, 4)), {"epochs": -3}, "epochs must be positive"),
+        ],
+        ids=["no-samples", "batch-size-0", "epochs-0", "epochs-negative"],
+    )
+    def test_fit_rejects_unusable_arguments(self, x, kwargs, message):
+        model = two_layer(np.random.default_rng(0))
+        opt = SGD(model.parameters(), lr=0.1)
+        before = [p.value.raw.copy() for p in model.parameters()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                model.fit(x, [0] * len(x), CrossEntropyLoss(), opt, **kwargs)
+        for p, raw in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.value.raw, raw)
+
+    def test_non_finite_loss_leaves_the_model_untouched(self):
+        """A NaN row raises instead of writing NaN into every weight."""
+        network = build_network(rng=np.random.default_rng(0))
+        opt = SGD(network.parameters(), lr=0.01, momentum=0.99)
+        loss_fn = CrossEntropyLoss()
+        good = Matrix([[0.3, -1.2, 0.8, 2.5, -0.1]])
+        network.train_step(good, [2], loss_fn, opt)
+
+        def state():
+            return [
+                (p.value.raw.copy(), p.grad.raw.copy(), slot.velocity.copy())
+                for p, slot in zip(network.parameters(), opt._slots)
+            ]
+
+        before = state()
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not applied"):
+            network.train_step(Matrix([[np.nan, 0, 0, 0, 0]]), [2], loss_fn, opt)
+        for (value, grad, velocity), (v, g, vel) in zip(before, state()):
+            np.testing.assert_array_equal(value, v)
+            np.testing.assert_array_equal(grad, g)
+            np.testing.assert_array_equal(velocity, vel)
+        assert np.isfinite(network.train_step(good, [2], loss_fn, opt))
 
     def test_deterministic_given_seed(self):
         def train():

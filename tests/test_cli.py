@@ -162,6 +162,16 @@ class TestRunConfig:
         assert "ops/s" not in captured.out
 
 
+class TestTrainConfig:
+    def test_non_positive_epochs_is_config_error(self, workspace, tmp_path, capsys):
+        output = tmp_path / "untrained.kml"
+        code = main(["train", "--data", workspace["data"], "--output", str(output),
+                     "--epochs", "-3"])
+        assert code == 5
+        assert "epochs must be positive" in capsys.readouterr().err
+        assert not output.exists()
+
+
 class TestRun:
     REQUIRED_FAMILIES = (
         "kml_tracepoint_hits_total",
