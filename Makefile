@@ -7,14 +7,15 @@ install:
 
 test: check
 
-# The full gate, each suite once: every test with the stress matrices
-# on (FAULTS_STRESS: >= 200 seeded minikv crash cases, the buffer storm,
-# exhaustive model-file fuzzing; SERVE_STRESS: the long hot-swap storm),
+# The full gate, each suite once: every test with the stress runs on
+# (STRESS: >= 200 seeded minikv crash cases, the buffer storm,
+# exhaustive model-file fuzzing, the long hot-swap storm, more
+# page-cache model examples),
 # the simulator and export goldens, the benchmark harness's own tests,
 # and the obs (< 10%) and fault-plane (< 2%) overhead budgets in smoke
 # mode (see docs/OBSERVABILITY.md, docs/FAULTS.md, docs/SERVING.md).
 check:
-	FAULTS_STRESS=1 SERVE_STRESS=1 pytest tests/ perfbench/tests -q
+	STRESS=1 pytest tests/ perfbench/tests -q
 	python benchmarks/bench_obs_overhead.py --smoke
 	python benchmarks/bench_faults_overhead.py --smoke
 

@@ -9,8 +9,8 @@ of the reproduced effect is substance vs parameterization.
 Expected shapes:
   - the gap grows as the cache shrinks (more misses -> more waste);
   - the gap is larger on the SSD than on NVMe at every cache size;
-  - with readahead disabled entirely (ra=0 via fadvise-RANDOM
-    semantics), readrandom behaves like the small-ra configuration.
+  - with readahead disabled entirely (the device knob set to ra=0),
+    readrandom behaves like the small-ra configuration.
 """
 
 import pytest

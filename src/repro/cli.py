@@ -21,7 +21,6 @@ damaged model file, 5 bad configuration value.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
@@ -390,6 +389,10 @@ def _cmd_faults(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    for flag, value in (("--ops", args.ops), ("--num-keys", args.num_keys)):
+        if value < 1:
+            print(f"{flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
 
     from .minikv import DBOptions, MiniKV
     from .obs import (
@@ -403,7 +406,7 @@ def _cmd_faults(args) -> int:
 
     plane = build_scenario(args.scenario, seed=args.seed)
     registry = MetricsRegistry()
-    metrics = instrument_faults(plane, registry)
+    instrument_faults(plane, registry)
     stack = make_stack(args.device)
     stack.fs.attach_faults(plane)
     stack.device.attach_faults(plane)
@@ -425,6 +428,7 @@ def _cmd_faults(args) -> int:
             crashes += 1
             db = MiniKV(stack, DBOptions(memtable_bytes=4096))
             db.attach_faults(plane)
+            instrument_minikv(db, registry)  # rebinds the families
         except InjectedFault:
             errors += 1
 
@@ -444,7 +448,6 @@ def _cmd_faults(args) -> int:
     print(f"injections by site/kind: {plane.injection_counts()}")
     print()
     print(format_report(registry))
-    del metrics
     return 0
 
 
@@ -473,6 +476,9 @@ def _cmd_serve(args) -> int:
             raise
         print(f"published {args.model} as v{version:05d}")
     if args.activate is not None:
+        have = registry.versions()
+        if args.activate not in have:
+            raise ValueError(f"unknown model version {args.activate}; have {have}")
         snapshot = registry.activate(args.activate)
         print(f"activated v{snapshot.version:05d} ({snapshot.kind}, "
               f"{snapshot.dtype})")

@@ -422,11 +422,6 @@ class FaultPlane:
             return dict(self._injected)
 
     @property
-    def total_injections(self) -> int:
-        with self._lock:
-            return sum(self._injected.values())
-
-    @property
     def num_rules(self) -> int:
         return sum(len(rules) for rules in self._rules.values())
 

@@ -10,8 +10,8 @@ so seek-aware schedulers matter on the "disk" profile and not on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..stats.quantiles import P2Quantile
 from .requests import ADDRESS_SPACE, IORequest

@@ -10,7 +10,7 @@ scans, background write bursts, and combinations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import List
 
 import numpy as np
 

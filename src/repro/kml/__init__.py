@@ -9,7 +9,7 @@ momentum, decision trees, metrics, and the KML model file format.
 from .matrix import Matrix, DTYPES
 from .network import Sequential
 from .layers import Layer, Parameter, Linear, Sigmoid, ReLU, Tanh, Softmax, Dropout
-from .losses import Loss, one_hot, CrossEntropyLoss, MSELoss, BinaryCrossEntropyLoss
+from .losses import Loss, CrossEntropyLoss, MSELoss, BinaryCrossEntropyLoss
 from .optimizers import Optimizer, SGD
 from .decision_tree import DecisionTreeClassifier
 from .metrics import (
@@ -27,7 +27,7 @@ from .model_io import (
     parse_model,
     ModelFormatError,
 )
-from .quantize import QuantizedLinear, quantize_model, quantization_error
+from .quantize import QuantizedLinear, quantize_model
 
 __all__ = [
     "Matrix",
@@ -42,7 +42,6 @@ __all__ = [
     "Softmax",
     "Dropout",
     "Loss",
-    "one_hot",
     "CrossEntropyLoss",
     "MSELoss",
     "BinaryCrossEntropyLoss",
@@ -62,5 +61,4 @@ __all__ = [
     "ModelFormatError",
     "QuantizedLinear",
     "quantize_model",
-    "quantization_error",
 ]

@@ -162,21 +162,6 @@ class DecisionTreeClassifier:
             )
         return np.array([self._walk(row).prediction for row in x], dtype=np.int64)
 
-    def predict_proba(self, x) -> np.ndarray:
-        """Leaf class-frequency probabilities per row."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-        rows = []
-        for row in x:
-            counts = self._walk(row).counts
-            total = counts.sum() if counts is not None else 0
-            if total == 0:
-                rows.append(np.full(self.num_classes, 1.0 / self.num_classes))
-            else:
-                rows.append(counts / total)
-        return np.vstack(rows)
-
     def accuracy(self, x, labels) -> float:
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         return float(np.mean(self.predict(x) == labels))

@@ -44,7 +44,6 @@ __all__ = [
     "fx_matmul",
     "fx_sum",
     "fx_sigmoid",
-    "fx_from_int",
     "SIGMOID_LAST",
     "sigmoid_table",
 ]
@@ -94,12 +93,6 @@ def to_fixed(values):
 def from_fixed(raw):
     """Convert Q16.16 raw int32 back to float64."""
     return np.asarray(raw, dtype=np.float64) / _SCALE
-
-
-def fx_from_int(values):
-    """Convert plain integers to Q16.16 (i.e. shift left by FRAC_BITS)."""
-    arr = np.asarray(values, dtype=np.int64) << FRAC_BITS
-    return _saturate(arr)
 
 
 def fx_add(a, b):

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..matrix import Matrix
 
-__all__ = ["Loss", "one_hot", "one_hot_array"]
+__all__ = ["Loss", "one_hot_array"]
 
 
 def one_hot_array(labels, num_classes: int) -> np.ndarray:
@@ -32,11 +32,6 @@ def one_hot_array(labels, num_classes: int) -> np.ndarray:
     encoded = np.zeros((labels.size, num_classes), dtype=np.float64)
     encoded[np.arange(labels.size), labels] = 1.0
     return encoded
-
-
-def one_hot(labels, num_classes: int, dtype: str = "float32") -> Matrix:
-    """:func:`one_hot_array` as a Matrix of ``dtype``."""
-    return Matrix(one_hot_array(labels, num_classes), dtype=dtype)
 
 
 class Loss:

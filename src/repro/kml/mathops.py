@@ -25,7 +25,6 @@ __all__ = [
     "kml_tanh",
     "kml_sqrt",
     "kml_softmax",
-    "kml_log_softmax",
     "kml_softmax_and_log",
     "LN2",
     "EXP_CLAMP",
@@ -178,13 +177,7 @@ def kml_softmax(x, axis=-1):
     return ex / total
 
 
-def kml_log_softmax(x, axis=-1):
-    """log(softmax(x)) without forming the softmax (stable for CE loss)."""
-    shifted, _, total = _shifted_exp(x, axis)
-    return shifted - kml_log(total)
-
-
 def kml_softmax_and_log(x, axis=-1):
-    """``(kml_softmax(x), kml_log_softmax(x))`` from one exp pass."""
+    """``(softmax(x), log(softmax(x)))`` from one exp pass."""
     shifted, ex, total = _shifted_exp(x, axis)
     return ex / total, shifted - kml_log(total)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 

@@ -27,7 +27,7 @@ from .layers.linear import Linear
 from .matrix import Matrix
 from .network import Sequential
 
-__all__ = ["QuantizedLinear", "quantize_model", "quantization_error"]
+__all__ = ["QuantizedLinear", "quantize_model"]
 
 _INT8_MAX = 127
 
@@ -130,11 +130,3 @@ def quantize_model(
             quantized.add(layer)
     quantized.eval()
     return quantized
-
-
-def quantization_error(model: Sequential, x: np.ndarray) -> float:
-    """Max absolute logit deviation of the quantized model on ``x``."""
-    quantized = quantize_model(model)
-    reference = model.predict(x).to_numpy()
-    approx = quantized.predict(x, dtype="float32").to_numpy()
-    return float(np.max(np.abs(reference - approx)))

@@ -11,7 +11,7 @@ the readahead case study observes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..os_sim.stack import StorageStack
@@ -105,9 +105,6 @@ class MiniKV:
     def attach_obs(self, get, put, compaction) -> None:
         """Install the get, put and compaction probes (``repro.obs``)."""
         self._obs_get, self._obs_put, self._obs_compact = get, put, compaction
-
-    def detach_obs(self) -> None:
-        self._obs_get = self._obs_put = self._obs_compact = None
 
     def attach_faults(self, plane) -> None:
         """Resolve crash-point site handles (and the WAL's) from a plane."""
@@ -434,14 +431,6 @@ class MiniKV:
 
     # ------------------------------------------------------------------
 
-    def open_files(self):
-        """The struct-file handles of every open SSTable.
-
-        The KML readahead agent updates per-file ``ra_pages`` alongside
-        the device ioctl; this exposes the files it should track.
-        """
-        return [table._file for table in self._l0 + self._l1]
-
     @property
     def num_l0_tables(self) -> int:
         return len(self._l0)
@@ -449,10 +438,6 @@ class MiniKV:
     @property
     def num_l1_tables(self) -> int:
         return len(self._l1)
-
-    @property
-    def memtable_entries(self) -> int:
-        return len(self._memtable)
 
     def close(self) -> None:
         """Flush everything so a reopen sees all data."""

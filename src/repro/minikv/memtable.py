@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 __all__ = ["MemTable", "TOMBSTONE"]
 
@@ -58,12 +58,6 @@ class MemTable:
         """All entries in key order (tombstones included)."""
         for key in sorted(self._entries):
             yield key, self._entries[key]
-
-    def smallest(self) -> Optional[bytes]:
-        return min(self._entries) if self._entries else None
-
-    def largest(self) -> Optional[bytes]:
-        return max(self._entries) if self._entries else None
 
     def clear(self) -> None:
         self._entries.clear()

@@ -154,10 +154,6 @@ class SSTableBuilder:
         self.fs.fsync(self._file)
         return SSTableReader(self.fs, self.name)
 
-    @property
-    def num_records(self) -> int:
-        return len(self._keys)
-
 
 class SSTableReader:
     """Random and sequential access to one SSTable.
@@ -200,14 +196,6 @@ class SSTableReader:
         return index
 
     # ------------------------------------------------------------------
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self._index)
-
-    @property
-    def smallest_key(self) -> Optional[bytes]:
-        return self._index[0][0] if self._index else None
 
     def _read_block(self, block_idx: int) -> bytes:
         _, off, length = self._index[block_idx]

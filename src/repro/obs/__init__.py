@@ -6,8 +6,7 @@ defended with instrumentation that measures the pipeline itself.  This
 package is that measurement substrate, three pillars:
 
 - :mod:`repro.obs.metrics` -- ``Counter`` / ``Gauge`` / ``Histogram``
-  families in a :class:`MetricsRegistry` (process-global default plus
-  injectable instances for tests);
+  families in a :class:`MetricsRegistry`, one instance per caller;
 - :mod:`repro.obs.tracing` -- :class:`Tracer` with nested spans on the
   monotonic clock;
 - :mod:`repro.obs.exporters` -- Prometheus text exposition, JSONL dump,
@@ -31,8 +30,6 @@ from .metrics import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    get_default_registry,
-    set_default_registry,
 )
 from .tracing import Span, Tracer
 from .exporters import dump_jsonl, format_report, jsonl_lines, prometheus_text
@@ -58,8 +55,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "get_default_registry",
-    "set_default_registry",
     "Span",
     "Tracer",
     "dump_jsonl",

@@ -17,7 +17,7 @@ import json
 import math
 from typing import Any, Dict, List, Optional
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 from .tracing import Tracer
 
 __all__ = ["prometheus_text", "jsonl_lines", "dump_jsonl", "format_report"]

@@ -35,8 +35,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "get_default_registry",
-    "set_default_registry",
 ]
 
 #: Fixed log-spaced latency buckets: powers of two from ~1 us to 8 s.
@@ -90,7 +88,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (or a callback-backed reader)."""
+    """A value that is set, or read from a callback at collect time."""
 
     kind = "gauge"
     __slots__ = ("_value", "_fn", "_lock")
@@ -103,13 +101,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     def set_function(self, fn: Optional[Callable[[], float]]) -> None:
         self._fn = fn
@@ -345,22 +336,3 @@ class MetricsRegistry:
         with self._lock:
             self._families.clear()
             self._hooks.clear()
-
-
-# ----------------------------------------------------------------------
-# Process-global default registry (injectable for tests)
-# ----------------------------------------------------------------------
-
-_default_registry = MetricsRegistry()
-
-
-def get_default_registry() -> MetricsRegistry:
-    return _default_registry
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-global registry; returns the previous one."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous

@@ -3,7 +3,7 @@
 Discrete-event models of the pieces the KML readahead case study
 observes and actuates: a clock, block devices (NVMe/SATA SSD), an LRU
 page cache with Linux-style on-demand readahead, kernel tracepoints,
-the block-layer readahead ioctl, and a small VFS with fadvise.
+the block-layer readahead ioctl, and a small VFS with mmap.
 """
 
 from .block_layer import BlockLayer, DEFAULT_RA_PAGES
@@ -12,7 +12,6 @@ from .device import (
     PAGE_SIZE,
     DeviceModel,
     DeviceStats,
-    hard_disk,
     nvme_ssd,
     sata_ssd,
 )
@@ -27,7 +26,7 @@ from .readahead import (
 )
 from .stack import DEFAULT_CACHE_PAGES, StorageStack, make_stack
 from .tracepoints import STANDARD_TRACEPOINTS, TraceEvent, TracepointRegistry
-from .vfs import Fadvise, File, Inode, MemoryMap, SimFS
+from .vfs import File, Inode, MemoryMap, SimFS
 
 __all__ = [
     "BlockLayer",
@@ -37,7 +36,6 @@ __all__ = [
     "PAGE_SIZE",
     "DeviceModel",
     "DeviceStats",
-    "hard_disk",
     "nvme_ssd",
     "sata_ssd",
     "CacheStats",
@@ -53,7 +51,6 @@ __all__ = [
     "STANDARD_TRACEPOINTS",
     "TraceEvent",
     "TracepointRegistry",
-    "Fadvise",
     "File",
     "Inode",
     "MemoryMap",

@@ -3,8 +3,9 @@
 The paper's KML application "changes readahead sizes using block device
 layer ioctls and updates the readahead values in struct files"
 (section 3.3).  :class:`BlockLayer` is that actuation point: it owns
-the device-wide default ``ra_pages`` (the ``BLKRASET``/``BLKRAGET``
-ioctl pair) that files inherit unless they carry a per-file override.
+the device-wide default ``ra_pages`` (set by the ``BLKRASET`` ioctl,
+read back through the property) that files inherit unless they carry a
+per-file override.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ class BlockLayer:
         self.device = device
         self._ra_pages = ra_pages
         self.ra_changes = 0  # how many times the knob moved (KML telemetry)
-
-    def ioctl_blkraget(self) -> int:
-        """Read the device readahead value (BLKRAGET)."""
-        return self._ra_pages
 
     def ioctl_blkraset(self, ra_pages: int) -> None:
         """Set the device readahead value (BLKRASET)."""

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .clock import SimClock
 
-__all__ = ["DeviceModel", "DeviceStats", "nvme_ssd", "sata_ssd", "hard_disk"]
+__all__ = ["DeviceModel", "DeviceStats", "nvme_ssd", "sata_ssd"]
 
 PAGE_SIZE = 4096
 
@@ -107,24 +107,9 @@ class DeviceModel:
             self.service_observer(duration, n_pages, is_write)
         return done
 
-    def read_sync(self, clock: SimClock, n_pages: int) -> float:
-        """Submit a read and advance the clock to its completion."""
-        done = self.submit(clock, n_pages, is_write=False)
-        clock.advance_to(done)
-        return done
-
     @property
     def busy_until(self) -> float:
         return self._busy_until
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` spent transferring or seeking."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / elapsed)
-
-    def reset_stats(self) -> None:
-        self.stats = DeviceStats()
 
 
 def nvme_ssd() -> DeviceModel:
@@ -135,8 +120,3 @@ def nvme_ssd() -> DeviceModel:
 def sata_ssd() -> DeviceModel:
     """SATA-SSD-class device: 90 us/request, ~520 MB/s."""
     return DeviceModel(name="ssd", request_latency_s=90e-6, per_page_s=7.8e-6)
-
-
-def hard_disk() -> DeviceModel:
-    """7200rpm HDD-class device (not in the paper; used by tests/ablations)."""
-    return DeviceModel(name="hdd", request_latency_s=6e-3, per_page_s=25e-6)

@@ -77,18 +77,9 @@ class TracepointRegistry:
         """Install the dispatch-latency probe (``repro.obs.instrument.Probe``)."""
         self._obs = probe
 
-    def detach_obs(self) -> None:
-        self._obs = None
-
     @property
     def names(self):
         return tuple(self._subscribers)
-
-    def register(self, name: str) -> None:
-        """Add a new tracepoint name (idempotent)."""
-        self._subscribers.setdefault(name, [])
-        self._page_forms.setdefault(name, [])
-        self.hit_counts.setdefault(name, 0)
 
     def subscribe(
         self,
@@ -157,12 +148,3 @@ class TracepointRegistry:
                 form(name, timestamp, ino, pages)
             except Exception:
                 self.subscriber_errors += 1
-
-    @property
-    def total_hits(self) -> int:
-        return sum(self.hit_counts.values())
-
-    def reset_counts(self) -> None:
-        for name in self.hit_counts:
-            self.hit_counts[name] = 0
-        self.subscriber_errors = 0

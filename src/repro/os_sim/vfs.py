@@ -1,4 +1,4 @@
-"""A small VFS over the simulated page cache: inodes, files, fadvise.
+"""A small VFS over the simulated page cache: inodes, files, mmap.
 
 This is the surface workloads (and the mini-LSM store) program against.
 It stores real bytes per inode, so the KV store above it is a genuine
@@ -6,15 +6,12 @@ storage system, while all timing flows through the page cache and the
 device model.
 
 Readahead plumbing follows Linux: each open file has ``ra_pages``
-initialized from the block device, overridable per file (the ``struct
-file`` field KML updates) and by ``posix_fadvise`` hints --
-``FADV_SEQUENTIAL`` doubles the device default, ``FADV_RANDOM``
-disables readahead, ``FADV_NORMAL`` restores inheritance.
+initialized from the block device and overridable per file (the
+``struct file`` field KML updates).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -25,13 +22,7 @@ from .page_cache import PageCache
 from .readahead import ReadaheadState
 from .tracepoints import TracepointRegistry
 
-__all__ = ["Fadvise", "Inode", "File", "MemoryMap", "SimFS", "PAGE_SIZE"]
-
-
-class Fadvise(enum.Enum):
-    NORMAL = "normal"
-    SEQUENTIAL = "sequential"
-    RANDOM = "random"
+__all__ = ["Inode", "File", "MemoryMap", "SimFS", "PAGE_SIZE"]
 
 
 @dataclass
@@ -53,7 +44,7 @@ class Inode:
 
 
 class File:
-    """An open file description: position, readahead state, hints."""
+    """An open file description: position and readahead state."""
 
     def __init__(self, inode: Inode, fs: "SimFS"):
         self.inode = inode
@@ -61,33 +52,20 @@ class File:
         self.pos = 0
         self.ra_state = ReadaheadState()
         self.ra_override: Optional[int] = None  # KML writes this
-        self.advice = Fadvise.NORMAL
         self.closed = False
 
     @property
     def ra_pages(self) -> int:
-        """Effective readahead for this file (hint > override > device)."""
-        if self.advice is Fadvise.RANDOM:
-            return 0
-        base = (
-            self.ra_override
-            if self.ra_override is not None
-            else self._fs.block.ra_pages
-        )
-        if self.advice is Fadvise.SEQUENTIAL:
-            return base * 2
-        return base
+        """Effective readahead for this file (override > device)."""
+        if self.ra_override is not None:
+            return self.ra_override
+        return self._fs.block.ra_pages
 
     def set_ra_pages(self, ra_pages: int) -> None:
         """Per-file override (the ``struct file`` update KML performs)."""
         if ra_pages < 0:
             raise ValueError("ra_pages must be non-negative")
         self.ra_override = ra_pages
-
-    def fadvise(self, advice: Fadvise) -> None:
-        self.advice = advice
-        if advice is Fadvise.RANDOM:
-            self.ra_state.reset()
 
 
 class MemoryMap:
@@ -104,7 +82,6 @@ class MemoryMap:
         self._file = file
         self._fs = fs
         self.faults = 0
-        self.closed = False
 
     @property
     def length(self) -> int:
@@ -112,8 +89,6 @@ class MemoryMap:
 
     def load(self, offset: int, length: int) -> bytes:
         """Touch the mapped range and return its bytes."""
-        if self.closed:
-            raise ValueError("access to unmapped MemoryMap")
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
         inode = self._file.inode
@@ -137,8 +112,6 @@ class MemoryMap:
 
     def store(self, offset: int, data: bytes) -> None:
         """Write through the mapping (dirties pages, no extension)."""
-        if self.closed:
-            raise ValueError("access to unmapped MemoryMap")
         inode = self._file.inode
         if offset < 0 or offset + len(data) > inode.size:
             raise ValueError("store outside the mapped extent")
@@ -148,9 +121,6 @@ class MemoryMap:
             last_page = (offset + len(data) - 1) // PAGE_SIZE
             for page in range(first_page, last_page + 1):
                 self._fs.cache.write_page(inode.ino, page)
-
-    def unmap(self) -> None:
-        self.closed = True
 
 
 class SimFS:
@@ -267,11 +237,6 @@ class SimFS:
             )
         file.pos = end
         return bytes(inode.data[offset:end])
-
-    def read_sequential(self, file: File, length: int) -> bytes:
-        """Read from the current position (the streaming-scan path)."""
-        data = self.read(file, file.pos, length)
-        return data
 
     def write(self, file: File, offset: int, data: bytes) -> int:
         """Byte-range write: extend the inode, dirty the pages.

@@ -12,7 +12,7 @@ behaviour, which changes future features: the closed circuit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np

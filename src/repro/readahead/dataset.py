@@ -15,7 +15,7 @@ all share it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,16 +52,6 @@ class Dataset:
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=len(self.classes))
-
-    def merge(self, other: "Dataset") -> "Dataset":
-        if self.classes != other.classes:
-            raise ValueError("cannot merge datasets with different classes")
-        return Dataset(
-            np.vstack([self.x, other.x]),
-            np.concatenate([self.y, other.y]),
-            self.classes,
-            self.feature_names,
-        )
 
 
 @dataclass

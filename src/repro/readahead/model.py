@@ -117,12 +117,6 @@ class ReadaheadClassifier:
         classes = self.network.predict_classes(normalized, dtype=self.dtype)
         return classes
 
-    def predict_one(self, features) -> int:
-        return int(self.predict(np.asarray(features).reshape(1, -1))[0])
-
-    def predict_name(self, features) -> str:
-        return self.classes[self.predict_one(features)]
-
     def accuracy(self, x, labels) -> float:
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         return float(np.mean(self.predict(x) == labels))

@@ -14,7 +14,7 @@ classifier was never trained on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..os_sim.stack import StorageStack

@@ -9,7 +9,7 @@ and NVMe 26% average.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,12 +46,6 @@ class ReadaheadTreeModel:
 
     def predict(self, x) -> np.ndarray:
         return self.tree.predict(x)
-
-    def predict_one(self, features) -> int:
-        return int(self.tree.predict(np.asarray(features).reshape(1, -1))[0])
-
-    def predict_name(self, features) -> str:
-        return self.classes[self.predict_one(features)]
 
     def accuracy(self, x, labels) -> float:
         return self.tree.accuracy(x, labels)

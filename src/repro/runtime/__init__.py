@@ -6,7 +6,7 @@ portability ("development") API that lets identical KML code run in
 user space and kernel space.
 """
 
-from .atomics import AtomicInt, AtomicFlag
+from .atomics import AtomicInt
 from .circular_buffer import CircularBuffer
 from .kml_logging import KmlLogger, LogLevel
 from .memory import Allocation, KmlMemoryError, MemoryAccountant
@@ -20,7 +20,6 @@ from .training_thread import AsyncTrainer, Mode
 
 __all__ = [
     "AtomicInt",
-    "AtomicFlag",
     "CircularBuffer",
     "KmlLogger",
     "LogLevel",

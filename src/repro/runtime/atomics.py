@@ -9,14 +9,13 @@ testable under real threads.
 
 from __future__ import annotations
 
-import itertools
 import threading
 
-__all__ = ["AtomicInt", "AtomicFlag"]
+__all__ = ["AtomicInt"]
 
 
 class AtomicInt:
-    """A 64-bit-style atomic integer: load/store/add/sub/CAS."""
+    """A 64-bit-style atomic integer: load/store/add/CAS."""
 
     __slots__ = ("_value", "_lock")
 
@@ -38,9 +37,6 @@ class AtomicInt:
             self._value = old + delta
             return old
 
-    def fetch_sub(self, delta: int = 1) -> int:
-        return self.fetch_add(-delta)
-
     def add_fetch(self, delta: int = 1) -> int:
         """Atomically add; returns the *new* value."""
         return self.fetch_add(delta) + delta
@@ -55,27 +51,3 @@ class AtomicInt:
 
     def __repr__(self) -> str:
         return f"AtomicInt({self._value})"
-
-
-class AtomicFlag:
-    """A test-and-set flag (kernel ``atomic_flag`` equivalent)."""
-
-    __slots__ = ("_flag", "_lock")
-
-    def __init__(self, value: bool = False):
-        self._flag = bool(value)
-        self._lock = threading.Lock()
-
-    def test_and_set(self) -> bool:
-        """Set the flag; returns the previous value."""
-        with self._lock:
-            old = self._flag
-            self._flag = True
-            return old
-
-    def clear(self) -> None:
-        with self._lock:
-            self._flag = False
-
-    def is_set(self) -> bool:
-        return self._flag

@@ -68,9 +68,6 @@ class CircularBuffer:
         """Install the push-latency probe (``repro.obs.instrument.Probe``)."""
         self._obs = probe
 
-    def detach_obs(self) -> None:
-        self._obs = None
-
     def attach_faults(self, plane) -> None:
         """Resolve the ``buffer.push`` injection site from a plane."""
         self._fault_push = plane.site("buffer.push")
@@ -103,12 +100,6 @@ class CircularBuffer:
     @property
     def popped(self) -> int:
         return self._popped.load()
-
-    def is_empty(self) -> bool:
-        return self._head.load() == self._tail.load()
-
-    def is_full(self) -> bool:
-        return self._next(self._head.load()) == self._tail.load()
 
     def _next(self, index: int) -> int:
         index += 1

@@ -45,10 +45,6 @@ class Allocation:
         self._freed = True
         self._accountant._release(self.size)
 
-    @property
-    def freed(self) -> bool:
-        return self._freed
-
 
 class MemoryAccountant:
     """Thread-safe byte accounting with optional reservation budget.
@@ -132,11 +128,6 @@ class MemoryAccountant:
                 "allocation_count": self._allocation_count,
                 "failed_allocations": self._failed_allocations,
             }
-
-    def reset_peak(self) -> None:
-        """Restart high-water tracking from the current usage."""
-        with self._lock:
-            self._peak = self._in_use
 
     # ------------------------------------------------------------------
     # Matrix-allocation observation

@@ -28,8 +28,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from .atomics import AtomicFlag, AtomicInt
-from .kml_logging import KmlLogger, LogLevel
+from .atomics import AtomicInt
+from .kml_logging import KmlLogger
 from .memory import Allocation, KmlMemoryError, MemoryAccountant
 
 __all__ = [

@@ -100,9 +100,6 @@ class AsyncTrainer:
         """Install the batch-latency probe (``repro.obs.instrument.Probe``)."""
         self._obs = probe
 
-    def detach_obs(self) -> None:
-        self._obs = None
-
     def attach_faults(self, plane) -> None:
         """Resolve the ``trainer.batch`` injection site from a plane."""
         self._fault_batch = plane.site("trainer.batch")

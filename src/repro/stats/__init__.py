@@ -2,8 +2,8 @@
 
 from .moving import CumulativeMovingStd
 from .zscore import ZScoreNormalizer, OnlineZScore
-from .correlation import pearson, feature_label_correlations, select_features
-from .quantiles import P2Quantile, ExponentialMovingAverage
+from .correlation import pearson, feature_label_correlations
+from .quantiles import P2Quantile
 
 __all__ = [
     "CumulativeMovingStd",
@@ -11,7 +11,5 @@ __all__ = [
     "OnlineZScore",
     "pearson",
     "feature_label_correlations",
-    "select_features",
     "P2Quantile",
-    "ExponentialMovingAverage",
 ]

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..kml.mathops import kml_sqrt
 
-__all__ = ["pearson", "feature_label_correlations", "select_features"]
+__all__ = ["pearson", "feature_label_correlations"]
 
 
 def pearson(x, y) -> float:
@@ -46,14 +46,3 @@ def feature_label_correlations(x, labels) -> np.ndarray:
     if len(x) != len(labels):
         raise ValueError(f"{len(labels)} labels for {len(x)} samples")
     return np.array([abs(pearson(x[:, i], labels)) for i in range(x.shape[1])])
-
-
-def select_features(x, labels, top_k: int) -> np.ndarray:
-    """Indices of the ``top_k`` features by |correlation| with labels."""
-    correlations = feature_label_correlations(x, labels)
-    if top_k < 1 or top_k > len(correlations):
-        raise ValueError(
-            f"top_k must be in [1, {len(correlations)}], got {top_k}"
-        )
-    order = np.argsort(-correlations, kind="stable")
-    return np.sort(order[:top_k])

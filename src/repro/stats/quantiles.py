@@ -1,4 +1,4 @@
-"""Streaming quantiles (P-squared) and exponentially weighted averages.
+"""Streaming quantiles (the P-squared algorithm).
 
 Storage tuning cares about tails -- the paper's related work (MittOS,
 LinnOS) is built around millisecond tail latency -- and a kernel cannot
@@ -9,9 +9,9 @@ updates, which is exactly the budget an in-kernel observer has.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
-__all__ = ["P2Quantile", "ExponentialMovingAverage"]
+__all__ = ["P2Quantile"]
 
 
 class P2Quantile:
@@ -48,10 +48,6 @@ class P2Quantile:
             self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
             self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
             self._increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-
-    def update_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.update(value)
 
     def _update_markers(self, value: float) -> None:
         heights, positions = self._heights, self._positions
@@ -118,34 +114,4 @@ class P2Quantile:
         self._positions.clear()
         self._desired.clear()
         self._increments.clear()
-        self.count = 0
-
-
-class ExponentialMovingAverage:
-    """EWMA with configurable smoothing (recency-weighted mean)."""
-
-    __slots__ = ("alpha", "_value", "count")
-
-    def __init__(self, alpha: float = 0.1):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._value = 0.0
-        self.count = 0
-
-    def update(self, value: float) -> float:
-        value = float(value)
-        if self.count == 0:
-            self._value = value
-        else:
-            self._value += self.alpha * (value - self._value)
-        self.count += 1
-        return self._value
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def reset(self) -> None:
-        self._value = 0.0
         self.count = 0

@@ -55,30 +55,11 @@ class ZScoreNormalizer:
         out = (x - self.means) / self.stds
         return out[0] if single else out
 
-    def fit_transform(self, x) -> np.ndarray:
-        return self.fit(x).transform(x)
-
-    def inverse_transform(self, z) -> np.ndarray:
-        if not self._fitted:
-            raise RuntimeError("inverse_transform() before fit()")
-        z = np.asarray(z, dtype=np.float64)
-        return z * self.stds + self.means
-
-    # Serialization hooks so fitted statistics deploy with the model.
+    # Serialization hook so fitted statistics deploy with the model.
     def to_arrays(self):
         if not self._fitted:
             raise RuntimeError("normalizer not fitted")
         return self.means.copy(), self.stds.copy()
-
-    @classmethod
-    def from_arrays(cls, means, stds) -> "ZScoreNormalizer":
-        norm = cls()
-        norm.means = np.asarray(means, dtype=np.float64)
-        norm.stds = np.asarray(stds, dtype=np.float64)
-        if norm.means.shape != norm.stds.shape:
-            raise ValueError("means and stds must have matching shapes")
-        norm._fitted = True
-        return norm
 
 
 class OnlineZScore:
@@ -107,10 +88,6 @@ class OnlineZScore:
             std = stat.std
             out[i] = (value - stat.mean) / std if std > 1e-12 else 0.0
         return out
-
-    def update_normalize(self, row) -> np.ndarray:
-        self.update(row)
-        return self.normalize(row)
 
     @property
     def count(self) -> int:

@@ -9,8 +9,6 @@ network for every second".
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..minikv.db import MiniKV

@@ -31,11 +31,6 @@ class ZipfGenerator:
         """One rank (0 = most popular)."""
         return int(np.searchsorted(self._cdf, self._rng.random(), side="right"))
 
-    def sample_many(self, count: int) -> np.ndarray:
-        return np.searchsorted(
-            self._cdf, self._rng.random(count), side="right"
-        ).astype(np.int64)
-
     def probability(self, rank: int) -> float:
         """Exact sampling probability of ``rank``."""
         if not 0 <= rank < self.n:

@@ -32,7 +32,7 @@ def run_storm(buf, producers, items_per_producer, drain=True):
                 accepted[worker].append(item)
 
     def consume():
-        while not done.is_set() or not buf.is_empty():
+        while not done.is_set() or len(buf) != 0:
             item = buf.pop()
             if item is not None:
                 consumed.append(item)
@@ -59,7 +59,7 @@ def check_invariants(buf, accepted, consumed, attempts):
     assert buf.pushed == len(accepted)
     assert buf.popped == len(consumed)
     assert buf.pushed + buf.dropped == attempts
-    assert buf.is_empty()
+    assert len(buf) == 0
 
 
 class TestMultiProducer:
@@ -109,7 +109,7 @@ class TestMultiProducer:
         assert len(buf.drain(max_items=32)) == 32
 
 
-@pytest.mark.faults_stress
+@pytest.mark.stress
 class TestBigStorm:
     def test_sustained_contention(self):
         buf = CircularBuffer(128, producers="multi")

@@ -114,7 +114,7 @@ class TestModelIoSite:
         model_io.set_fault_hook(plane.model_io_hook())
         with pytest.raises(ModelFormatError):
             load_model(path)
-        assert plane.total_injections == 1
+        assert plane.injection_counts() == {("model_io.load", "corrupt"): 1}
         model_io.set_fault_hook(None)
         load_model(path)  # clean again once the hook is gone
 

@@ -6,7 +6,7 @@ surviving files, and requires exact equivalence with an in-memory dict
 reference (modulo the one in-flight op, which may legally be present or
 absent -- never torn).
 
-The tier-1 slice covers every site with two seeds; the ``faults_stress``
+The tier-1 slice covers every site with two seeds; the ``stress``
 matrix (``make check``) runs every site with 24 seeds -- 216
 fully deterministic cases.
 """
@@ -61,7 +61,7 @@ def test_acked_ops_precede_the_crash(harness):
     assert 0 <= report.ops_acked < harness.num_ops
 
 
-@pytest.mark.faults_stress
+@pytest.mark.stress
 def test_full_crash_matrix(harness):
     reports = harness.run_matrix(sites=ALL_CRASH_SITES, seeds=STRESS_SEEDS)
     assert len(reports) >= 200

@@ -24,7 +24,7 @@ from repro.kml import (
 )
 from repro.kml.model_io import MAGIC
 
-from .conftest import STRESS
+from ..conftest import STRESS
 
 
 @pytest.fixture(scope="module")

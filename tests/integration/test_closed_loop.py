@@ -60,10 +60,6 @@ class TestCollection:
     def test_features_finite(self, tiny_dataset):
         assert np.all(np.isfinite(tiny_dataset.x))
 
-    def test_merge(self, tiny_dataset):
-        merged = tiny_dataset.merge(tiny_dataset)
-        assert len(merged) == 2 * len(tiny_dataset)
-
 
 class TestTrainingPipeline:
     def test_classifier_beats_chance_out_of_fold(self, tiny_dataset):

@@ -83,19 +83,6 @@ class TestPredict:
         with pytest.raises(ValueError):
             tree.predict(np.zeros((1, 3)))
 
-    def test_proba_rows_sum_to_one(self):
-        x, y = xor_data()
-        tree = DecisionTreeClassifier(max_depth=3).fit(x, y)
-        proba = tree.predict_proba(x[:10])
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
-
-    def test_proba_argmax_equals_predict(self):
-        x, y = xor_data()
-        tree = DecisionTreeClassifier(max_depth=4).fit(x, y)
-        np.testing.assert_array_equal(
-            tree.predict_proba(x).argmax(axis=1), tree.predict(x)
-        )
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_property_training_points_route_to_majority(self, seed):

@@ -30,9 +30,6 @@ class TestConversion:
     def test_nan_maps_to_zero(self):
         assert fx.to_fixed(float("nan")) == 0
 
-    def test_from_int(self):
-        assert fx.from_fixed(fx.fx_from_int(7)) == 7.0
-
     @given(small_reals)
     @settings(max_examples=200, deadline=None)
     def test_property_round_trip(self, value):

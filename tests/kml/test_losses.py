@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.kml.losses import (
-    BinaryCrossEntropyLoss,
-    CrossEntropyLoss,
-    MSELoss,
-    one_hot,
-)
+from repro.kml.losses import BinaryCrossEntropyLoss, CrossEntropyLoss, MSELoss
+from repro.kml.losses.base import one_hot_array
 from repro.kml.matrix import Matrix
 
 
@@ -27,22 +23,24 @@ def numeric_loss_grad(loss_cls, logits, target, eps=1e-6):
 
 class TestOneHot:
     def test_basic(self):
-        m = one_hot([0, 2], 3).to_numpy()
+        m = one_hot_array([0, 2], 3)
         np.testing.assert_array_equal(m, [[1, 0, 0], [0, 0, 1]])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            one_hot([3], 3)
+            one_hot_array([3], 3)
         with pytest.raises(ValueError):
-            one_hot([-1], 3)
+            one_hot_array([-1], 3)
 
     @pytest.mark.parametrize("label", [1.7, -0.5, float("nan"), float("inf")])
     def test_non_integral_label_rejected(self, label):
         with pytest.raises(ValueError, match="integral"):
-            one_hot([0.0, label], 4)
+            one_hot_array([0.0, label], 4)
 
     def test_integral_float_labels_accepted(self):
-        assert one_hot(np.array([1.0, 3.0]), 4) == one_hot([1, 3], 4)
+        np.testing.assert_array_equal(
+            one_hot_array(np.array([1.0, 3.0]), 4), one_hot_array([1, 3], 4)
+        )
 
     def test_cross_entropy_rejects_non_integral_label(self):
         with pytest.raises(ValueError, match="integral"):
@@ -74,7 +72,7 @@ class TestCrossEntropy:
         logits = np.array([[2.0, 1.0]])
         a = CrossEntropyLoss().forward(Matrix(logits, dtype="float64"), [0])
         b = CrossEntropyLoss().forward(
-            Matrix(logits, dtype="float64"), one_hot([0], 2)
+            Matrix(logits, dtype="float64"), Matrix(one_hot_array([0], 2))
         )
         assert a == pytest.approx(b)
 

@@ -69,7 +69,7 @@ class TestFlushCompaction:
         db, _ = small_db()
         db.put(b"k", b"v")
         db.flush()
-        assert db.memtable_entries == 0
+        assert len(db._memtable) == 0
         assert db.num_l0_tables == 1
         assert db.get(b"k") == b"v"
 
@@ -244,19 +244,11 @@ class TestMergeRecords:
 
 
 class TestOpenFiles:
-    def test_open_files_cover_all_tables(self):
-        db, _ = small_db()
-        db.put(b"a", b"1")
-        db.flush()
-        db.put(b"b", b"2")
-        db.flush()
-        files = db.open_files()
-        assert len(files) == db.num_l0_tables + db.num_l1_tables
-
     def test_per_file_ra_override_applies(self):
         db, stack = small_db()
         db.put(b"a", b"1")
         db.flush()
-        for handle in db.open_files():
-            handle.set_ra_pages(16)
-        assert all(f.ra_pages == 16 for f in db.open_files())
+        handle = db._l0[0]._file
+        handle.set_ra_pages(16)
+        stack.block.ioctl_blkraset(256)
+        assert handle.ra_pages == 16

@@ -42,14 +42,6 @@ class TestMemTable:
         table.delete(b"key")
         assert table.approx_bytes == 3 + MemTable.RECORD_OVERHEAD
 
-    def test_smallest_largest(self):
-        table = MemTable()
-        assert table.smallest() is None
-        table.put(b"m", b"")
-        table.put(b"a", b"")
-        assert table.smallest() == b"a"
-        assert table.largest() == b"m"
-
     def test_clear(self):
         table = MemTable()
         table.put(b"k", b"v")

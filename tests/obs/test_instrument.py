@@ -57,14 +57,6 @@ class TestBuffer:
         assert m["pushed"].value == 128  # counting is never sampled
         assert m["push_latency"].count == 2
 
-    def test_detach_stops_timing(self, registry):
-        buf = CircularBuffer(4)
-        m = instrument_buffer(buf, registry, sample_mask=0)
-        buf.detach_obs()
-        buf.push(1)
-        assert m["push_latency"].count == 0
-        assert m["pushed"].value == 1  # callback still reads the component
-
 
 class TestTrainer:
     def test_batch_latency_and_progress(self, registry):

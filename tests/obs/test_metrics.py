@@ -10,8 +10,6 @@ from repro.obs import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    get_default_registry,
-    set_default_registry,
 )
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 
@@ -58,11 +56,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_overwrites(self):
         g = Gauge()
         g.set(10)
-        g.inc(5)
-        g.dec(3)
+        g.set(12)
         assert g.value == 12.0
 
     def test_callback_gauge(self):
@@ -197,14 +194,3 @@ class TestRegistry:
         reg = MetricsRegistry()
         h = reg.histogram("kml_h_seconds", buckets=(1.0, 2.0))
         assert h.bounds == (1.0, 2.0)
-
-
-class TestDefaultRegistry:
-    def test_swap_and_restore(self):
-        mine = MetricsRegistry()
-        previous = set_default_registry(mine)
-        try:
-            assert get_default_registry() is mine
-        finally:
-            set_default_registry(previous)
-        assert get_default_registry() is previous

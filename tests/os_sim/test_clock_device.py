@@ -3,7 +3,7 @@
 import pytest
 
 from repro.os_sim.clock import SimClock
-from repro.os_sim.device import DeviceModel, hard_disk, nvme_ssd, sata_ssd
+from repro.os_sim.device import DeviceModel, nvme_ssd, sata_ssd
 
 
 class TestClock:
@@ -44,7 +44,8 @@ class TestDevice:
     def test_sync_read_advances_clock(self):
         clock = SimClock()
         dev = nvme_ssd()
-        done = dev.read_sync(clock, 4)
+        done = dev.submit(clock, 4)
+        clock.advance_to(done)
         assert clock.now == done == pytest.approx(dev.service_time(4))
 
     def test_requests_queue_behind_each_other(self):
@@ -58,11 +59,10 @@ class TestDevice:
     def test_idle_gap_not_counted_busy(self):
         clock = SimClock()
         dev = nvme_ssd()
-        dev.read_sync(clock, 1)
+        clock.advance_to(dev.submit(clock, 1))
         clock.advance(1.0)  # idle
-        dev.read_sync(clock, 1)
+        clock.advance_to(dev.submit(clock, 1))
         assert dev.stats.busy_time == pytest.approx(2 * dev.service_time(1))
-        assert dev.utilization(clock.now) < 0.01
 
     def test_stats_counters(self):
         clock = SimClock()
@@ -75,16 +75,10 @@ class TestDevice:
         assert dev.stats.pages_written == 2
         assert dev.stats.total_requests == 2
 
-    def test_reset_stats(self):
-        clock = SimClock()
-        dev = nvme_ssd()
-        dev.submit(clock, 1)
-        dev.reset_stats()
-        assert dev.stats.total_requests == 0
-
     def test_device_ordering_nvme_fastest(self):
         # Per-page and per-request costs must order nvme < ssd < hdd.
-        n, s, h = nvme_ssd(), sata_ssd(), hard_disk()
+        h = DeviceModel("hdd", request_latency_s=6e-3, per_page_s=25e-6)
+        n, s = nvme_ssd(), sata_ssd()
         assert n.service_time(64) < s.service_time(64) < h.service_time(64)
 
     def test_invalid_latency_rejected(self):

@@ -9,11 +9,10 @@ stream (per-event and page-batch subscribers), the device submits,
 order.  The second property makes the k-th ``device.submit`` raise on
 both sides and compares the state the raise leaves behind.
 
-``FAULTS_STRESS=1`` (set by ``make check``) runs many more examples.
+``STRESS=1`` (set by ``make check``) runs many more examples.
 """
 
 import dataclasses
-import os
 from collections import OrderedDict
 
 import pytest
@@ -26,7 +25,8 @@ from repro.os_sim.page_cache import CacheStats, PageCache
 from repro.os_sim.readahead import ReadaheadState, plan_hit, plan_miss
 from repro.os_sim.tracepoints import STANDARD_TRACEPOINTS, TracepointRegistry
 
-STRESS = os.environ.get("FAULTS_STRESS") == "1"
+from ..conftest import STRESS
+
 INOS = (1, 2)
 FILE_PAGES = 48
 

@@ -16,19 +16,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 5)), np.array([0, 1]))
 
-    def test_merge(self):
-        a = Dataset(np.ones((2, 5)), np.array([0, 1]))
-        b = Dataset(np.zeros((3, 5)), np.array([2, 3, 0]))
-        merged = a.merge(b)
-        assert len(merged) == 5
-        assert merged.x[0, 0] == 1.0 and merged.x[-1, 0] == 0.0
-
-    def test_merge_class_mismatch_rejected(self):
-        a = Dataset(np.ones((1, 5)), np.array([0]), classes=("a", "b"))
-        b = Dataset(np.ones((1, 5)), np.array([0]), classes=("x", "y"))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
 
 class TestCollectionConfig:
     def test_windows_per_run_derivation(self):

@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.runtime.atomics import AtomicFlag, AtomicInt
+from repro.runtime.atomics import AtomicInt
 
 
 class TestAtomicInt:
@@ -20,11 +20,6 @@ class TestAtomicInt:
     def test_add_fetch_returns_new(self):
         atom = AtomicInt(10)
         assert atom.add_fetch(3) == 13
-
-    def test_fetch_sub(self):
-        atom = AtomicInt(10)
-        assert atom.fetch_sub(4) == 10
-        assert atom.load() == 6
 
     def test_cas_success_and_failure(self):
         atom = AtomicInt(1)
@@ -63,31 +58,3 @@ class TestAtomicInt:
             w.join()
         assert len(winners) == 1
         assert atom.load() == winners[0]
-
-
-class TestAtomicFlag:
-    def test_test_and_set(self):
-        flag = AtomicFlag()
-        assert not flag.test_and_set()
-        assert flag.test_and_set()
-        assert flag.is_set()
-
-    def test_clear(self):
-        flag = AtomicFlag(True)
-        flag.clear()
-        assert not flag.is_set()
-
-    def test_only_one_thread_acquires(self):
-        flag = AtomicFlag()
-        acquirers = []
-
-        def attempt(tid):
-            if not flag.test_and_set():
-                acquirers.append(tid)
-
-        workers = [threading.Thread(target=attempt, args=(i,)) for i in range(16)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert len(acquirers) == 1

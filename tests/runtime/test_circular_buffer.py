@@ -39,14 +39,14 @@ class TestBasics:
         for round_ in range(10):
             assert buf.push(round_)
             assert buf.pop() == round_
-        assert buf.is_empty()
+        assert len(buf) == 0
         assert buf.dropped == 0
 
     def test_is_full_and_empty(self):
         buf = CircularBuffer(1)
-        assert buf.is_empty() and not buf.is_full()
-        buf.push("x")
-        assert buf.is_full() and not buf.is_empty()
+        assert len(buf) == 0
+        assert buf.push("x")
+        assert len(buf) == 1 and not buf.push("y")
 
     def test_drain(self):
         buf = CircularBuffer(8)
@@ -89,7 +89,7 @@ class TestConcurrency:
             done.set()
 
         def consumer():
-            while not (done.is_set() and buf.is_empty()):
+            while not (done.is_set() and len(buf) == 0):
                 item = buf.pop()
                 if item is not None:
                     received.append(item)
@@ -115,7 +115,7 @@ class TestConcurrency:
 
         t = threading.Thread(target=producer)
         t.start()
-        while t.is_alive() or not buf.is_empty():
+        while t.is_alive() or len(buf) != 0:
             item = buf.pop()
             if item is not None:
                 received.append(item)

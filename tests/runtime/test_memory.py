@@ -52,13 +52,6 @@ class TestAccounting:
         with pytest.raises(ValueError):
             MemoryAccountant().allocate(-1)
 
-    def test_reset_peak(self):
-        acc = MemoryAccountant()
-        a = acc.allocate(100)
-        a.free()
-        acc.reset_peak()
-        assert acc.peak == 0
-
 
 class TestReservation:
     def test_over_reservation_fails_fast(self):

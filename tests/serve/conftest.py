@@ -1,9 +1,4 @@
-"""Shared fixtures + stress gating for the model-registry tests.
-
-Tests marked ``serve_stress`` (the long hot-swap storm) only run when
-``SERVE_STRESS=1`` is set -- ``make check`` does that; the tier-1
-run keeps a quick deterministic slice so the atomicity property is
-exercised on every test run.
+"""Shared fixtures for the model-registry tests.
 
 ``constant_model(value)`` builds the workhorse of the swap tests: a
 network whose output row is ``[value, value, ...]`` regardless of
@@ -13,8 +8,6 @@ model's identity, so every response can be attributed to exactly one
 version.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -22,19 +15,6 @@ from repro.kml.layers import Linear
 from repro.kml.matrix import Matrix
 from repro.kml.network import Sequential
 from repro.serve import ModelRegistry
-
-STRESS = os.environ.get("SERVE_STRESS") == "1"
-
-
-def pytest_collection_modifyitems(config, items):
-    if STRESS:
-        return
-    skip = pytest.mark.skip(
-        reason="stress run; enable via SERVE_STRESS=1 (make check)"
-    )
-    for item in items:
-        if "serve_stress" in item.keywords:
-            item.add_marker(skip)
 
 
 def constant_model(value: float, in_features: int = 4,

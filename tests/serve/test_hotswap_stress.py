@@ -20,9 +20,9 @@ version at its halfway point -- so every run provably serves at least
 two versions mid-traffic, while a free-running swapper thread churns
 activations among the rest.
 
-The quick slice runs on every tier-1 test run; the ``serve_stress``
+The quick slice runs on every tier-1 test run; the ``stress``
 variant scales up clients and swaps and adds concurrent publishes
-(enabled by ``SERVE_STRESS=1`` via ``make check``).
+(enabled by ``STRESS=1`` via ``make check``).
 """
 
 import itertools
@@ -144,7 +144,7 @@ class TestHotSwapAtomicity:
         assert 1 in served
         assert any(v >= 2 for v in served), sorted(served)
 
-    @pytest.mark.serve_stress
+    @pytest.mark.stress
     def test_long_swap_storm_with_concurrent_publishes(self, registry):
         violations, responses, served = run_swap_storm(
             registry, versions=8, clients=6, requests_per_client=400,

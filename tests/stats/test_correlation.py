@@ -1,15 +1,11 @@
-"""Tests for Pearson correlation and feature selection."""
+"""Tests for Pearson correlation and the feature-label screen."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.correlation import (
-    feature_label_correlations,
-    pearson,
-    select_features,
-)
+from repro.stats.correlation import feature_label_correlations, pearson
 
 
 class TestPearson:
@@ -66,15 +62,6 @@ class TestFeatureSelection:
         correlations = feature_label_correlations(x, labels)
         assert correlations[0] > 0.9 and correlations[2] > 0.9
         assert correlations[1] < 0.3 and correlations[3] < 0.3
-        np.testing.assert_array_equal(select_features(x, labels, 2), [0, 2])
-
-    def test_select_validates_top_k(self):
-        x = np.zeros((10, 3)) + np.arange(10).reshape(-1, 1)
-        y = np.zeros(10)
-        with pytest.raises(ValueError):
-            select_features(x, y, 0)
-        with pytest.raises(ValueError):
-            select_features(x, y, 4)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,22 @@
-"""Tests for P² online quantiles and EWMA."""
+"""Tests for P² online quantiles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.quantiles import ExponentialMovingAverage, P2Quantile
+from repro.stats.quantiles import P2Quantile
+
+
+def feed(estimator, values):
+    for value in values:
+        estimator.update(value)
 
 
 class TestP2:
     def test_exact_below_five_samples(self):
         estimator = P2Quantile(0.5)
-        estimator.update_many([5.0, 1.0, 3.0])
+        feed(estimator, [5.0, 1.0, 3.0])
         assert estimator.value == 3.0
 
     def test_empty_is_zero(self):
@@ -22,7 +27,7 @@ class TestP2:
         rng = np.random.default_rng(0)
         samples = rng.normal(100, 15, size=20_000)
         estimator = P2Quantile(q)
-        estimator.update_many(samples)
+        feed(estimator, samples)
         exact = float(np.quantile(samples, q))
         assert estimator.value == pytest.approx(exact, rel=0.03)
 
@@ -30,18 +35,18 @@ class TestP2:
         rng = np.random.default_rng(1)
         samples = rng.exponential(1.0, size=30_000)
         estimator = P2Quantile(0.99)
-        estimator.update_many(samples)
+        feed(estimator, samples)
         exact = float(np.quantile(samples, 0.99))
         assert estimator.value == pytest.approx(exact, rel=0.10)
 
     def test_median_of_uniform_stream(self):
         estimator = P2Quantile(0.5)
-        estimator.update_many(np.linspace(0, 1, 10_001))
+        feed(estimator, np.linspace(0, 1, 10_001))
         assert estimator.value == pytest.approx(0.5, abs=0.02)
 
     def test_constant_memory(self):
         estimator = P2Quantile(0.9)
-        estimator.update_many(range(100_000))
+        feed(estimator, range(100_000))
         assert len(estimator._heights) == 5
         assert estimator.count == 100_000
 
@@ -53,7 +58,7 @@ class TestP2:
 
     def test_reset(self):
         estimator = P2Quantile(0.5)
-        estimator.update_many(range(100))
+        feed(estimator, range(100))
         estimator.reset()
         assert estimator.count == 0 and estimator.value == 0.0
 
@@ -62,43 +67,5 @@ class TestP2:
     @settings(max_examples=100, deadline=None)
     def test_property_estimate_within_range(self, values):
         estimator = P2Quantile(0.9)
-        estimator.update_many(values)
+        feed(estimator, values)
         assert min(values) <= estimator.value <= max(values)
-
-
-class TestEWMA:
-    def test_first_sample_is_value(self):
-        ewma = ExponentialMovingAverage(0.2)
-        assert ewma.update(42.0) == 42.0
-
-    def test_converges_to_constant(self):
-        ewma = ExponentialMovingAverage(0.3)
-        for _ in range(100):
-            ewma.update(7.0)
-        assert ewma.value == pytest.approx(7.0)
-
-    def test_recency_weighting(self):
-        slow = ExponentialMovingAverage(0.01)
-        fast = ExponentialMovingAverage(0.5)
-        for estimator in (slow, fast):
-            estimator.update(0.0)
-            estimator.update(100.0)
-        assert fast.value > slow.value
-
-    def test_alpha_one_tracks_exactly(self):
-        ewma = ExponentialMovingAverage(1.0)
-        ewma.update(3.0)
-        ewma.update(9.0)
-        assert ewma.value == 9.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(0.0)
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(1.5)
-
-    def test_reset(self):
-        ewma = ExponentialMovingAverage(0.5)
-        ewma.update(5.0)
-        ewma.reset()
-        assert ewma.count == 0 and ewma.value == 0.0

@@ -266,6 +266,31 @@ class TestFaults:
         out = capsys.readouterr().out
         assert "simulated crashes (+ recoveries): 1" in out
 
+    def test_report_follows_the_recovered_store(self, capsys):
+        code = main(["faults", "--scenario", "torn-wal", "--ops", "200"])
+        assert code == 0
+        out = capsys.readouterr().out
+        printed = int(out.split("wal_records_replayed=")[1].split()[0])
+        reported = int(
+            out.split("kml_minikv_wal_records_replayed_total: ")[1].split()[0]
+        )
+        assert printed > 0
+        assert reported == printed
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--ops", "-5"], "--ops must be at least 1, got -5"),
+            (["--ops", "0"], "--ops must be at least 1, got 0"),
+            (["--num-keys", "0"], "--num-keys must be at least 1, got 0"),
+        ],
+    )
+    def test_scenario_usage_errors(self, capsys, argv, message):
+        assert main(["faults", "--scenario", "torn-wal", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestServe:
     @pytest.fixture
@@ -309,8 +334,12 @@ class TestServe:
         reg = str(tmp_path / "r")
         assert main(["serve", "--registry", reg, "--model", model_file]) == 0
         capsys.readouterr()
-        assert main(["serve", "--registry", reg, "--activate", "99"]) == 1
-        assert "repro:" in capsys.readouterr().err
+        assert main(["serve", "--registry", reg, "--activate", "99"]) == 5
+        assert "unknown model version 99" in capsys.readouterr().err
+        empty = str(tmp_path / "empty")
+        assert main(["serve", "--registry", empty, "--activate", "3"]) == 5
+        err = capsys.readouterr().err
+        assert "bad configuration: unknown model version 3" in err
 
 
 class TestReport:
