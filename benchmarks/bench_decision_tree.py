@@ -19,16 +19,6 @@ from repro.readahead import ReadaheadTreeModel
 WORKLOADS = ("readrandom", "readrandomwriterandom", "updaterandom", "mixgraph")
 
 
-class _TreeDeployable:
-    """Adapter giving the tree the deployable-network interface."""
-
-    def __init__(self, tree: ReadaheadTreeModel):
-        self.tree = tree
-
-    def predict_classes(self, x, dtype=None):
-        return self.tree.predict(np.asarray(x))
-
-
 @pytest.mark.benchmark(group="decision-tree")
 def test_decision_tree_variant(benchmark, training_dataset, deployable,
                                tuning_table):
@@ -37,12 +27,11 @@ def test_decision_tree_variant(benchmark, training_dataset, deployable,
     def run_all():
         tree = ReadaheadTreeModel(max_depth=3).fit(
             training_dataset.x, training_dataset.y
-        )
-        wrapped = _TreeDeployable(tree)
+        ).tree
         for device in ("nvme", "ssd"):
             for workload in WORKLOADS:
                 results[("tree", workload, device)] = run_pair(
-                    device, workload, wrapped, tuning_table, sim_seconds=1.5
+                    device, workload, tree, tuning_table, sim_seconds=1.5
                 )
                 results[("nn", workload, device)] = run_pair(
                     device, workload, deployable, tuning_table, sim_seconds=1.5

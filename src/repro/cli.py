@@ -329,6 +329,7 @@ def _cmd_faults(args) -> int:
     """Run a fault scenario against a KV workload, or the crash matrix."""
     from .faults import (
         ALL_CRASH_SITES,
+        SITES,
         CrashRecoveryHarness,
         SCENARIOS,
         InjectedFault,
@@ -405,6 +406,19 @@ def _cmd_faults(args) -> int:
     from .os_sim import make_stack
 
     plane = build_scenario(args.scenario, seed=args.seed)
+    # The KV run attaches the file system, the device and minikv only.
+    unreachable = [
+        site for site in SITES
+        if plane.rules_for(site)
+        and not site.startswith(("vfs.", "device.", "minikv."))
+    ]
+    if unreachable:
+        print(
+            f"scenario {args.scenario!r} arms {', '.join(unreachable)}, "
+            "which a KV workload never reaches",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     registry = MetricsRegistry()
     instrument_faults(plane, registry)
     stack = make_stack(args.device)
@@ -426,7 +440,12 @@ def _cmd_faults(args) -> int:
                 db.get(key)
         except SimCrash:
             crashes += 1
+            # Recovery opens a store whose stats start at zero: carry the
+            # run's counts over, so the report covers every op.
+            counts = vars(db.stats)
             db = MiniKV(stack, DBOptions(memtable_bytes=4096))
+            for name, value in counts.items():
+                setattr(db.stats, name, getattr(db.stats, name) + value)
             db.attach_faults(plane)
             instrument_minikv(db, registry)  # rebinds the families
         except InjectedFault:

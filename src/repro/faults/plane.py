@@ -307,14 +307,13 @@ class FaultSite:
         self._rules = rules
         self._plane = plane
 
-    def fire(self, size: Optional[int] = None):
+    def fire(self):
         """Evaluate the site's rules; raise or return an action.
 
         Returns ``None`` (no fault), or one of :class:`TornWrite`,
         :class:`Delay`, :class:`DropSample`, :class:`CorruptBytes`.
         Raises :class:`InjectedIOError` / :class:`SimCrash` for
-        error/crash rules.  ``size`` is advisory context (bytes or
-        pages of the guarded operation).
+        error/crash rules.
         """
         for rule in self._rules:
             rule.evals += 1
@@ -402,7 +401,7 @@ class FaultPlane:
             return None
 
         def hook(data: bytes) -> bytes:
-            action = site.fire(size=len(data))
+            action = site.fire()
             if action is not None:
                 return action.apply(data)
             return data

@@ -162,6 +162,10 @@ class DecisionTreeClassifier:
             )
         return np.array([self._walk(row).prediction for row in x], dtype=np.int64)
 
+    #: The name every deployable model answers (``Sequential`` takes the
+    #: argmax of its logits); a tree's prediction already is the class.
+    predict_classes = predict
+
     def accuracy(self, x, labels) -> float:
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         return float(np.mean(self.predict(x) == labels))

@@ -4,8 +4,7 @@ KML builds a DAG of layers and traverses it for inference, propagating
 each layer's output to its successors; gradients flow back along the
 reverse topological order (HotStorage '21, section 2).  The prototype
 supports *chain* graphs processed serially -- :class:`Sequential` is
-exactly that, with a small :class:`Graph` generalization used by the
-autodiff tests.
+exactly that.
 """
 
 from __future__ import annotations

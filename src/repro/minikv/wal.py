@@ -61,7 +61,7 @@ class WriteAheadLog:
         if self._fault_append is not None:
             # may raise; a TornWrite action persists a partial record
             # (the torn tail replay() must stop at) and then crashes.
-            action = self._fault_append.fire(size=len(record))
+            action = self._fault_append.fire()
             if action is not None:
                 self.fs.append(
                     self._handle(), record[: action.keep_bytes(len(record))]

@@ -91,7 +91,7 @@ class DeviceModel:
             # Transient errors raise here; latency spikes stretch the
             # request and are charged to the busy timeline like any
             # other service time.
-            action = self._fault_submit.fire(size=n_pages)
+            action = self._fault_submit.fire()
             if action is not None:
                 duration += action.seconds
         done = start + duration

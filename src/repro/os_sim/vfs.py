@@ -32,7 +32,6 @@ class Inode:
     ino: int
     name: str
     data: bytearray = field(default_factory=bytearray)
-    nlink: int = 1
 
     @property
     def size(self) -> int:
@@ -224,7 +223,7 @@ class SimFS:
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
         if self._fault_read is not None:
-            self._fault_read.fire(size=length)  # may raise an injected error
+            self._fault_read.fire()  # may raise an injected error
         inode = file.inode
         end = min(offset + length, inode.size)
         if end <= offset:
@@ -251,7 +250,7 @@ class SimFS:
             raise ValueError("offset must be non-negative")
         torn = None
         if self._fault_write is not None:
-            torn = self._fault_write.fire(size=len(data))  # may raise
+            torn = self._fault_write.fire()  # may raise
             if torn is not None:
                 data = data[: torn.keep_bytes(len(data))]
         inode = file.inode

@@ -3,7 +3,7 @@
 Once per window the agent: (1) snapshots the features accumulated from
 the memory-management tracepoints, (2) optionally pushes the sample
 into the lock-free circular buffer for the async training thread, (3)
-runs inference on the deployed network, and (4) actuates -- sets the
+runs inference on the deployed model, and (4) actuates -- sets the
 block-layer readahead via ioctl and the per-file ``ra_pages`` in every
 open struct file it is given.  The actuation changes future page-cache
 behaviour, which changes future features: the closed circuit.
@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..kml.network import Sequential
 from ..os_sim.block_layer import DEFAULT_RA_PAGES
 from ..os_sim.stack import StorageStack
 from ..os_sim.vfs import File
@@ -50,7 +49,9 @@ class ReadaheadAgent:
     model:
         A *deployable* network (normalization folded in, see
         ``ReadaheadClassifier.to_deployable``) -- typically loaded from
-        a KML model file, as in the paper's kernel deployment.
+        a KML model file, as in the paper's kernel deployment -- or a
+        fitted :class:`~repro.kml.decision_tree.DecisionTreeClassifier`.
+        Inputs are encoded in the model's own parameter dtype.
     tuning:
         The workload -> best-readahead mapping from the empirical sweep;
         it must have an entry for every class on ``device``.
@@ -72,23 +73,28 @@ class ReadaheadAgent:
         default (``DEFAULT_RA_PAGES``).
     registry:
         Optional :class:`repro.serve.ModelRegistry`.  When given, each
-        tick runs inference on the registry's active snapshot, so a
+        tick runs inference on the registry's active model, so a
         ``registry.activate(n)`` hot-swaps the model between ticks.
-        With no active version, or when the snapshot's predict fails,
-        the agent falls back to its own local model for that tick,
-        mirroring the DEGRADED-path containment of the ``health`` gate.
+        With no active version, or when that model's inference raises,
+        the agent's own model takes the tick, mirroring the
+        DEGRADED-path containment of the ``health`` gate.
+
+    Every tick, whichever model serves it, makes one inference call:
+    ``model.predict_classes(row)``, or with ``confidence_threshold > 0``
+    ``model.predict(row).softmax(axis=1)``.  A decision tree has no
+    logits, so it cannot serve a gated tick: from the registry the
+    agent's own model takes over, and as the agent's own model it
+    raises.
     """
 
     def __init__(
         self,
         stack: StorageStack,
-        model: Sequential,
+        model,
         tuning: TuningTable,
         device: str,
-        classes: Sequence[str] = WORKLOAD_CLASSES,
         files: Optional[Iterable[File]] = None,
         sample_buffer: Optional[CircularBuffer] = None,
-        dtype: str = "float32",
         smoothing: int = 1,
         confidence_threshold: float = 0.0,
         health: Optional[Callable[[], bool]] = None,
@@ -101,17 +107,15 @@ class ReadaheadAgent:
             raise ValueError("confidence_threshold must be in [0, 1)")
         if fallback_ra < 0:
             raise ValueError("fallback_ra must be non-negative")
+        for name in WORKLOAD_CLASSES:
+            # A class the table lacks fails here, not at the first tick.
+            tuning.best_ra(device, name)
         self.stack = stack
         self.model = model
         self.tuning = tuning
         self.device = device
-        self.classes = tuple(classes)
-        for name in self.classes:
-            # A class the table lacks fails here, not at the first tick.
-            tuning.best_ra(device, name)
         self.files: List[File] = list(files or [])
         self.sample_buffer = sample_buffer
-        self.dtype = dtype
         self.smoothing = smoothing
         self.confidence_threshold = confidence_threshold
         self.health = health
@@ -136,92 +140,66 @@ class ReadaheadAgent:
             self.skipped_degraded += 1
             if self.stack.block.ra_pages != self.fallback_ra:
                 self.apply(self.fallback_ra)
-            decision = AgentDecision(
-                sim_time=sim_time,
-                predicted_class=-1,
-                predicted_name="degraded",
-                ra_pages=self.fallback_ra,
-                inference_wall_s=0.0,
-            )
-            self.history.append(decision)
-            return decision
-        if self.sample_buffer is not None:
-            self.sample_buffer.push(features)
-        wall_start = time.perf_counter_ns()
-        logits = None
-        if self.registry is not None:
-            snapshot = self.registry.active()
-            if snapshot is not None:
-                try:
-                    logits = np.asarray(
-                        snapshot.predict(features.reshape(1, -1))[0],
-                        dtype=np.float64,
-                    )
-                except Exception:
-                    # A failing model must never cost the agent a
-                    # decision: the local model takes this tick.
-                    pass
-            if logits is None:
-                self.registry_fallbacks += 1
-            else:
-                self.registry_decisions += 1
-        if self.confidence_threshold > 0.0:
-            if logits is not None:
-                shifted = np.exp(logits - logits.max())
-                probabilities = shifted / shifted.sum()
-            else:
-                probabilities = (
-                    self.model.predict(features.reshape(1, -1), dtype=self.dtype)
-                    .softmax(axis=1)
-                    .to_numpy()[0]
-                )
-            predicted = int(np.argmax(probabilities))
-            confident = probabilities[predicted] >= self.confidence_threshold
+            predicted, name, ra = -1, "degraded", self.fallback_ra
+            inference_wall = 0.0
         else:
-            if logits is not None:
-                predicted = (
-                    int(np.argmax(logits)) if logits.size > 1
-                    else int(round(float(logits[0])))
-                )
-            else:
-                predicted = int(
-                    self.model.predict_classes(
-                        features.reshape(1, -1), dtype=self.dtype
-                    )[0]
-                )
-            confident = True
-        inference_wall = (time.perf_counter_ns() - wall_start) / 1e9
-        if not confident:
-            # Safety valve (paper section 3.3): an unconfident model
-            # leaves the current heuristic setting alone.
-            self.skipped_low_confidence += 1
-            decision = AgentDecision(
-                sim_time=sim_time,
-                predicted_class=predicted,
-                predicted_name=self.classes[predicted],
-                ra_pages=self.stack.block.ra_pages,
-                inference_wall_s=inference_wall,
-            )
-            self.history.append(decision)
-            return decision
-        # Optional hysteresis: act on the majority class of the last k
-        # predictions to damp per-window oscillation.
-        self._recent_classes.append(predicted)
-        if len(self._recent_classes) > self.smoothing:
-            self._recent_classes.pop(0)
-        acted = max(set(self._recent_classes), key=self._recent_classes.count)
-        name = self.classes[acted]
-        ra = self.tuning.best_ra(self.device, name)
-        self.apply(ra)
+            if self.sample_buffer is not None:
+                self.sample_buffer.push(features)
+            predicted, ra, inference_wall = self._decide(features.reshape(1, -1))
+            name = WORKLOAD_CLASSES[predicted]
         decision = AgentDecision(
             sim_time=sim_time,
-            predicted_class=acted,
+            predicted_class=predicted,
             predicted_name=name,
             ra_pages=ra,
             inference_wall_s=inference_wall,
         )
         self.history.append(decision)
         return decision
+
+    def _decide(self, row: np.ndarray) -> Tuple[int, int, float]:
+        """Infer ``row``'s class and actuate: (class, ra_pages, wall s)."""
+        wall_start = time.perf_counter_ns()
+        # The registry's active model serves the tick; the agent's own
+        # takes over when there is none or it raises, so a bad snapshot
+        # never costs the agent a decision.
+        snapshot = self.registry.active() if self.registry is not None else None
+        models = (self.model,) if snapshot is None else (snapshot.model, self.model)
+        for model in models:
+            try:
+                predicted, confident = self._classify(model, row)
+                break
+            except Exception:
+                if model is self.model:
+                    raise
+        if self.registry is not None:
+            if model is self.model:
+                self.registry_fallbacks += 1
+            else:
+                self.registry_decisions += 1
+        inference_wall = (time.perf_counter_ns() - wall_start) / 1e9
+        if not confident:
+            # Safety valve (paper section 3.3): an unconfident model
+            # leaves the current heuristic setting alone.
+            self.skipped_low_confidence += 1
+            return predicted, self.stack.block.ra_pages, inference_wall
+        # Optional hysteresis: act on the majority class of the last k
+        # predictions to damp per-window oscillation.
+        self._recent_classes.append(predicted)
+        if len(self._recent_classes) > self.smoothing:
+            self._recent_classes.pop(0)
+        acted = max(set(self._recent_classes), key=self._recent_classes.count)
+        ra = self.tuning.best_ra(self.device, WORKLOAD_CLASSES[acted])
+        self.apply(ra)
+        return acted, ra, inference_wall
+
+    def _classify(self, model, row: np.ndarray) -> Tuple[int, bool]:
+        """``model``'s class for ``row`` and whether the gate lets it act."""
+        if self.confidence_threshold == 0.0:
+            return int(model.predict_classes(row)[0]), True
+        probabilities = model.predict(row).softmax(axis=1).to_numpy()[0]
+        predicted = int(np.argmax(probabilities))
+        return predicted, probabilities[predicted] >= self.confidence_threshold
 
     def apply(self, ra_pages: int) -> None:
         """Actuate: block-layer ioctl plus per-file struct updates."""

@@ -202,7 +202,5 @@ class FeatureCollector:
         self.detach()
 
     @staticmethod
-    def feature_names(all_candidates: bool = False) -> List[str]:
-        if all_candidates:
-            return list(FEATURE_NAMES)
+    def feature_names() -> List[str]:
         return [FEATURE_NAMES[i] for i in PAPER_FEATURES]

@@ -10,7 +10,7 @@ are the four training workload classes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -37,26 +37,25 @@ LEARNING_RATE = 0.01
 MOMENTUM = 0.99
 HIDDEN_1 = 32
 HIDDEN_2 = 16
+BATCH_SIZE = 32
 
 
 def build_network(
-    num_features: int = NUM_FEATURES,
-    num_classes: int = len(WORKLOAD_CLASSES),
-    dtype: str = "float32",
-    rng: Optional[np.random.Generator] = None,
-    name: str = "readahead-nn",
+    dtype: str = "float32", rng: Optional[np.random.Generator] = None
 ) -> Sequential:
     """Three linear layers joined by sigmoids, logits out."""
     rng = rng or np.random.default_rng()
     return Sequential(
         [
-            Linear(num_features, HIDDEN_1, dtype=dtype, rng=rng, name="fc1"),
+            Linear(NUM_FEATURES, HIDDEN_1, dtype=dtype, rng=rng, name="fc1"),
             Sigmoid(name="act1"),
             Linear(HIDDEN_1, HIDDEN_2, dtype=dtype, rng=rng, name="fc2"),
             Sigmoid(name="act2"),
-            Linear(HIDDEN_2, num_classes, dtype=dtype, rng=rng, name="fc3"),
+            Linear(
+                HIDDEN_2, len(WORKLOAD_CLASSES), dtype=dtype, rng=rng, name="fc3"
+            ),
         ],
-        name=name,
+        name="readahead-nn",
     )
 
 
@@ -70,22 +69,14 @@ class ReadaheadClassifier:
 
     def __init__(
         self,
-        num_features: int = NUM_FEATURES,
-        classes: Sequence[str] = WORKLOAD_CLASSES,
         dtype: str = "float32",
         rng: Optional[np.random.Generator] = None,
         epochs: int = 400,
-        batch_size: int = 32,
     ):
-        self.classes = tuple(classes)
-        self.num_features = num_features
         self.dtype = dtype
         self.rng = rng or np.random.default_rng()
         self.epochs = epochs
-        self.batch_size = batch_size
-        self.network = build_network(
-            num_features, len(self.classes), dtype=dtype, rng=self.rng
-        )
+        self.network = build_network(dtype=dtype, rng=self.rng)
         self.normalizer = ZScoreNormalizer()
         self.loss_history: List[float] = []
 
@@ -103,7 +94,7 @@ class ReadaheadClassifier:
             CrossEntropyLoss(),
             optimizer,
             epochs=self.epochs,
-            batch_size=self.batch_size,
+            batch_size=BATCH_SIZE,
             rng=self.rng,
             dtype=self.dtype,
         )
@@ -134,7 +125,7 @@ class ReadaheadClassifier:
         """
         means, stds = self.normalizer.to_arrays()
         norm_layer = Linear(
-            self.num_features, self.num_features, dtype=self.dtype, name="zscore"
+            NUM_FEATURES, NUM_FEATURES, dtype=self.dtype, name="zscore"
         )
         norm_layer.weight.value = Matrix(np.diag(1.0 / stds), dtype=self.dtype)
         norm_layer.bias.value = Matrix(

@@ -32,7 +32,6 @@ from ..os_sim.stack import StorageStack, make_stack
 from ..os_sim.tracepoints import STANDARD_TRACEPOINTS, TraceEvent
 from .dataset import Dataset
 from .features import FeatureCollector
-from .model import WORKLOAD_CLASSES
 
 __all__ = ["TraceWriter", "read_trace", "dataset_from_traces"]
 
@@ -156,7 +155,6 @@ def read_trace(path: str) -> Iterator[TraceEvent]:
 def dataset_from_traces(
     labeled_traces: Sequence[Tuple[str, int]],
     window_s: float = 0.1,
-    classes: Tuple[str, ...] = WORKLOAD_CLASSES,
     skip_first_windows: int = 1,
 ) -> Dataset:
     """Offline feature extraction: trace files -> labeled dataset.
@@ -194,4 +192,4 @@ def dataset_from_traces(
         ys.extend([label] * len(kept))
     if not xs:
         raise RuntimeError("traces produced no complete windows")
-    return Dataset(np.vstack(xs), np.asarray(ys, dtype=np.int64), classes)
+    return Dataset(np.vstack(xs), np.asarray(ys, dtype=np.int64))

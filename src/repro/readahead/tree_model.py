@@ -9,13 +9,9 @@ and NVMe 26% average.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..kml.decision_tree import DecisionTreeClassifier
-from .features import NUM_FEATURES
-from .model import WORKLOAD_CLASSES
 
 __all__ = ["ReadaheadTreeModel"]
 
@@ -28,17 +24,8 @@ class ReadaheadTreeModel:
     deliberately shallow.
     """
 
-    def __init__(
-        self,
-        classes: Sequence[str] = WORKLOAD_CLASSES,
-        max_depth: int = 3,
-        min_samples_leaf: int = 4,
-    ):
-        self.classes = tuple(classes)
-        self.num_features = NUM_FEATURES
-        self.tree = DecisionTreeClassifier(
-            max_depth=max_depth, min_samples_leaf=min_samples_leaf
-        )
+    def __init__(self, max_depth: int = 3):
+        self.tree = DecisionTreeClassifier(max_depth=max_depth, min_samples_leaf=4)
 
     def fit(self, x, labels) -> "ReadaheadTreeModel":
         self.tree.fit(np.asarray(x, dtype=np.float64), labels)

@@ -4,9 +4,9 @@ The paper stops at the handoff -- train in user space, load the saved
 model in the kernel.  :class:`ModelRegistry` turns that handoff into a
 lifecycle: a versioned, integrity-checked ``.kml`` store with atomic
 hot-swap (``publish`` / ``activate`` / ``rollback``).  Inference stays
-inline: a caller reads ``registry.active()`` and runs the immutable
-:class:`ModelSnapshot` it gets back, as ``ReadaheadAgent(registry=...)``
-does once per tick.
+inline: a caller reads ``registry.active()`` and runs the model of the
+immutable :class:`ModelSnapshot` it gets back, as
+``ReadaheadAgent(registry=...)`` does once per tick.
 
 Layering: ``serve`` sits beside ``readahead`` and imports only ``kml``
 (models, model_io).  Fault injection attaches from the outside via the

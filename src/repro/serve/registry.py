@@ -28,13 +28,9 @@ from __future__ import annotations
 import os
 import re
 import threading
-import zlib
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..kml.decision_tree import DecisionTreeClassifier
-from ..kml.matrix import Matrix
 from ..kml.model_io import Model, dump_model, parse_model
 from ..kml.network import Sequential
 
@@ -57,49 +53,26 @@ class ModelSnapshot:
     """An immutable handle on one fully-loaded model version.
 
     Snapshots are what inference actually runs: the model instance is
-    private to the snapshot (decoded fresh from the stored image),
-    inference goes through the stateless ``infer`` path, and no field is
+    private to the snapshot (decoded fresh from the stored image), its
+    ``predict`` / ``predict_classes`` mutate no state, and no field is
     ever reassigned after construction -- which is what makes the
     registry's hot-swap safe for readers that never take a lock.
     """
 
-    __slots__ = ("version", "model", "kind", "dtype", "nbytes", "checksum",
-                 "n_features")
+    __slots__ = ("version", "model", "kind", "dtype")
 
-    def __init__(self, version: int, model: Model, checksum: int):
+    def __init__(self, version: int, model: Model):
         self.version = version
         self.model = model
-        self.checksum = checksum
         if isinstance(model, Sequential):
             self.kind = "sequential"
             params = model.parameters()
             self.dtype = params[0].value.dtype if params else "float32"
-            self.nbytes = model.nbytes
-            self.n_features = 0
-            for layer in model.layers:
-                weight = getattr(layer, "weight", None)
-                if weight is not None:
-                    self.n_features = int(weight.value.shape[0])
-                    break
         elif isinstance(model, DecisionTreeClassifier):
             self.kind = "tree"
             self.dtype = "float64"
-            self.nbytes = 0
-            self.n_features = int(model.num_features)
         else:  # pragma: no cover - parse_model only returns these two
             raise RegistryError(f"unsupported model type {type(model).__name__}")
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Stateless batch inference: (n, features) -> (n, outputs).
-
-        Sequential models return their logits; decision trees return
-        the predicted class as an (n, 1) column, so callers can always
-        take ``argmax(axis=1)`` -- or read column 0 -- uniformly.
-        """
-        if self.kind == "sequential":
-            out = self.model.infer(Matrix(x, dtype=self.dtype))
-            return out.to_numpy()
-        return np.asarray(self.model.predict(x), dtype=np.float64).reshape(-1, 1)
 
     def __repr__(self) -> str:
         return (
@@ -205,7 +178,7 @@ class ModelRegistry:
                 data = f.read()
             site = self._fault_site
             if site is not None:
-                action = site.fire(size=len(data))
+                action = site.fire()
                 if action is not None:
                     data = action.apply(data)
             model = parse_model(data)
@@ -217,7 +190,7 @@ class ModelRegistry:
             raise RegistryError(
                 f"cannot load model version {version}: {exc}"
             ) from exc
-        return ModelSnapshot(version, model, zlib.crc32(data) & 0xFFFFFFFF)
+        return ModelSnapshot(version, model)
 
     def activate(self, version: int) -> ModelSnapshot:
         """Load ``version`` and make it the active snapshot, atomically.

@@ -3,15 +3,22 @@
 The paper's framework supports multiple element types and compact
 representations for kernel deployment; these tests run the *whole*
 closed loop with a fixed-point network and with an int8-quantized
-network, proving the variants are drop-in at the agent level.
+network, proving the variants are drop-in at the agent level, and with
+a network served from the model registry instead of held by the agent.
 """
 
 import numpy as np
 import pytest
 
-from repro.kml import quantize_model
+from repro.kml import load_model, quantize_model
+from repro.kml.layers import Linear
+from repro.kml.matrix import Matrix
+from repro.kml.network import Sequential
 from repro.readahead import ReadaheadAgent, ReadaheadClassifier, TuningTable
+from repro.serve import ModelRegistry
+from repro.workloads import load_stack, run_closed_loop
 
+from . import test_loop_golden as golden
 from .test_closed_loop import (  # noqa: F401
     run_tiny_loop,
     tiny_classifier,
@@ -32,11 +39,25 @@ def tuning():
     return table
 
 
-def run_loop(deployable, tuning, dtype="float32"):
+def committed_model(dtype):
+    """The loop golden's committed network, with ``dtype`` parameters."""
+    layers = []
+    for layer in load_model(golden.MODEL).layers:
+        if isinstance(layer, Linear):
+            weight = layer.weight.value.to_numpy()
+            copy = Linear(*weight.shape, dtype=dtype, name=layer.name)
+            copy.weight.value = Matrix(weight, dtype=dtype)
+            copy.bias.value = Matrix(layer.bias.value.to_numpy(), dtype=dtype)
+            layer = copy
+        layers.append(layer)
+    return Sequential(layers)
+
+
+def run_loop(deployable, tuning, registry=None):
     result, agent = run_tiny_loop(
         "nvme",
         lambda stack: ReadaheadAgent(
-            stack, deployable, tuning, "nvme", smoothing=3, dtype=dtype
+            stack, deployable, tuning, "nvme", smoothing=3, registry=registry
         ),
         sim_seconds=0.6,
     )
@@ -72,6 +93,44 @@ class TestFixedPointDeployment:
         clf.fit(tiny_dataset.x, tiny_dataset.y)
         assert clf.accuracy(tiny_dataset.x, tiny_dataset.y) > 0.7
         deployable = clf.to_deployable()
-        tput, agent = run_loop(deployable, tuning, dtype="fixed32")
+        tput, agent = run_loop(deployable, tuning)
         assert len(agent.history) >= 3
         assert tput > 0
+
+
+class TestRegistryDeployment:
+    @pytest.mark.parametrize("dtype", ["float32", "fixed32"])
+    def test_registry_and_local_decide_alike(self, dtype, tmp_path):
+        """One inference path: the deployable held by the agent and the
+        same deployable served from the registry decide identically."""
+        deployable = committed_model(dtype)
+        tuning = TuningTable.load(golden.TUNING)
+        registry = ModelRegistry(str(tmp_path / "registry"))
+        registry.publish(deployable, activate=True)
+
+        def run(registry=None):
+            loaded = load_stack(
+                "nvme", golden.NUM_KEYS, golden.VALUE_SIZE,
+                golden.CACHE_PAGES, seed=golden.SEED,
+            )
+            result, agent = run_closed_loop(
+                loaded, "readrandom",
+                policy=lambda stack: ReadaheadAgent(
+                    stack, deployable, tuning, "nvme",
+                    smoothing=golden.SMOOTHING, registry=registry,
+                ),
+                ra_pages=128, sim_seconds=golden.SIM_SECONDS,
+                window=golden.WINDOW_S,
+            )
+            stream = [
+                (d.sim_time, d.predicted_class, d.predicted_name, d.ra_pages)
+                for d in agent.history
+            ]
+            return result.throughput, stream, agent
+
+        local_tput, local, _ = run()
+        served_tput, served, agent = run(registry)
+        assert agent.registry_decisions == len(served) >= 3
+        assert len({decision[1] for decision in local}) > 1
+        assert served == local
+        assert served_tput == local_tput

@@ -178,10 +178,10 @@ class SubmitFault:
     def site(self, name):
         return self
 
-    def fire(self, size):
+    def fire(self):
         self.fired += 1
         if self.fired == self.k:
-            raise InjectedError(size)
+            raise InjectedError(self.fired)
 
 
 class Side:

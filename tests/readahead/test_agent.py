@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kml.decision_tree import DecisionTreeClassifier
 from repro.kml.layers import Linear
 from repro.kml.matrix import Matrix
 from repro.kml.network import Sequential
@@ -48,6 +49,12 @@ def constant_class_model(cls: int, in_features: int = 5) -> Sequential:
     )
     linear.bias.value = Matrix(logits, dtype="float32")
     return model
+
+
+def constant_class_tree(cls: int, in_features: int = 5) -> DecisionTreeClassifier:
+    """A fitted tree that predicts class ``cls`` for any input."""
+    x = np.random.default_rng(0).normal(size=(8, in_features))
+    return DecisionTreeClassifier(max_depth=1).fit(x, np.full(8, cls))
 
 
 def feed_random_pattern(stack, rng, n=300):
@@ -226,6 +233,36 @@ class TestRegistryInference:
         decision = agent.on_tick(0.1, 1.0)
         assert decision.predicted_name == "readreverse"
         assert agent.registry_fallbacks == 1
+
+    def test_decision_tree_from_registry_drives_decision(self, registry, tuning):
+        registry.publish(constant_class_tree(1), activate=True)
+        assert registry.active().kind == "tree"
+        stack, agent = self.make_agent(registry, tuning)
+        decision = agent.on_tick(0.1, 1.0)
+        assert decision.predicted_name == "readrandom"
+        assert stack.block.ra_pages == tuning.best_ra("nvme", "readrandom")
+        assert agent.registry_decisions == 1
+
+    def test_gated_tick_cannot_run_a_tree(self, registry, tuning):
+        """A tree has no logits to take a softmax of: from the registry,
+        a gated tick falls back to the agent's own network."""
+        registry.publish(constant_class_tree(1), activate=True)
+        stack = make_stack("nvme", ra_pages=128)
+        agent = ReadaheadAgent(
+            stack, constant_class_model(2), tuning, "nvme",
+            registry=registry, confidence_threshold=0.5,
+        )
+        assert agent.on_tick(0.1, 1.0).predicted_name == "readreverse"
+        assert agent.registry_fallbacks == 1
+
+
+class TestLocalTree:
+    def test_decision_tree_drives_decision(self, tuning):
+        stack = make_stack("nvme", ra_pages=128)
+        agent = ReadaheadAgent(stack, constant_class_tree(3), tuning, "nvme")
+        decision = agent.on_tick(0.1, 1.0)
+        assert decision.predicted_name == "readrandomwriterandom"
+        assert stack.block.ra_pages == 8
 
 
 class TestBandit:

@@ -10,8 +10,8 @@ of a non-atomic swap directly observable:
   produce it) breaks ``output == float(snapshot.version)``.
 
 Clients infer the way every in-repo caller does: resolve
-``registry.active()`` once, then run ``snapshot.predict`` on it, with
-no lock and no intermediary.
+``registry.active()`` once, then run ``snapshot.model.predict`` on it,
+with no lock and no intermediary.
 
 Version diversity is guaranteed by construction, not by timing: the
 swapper waits for the first response (served by the initially-active
@@ -78,7 +78,7 @@ def run_swap_storm(registry, *, versions, clients, requests_per_client,
                 # deterministically.
                 registry.activate(2 + index)
             snapshot = registry.active()
-            row = snapshot.predict(rng.normal(size=(1, 4)))[0]
+            row = snapshot.model.predict(rng.normal(size=(1, 4))).to_numpy()[0]
             record(snapshot.version, row)
 
     def swapper():

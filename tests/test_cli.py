@@ -211,6 +211,17 @@ class TestRun:
         assert {s["name"] for s in spans} == {"agent_tick"}
         assert all(s["tags"]["ra_pages"] in (8, 128) for s in spans)
 
+    def test_run_deploys_a_decision_tree(self, workspace, capsys):
+        code = main([
+            "run", "--model", workspace["tree"],
+            "--tuning", workspace["tuning"],
+            "--workload", "readrandom", "--sim-seconds", "0.2",
+            *workspace["tiny"],
+        ])
+        assert code == 0
+        # The tree classified every window: the counts are not empty.
+        assert "classified as   : {'" in capsys.readouterr().out
+
 
 class TestFaults:
     def test_list_scenarios(self, capsys):
@@ -276,6 +287,36 @@ class TestFaults:
         )
         assert printed > 0
         assert reported == printed
+
+    def test_op_counters_cover_the_whole_run(self, capsys):
+        """Recovery opens a fresh store; the counts survive it."""
+        code = main(["faults", "--scenario", "torn-wal", "--ops", "200"])
+        assert code == 0
+        out = capsys.readouterr().out
+
+        def count(metric):
+            return int(out.split(metric + ": ")[1].split()[0])
+
+        crashes = count("simulated crashes (+ recoveries)")
+        assert crashes == 1
+        gets = count("kml_minikv_ops_total{op=get}")
+        puts = count("kml_minikv_ops_total{op=put}")
+        assert gets + puts == 200 - crashes
+
+    @pytest.mark.parametrize(
+        "scenario, sites",
+        [
+            ("buffer-pressure", "buffer.push"),
+            ("trainer-flaky", "trainer.batch"),
+            ("trainer-crash", "trainer.batch"),
+            ("corrupt-model", "model_io.load"),
+        ],
+    )
+    def test_scenario_the_kv_run_cannot_reach(self, capsys, scenario, sites):
+        assert main(["faults", "--scenario", scenario, "--ops", "10"]) == 2
+        captured = capsys.readouterr()
+        assert f"arms {sites}, which a KV workload never reaches" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -18,6 +18,17 @@ fails once it is stale: the name is gone, or it has a real caller.
 The same pass fails on any import in a ``src`` module that the module
 neither uses nor re-exports through ``__all__``; package
 ``__init__.py`` files, which exist to re-export, are exempt.
+
+Two more scans cover what a caller search cannot see:
+
+- a parameter of a public function or method that its own body never
+  reads (``self`` / ``cls``, and bodies that only raise or pass, are
+  exempt), listed as ``module.function(parameter)``;
+- a dataclass field in ``src/repro`` whose name no attribute and no
+  string constant in the callers carries, listed as
+  ``module.Class.field``: construction by keyword is not a read.
+
+``ALLOWED`` takes these entries too, with the same staleness rule.
 """
 
 import ast
@@ -67,9 +78,31 @@ ALLOWED = {
     "repro.obs.metrics.Counter.inc":
         "a counter's own increment, as docs/OBSERVABILITY.md documents",
     "repro.faults.supervisor.TrainerSupervisor.healthy":
-        "the documented ReadaheadAgent(healthy=...) predicate",
+        "the documented ReadaheadAgent(health=...) predicate",
     "repro.os_sim.page_cache.PageCache.dirty_pages":
         "the dirty count the writeback tests assert on",
+    # Parameters a protocol fixes: every policy is called as
+    # on_tick(sim_time, rate), every scheduler as dispatch(now, head).
+    "repro.readahead.agent.ReadaheadAgent.on_tick(rate)":
+        "the closed-loop policy protocol; the bandit tuner reads rate",
+    "repro.iosched.schedulers.NoopScheduler.dispatch(now)":
+        "the Scheduler.dispatch protocol; deadline scheduling reads now",
+    "repro.iosched.schedulers.NoopScheduler.dispatch(head)":
+        "the Scheduler.dispatch protocol; the elevator reads head",
+    "repro.iosched.schedulers.ElevatorScheduler.dispatch(now)":
+        "the Scheduler.dispatch protocol; deadline scheduling reads now",
+    # Dataclass fields no caller reads.
+    "repro.readahead.agent.AgentDecision.inference_wall_s":
+        "per-decision inference latency (paper section 4) for the "
+        "planned per-tick decision log",
+    "repro.faults.harness.CrashReport.site_evals":
+        "crash-case context the crash-matrix tests report on failure",
+    "repro.faults.harness.CrashReport.crash_nth":
+        "crash-case context the crash-matrix tests report on failure",
+    "repro.faults.harness.CrashReport.ops_acked":
+        "crash-case context the crash-matrix tests check",
+    "repro.faults.harness.CrashReport.pending_op":
+        "crash-case context the crash-matrix tests check",
 }
 
 
@@ -119,6 +152,76 @@ def _references(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _functions(tree, module):
+    """``(qualified name, def node, is method)`` of each public function."""
+    stack = [(module, tree.body, False)]
+    while stack:
+        prefix, body, in_class = stack.pop()
+        for node in body:
+            public = not getattr(node, "name", "_").startswith("_")
+            if public and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{prefix}.{node.name}", node, in_class
+            elif public and isinstance(node, ast.ClassDef):
+                stack.append((f"{prefix}.{node.name}", node.body, True))
+
+
+def _is_stub(function):
+    """A body of only a docstring, ``pass``, ``...`` or ``raise``."""
+    return all(
+        isinstance(node, (ast.Pass, ast.Raise))
+        or (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+        for node in function.body
+    )
+
+
+def _unread_parameters(tree, module):
+    """``module.function(parameter)`` for each parameter the body never reads."""
+    for qualname, function, is_method in _functions(tree, module):
+        if _is_stub(function):
+            continue
+        args = function.args
+        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        static = any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in function.decorator_list
+        )
+        if is_method and not static:
+            names = names[1:]
+        read = {
+            node.id
+            for statement in function.body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name)
+        }
+        for name in names:
+            if name not in read:
+                yield f"{qualname}({name})"
+
+
+def _dataclass_fields(tree, module):
+    """``(module.Class.field, field)`` of each dataclass field in ``tree``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            continue
+        for statement in node.body:
+            if isinstance(statement, ast.AnnAssign) and isinstance(
+                statement.target, ast.Name
+            ):
+                name = statement.target.id
+                yield f"{module}.{node.name}.{name}", name
+
+
+def _field_reads(tree):
+    """Attribute names and string constants: how a field can be read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
@@ -177,6 +280,33 @@ def uncalled(trees, definitions):
     return {qualname for qualname, name in definitions if name not in referenced}
 
 
+@pytest.fixture(scope="module")
+def unread_parameters(trees):
+    return {
+        entry
+        for path, tree in trees.items()
+        if SRC in path.parents
+        for entry in _unread_parameters(tree, _module_name(path))
+    }
+
+
+@pytest.fixture(scope="module")
+def fields(trees):
+    """``(module.Class.field, field)`` of every dataclass field in ``src``."""
+    return [
+        field
+        for path, tree in trees.items()
+        if SRC in path.parents
+        for field in _dataclass_fields(tree, _module_name(path))
+    ]
+
+
+@pytest.fixture(scope="module")
+def unread_fields(trees, fields):
+    read = {name for tree in trees.values() for name in _field_reads(tree)}
+    return {qualname for qualname, name in fields if name not in read}
+
+
 def test_callers_found():
     assert ROOT / "src" / "repro" / "cli.py" in CALLERS
     assert ROOT / "perfbench" / "run.py" in CALLERS
@@ -192,9 +322,36 @@ def test_every_public_name_has_a_caller(uncalled):
     )
 
 
-def test_allowlist_entries_are_live_and_reasoned(definitions, uncalled):
-    defined = {qualname for qualname, _ in definitions}
-    assert not _stale(ALLOWED, defined, uncalled)
+def test_every_parameter_is_read(unread_parameters):
+    offenders = sorted(unread_parameters - set(ALLOWED))
+    assert not offenders, (
+        "parameters their own function never reads (delete them, or add "
+        f"each to ALLOWED with its reason): {offenders}"
+    )
+
+
+def test_every_dataclass_field_is_read(unread_fields):
+    offenders = sorted(unread_fields - set(ALLOWED))
+    assert not offenders, (
+        "dataclass fields nothing outside the tests reads (delete them, or "
+        f"add each to ALLOWED with its reason): {offenders}"
+    )
+
+
+def test_allowlist_entries_are_live_and_reasoned(
+    trees, definitions, uncalled, unread_parameters, fields, unread_fields
+):
+    parameters = {
+        f"{qualname}({arg.arg})"
+        for path, tree in trees.items()
+        if SRC in path.parents
+        for qualname, function, _ in _functions(tree, _module_name(path))
+        for arg in ast.walk(function.args)
+        if isinstance(arg, ast.arg)
+    }
+    defined = {qualname for qualname, _ in definitions + fields} | parameters
+    flagged = uncalled | unread_parameters | unread_fields
+    assert not _stale(ALLOWED, defined, flagged)
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
@@ -233,6 +390,33 @@ def test_guard_rules_on_a_sample():
     assert "orphan" not in referenced and "Kept" not in referenced
     # ``json`` is unused; ``sep`` is re-exported; ``path`` is used.
     assert [name for _, name in _unused_imports(tree)] == ["json"]
+
+
+def test_parameter_and_field_rules_on_a_sample():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    read_by_attr: int\n"
+        "    read_by_string: int\n"
+        "    never_read: int = 0\n"
+        "    def total(self, used, unused, *, flag=None):\n"
+        "        return self.read_by_attr + getattr(self, 'read_by_string') + used\n"
+        "    @staticmethod\n"
+        "    def build(first): return Record(1, 2, never_read=first)\n"
+        "    def abstract(self, x):\n"
+        "        'Subclasses read x.'\n"
+        "        raise NotImplementedError\n"
+        "    def _private(self, ignored): ...\n"
+        "def helper(a, b): return a\n"
+    )
+    assert sorted(_unread_parameters(tree, "m")) == [
+        "m.Record.total(flag)", "m.Record.total(unused)", "m.helper(b)",
+    ]
+    read = set(_field_reads(tree))
+    unread = [q for q, name in _dataclass_fields(tree, "m") if name not in read]
+    # Construction by keyword (``never_read=first``) is not a read.
+    assert unread == ["m.Record.never_read"]
 
 
 def test_stale_entries_reported():
