@@ -9,11 +9,10 @@ test: check
 
 # The full gate, each suite once: every test with the stress runs on
 # (STRESS: >= 200 seeded minikv crash cases, the buffer storm,
-# exhaustive model-file fuzzing, the long hot-swap storm, more
-# page-cache model examples),
+# exhaustive model-file fuzzing, more page-cache model examples),
 # the simulator and export goldens, the benchmark harness's own tests,
 # and the obs (< 10%) and fault-plane (< 2%) overhead budgets in smoke
-# mode (see docs/OBSERVABILITY.md, docs/FAULTS.md, docs/SERVING.md).
+# mode (see docs/OBSERVABILITY.md, docs/FAULTS.md).
 check:
 	STRESS=1 pytest tests/ perfbench/tests -q
 	python benchmarks/bench_obs_overhead.py --smoke

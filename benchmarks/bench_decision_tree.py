@@ -14,7 +14,7 @@ import pytest
 
 from common import run_pair, write_result
 
-from repro.readahead import ReadaheadTreeModel
+from repro.readahead import build_tree
 
 WORKLOADS = ("readrandom", "readrandomwriterandom", "updaterandom", "mixgraph")
 
@@ -25,9 +25,7 @@ def test_decision_tree_variant(benchmark, training_dataset, deployable,
     results = {}
 
     def run_all():
-        tree = ReadaheadTreeModel(max_depth=3).fit(
-            training_dataset.x, training_dataset.y
-        ).tree
+        tree = build_tree().fit(training_dataset.x, training_dataset.y)
         for device in ("nvme", "ssd"):
             for workload in WORKLOADS:
                 results[("tree", workload, device)] = run_pair(

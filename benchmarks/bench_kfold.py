@@ -13,7 +13,7 @@ import pytest
 from common import write_result
 
 from repro.kml.metrics import k_fold_cross_validate
-from repro.readahead import ReadaheadClassifier, ReadaheadTreeModel
+from repro.readahead import ReadaheadClassifier, build_tree
 from repro.stats.correlation import feature_label_correlations
 
 
@@ -30,7 +30,7 @@ def test_kfold_accuracy(benchmark, training_dataset):
             rng=np.random.default_rng(2),
         )
         outcome["tree"] = k_fold_cross_validate(
-            lambda: ReadaheadTreeModel(),
+            build_tree,
             training_dataset.x,
             training_dataset.y,
             k=10,

@@ -19,7 +19,7 @@ from repro.kml.metrics import (
 from repro.readahead import (
     CollectionConfig,
     ReadaheadClassifier,
-    ReadaheadTreeModel,
+    build_tree,
     collect_training_data,
 )
 from repro.readahead.features import FEATURE_NAMES
@@ -52,14 +52,14 @@ def main():
     # Train both model families.
     nn = ReadaheadClassifier(rng=np.random.default_rng(0))
     nn.fit(dataset.x, dataset.y)
-    tree = ReadaheadTreeModel().fit(dataset.x, dataset.y)
+    tree = build_tree().fit(dataset.x, dataset.y)
 
     print("\n10-fold cross-validation:")
     print("  neural net   :", k_fold_cross_validate(
         lambda: ReadaheadClassifier(rng=np.random.default_rng(1)),
         dataset.x, dataset.y, k=10, rng=np.random.default_rng(2)))
     print("  decision tree:", k_fold_cross_validate(
-        lambda: ReadaheadTreeModel(), dataset.x, dataset.y, k=10,
+        build_tree, dataset.x, dataset.y, k=10,
         rng=np.random.default_rng(2)))
 
     print("\nneural-net confusion matrix (rows = truth, cols = predicted):")
@@ -73,7 +73,7 @@ def main():
     print("\nper-class report (NN, in-sample):")
     print(classification_report(dataset.y, nn.predict(dataset.x), CLASSES))
 
-    print("\ntree depth:", tree.tree.depth, "nodes:", tree.tree.num_nodes)
+    print("\ntree depth:", tree.depth, "nodes:", tree.num_nodes)
     print("NN parameters:", nn.network.num_parameters,
           f"({sum(p.value.nbytes for p in nn.network.parameters())} bytes)")
 

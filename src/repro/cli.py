@@ -9,7 +9,6 @@ Subcommands mirror the paper's workflow stages:
                      report where the KML run's time went (metrics, spans)
     repro inspect    describe a saved .kml model file
     repro faults     inject faults: named scenarios or the crash matrix
-    repro serve      manage the versioned model registry
 
 Invoke as ``python -m repro <subcommand> --help``.
 
@@ -123,19 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--device", default="nvme", choices=("nvme", "ssd"))
     faults.add_argument("--seed", type=int, default=42)
 
-    serve = sub.add_parser(
-        "serve",
-        help="manage the versioned model registry",
-    )
-    serve.add_argument("--registry", required=True,
-                       help="registry directory (created if missing)")
-    serve.add_argument("--list", action="store_true", dest="list_versions",
-                       help="describe the registry contents")
-    serve.add_argument("--model", default=None,
-                       help="publish this .kml model as the next version")
-    serve.add_argument("--activate", type=int, default=None, metavar="N",
-                       help="activate version N (hot-swap)")
-
     report = sub.add_parser(
         "report", help="assemble benchmark results into one summary"
     )
@@ -179,7 +165,7 @@ def _cmd_collect(args) -> int:
 def _cmd_train(args) -> int:
     from .kml import save_model
     from .kml.metrics import k_fold_cross_validate
-    from .readahead import ReadaheadClassifier, ReadaheadTreeModel
+    from .readahead import ReadaheadClassifier, build_tree
 
     blob = np.load(args.data)
     x, y = blob["x"], blob["y"]
@@ -206,15 +192,15 @@ def _cmd_train(args) -> int:
             print(result)
         save_model(deployable, args.output)
     else:
-        tree = ReadaheadTreeModel().fit(x, y)
+        tree = build_tree().fit(x, y)
         print(f"training accuracy: {tree.accuracy(x, y) * 100:.1f}%")
         if args.kfold >= 2:
             result = k_fold_cross_validate(
-                ReadaheadTreeModel, x, y, k=args.kfold,
+                build_tree, x, y, k=args.kfold,
                 rng=np.random.default_rng(args.seed + 2),
             )
             print(result)
-        save_model(tree.tree, args.output)
+        save_model(tree, args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -325,11 +311,24 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+def _unreachable_sites(plane) -> List[str]:
+    """Sites ``plane`` arms that a ``faults --scenario`` KV run never reaches.
+
+    The KV run attaches the file system, the device and minikv only.
+    """
+    from .faults import SITES
+
+    return [
+        site for site in SITES
+        if plane.rules_for(site)
+        and not site.startswith(("vfs.", "device.", "minikv."))
+    ]
+
+
 def _cmd_faults(args) -> int:
     """Run a fault scenario against a KV workload, or the crash matrix."""
     from .faults import (
         ALL_CRASH_SITES,
-        SITES,
         CrashRecoveryHarness,
         SCENARIOS,
         InjectedFault,
@@ -341,7 +340,10 @@ def _cmd_faults(args) -> int:
     if args.list_scenarios:
         width = max(len(name) for name in scenario_names())
         for name in scenario_names():
-            print(f"{name:<{width}}  {SCENARIOS[name][1]}")
+            unreachable = _unreachable_sites(build_scenario(name, seed=args.seed))
+            mark = (f"  [not runnable: arms {', '.join(unreachable)}]"
+                    if unreachable else "")
+            print(f"{name:<{width}}  {SCENARIOS[name][1]}{mark}")
         return 0
 
     if args.crash_matrix:
@@ -406,12 +408,7 @@ def _cmd_faults(args) -> int:
     from .os_sim import make_stack
 
     plane = build_scenario(args.scenario, seed=args.seed)
-    # The KV run attaches the file system, the device and minikv only.
-    unreachable = [
-        site for site in SITES
-        if plane.rules_for(site)
-        and not site.startswith(("vfs.", "device.", "minikv."))
-    ]
+    unreachable = _unreachable_sites(plane)
     if unreachable:
         print(
             f"scenario {args.scenario!r} arms {', '.join(unreachable)}, "
@@ -470,42 +467,6 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Registry management: publish, activate, list."""
-    from .serve import ModelRegistry
-
-    if not (args.list_versions or args.model or args.activate is not None):
-        print(
-            "nothing to do: pass --list, --model PATH and/or --activate N",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
-    registry = ModelRegistry(args.registry)
-    if args.model:
-        from .kml.model_io import ModelFormatError
-
-        try:
-            version = registry.publish(args.model)
-        except Exception as exc:
-            # Surface a damaged .kml file as such (exit code 4), not as
-            # a generic registry failure.
-            if isinstance(exc.__cause__, ModelFormatError):
-                raise exc.__cause__
-            raise
-        print(f"published {args.model} as v{version:05d}")
-    if args.activate is not None:
-        have = registry.versions()
-        if args.activate not in have:
-            raise ValueError(f"unknown model version {args.activate}; have {have}")
-        snapshot = registry.activate(args.activate)
-        print(f"activated v{snapshot.version:05d} ({snapshot.kind}, "
-              f"{snapshot.dtype})")
-    if args.list_versions:
-        print(registry.describe())
-    return EXIT_OK
-
-
 def _cmd_report(args) -> int:
     import glob
     import os
@@ -539,7 +500,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "inspect": _cmd_inspect,
     "faults": _cmd_faults,
-    "serve": _cmd_serve,
     "report": _cmd_report,
 }
 

@@ -126,10 +126,6 @@ SITES: Dict[str, Tuple[str, Tuple[FaultKind, ...]]] = {
         "Crash point: MANIFEST.tmp durable, rename not yet performed",
         (FaultKind.CRASH,),
     ),
-    "serve.registry.load": (
-        "ModelRegistry load: corrupt/truncate the model image in flight",
-        (FaultKind.CORRUPT, FaultKind.ERROR),
-    ),
 }
 
 

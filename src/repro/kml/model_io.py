@@ -251,8 +251,7 @@ def dump_model(model: Model) -> bytes:
 
     ``parse_model(dump_model(m))`` round-trips, and re-serializing the
     parsed model is bit-identical -- the portability property the paper
-    relies on to hand models between user space and the kernel.  The
-    model registry (``repro.serve``) stores these images verbatim.
+    relies on to hand models between user space and the kernel.
     """
     if isinstance(model, Sequential):
         kind, payload = _KIND_SEQUENTIAL, _encode_sequential(model)

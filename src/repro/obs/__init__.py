@@ -41,7 +41,6 @@ from .instrument import (
     instrument_memory,
     instrument_minikv,
     instrument_network,
-    instrument_serve,
     instrument_stack,
     instrument_supervisor,
     instrument_tracepoints,
@@ -68,7 +67,6 @@ __all__ = [
     "instrument_memory",
     "instrument_minikv",
     "instrument_network",
-    "instrument_serve",
     "instrument_stack",
     "instrument_supervisor",
     "instrument_tracepoints",

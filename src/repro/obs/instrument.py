@@ -36,7 +36,6 @@ __all__ = [
     "instrument_minikv",
     "instrument_device",
     "instrument_stack",
-    "instrument_serve",
 ]
 
 #: Default sampling mask for per-call latency timing on the hottest
@@ -408,34 +407,6 @@ def instrument_minikv(
             Probe(out["put_latency"], sample_mask),
             Probe(out["compaction_seconds"]))
     return out
-
-
-_SERVE = (
-    ("active_version", "gauge", "kml_serve_active_version",
-     "Active model version (-1 when nothing is activated)",
-     lambda models: getattr(models, "active_version", -1)),
-    ("loads", "counter", "kml_serve_model_loads_total",
-     "Model image loads from the registry", "loads"),
-    ("load_failures", "counter", "kml_serve_model_load_failures_total",
-     "Loads rejected by integrity checking (corrupt image, I/O error)",
-     "load_failures"),
-    ("activations", "counter", "kml_serve_activations_total",
-     "Model hot-swaps (activate calls)", "activations"),
-    ("rollbacks", "counter", "kml_serve_rollbacks_total",
-     "Registry rollbacks to a prior version", "rollbacks"),
-)
-
-
-def instrument_serve(
-    model_registry, registry: MetricsRegistry
-) -> Dict[str, object]:
-    """Model-registry metrics: the active version and swap lifecycle.
-
-    Every family binds to a plain attribute the
-    :class:`~repro.serve.ModelRegistry` already keeps (callback metrics,
-    zero cost to inference).
-    """
-    return _bind(registry, model_registry, _SERVE)
 
 
 _FAULTS = (

@@ -12,10 +12,10 @@ from .model import (
     WORKLOAD_CLASSES,
     ReadaheadClassifier,
     build_network,
+    build_tree,
 )
 from .rl import BanditReadaheadTuner
 from .trace import TraceWriter, dataset_from_traces, read_trace
-from .tree_model import ReadaheadTreeModel
 from .tuning import (
     DEFAULT_TUNING_TABLE,
     PAPER_RA_VALUES,
@@ -37,11 +37,11 @@ __all__ = [
     "WORKLOAD_CLASSES",
     "ReadaheadClassifier",
     "build_network",
+    "build_tree",
     "BanditReadaheadTuner",
     "TraceWriter",
     "dataset_from_traces",
     "read_trace",
-    "ReadaheadTreeModel",
     "DEFAULT_TUNING_TABLE",
     "PAPER_RA_VALUES",
     "SweepResult",

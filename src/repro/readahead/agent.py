@@ -48,8 +48,9 @@ class ReadaheadAgent:
         The storage stack to observe and actuate.
     model:
         A *deployable* network (normalization folded in, see
-        ``ReadaheadClassifier.to_deployable``) -- typically loaded from
-        a KML model file, as in the paper's kernel deployment -- or a
+        ``ReadaheadClassifier.to_deployable``) -- typically
+        ``repro.kml.load_model(path)`` of a ``.kml`` file, the paper's
+        one save-then-load handoff into the kernel -- or a
         fitted :class:`~repro.kml.decision_tree.DecisionTreeClassifier`.
         Inputs are encoded in the model's own parameter dtype.
     tuning:
@@ -71,20 +72,11 @@ class ReadaheadAgent:
     fallback_ra:
         Readahead applied while unhealthy; defaults to the kernel
         default (``DEFAULT_RA_PAGES``).
-    registry:
-        Optional :class:`repro.serve.ModelRegistry`.  When given, each
-        tick runs inference on the registry's active model, so a
-        ``registry.activate(n)`` hot-swaps the model between ticks.
-        With no active version, or when that model's inference raises,
-        the agent's own model takes the tick, mirroring the
-        DEGRADED-path containment of the ``health`` gate.
 
-    Every tick, whichever model serves it, makes one inference call:
+    Every tick makes one inference call on ``model``:
     ``model.predict_classes(row)``, or with ``confidence_threshold > 0``
     ``model.predict(row).softmax(axis=1)``.  A decision tree has no
-    logits, so it cannot serve a gated tick: from the registry the
-    agent's own model takes over, and as the agent's own model it
-    raises.
+    logits, so a gated tick on a tree raises.
     """
 
     def __init__(
@@ -99,7 +91,6 @@ class ReadaheadAgent:
         confidence_threshold: float = 0.0,
         health: Optional[Callable[[], bool]] = None,
         fallback_ra: int = DEFAULT_RA_PAGES,
-        registry=None,
     ):
         if smoothing < 1:
             raise ValueError("smoothing must be >= 1")
@@ -120,14 +111,11 @@ class ReadaheadAgent:
         self.confidence_threshold = confidence_threshold
         self.health = health
         self.fallback_ra = fallback_ra
-        self.registry = registry
         self.collector = FeatureCollector(stack)
         self.history: List[AgentDecision] = []
         self._recent_classes: List[int] = []
         self.skipped_low_confidence = 0
         self.skipped_degraded = 0
-        self.registry_decisions = 0
-        self.registry_fallbacks = 0
 
     # ------------------------------------------------------------------
 
@@ -160,23 +148,7 @@ class ReadaheadAgent:
     def _decide(self, row: np.ndarray) -> Tuple[int, int, float]:
         """Infer ``row``'s class and actuate: (class, ra_pages, wall s)."""
         wall_start = time.perf_counter_ns()
-        # The registry's active model serves the tick; the agent's own
-        # takes over when there is none or it raises, so a bad snapshot
-        # never costs the agent a decision.
-        snapshot = self.registry.active() if self.registry is not None else None
-        models = (self.model,) if snapshot is None else (snapshot.model, self.model)
-        for model in models:
-            try:
-                predicted, confident = self._classify(model, row)
-                break
-            except Exception:
-                if model is self.model:
-                    raise
-        if self.registry is not None:
-            if model is self.model:
-                self.registry_fallbacks += 1
-            else:
-                self.registry_decisions += 1
+        predicted, confident = self._classify(self.model, row)
         inference_wall = (time.perf_counter_ns() - wall_start) / 1e9
         if not confident:
             # Safety valve (paper section 3.3): an unconfident model

@@ -1,8 +1,7 @@
 """Gating for the stress runs.
 
-Tests marked ``stress`` (the full crash matrix, the buffer storm, the
-long hot-swap storm) only run when ``STRESS=1`` is set -- ``make check``
-does that.  Tests that scale rather than skip (every-byte model-file
+Tests marked ``stress`` (the full crash matrix, the buffer storm) only
+run when ``STRESS=1`` is set -- ``make check`` does that.  Tests that scale rather than skip (every-byte model-file
 fuzzing, the page-cache reference model) read :data:`STRESS` to size
 their inputs.  The tier-1 run keeps a small deterministic slice of each,
 so coverage never regresses silently.

@@ -1,8 +1,7 @@
 """Golden test: every family the ``instrument_*`` functions export.
 
 One registry instruments every component kind (buffer, trainer, memory,
-storage stack, minikv, matrix ops, network, faults, supervisor, model
-registry), all with ``sample_mask=0``, and a fixed script drives them.
+storage stack, minikv, matrix ops, network, faults, supervisor), all with ``sample_mask=0``, and a fixed script drives them.
 The Prometheus export must then match ``export_golden.prom`` line by
 line.  Only wall-clock values are masked: the ``_bucket`` and ``_sum``
 lines of the wall-latency histograms and the two ``*_seconds_total``
@@ -21,7 +20,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 
 import numpy as np
 
@@ -36,7 +34,6 @@ from repro.obs.instrument import (
     instrument_memory,
     instrument_minikv,
     instrument_network,
-    instrument_serve,
     instrument_stack,
     instrument_supervisor,
     instrument_trainer,
@@ -44,7 +41,6 @@ from repro.obs.instrument import (
 from repro.os_sim import make_stack
 from repro.readahead.model import build_network
 from repro.runtime import AsyncTrainer, CircularBuffer, KmlMemoryError, MemoryAccountant
-from repro.serve import ModelRegistry
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "export_golden.prom")
 
@@ -69,7 +65,7 @@ _WALL_LINE = re.compile(
 )
 
 
-def drive(root: str) -> MetricsRegistry:
+def drive() -> MetricsRegistry:
     """Instrument one of each component into a registry and run the script."""
     metrics = MetricsRegistry()
     buf = CircularBuffer(4)
@@ -86,8 +82,6 @@ def drive(root: str) -> MetricsRegistry:
     instrument_faults(plane, metrics)
     supervisor = TrainerSupervisor(trainer)
     instrument_supervisor(supervisor, metrics)
-    models = ModelRegistry(os.path.join(root, "models"))
-    instrument_serve(models, metrics)
 
     for i in range(6):  # capacity 4: two drops
         buf.push(i)
@@ -129,8 +123,6 @@ def drive(root: str) -> MetricsRegistry:
     supervisor.crashes = 2
     supervisor.restarts = 1
     supervisor.consecutive_failures = 1
-
-    models.publish(net, activate=True)
     return metrics
 
 
@@ -163,16 +155,16 @@ def series(lines: list) -> set:
     return out
 
 
-def test_prometheus_export_matches_golden(tmp_path):
+def test_prometheus_export_matches_golden():
     with open(FIXTURE) as f:
         expected = f.read().splitlines()
-    assert masked(prometheus_text(drive(str(tmp_path)))) == expected
+    assert masked(prometheus_text(drive())) == expected
 
 
-def test_jsonl_covers_the_same_series(tmp_path):
+def test_jsonl_covers_the_same_series():
     with open(FIXTURE) as f:
         expected = series(f.read().splitlines())
-    records = [json.loads(line) for line in jsonl_lines(drive(str(tmp_path)))]
+    records = [json.loads(line) for line in jsonl_lines(drive())]
     got = {
         (r["kind"], r["name"], tuple(sorted(r["labels"].items()))) for r in records
     }
@@ -182,8 +174,7 @@ def test_jsonl_covers_the_same_series(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {sys.argv[0]} --write")
-    with tempfile.TemporaryDirectory() as root:
-        lines = masked(prometheus_text(drive(root)))
+    lines = masked(prometheus_text(drive()))
     with open(FIXTURE, "w") as f:
         f.write("\n".join(lines) + "\n")
     print(f"wrote {FIXTURE}")

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from repro.kml.decision_tree import DecisionTreeClassifier
-from repro.kml.layers import Linear
-from repro.kml.matrix import Matrix
-from repro.kml.network import Sequential
 from repro.os_sim import make_stack
 from repro.readahead.agent import ReadaheadAgent
 from repro.readahead.model import ReadaheadClassifier, WORKLOAD_CLASSES
 from repro.readahead.rl import BanditReadaheadTuner
 from repro.readahead.tuning import TuningTable
 from repro.runtime.circular_buffer import CircularBuffer
-from repro.serve import ModelRegistry
 
 from .test_models import synthetic_dataset
 
@@ -36,19 +32,6 @@ def tuning():
     ):
         table.set("nvme", workload, ra)
     return table
-
-
-def constant_class_model(cls: int, in_features: int = 5) -> Sequential:
-    """A network whose logits select class ``cls`` for any input."""
-    logits = np.zeros((1, len(WORKLOAD_CLASSES)))
-    logits[0, cls] = 10.0
-    model = Sequential([Linear(in_features, logits.shape[1], dtype="float32")])
-    linear = model.layers[0]
-    linear.weight.value = Matrix(
-        np.zeros((in_features, logits.shape[1])), dtype="float32"
-    )
-    linear.bias.value = Matrix(logits, dtype="float32")
-    return model
 
 
 def constant_class_tree(cls: int, in_features: int = 5) -> DecisionTreeClassifier:
@@ -183,79 +166,6 @@ class TestDegradedFallback:
             )
 
 
-class TestRegistryInference:
-    """The agent runs the registry's active snapshot each tick."""
-
-    @pytest.fixture
-    def registry(self, tmp_path):
-        return ModelRegistry(str(tmp_path / "registry"))
-
-    def make_agent(self, registry, tuning):
-        # The local model picks readreverse, so a registry decision
-        # (readseq or readrandom below) is never mistaken for it.
-        stack = make_stack("nvme", ra_pages=128)
-        return stack, ReadaheadAgent(
-            stack, constant_class_model(2), tuning, "nvme", registry=registry
-        )
-
-    def test_active_version_drives_decision(self, registry, tuning):
-        registry.publish(constant_class_model(0), activate=True)
-        stack, agent = self.make_agent(registry, tuning)
-        decision = agent.on_tick(0.1, 1.0)
-        assert decision.predicted_name == "readseq"
-        assert stack.block.ra_pages == tuning.best_ra("nvme", "readseq")
-        assert agent.registry_decisions == 1
-        assert agent.registry_fallbacks == 0
-
-    def test_activate_between_ticks_hot_swaps(self, registry, tuning):
-        registry.publish(constant_class_model(0), activate=True)
-        registry.publish(constant_class_model(1))
-        stack, agent = self.make_agent(registry, tuning)
-        first = agent.on_tick(0.1, 1.0)
-        registry.activate(2)
-        second = agent.on_tick(0.2, 1.0)
-        assert (first.predicted_name, first.ra_pages) == ("readseq", 32)
-        assert (second.predicted_name, second.ra_pages) == ("readrandom", 8)
-        assert stack.block.ra_pages == 8
-        assert agent.registry_decisions == 2
-
-    def test_empty_registry_falls_back_to_local_model(self, registry, tuning):
-        stack, agent = self.make_agent(registry, tuning)
-        decision = agent.on_tick(0.1, 1.0)
-        assert decision.predicted_name == "readreverse"
-        assert agent.registry_fallbacks == 1
-        assert agent.registry_decisions == 0
-
-    def test_failing_predict_falls_back_to_local_model(self, registry, tuning):
-        # A 3-input model cannot take the agent's 5 features.
-        registry.publish(constant_class_model(0, in_features=3), activate=True)
-        stack, agent = self.make_agent(registry, tuning)
-        decision = agent.on_tick(0.1, 1.0)
-        assert decision.predicted_name == "readreverse"
-        assert agent.registry_fallbacks == 1
-
-    def test_decision_tree_from_registry_drives_decision(self, registry, tuning):
-        registry.publish(constant_class_tree(1), activate=True)
-        assert registry.active().kind == "tree"
-        stack, agent = self.make_agent(registry, tuning)
-        decision = agent.on_tick(0.1, 1.0)
-        assert decision.predicted_name == "readrandom"
-        assert stack.block.ra_pages == tuning.best_ra("nvme", "readrandom")
-        assert agent.registry_decisions == 1
-
-    def test_gated_tick_cannot_run_a_tree(self, registry, tuning):
-        """A tree has no logits to take a softmax of: from the registry,
-        a gated tick falls back to the agent's own network."""
-        registry.publish(constant_class_tree(1), activate=True)
-        stack = make_stack("nvme", ra_pages=128)
-        agent = ReadaheadAgent(
-            stack, constant_class_model(2), tuning, "nvme",
-            registry=registry, confidence_threshold=0.5,
-        )
-        assert agent.on_tick(0.1, 1.0).predicted_name == "readreverse"
-        assert agent.registry_fallbacks == 1
-
-
 class TestLocalTree:
     def test_decision_tree_drives_decision(self, tuning):
         stack = make_stack("nvme", ra_pages=128)
@@ -263,6 +173,16 @@ class TestLocalTree:
         decision = agent.on_tick(0.1, 1.0)
         assert decision.predicted_name == "readrandomwriterandom"
         assert stack.block.ra_pages == 8
+
+    def test_gated_tick_on_a_tree_raises(self, tuning):
+        """A tree has no logits to take a softmax of."""
+        stack = make_stack("nvme", ra_pages=128)
+        agent = ReadaheadAgent(
+            stack, constant_class_tree(1), tuning, "nvme",
+            confidence_threshold=0.5,
+        )
+        with pytest.raises(AttributeError):
+            agent.on_tick(0.1, 1.0)
 
 
 class TestBandit:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.kml import load_model, save_model
+from repro.kml.decision_tree import DecisionTreeClassifier
 from repro.kml.layers import Linear, Sigmoid
 from repro.readahead.model import (
     WORKLOAD_CLASSES,
     ReadaheadClassifier,
     build_network,
+    build_tree,
 )
-from repro.readahead.tree_model import ReadaheadTreeModel
 
 
 def synthetic_dataset(n_per_class=40, seed=0):
@@ -91,17 +92,16 @@ class TestClassifier:
 class TestTreeModel:
     def test_learns_synthetic_clusters(self):
         x, y = synthetic_dataset()
-        tree = ReadaheadTreeModel(max_depth=4).fit(x, y)
+        tree = DecisionTreeClassifier(max_depth=4, min_samples_leaf=4).fit(x, y)
         assert tree.accuracy(x, y) > 0.9
 
     def test_interface_parity_with_nn(self):
         x, y = synthetic_dataset()
-        tree = ReadaheadTreeModel(max_depth=4).fit(x, y)
+        tree = DecisionTreeClassifier(max_depth=4, min_samples_leaf=4).fit(x, y)
         predictions = tree.predict(x)
         assert predictions.shape == (len(x),)
         assert set(predictions.tolist()) <= set(range(len(WORKLOAD_CLASSES)))
 
     def test_shallower_than_nn_by_design(self):
         # The tree is the deliberately weaker model in the paper.
-        tree = ReadaheadTreeModel()
-        assert tree.tree.max_depth <= 4
+        assert build_tree().max_depth <= 4

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.faults import CrashRecoveryHarness
+from repro.faults import CrashRecoveryHarness, scenario_names
 from repro.workloads import runner
 
 
@@ -15,7 +15,7 @@ class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
         for command in ("collect", "train", "sweep", "run", "inspect",
-                        "faults", "serve"):
+                        "faults"):
             args = {
                 "collect": ["collect", "--output", "x.npz"],
                 "train": ["train", "--data", "d.npz", "--output", "m.kml"],
@@ -23,7 +23,6 @@ class TestParser:
                 "run": ["run", "--model", "m.kml", "--tuning", "t.json"],
                 "inspect": ["inspect", "m.kml"],
                 "faults": ["faults", "--list"],
-                "serve": ["serve", "--registry", "r", "--list"],
             }[command]
             assert parser.parse_args(args).command == command
 
@@ -230,6 +229,20 @@ class TestFaults:
         for name in ("flaky-device", "torn-wal", "trainer-crash"):
             assert name in out
 
+    def test_list_marks_scenarios_the_kv_run_cannot_reach(self, capsys):
+        assert main(["faults", "--list"]) == 0
+        marks = {
+            line.split()[0]: line.partition("[not runnable: ")[2]
+            for line in capsys.readouterr().out.splitlines()
+        }
+        assert {name: mark for name, mark in marks.items() if mark} == {
+            "buffer-pressure": "arms buffer.push]",
+            "corrupt-model": "arms model_io.load]",
+            "trainer-crash": "arms trainer.batch]",
+            "trainer-flaky": "arms trainer.batch]",
+        }
+        assert set(marks) == set(scenario_names())
+
     def test_no_action_is_usage_error(self, capsys):
         assert main(["faults"]) == 2
         assert "nothing to do" in capsys.readouterr().err
@@ -333,54 +346,16 @@ class TestFaults:
         assert captured.out == ""
 
 
-class TestServe:
-    @pytest.fixture
-    def model_file(self, tmp_path):
-        from repro.kml import Sequential, save_model
-        from repro.kml.layers import Linear
-
-        path = str(tmp_path / "model.kml")
-        save_model(Sequential([Linear(4, 3, dtype="float32")]), path)
-        return path
-
-    def test_no_action_is_usage_error(self, tmp_path, capsys):
-        assert main(["serve", "--registry", str(tmp_path / "r")]) == 2
-        err = capsys.readouterr().err
-        assert "nothing to do: pass --list, --model PATH and/or --activate N" in err
-
-    def test_publish_activate_list(self, tmp_path, model_file, capsys):
-        reg = str(tmp_path / "r")
-        assert main(["serve", "--registry", reg, "--model", model_file]) == 0
-        assert "published" in capsys.readouterr().out
-        assert main(["serve", "--registry", reg, "--activate", "1"]) == 0
-        assert "activated v00001" in capsys.readouterr().out
-        assert main(["serve", "--registry", reg, "--list"]) == 0
-        assert "v00001" in capsys.readouterr().out
-
+class TestInspect:
     def test_missing_model_file_is_io_error(self, tmp_path, capsys):
-        code = main(["serve", "--registry", str(tmp_path / "r"),
-                     "--model", str(tmp_path / "nope.kml")])
-        assert code == 3
+        assert main(["inspect", str(tmp_path / "nope.kml")]) == 3
         assert "i/o error" in capsys.readouterr().err
 
     def test_damaged_model_file_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.kml"
         bad.write_bytes(b"this is not a model image")
-        code = main(["serve", "--registry", str(tmp_path / "r"),
-                     "--model", str(bad)])
-        assert code == 4
+        assert main(["inspect", str(bad)]) == 4
         assert "damaged model file" in capsys.readouterr().err
-
-    def test_unknown_version_is_error(self, tmp_path, model_file, capsys):
-        reg = str(tmp_path / "r")
-        assert main(["serve", "--registry", reg, "--model", model_file]) == 0
-        capsys.readouterr()
-        assert main(["serve", "--registry", reg, "--activate", "99"]) == 5
-        assert "unknown model version 99" in capsys.readouterr().err
-        empty = str(tmp_path / "empty")
-        assert main(["serve", "--registry", empty, "--activate", "3"]) == 5
-        err = capsys.readouterr().err
-        assert "bad configuration: unknown model version 3" in err
 
 
 class TestReport:

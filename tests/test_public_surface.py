@@ -69,10 +69,6 @@ ALLOWED = {
     "repro.faults.plane.FaultPlane.model_io_hook":
         "the hook the model-file fuzz suite installs with set_fault_hook",
     "repro.os_sim.vfs.SimFS.mmap": "the paper's mmap interception",
-    "repro.serve.registry.ModelRegistry.rollback":
-        "feeds kml_serve_rollbacks_total, pinned by export_golden.prom",
-    "repro.obs.instrument.instrument_serve":
-        "its families are pinned by export_golden.prom",
     "repro.obs.instrument.instrument_supervisor":
         "its families are pinned by export_golden.prom",
     "repro.obs.metrics.Counter.inc":
@@ -103,6 +99,8 @@ ALLOWED = {
         "crash-case context the crash-matrix tests check",
     "repro.faults.harness.CrashReport.pending_op":
         "crash-case context the crash-matrix tests check",
+    "repro.os_sim.readahead.ReadaheadPlan.sequential":
+        "the stream classification the readahead-algorithm tests check",
 }
 
 
