@@ -11,12 +11,12 @@ test: check
 # (STRESS: >= 200 seeded minikv crash cases, the buffer storm,
 # exhaustive model-file fuzzing, more page-cache model examples),
 # the simulator and export goldens, the benchmark harness's own tests,
-# and the obs (< 10%) and fault-plane (< 2%) overhead budgets in smoke
-# mode (see docs/OBSERVABILITY.md, docs/FAULTS.md).
+# and the hook-plane overhead gate in smoke mode: timed hooks (< 10%)
+# and an untargeted fault plane (< 2%) (see docs/OBSERVABILITY.md,
+# docs/FAULTS.md).
 check:
 	STRESS=1 pytest tests/ perfbench/tests -q
-	python benchmarks/bench_obs_overhead.py --smoke
-	python benchmarks/bench_faults_overhead.py --smoke
+	python benchmarks/bench_hook_overhead.py --smoke
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -30,7 +30,6 @@ from . import __version__
 __all__ = ["main", "build_parser"]
 
 #: Exit codes (stable; scripts and tests rely on the distinction).
-EXIT_OK = 0
 EXIT_ERROR = 1          # unexpected failure
 EXIT_USAGE = 2          # bad arguments (argparse uses 2 as well)
 EXIT_IO = 3             # missing file / OS-level I/O failure
@@ -236,7 +235,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_run(args) -> int:
     """Vanilla vs the KML closed loop; the KML run fully instrumented."""
     from . import obs
-    from .kml import load_model
+    from .hooks import detach
+    from .kml import load_model, matrix, network
     from .readahead import ReadaheadAgent, TuningTable
     from .readahead.model import WORKLOAD_CLASSES
     from .workloads import load_stack, run_closed_loop
@@ -270,15 +270,15 @@ def _cmd_run(args) -> int:
         )
 
     vanilla, _ = leg()
-    detach_matrix = obs.instrument_matrix_ops(registry)
-    detach_network = obs.instrument_network(registry)
+    obs.instrument_matrix_ops(registry)
+    obs.instrument_network(registry)
     try:
         tuned, agent = leg(lambda stack: TracedAgent(
             stack, deployable, tuning, args.device, smoothing=args.smoothing
         ))
     finally:
-        detach_matrix()
-        detach_network()
+        detach(matrix)
+        detach(network)
     print(f"{args.workload} on {args.device}:")
     print(f"  vanilla (ra=128): {vanilla.throughput:,.0f} ops/s")
     print(f"  KML closed loop : {tuned.throughput:,.0f} ops/s "
@@ -419,11 +419,11 @@ def _cmd_faults(args) -> int:
     registry = MetricsRegistry()
     instrument_faults(plane, registry)
     stack = make_stack(args.device)
-    stack.fs.attach_faults(plane)
-    stack.device.attach_faults(plane)
+    plane.attach(stack.fs)
+    plane.attach(stack.device)
     instrument_stack(stack, registry)
     db = MiniKV(stack, DBOptions(memtable_bytes=4096))
-    db.attach_faults(plane)
+    plane.attach(db)
     instrument_minikv(db, registry)
 
     rng = np.random.default_rng(args.seed)
@@ -443,7 +443,7 @@ def _cmd_faults(args) -> int:
             db = MiniKV(stack, DBOptions(memtable_bytes=4096))
             for name, value in counts.items():
                 setattr(db.stats, name, getattr(db.stats, name) + value)
-            db.attach_faults(plane)
+            plane.attach(db)
             instrument_minikv(db, registry)  # rebinds the families
         except InjectedFault:
             errors += 1

@@ -7,10 +7,11 @@ training thread, model loader, and minikv -- plus the machinery that
 proves the system recovers (the crash harness) and keeps running (the
 trainer supervisor).
 
-Layering contract: hot-path modules never import this package.  They
-expose ``attach_faults(plane)`` and hold per-site handles that are
-``None`` unless a rule targets them, so a disabled plane costs one
-pointer check.  See ``docs/FAULTS.md``.
+Layering contract: hot-path modules never import this package.  Each
+declares one hook slot per site (``repro.hooks``); a
+:class:`FaultPlane` is a hook plane that arms rules by site name and
+fills those slots, leaving ``None`` where no rule targets the site, so
+a disabled plane costs one pointer check.  See ``docs/FAULTS.md``.
 """
 
 from .errors import FaultConfigError, InjectedFault, InjectedIOError, SimCrash
@@ -23,7 +24,6 @@ from .plane import (
     FaultKind,
     FaultPlane,
     FaultRule,
-    FaultSite,
     TornWrite,
 )
 from .scenarios import SCENARIOS, build_scenario, scenario_names
@@ -37,7 +37,6 @@ __all__ = [
     "SITES",
     "FaultKind",
     "FaultRule",
-    "FaultSite",
     "FaultPlane",
     "TornWrite",
     "Delay",

@@ -42,6 +42,11 @@ ALL_CRASH_SITES: Tuple[str, ...] = tuple(
 Op = Tuple[str, bytes, Optional[bytes]]
 
 
+def _kind(site: str) -> FaultKind:
+    """The WAL site tears its record; every crash point crashes."""
+    return FaultKind.TORN_WRITE if site == "minikv.wal.append" else FaultKind.CRASH
+
+
 @dataclass
 class CrashReport:
     """Outcome of one (site, seed) crash-recovery case."""
@@ -110,10 +115,9 @@ class CrashRecoveryHarness:
             l0_compaction_trigger=self.l0_compaction_trigger,
         )
 
-    def _open(self, plane: Optional[FaultPlane]) -> MiniKV:
+    def _open(self, plane: FaultPlane) -> MiniKV:
         db = MiniKV(make_stack("nvme"), self._options())
-        if plane is not None:
-            db.attach_faults(plane)
+        plane.attach(db)
         return db
 
     @staticmethod
@@ -133,13 +137,7 @@ class CrashRecoveryHarness:
         never triggers, so the run completes and the rule's ``evals``
         counter is an exact firing count.
         """
-        plane = FaultPlane(seed=seed)
-        kind = (
-            FaultKind.TORN_WRITE
-            if site == "minikv.wal.append"
-            else FaultKind.CRASH
-        )
-        plane.inject(site, kind, probability=0.0)
+        plane = FaultPlane(seed=seed).inject(site, _kind(site), probability=0.0)
         db = self._open(plane)
         for op in self._ops(seed):
             self._apply_to_db(db, op)
@@ -167,13 +165,7 @@ class CrashRecoveryHarness:
         crash_nth = random.Random(
             (seed << 8) ^ zlib.crc32(site.encode())
         ).randint(1, evals)
-        plane = FaultPlane(seed=seed)
-        kind = (
-            FaultKind.TORN_WRITE
-            if site == "minikv.wal.append"
-            else FaultKind.CRASH
-        )
-        plane.inject(site, kind, nth=crash_nth)
+        plane = FaultPlane(seed=seed).inject(site, _kind(site), nth=crash_nth)
         db = self._open(plane)
         ref: Dict[bytes, bytes] = {}
         pending: Optional[Op] = None

@@ -1,19 +1,15 @@
 """Deterministic, seed-driven fault-injection plane.
 
-The plane is the control half of the fault subsystem: a registry of
-**named injection sites** (the places in the runtime, the simulated OS,
-and minikv where a failure can be provoked) plus seeded **rules** that
-decide, per site firing, whether to inject and what.
-
-Layering follows ``repro.obs`` exactly: hot-path modules never import
-this package.  Each component exposes ``attach_faults(plane)``, asks
-the plane for a per-site handle (:meth:`FaultPlane.site`), and keeps
-``None`` when no rule targets that site -- so a disabled or untargeted
-site costs one ``is not None`` check, nothing more.  When a rule does
-fire, the plane either raises (:class:`~.errors.InjectedIOError`,
-:class:`~.errors.SimCrash`) or returns a small duck-typed action object
-(:class:`TornWrite`, :class:`Delay`, :class:`DropSample`,
-:class:`CorruptBytes`) that the call site interprets.
+The control half of the fault subsystem: seeded **rules**, armed at the
+named sites of the one hook plane (``repro.hooks``: places in the
+runtime, the simulated OS and minikv where a failure can be provoked),
+decide per site firing whether to inject and what.  :class:`FaultPlane`
+is a :class:`~repro.hooks.HookPlane`; ``plane.attach(component)`` fills
+the component's slots and leaves a site no rule targets at ``None``,
+one ``is not None`` check.  A rule that fires either raises
+(:class:`~.errors.InjectedIOError`, :class:`~.errors.SimCrash`) or
+returns a small action object (:class:`TornWrite`, :class:`Delay`,
+:class:`DropSample`, :class:`CorruptBytes`) the call site interprets.
 
 Determinism: every rule owns a private ``random.Random`` seeded from
 ``(plane seed, site, rule index)``, so the decision sequence at one
@@ -25,18 +21,18 @@ from __future__ import annotations
 
 import enum
 import random
-import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..hooks import HookPlane
+from ..minikv.db import MiniKV
 from .errors import FaultConfigError, InjectedIOError, SimCrash
 
 __all__ = [
     "SITES",
     "FaultKind",
     "FaultRule",
-    "FaultSite",
     "FaultPlane",
     "TornWrite",
     "Delay",
@@ -56,76 +52,23 @@ class FaultKind(enum.Enum):
     CORRUPT = "corrupt"        # damage the bytes in flight (model files)
 
 
-#: The injection-site registry: site name -> (description, allowed kinds).
-#: ``add_rule`` validates against this table so a typo in a scenario or
+#: The fault-capable hook sites and the fault kinds each allows.
+#: ``inject`` validates against this table so a typo in a scenario or
 #: test fails loudly instead of silently never firing.  minikv's crash
-#: points are mirrored from ``repro.minikv.db.MiniKV.CRASH_POINTS`` and
-#: ``tests/faults/test_plane.py`` asserts the two lists stay in sync.
-SITES: Dict[str, Tuple[str, Tuple[FaultKind, ...]]] = {
-    "vfs.write": (
-        "SimFS.write: fail the write, or tear it (prefix lands, then crash)",
-        (FaultKind.ERROR, FaultKind.CRASH, FaultKind.TORN_WRITE),
-    ),
-    "vfs.fsync": (
-        "SimFS.fsync: fail or crash before the flush reaches the device",
-        (FaultKind.ERROR, FaultKind.CRASH),
-    ),
-    "vfs.read": (
-        "SimFS.read: fail the byte-range read",
-        (FaultKind.ERROR, FaultKind.CRASH),
-    ),
-    "device.submit": (
-        "Block device request: transient I/O error or a latency spike",
-        (FaultKind.ERROR, FaultKind.CRASH, FaultKind.DELAY),
-    ),
-    "buffer.push": (
-        "CircularBuffer.push: force a drop (overflow pressure)",
-        (FaultKind.DROP, FaultKind.ERROR),
-    ),
-    "trainer.batch": (
-        "AsyncTrainer batch processing: crash the training thread",
-        (FaultKind.ERROR, FaultKind.CRASH),
-    ),
-    "model_io.load": (
-        "load_model: corrupt or truncate the file bytes in flight",
-        (FaultKind.CORRUPT, FaultKind.ERROR),
-    ),
+#: points come from ``repro.minikv.db.MiniKV.CRASH_POINTS``.
+SITES: Dict[str, Tuple[FaultKind, ...]] = {
+    # A torn write lands a prefix of the bytes, then crashes.
+    "vfs.write": (FaultKind.ERROR, FaultKind.CRASH, FaultKind.TORN_WRITE),
+    "vfs.fsync": (FaultKind.ERROR, FaultKind.CRASH),
+    "vfs.read": (FaultKind.ERROR, FaultKind.CRASH),
+    "device.submit": (FaultKind.ERROR, FaultKind.CRASH, FaultKind.DELAY),
+    "buffer.push": (FaultKind.DROP, FaultKind.ERROR),
+    "trainer.batch": (FaultKind.ERROR, FaultKind.CRASH),
+    "model_io.load": (FaultKind.CORRUPT, FaultKind.ERROR),
     "minikv.wal.append": (
-        "WAL record append: error, crash, or torn (partial) record",
-        (FaultKind.ERROR, FaultKind.CRASH, FaultKind.TORN_WRITE),
+        FaultKind.ERROR, FaultKind.CRASH, FaultKind.TORN_WRITE,
     ),
-    "minikv.memtable.apply": (
-        "Crash point: after the WAL append, before the memtable apply",
-        (FaultKind.CRASH,),
-    ),
-    "minikv.flush.after_build": (
-        "Crash point: L0 table durable, manifest not yet updated",
-        (FaultKind.CRASH,),
-    ),
-    "minikv.flush.after_manifest": (
-        "Crash point: manifest lists the new table, WAL not yet reset",
-        (FaultKind.CRASH,),
-    ),
-    "minikv.flush.after_wal_reset": (
-        "Crash point: flush fully durable, stats/compaction pending",
-        (FaultKind.CRASH,),
-    ),
-    "minikv.compact.after_merge": (
-        "Crash point: merged table durable, manifest still lists inputs",
-        (FaultKind.CRASH,),
-    ),
-    "minikv.compact.after_manifest": (
-        "Crash point: manifest lists merged table, inputs not yet unlinked",
-        (FaultKind.CRASH,),
-    ),
-    "minikv.compact.after_unlink": (
-        "Crash point: compaction fully durable, stats pending",
-        (FaultKind.CRASH,),
-    ),
-    "minikv.manifest.tmp_written": (
-        "Crash point: MANIFEST.tmp durable, rename not yet performed",
-        (FaultKind.CRASH,),
-    ),
+    **{"minikv." + point: (FaultKind.CRASH,) for point in MiniKV.CRASH_POINTS},
 }
 
 
@@ -237,14 +180,14 @@ class FaultRule:
     _rng: random.Random = field(default=None, repr=False)  # type: ignore
 
     def validate(self) -> None:
-        spec = SITES.get(self.site)
-        if spec is None:
+        kinds = SITES.get(self.site)
+        if kinds is None:
             known = ", ".join(sorted(SITES))
             raise FaultConfigError(
                 f"unknown injection site {self.site!r}; known sites: {known}"
             )
-        if self.kind not in spec[1]:
-            allowed = ", ".join(k.value for k in spec[1])
+        if self.kind not in kinds:
+            allowed = ", ".join(k.value for k in kinds)
             raise FaultConfigError(
                 f"site {self.site!r} does not support kind "
                 f"{self.kind.value!r} (allowed: {allowed})"
@@ -264,77 +207,50 @@ class FaultRule:
         if self.corrupt not in ("bitflip", "truncate"):
             raise FaultConfigError("corrupt must be 'bitflip' or 'truncate'")
 
-    def triggers(self) -> bool:
-        """Evaluate one firing (mutates eval/injection state)."""
-        if (
-            self.max_injections is not None
-            and self.injections >= self.max_injections
-        ):
-            return False
-        n = self.evals
-        if n <= self.after:
-            return False
-        if self.nth is not None and n != self.nth:
-            return False
-        if self.every is not None and (n - self.after) % self.every != 0:
-            return False
-        if self.probability < 1.0 and self._rng.random() >= self.probability:
-            return False
-        return True
-
-
-# ----------------------------------------------------------------------
-# Sites and the plane
-# ----------------------------------------------------------------------
-
-
-class FaultSite:
-    """A bound per-site handle: the object hot paths actually hold.
-
-    Components resolve handles at ``attach_faults`` time; sites with no
-    rules resolve to ``None``, so the steady-state cost of an armed
-    plane at an untargeted site is identical to no plane at all.
-    """
-
-    __slots__ = ("name", "_rules", "_plane")
-
-    def __init__(self, name: str, rules: List[FaultRule], plane: "FaultPlane"):
-        self.name = name
-        self._rules = rules
-        self._plane = plane
-
     def fire(self):
-        """Evaluate the site's rules; raise or return an action.
+        """Evaluate one firing of the site (mutates eval/injection state).
 
         Returns ``None`` (no fault), or one of :class:`TornWrite`,
         :class:`Delay`, :class:`DropSample`, :class:`CorruptBytes`.
         Raises :class:`InjectedIOError` / :class:`SimCrash` for
         error/crash rules.
         """
-        for rule in self._rules:
-            rule.evals += 1
-            if not rule.triggers():
-                continue
-            rule.injections += 1
-            self._plane._record(self.name, rule.kind)
-            kind = rule.kind
-            if kind is FaultKind.ERROR:
-                raise InjectedIOError(
-                    self.name, rule.message, transient=rule.transient
-                )
-            if kind is FaultKind.CRASH:
-                raise SimCrash(self.name, rule.message)
-            if kind is FaultKind.TORN_WRITE:
-                return TornWrite(self.name, rule.keep_fraction)
-            if kind is FaultKind.DELAY:
-                return Delay(self.name, rule.delay_s)
-            if kind is FaultKind.DROP:
-                return DropSample(self.name)
-            return CorruptBytes(self.name, rule.corrupt, rule._rng)
-        return None
+        self.evals += 1
+        n = self.evals
+        if (
+            self.max_injections is not None
+            and self.injections >= self.max_injections
+        ):
+            return None
+        if n <= self.after:
+            return None
+        if self.nth is not None and n != self.nth:
+            return None
+        if self.every is not None and (n - self.after) % self.every != 0:
+            return None
+        if self.probability < 1.0 and self._rng.random() >= self.probability:
+            return None
+        self.injections += 1
+        kind = self.kind
+        if kind is FaultKind.ERROR:
+            raise InjectedIOError(self.site, self.message, transient=self.transient)
+        if kind is FaultKind.CRASH:
+            raise SimCrash(self.site, self.message)
+        if kind is FaultKind.TORN_WRITE:
+            return TornWrite(self.site, self.keep_fraction)
+        if kind is FaultKind.DELAY:
+            return Delay(self.site, self.delay_s)
+        if kind is FaultKind.DROP:
+            return DropSample(self.site)
+        return CorruptBytes(self.site, self.corrupt, self._rng)
 
 
-class FaultPlane:
+# ----------------------------------------------------------------------
+# The plane
+# ----------------------------------------------------------------------
+
+
+class FaultPlane(HookPlane):
     """The armed rule set plus injection accounting.
 
     Typical use::
@@ -342,92 +258,55 @@ class FaultPlane:
         plane = FaultPlane(seed=7)
         plane.inject("device.submit", FaultKind.ERROR,
                      probability=0.02, transient=True)
-        db.attach_faults(plane)      # components resolve site handles
+        plane.attach(stack.device)   # fills the device's hook slot
 
-    Arm every rule *before* attaching: components snapshot their site
-    handles at ``attach_faults`` time (that is what keeps untargeted
-    sites free), so rules added later are only seen by components
-    attached later.
+    Arm every rule *before* attaching: ``attach`` leaves the slot of a
+    site with no rule ``None`` (that is what keeps untargeted sites
+    free), so a rule armed later at such a site is only seen by
+    components attached later.  ``instrument_*`` in ``repro.obs`` times
+    sites on the plane a component is attached to, so attach the fault
+    plane first and instrument second.
     """
 
     def __init__(self, seed: int = 0):
+        super().__init__()
         self.seed = seed
-        self._rules: Dict[str, List[FaultRule]] = {}
-        self._injected: Dict[Tuple[str, str], int] = {}
-        self._lock = threading.Lock()
 
-    # -- configuration -------------------------------------------------
-
-    def add_rule(self, rule: FaultRule) -> "FaultPlane":
+    def inject(self, site: str, kind: FaultKind, **kwargs) -> "FaultPlane":
+        """Build a :class:`FaultRule`, validate it and arm it at ``site``."""
+        rule = FaultRule(site=site, kind=kind, **kwargs)
         rule.validate()
-        rules = self._rules.setdefault(rule.site, [])
+        rules = self.hook(site).rules
         # Per-rule RNG seeded from (plane seed, site, index): decisions
         # at one site are independent of firing order elsewhere.
-        token = f"{self.seed}/{rule.site}/{len(rules)}".encode()
+        token = f"{self.seed}/{site}/{len(rules)}".encode()
         rule._rng = random.Random(zlib.crc32(token))
-        rule.evals = 0
-        rule.injections = 0
         rules.append(rule)
         return self
 
-    def inject(self, site: str, kind: FaultKind, **kwargs) -> "FaultPlane":
-        """Shorthand: build and arm a :class:`FaultRule` in one call."""
-        return self.add_rule(FaultRule(site=site, kind=kind, **kwargs))
-
-    # -- hot-path resolution -------------------------------------------
-
-    def site(self, name: str) -> Optional[FaultSite]:
-        """Per-site handle, or ``None`` when nothing targets ``name``."""
-        if name not in SITES:
-            raise FaultConfigError(f"unknown injection site {name!r}")
-        rules = self._rules.get(name)
-        if not rules:
-            return None
-        return FaultSite(name, rules, self)
-
-    def model_io_hook(self) -> Optional[Callable[[bytes], bytes]]:
-        """A callable for ``repro.kml.model_io.set_fault_hook``.
-
-        Returns ``None`` when no rule targets ``model_io.load``; the
-        returned hook applies CORRUPT actions to the raw file bytes and
-        lets ERROR rules raise.
-        """
-        site = self.site("model_io.load")
-        if site is None:
-            return None
-
-        def hook(data: bytes) -> bytes:
-            action = site.fire()
-            if action is not None:
-                return action.apply(data)
-            return data
-
-        return hook
-
-    # -- accounting ----------------------------------------------------
-
-    def _record(self, site: str, kind: FaultKind) -> None:
-        key = (site, kind.value)
-        with self._lock:
-            self._injected[key] = self._injected.get(key, 0) + 1
-
     def injection_counts(self) -> Dict[Tuple[str, str], int]:
-        """(site, kind) -> number of injections so far."""
-        with self._lock:
-            return dict(self._injected)
+        """(site, kind) -> number of injections so far, in arming order."""
+        counts: Dict[Tuple[str, str], int] = {}
+        for hook in self._hooks.values():
+            for rule in hook.rules:
+                if rule.injections:
+                    key = (rule.site, rule.kind.value)
+                    counts[key] = counts.get(key, 0) + rule.injections
+        return counts
 
     @property
     def num_rules(self) -> int:
-        return sum(len(rules) for rules in self._rules.values())
+        return sum(len(hook.rules) for hook in self._hooks.values())
 
     def rules_for(self, site: str) -> List[FaultRule]:
-        return list(self._rules.get(site, ()))
+        hook = self._hooks.get(site)
+        return list(hook.rules) if hook is not None else []
 
     def describe(self) -> str:
         """Human-readable dump of armed rules and injection counts."""
         lines = [f"FaultPlane(seed={self.seed}): {self.num_rules} rule(s)"]
-        for site in sorted(self._rules):
-            for rule in self._rules[site]:
+        for site in sorted(self._hooks):
+            for rule in self._hooks[site].rules:
                 when = []
                 if rule.nth is not None:
                     when.append(f"nth={rule.nth}")

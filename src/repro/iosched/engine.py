@@ -53,13 +53,11 @@ def disk_device() -> PositionalDevice:
 class ScheduleResult:
     """Latency/throughput outcome of one simulation."""
 
-    scheduler: str
     device: str
     total_requests: int = 0
     elapsed: float = 0.0
     read_latencies_mean: float = 0.0
     read_p99: float = 0.0
-    write_latencies_mean: float = 0.0
     seek_distance_total: int = 0
 
     @property
@@ -78,13 +76,11 @@ def simulate(
     scheduler reorders whatever is pending.
     """
     pending = sorted(requests, key=lambda r: r.arrival)
-    result = ScheduleResult(scheduler=scheduler.name, device=device.name)
+    result = ScheduleResult(device=device.name)
     if not pending:
         return result
     read_mean_acc = 0.0
     read_count = 0
-    write_mean_acc = 0.0
-    write_count = 0
     p99 = P2Quantile(0.99)
     now = 0.0
     head = 0
@@ -116,14 +112,8 @@ def simulate(
             read_mean_acc += latency
             read_count += 1
             p99.update(latency)
-        else:
-            write_mean_acc += latency
-            write_count += 1
     result.total_requests = served
     result.elapsed = now
     result.read_latencies_mean = read_mean_acc / read_count if read_count else 0.0
-    result.write_latencies_mean = (
-        write_mean_acc / write_count if write_count else 0.0
-    )
     result.read_p99 = p99.value
     return result

@@ -31,8 +31,6 @@ __all__ = [
     "SCALE",
     "FX_MAX",
     "FX_MIN",
-    "FX_MAX_REAL",
-    "FX_MIN_REAL",
     "FX_EPS",
     "to_fixed",
     "from_fixed",
@@ -53,8 +51,6 @@ SCALE = 1 << FRAC_BITS
 
 FX_MAX = np.int32(2**31 - 1)
 FX_MIN = np.int32(-(2**31))
-FX_MAX_REAL = float(FX_MAX) / SCALE
-FX_MIN_REAL = float(FX_MIN) / SCALE
 
 #: Smallest positive representable increment (2**-16).
 FX_EPS = 1.0 / SCALE

@@ -55,7 +55,6 @@ __all__ = [
     "checked_raw",
     "observe_alloc",
     "set_alloc_observer",
-    "set_op_observer",
 ]
 
 DTYPES = ("float32", "float64", "fixed32")
@@ -80,17 +79,15 @@ def set_alloc_observer(observer: Optional[Callable[[int], None]]) -> None:
     _alloc_observer = observer
 
 
-def set_op_observer(probe) -> None:
-    """Install the matmul probe: a duck-typed ``Probe`` that counts every
-    matmul and times one in ``mask + 1`` (see ``repro.obs.instrument.Probe``).
-
-    Only the compute-heavy ops report (currently ``matmul``).  Installing
-    swaps every kernel table's ``matmul`` for a reporting one, so matmul
-    pays nothing while no probe is installed.  Pass ``None`` to remove;
-    installed by ``repro.obs.instrument``.
-    """
+def _swap_matmul(hook) -> None:
+    """The ``matrix.matmul`` slot's setter (see ``repro.hooks``): swap
+    every kernel table's ``matmul`` for one reporting to ``hook``, or
+    back to the bare kernel, so matmul pays nothing while detached."""
     for k in _KERNELS.values():
-        k.matmul = k.bare_matmul if probe is None else _probed(k.bare_matmul, probe)
+        k.matmul = k.bare_matmul if hook is None else _timed(k.bare_matmul, hook)
+
+
+HOOK_SLOTS = {"matrix.matmul": _swap_matmul}
 
 
 def _check_dtype(dtype: str) -> str:
@@ -99,16 +96,16 @@ def _check_dtype(dtype: str) -> str:
     return dtype
 
 
-def _probed(kernel, probe):
-    """``kernel`` as a matmul that reports to ``probe``."""
+def _timed(kernel, hook):
+    """``kernel`` as a matmul that reports to ``hook``."""
 
     def matmul(a, b):
-        probe.calls = n = probe.calls + 1
-        if n & probe.mask:
+        hook.calls = n = hook.calls + 1
+        if n & hook.mask:
             return kernel(a, b)
         t0 = time.perf_counter()
         out = kernel(a, b)
-        probe.hist.observe(time.perf_counter() - t0)
+        hook.hist.observe(time.perf_counter() - t0)
         return out
 
     return matmul
@@ -123,10 +120,11 @@ class Kernels:
     ``decode`` a buffer into a new float64 array; ``one`` is the
     encoded constant 1.  ``add``/``sub``/``mul``/``div``/``neg`` are
     elementwise (fixed32 saturates), ``add_into(buf, delta)`` adds
-    ``delta`` into ``buf`` in place, ``matmul`` reports to the op probe
-    while one is installed (``bare_matmul`` never does), and ``colsum``
-    is the 2-D column sum ``Matrix.sum(axis=0)`` computes (float64
-    accumulation for the floats, int64 for fixed32, then encoded).
+    ``delta`` into ``buf`` in place, ``matmul`` reports to the
+    ``matrix.matmul`` hook while one is attached (``bare_matmul`` never
+    does), and ``colsum`` is the 2-D column sum ``Matrix.sum(axis=0)``
+    computes (float64 accumulation for the floats, int64 for fixed32,
+    then encoded).
     """
 
     __slots__ = (

@@ -45,7 +45,6 @@ __all__ = [
     "load_model",
     "dump_model",
     "parse_model",
-    "set_fault_hook",
     "MAGIC",
     "VERSION",
 ]
@@ -53,21 +52,11 @@ __all__ = [
 MAGIC = b"KMLM"
 VERSION = 1
 
-# Optional fault-injection hook (duck-typed; see repro.faults): a
-# callable applied to the raw file bytes inside load_model, so tests can
-# corrupt or truncate a model "on the storage medium" without touching
-# the file.  None keeps the load path unchanged.
-_fault_hook = None
-
-
-def set_fault_hook(hook) -> None:
-    """Install (or clear, with ``None``) the load-path fault hook.
-
-    ``FaultPlane.model_io_hook()`` builds a compatible callable; the
-    hook may return mutated bytes or raise an injected error.
-    """
-    global _fault_hook
-    _fault_hook = hook
+#: The model_io.load hook (see repro.hooks): corrupts or truncates the
+#: raw file bytes inside load_model, so tests can damage a model "on
+#: the storage medium" without touching the file.
+HOOK_SLOTS = {"model_io.load": "_load_hook"}
+_load_hook = None
 
 _KIND_SEQUENTIAL = 1
 _KIND_TREE = 2
@@ -311,6 +300,9 @@ def load_model(path: str) -> Model:
     """Load and validate a model file; raises ModelFormatError on damage."""
     with open(path, "rb") as f:
         data = f.read()
-    if _fault_hook is not None:
-        data = _fault_hook(data)
+    hook = _load_hook
+    if hook is not None:
+        action = hook.fire()  # may raise an injected error
+        if action is not None:
+            data = action.apply(data)
     return parse_model(data)

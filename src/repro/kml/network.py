@@ -20,17 +20,15 @@ from .losses.base import Loss
 from .matrix import Matrix
 from .optimizers import Optimizer
 
-__all__ = ["Sequential", "set_pass_observer"]
+__all__ = ["Sequential"]
 
-# Installed by repro.obs: duck-typed ``Probe`` objects that count and
-# time forward (``forward``/``infer``) and ``backward`` traversals.
-_forward_probe = _backward_probe = None
-
-
-def set_pass_observer(forward, backward) -> None:
-    """Install the forward and backward pass probes (``None`` removes one)."""
-    global _forward_probe, _backward_probe
-    _forward_probe, _backward_probe = forward, backward
+#: The hooks that count and time forward (``forward``/``infer``) and
+#: ``backward`` traversals (see repro.hooks).
+HOOK_SLOTS = {
+    "network.forward": "_forward_hook",
+    "network.backward": "_backward_hook",
+}
+_forward_hook = _backward_hook = None
 
 
 class Sequential:
@@ -51,17 +49,17 @@ class Sequential:
 
     def forward(self, x: Matrix) -> Matrix:
         """Traverse the chain, feeding each output to the next layer."""
-        probe = _forward_probe
+        hook = _forward_hook
         t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
+        if hook is not None:
+            hook.calls = n = hook.calls + 1
+            if not n & hook.mask:
                 t0 = time.perf_counter()
         out = x
         for layer in self.layers:
             out = layer.forward(out)
         if t0:
-            probe.hist.observe(time.perf_counter() - t0)
+            hook.hist.observe(time.perf_counter() - t0)
         return out
 
     __call__ = forward
@@ -72,34 +70,34 @@ class Sequential:
         Uses each layer's :meth:`~repro.kml.layers.base.Layer.infer`, so
         nothing is cached for a later ``backward()`` and dropout is off.
         Safe to call concurrently from many serving threads over one
-        model instance; counted and timed by the forward pass probe.
+        model instance; counted and timed by the forward pass hook.
         """
-        probe = _forward_probe
+        hook = _forward_hook
         t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
+        if hook is not None:
+            hook.calls = n = hook.calls + 1
+            if not n & hook.mask:
                 t0 = time.perf_counter()
         out = x
         for layer in self.layers:
             out = layer.infer(out)
         if t0:
-            probe.hist.observe(time.perf_counter() - t0)
+            hook.hist.observe(time.perf_counter() - t0)
         return out
 
     def backward(self, grad_output: Matrix) -> Matrix:
         """Propagate gradients in reverse layer order."""
-        probe = _backward_probe
+        hook = _backward_hook
         t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
+        if hook is not None:
+            hook.calls = n = hook.calls + 1
+            if not n & hook.mask:
                 t0 = time.perf_counter()
         grad = grad_output
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         if t0:
-            probe.hist.observe(time.perf_counter() - t0)
+            hook.hist.observe(time.perf_counter() - t0)
         return grad
 
     # ------------------------------------------------------------------

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+from ..hooks import detach
 from ..os_sim.stack import StorageStack
 from ..os_sim.vfs import SimFS
 from .compaction import compact_tables, merge_records
@@ -69,11 +70,11 @@ class MiniKV:
     write-tmp + fsync + rename so it is never mid-rewrite on disk.
     """
 
-    #: Registered crash points (short names; the fault-plane site is
-    #: ``"minikv." + name``).  ``repro.faults.plane.SITES`` mirrors
-    #: this list -- tests/faults/test_plane.py asserts they stay in
-    #: sync -- and the crash harness exercises every entry plus the
-    #: torn-write site ``minikv.wal.append`` owned by the WAL.
+    #: Registered crash points (short names; the hook site is
+    #: ``"minikv." + name``).  ``repro.faults.plane.SITES`` derives its
+    #: crash-point rows from this list, and the crash harness exercises
+    #: every entry plus the torn-write site ``minikv.wal.append`` owned
+    #: by the WAL.
     CRASH_POINTS = (
         "memtable.apply",
         "flush.after_build",
@@ -85,6 +86,18 @@ class MiniKV:
         "manifest.tmp_written",
     )
 
+    #: One slot per site (see repro.hooks): the get/put/compaction
+    #: timing hooks, one per crash point, and the WAL's append hook.
+    HOOK_SLOTS = {
+        "minikv.get": "_get_hook",
+        "minikv.put": "_put_hook",
+        "minikv.compaction": "_compaction_hook",
+        **{"minikv." + point: "_" + point.replace(".", "_") + "_hook"
+           for point in CRASH_POINTS},
+        **{site: "_wal." + slot
+           for site, slot in WriteAheadLog.HOOK_SLOTS.items()},
+    }
+
     def __init__(self, stack: StorageStack, options: Optional[DBOptions] = None):
         self.stack = stack
         self.fs: SimFS = stack.fs
@@ -95,39 +108,15 @@ class MiniKV:
         self._l0: List[SSTableReader] = []  # newest first
         self._l1: List[SSTableReader] = []  # at most one table
         self._next_table_seq = 0
-        # Optional latency probes (duck-typed; see repro.obs).
-        self._obs_get = self._obs_put = self._obs_compact = None
-        # Optional fault-injection site handles (duck-typed; see
-        # repro.faults): short crash-point name -> FaultSite.
-        self._fault_sites = None
+        detach(self)  # every hook slot starts empty
         self._recover()
 
-    def attach_obs(self, get, put, compaction) -> None:
-        """Install the get, put and compaction probes (``repro.obs``)."""
-        self._obs_get, self._obs_put, self._obs_compact = get, put, compaction
-
-    def attach_faults(self, plane) -> None:
-        """Resolve crash-point site handles (and the WAL's) from a plane."""
-        sites = {}
-        for short in self.CRASH_POINTS:
-            site = plane.site("minikv." + short)
-            if site is not None:
-                sites[short] = site
-        self._fault_sites = sites or None
-        self._wal.attach_faults(plane)
-
-    def detach_faults(self) -> None:
-        self._fault_sites = None
-        self._wal.detach_faults()
-
-    def _crash_point(self, name: str) -> None:
-        """Fire a registered crash point (cold paths only; hot paths
-        inline the ``_fault_sites is not None`` guard)."""
-        sites = self._fault_sites
-        if sites is not None:
-            site = sites.get(name)
-            if site is not None:
-                site.fire()
+    @staticmethod
+    def _crash_point(hook) -> None:
+        """Fire a crash-point hook (cold paths only; hot paths inline
+        the ``is not None`` guard)."""
+        if hook is not None:
+            hook.fire()
 
     # ------------------------------------------------------------------
     # Recovery / manifest
@@ -156,7 +145,7 @@ class MiniKV:
         handle = self.fs.open(tmp_name, create=True)
         self.fs.write(handle, 0, payload)
         self.fs.fsync(handle)
-        self._crash_point("manifest.tmp_written")
+        self._crash_point(self._manifest_tmp_written_hook)
         self.fs.rename(tmp_name, self._manifest_name)
 
     def _recover(self) -> None:
@@ -204,35 +193,31 @@ class MiniKV:
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_key(key)
-        probe = self._obs_put
+        hook = self._put_hook
         t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
+        if hook is not None:
+            hook.calls = n = hook.calls + 1
+            if not n & hook.mask:
                 t0 = time.perf_counter()
         if self.options.wal_enabled:
             self._wal.append(key, value)
-        sites = self._fault_sites
-        if sites is not None:
+        crash = self._memtable_apply_hook
+        if crash is not None:
             # Crash window: WAL record durable, memtable not yet updated.
-            site = sites.get("memtable.apply")
-            if site is not None:
-                site.fire()
+            crash.fire()
         self._memtable.put(key, value)
         self.stats.puts += 1
         self._maybe_flush()
         if t0:
-            probe.hist.observe(time.perf_counter() - t0)
+            hook.hist.observe(time.perf_counter() - t0)
 
     def delete(self, key: bytes) -> None:
         self._check_key(key)
         if self.options.wal_enabled:
             self._wal.append(key, None)
-        sites = self._fault_sites
-        if sites is not None:
-            site = sites.get("memtable.apply")
-            if site is not None:
-                site.fire()
+        crash = self._memtable_apply_hook
+        if crash is not None:
+            crash.fire()
         self._memtable.delete(key)
         self.stats.deletes += 1
         self._maybe_flush()
@@ -264,13 +249,13 @@ class MiniKV:
         for key, value in self._memtable.items_sorted():
             builder.add(key, value)
         self._l0.insert(0, builder.finish())
-        self._crash_point("flush.after_build")
+        self._crash_point(self._flush_after_build_hook)
         self._write_manifest()
-        self._crash_point("flush.after_manifest")
+        self._crash_point(self._flush_after_manifest_hook)
         self._memtable.clear()
         if self.options.wal_enabled:
             self._wal.reset()
-        self._crash_point("flush.after_wal_reset")
+        self._crash_point(self._flush_after_wal_reset_hook)
         self.stats.flushes += 1
         self._maybe_compact()
 
@@ -282,11 +267,11 @@ class MiniKV:
     def _maybe_compact(self) -> None:
         if len(self._l0) <= self.options.l0_compaction_trigger:
             return
-        probe = self._obs_compact
+        hook = self._compaction_hook
         t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
+        if hook is not None:
+            hook.calls = n = hook.calls + 1
+            if not n & hook.mask:
                 t0 = time.perf_counter()
         inputs = self._l0 + self._l1  # newest first, L1 oldest
         out_name = self._new_table_name()
@@ -297,20 +282,20 @@ class MiniKV:
             drop_tombstones=True,  # L1 is the bottom level
             block_size=self.options.block_size,
         )
-        self._crash_point("compact.after_merge")
+        self._crash_point(self._compact_after_merge_hook)
         # Publish the merged table in the manifest *before* unlinking
         # the inputs -- the reverse order leaves a manifest referencing
         # deleted files, which is unrecoverable.
         self._l0 = []
         self._l1 = [merged]
         self._write_manifest()
-        self._crash_point("compact.after_manifest")
+        self._crash_point(self._compact_after_manifest_hook)
         for table in inputs:
             self.fs.unlink(table.name)
-        self._crash_point("compact.after_unlink")
+        self._crash_point(self._compact_after_unlink_hook)
         self.stats.compactions += 1
         if t0:
-            probe.hist.observe(time.perf_counter() - t0)
+            hook.hist.observe(time.perf_counter() - t0)
 
     # ------------------------------------------------------------------
     # Reads
@@ -349,11 +334,11 @@ class MiniKV:
 
     def get(self, key: bytes) -> Optional[bytes]:
         self._check_key(key)
-        probe = self._obs_get
+        hook = self._get_hook
         t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
+        if hook is not None:
+            hook.calls = n = hook.calls + 1
+            if not n & hook.mask:
                 t0 = time.perf_counter()
         self.stats.gets += 1
         value = self._memtable.get(key)
@@ -366,7 +351,7 @@ class MiniKV:
                 if value is not None:
                     break
         if t0:
-            probe.hist.observe(time.perf_counter() - t0)
+            hook.hist.observe(time.perf_counter() - t0)
         if value is None or value is TOMBSTONE:
             return None
         self.stats.get_hits += 1

@@ -28,20 +28,15 @@ _HEADER = struct.Struct("<HIBI")  # klen, vlen, flags, crc
 class WriteAheadLog:
     """Appender/replayer over one SimFS file."""
 
+    HOOK_SLOTS = {"minikv.wal.append": "_append_hook"}
+
     def __init__(self, fs: SimFS, name: str):
         self.fs = fs
         self.name = name
         self._file: Optional[File] = None
-        # Optional fault-injection site handle (duck-typed; see
-        # repro.faults): errors, crashes, or torn (partial) appends.
-        self._fault_append = None
-
-    def attach_faults(self, plane) -> None:
-        """Resolve the ``minikv.wal.append`` injection site."""
-        self._fault_append = plane.site("minikv.wal.append")
-
-    def detach_faults(self) -> None:
-        self._fault_append = None
+        # The minikv.wal.append hook (see repro.hooks): errors,
+        # crashes, or torn (partial) appends.
+        self._append_hook = None
 
     def _handle(self) -> File:
         if self._file is None or self._file.closed:
@@ -58,10 +53,11 @@ class WriteAheadLog:
         body = value or b""
         crc = zlib.crc32(key + body + bytes([flags])) & 0xFFFFFFFF
         record = _HEADER.pack(len(key), len(body), flags, crc) + key + body
-        if self._fault_append is not None:
+        hook = self._append_hook
+        if hook is not None:
             # may raise; a TornWrite action persists a partial record
             # (the torn tail replay() must stop at) and then crashes.
-            action = self._fault_append.fire()
+            action = hook.fire()
             if action is not None:
                 self.fs.append(
                     self._handle(), record[: action.keep_bytes(len(record))]

@@ -14,13 +14,13 @@ package is that measurement substrate, three pillars:
 
 :mod:`repro.obs.instrument` wires the pillars into the hot paths
 (circular buffer, trainer, tracepoints, matrix ops, network passes,
-minikv, the block layer) through one hook type, ``Probe``, behind one
-``is not None`` guard; ``benchmarks/bench_obs_overhead.py`` holds the
-instrumented paths to < 10% throughput overhead.
+minikv, the block layer) through the named sites of the one hook plane
+(``repro.hooks``, shared with ``repro.faults``), each behind one ``is
+not None`` guard; ``benchmarks/bench_hook_overhead.py`` holds the timed
+paths to < 10% throughput overhead.
 
-This package deliberately imports nothing from the rest of ``repro`` at
-module scope: hot-path modules see only duck-typed probes, so no
-layering cycles can form.
+Hot-path modules import only the leaf ``repro.hooks``, never this
+package, so no layering cycles can form.
 """
 
 from .metrics import (

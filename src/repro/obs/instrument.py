@@ -2,20 +2,21 @@
 
 Layering contract: the hot-path modules (``repro.runtime``,
 ``repro.os_sim``, ``repro.minikv``, ``repro.kml``) never import this
-package.  Each holds :class:`Probe` objects in slots -- filled by a
-duck-typed ``attach_obs(...)`` method or a module-level setter
-(``set_op_observer``, ``set_pass_observer``) -- and checks each with one
-``is not None`` guard.
+package.  Each declares one hook slot per named site (``repro.hooks``)
+and checks it with one ``is not None`` guard.
 
 Each ``instrument_*`` function is a table of ``(key, kind, name, help,
 read)`` rows bound by :func:`_bind`: callback metrics read the counters
 a component already keeps (zero hot-path cost), and histogram rows are
-fed by probes.  The returned dict maps each ``key`` to its metric.
+fed by hooks.  :func:`_time` points a site's hook at its histogram on
+the plane the component is attached to (a fault plane, say), or on a
+new one, so obs and faults on one component share one hook.  The
+returned dict maps each ``key`` to its metric.
 
 Latency timing on the very hottest paths (buffer push, KV get/put,
 matmul) is *sampled*: every call is counted, but only one in
 ``sample_mask + 1`` is timed, keeping the overhead under the 10% budget
-enforced by ``benchmarks/bench_obs_overhead.py``.  Pass
+enforced by ``benchmarks/bench_hook_overhead.py``.  Pass
 ``sample_mask=0`` to time every call (tests do).
 """
 
@@ -23,10 +24,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, NamedTuple, Tuple
 
+from ..hooks import Hook, plane_of
 from .metrics import Histogram, MetricsRegistry
 
 __all__ = [
-    "Probe",
     "instrument_buffer",
     "instrument_trainer",
     "instrument_tracepoints",
@@ -47,38 +48,13 @@ DEFAULT_SAMPLE_MASK = 63
 MATRIX_SAMPLE_MASK = 15
 
 
-class Probe:
-    """The one hook type a hot path holds: a call count and a histogram.
-
-    A hot path runs this idiom inline, with no method call::
-
-        probe = self._obs
-        t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
-                t0 = time.perf_counter()
-        ...  # the work
-        if t0:
-            probe.hist.observe(time.perf_counter() - t0)
-
-    ``calls`` is a plain attribute add, not a locked update: exact for
-    one calling thread, and it may lose an increment when threads race.
-    """
-
-    __slots__ = ("hist", "mask", "calls")
-
-    def __init__(self, hist: Histogram, mask: int = 0):
-        self.hist = hist
-        self.mask = mask
-        self.calls = 0
-
-    def estimated_seconds(self) -> float:
-        """Sampled wall time scaled to ``calls`` (exact when ``mask == 0``)."""
-        hist = self.hist
-        if not hist.count:
-            return 0.0
-        return hist.sum * (self.calls / hist.count)
+def _time(component, site: str, hist, mask: int = 0) -> Hook:
+    """Time ``site`` of ``component`` into ``hist``, one call in ``mask + 1``."""
+    plane = plane_of(component)
+    hook = plane.hook(site)
+    hook.hist, hook.mask = hist, mask
+    plane.attach(component)
+    return hook
 
 
 class _Labeled(NamedTuple):
@@ -106,7 +82,7 @@ def _bind(registry: MetricsRegistry, component, rows) -> Dict[str, object]:
 
     ``read`` is an attribute name (read with ``getattr(component, name,
     0)``, so partial duck-typed stubs read zero), a function of the
-    component, ``None`` (a histogram fed by a probe) or :class:`_Labeled`.
+    component, ``None`` (a histogram fed by a hook) or :class:`_Labeled`.
     """
     out: Dict[str, object] = {}
     for key, kind, name, help, read in rows:
@@ -140,12 +116,6 @@ def _stat(field: str) -> Callable[[object], float]:
     return lambda c: getattr(getattr(c, "stats", None), field, 0)
 
 
-def _attach(component, *probes: Probe) -> None:
-    attach = getattr(component, "attach_obs", None)
-    if attach is not None:
-        attach(*probes)
-
-
 _BUFFER = (
     ("pushed", "counter", "kml_buffer_pushed_total",
      "Samples accepted into the ring", "pushed"),
@@ -169,7 +139,7 @@ def instrument_buffer(
 ) -> Dict[str, object]:
     """Buffer occupancy/drop/throughput metrics + sampled push latency."""
     out = _bind(registry, buffer, _BUFFER)
-    _attach(buffer, Probe(out["push_latency"], sample_mask))
+    _time(buffer, "buffer.push", out["push_latency"], sample_mask)
     return out
 
 
@@ -191,7 +161,7 @@ _TRAINER = (
 def instrument_trainer(trainer, registry: MetricsRegistry) -> Dict[str, object]:
     """Trainer progress counters, backlog gauge, batch latency."""
     out = _bind(registry, trainer, _TRAINER)
-    _attach(trainer, Probe(out["batch_latency"]))
+    _time(trainer, "trainer.batch", out["batch_latency"])
     return out
 
 
@@ -237,7 +207,7 @@ def instrument_tracepoints(
 ) -> Dict[str, object]:
     """Per-name hit counters, subscriber errors, hook dispatch latency."""
     out = _bind(registry, tracepoints, _TRACEPOINTS)
-    _attach(tracepoints, Probe(out["hook_latency"]))
+    _time(tracepoints, "tracepoints.dispatch", out["hook_latency"])
     return out
 
 
@@ -270,13 +240,10 @@ def instrument_device(device, registry: MetricsRegistry) -> Dict[str, object]:
          ))),
     ))
     del out["busy"]
-    read_hist = out["service"].labels(device=name, op="read")
-    write_hist = out["service"].labels(device=name, op="write")
-
-    def observe(duration: float, n_pages: int, is_write: bool) -> None:
-        (write_hist if is_write else read_hist).observe(duration)
-
-    device.service_observer = observe
+    _time(device, "device.submit", (
+        out["service"].labels(device=name, op="read"),
+        out["service"].labels(device=name, op="write"),
+    ))
     return out
 
 
@@ -291,69 +258,51 @@ def instrument_stack(stack, registry: MetricsRegistry) -> Dict[str, object]:
 def instrument_matrix_ops(
     registry: MetricsRegistry,
     sample_mask: int = MATRIX_SAMPLE_MASK,
-) -> Callable[[], None]:
-    """Install the module-global matrix op probe; returns a detacher.
+) -> Dict[str, object]:
+    """Count matrix ops and estimate their wall time from sampled timings.
 
-    Counts matrix ops and estimates their wall time from sampled
-    timings, the FLOP-equivalent cost accounting the paper's overhead
-    section keys on.  Module-global (matching ``set_alloc_observer``),
-    so remember to call the returned detacher -- or use it as a
-    context manager.  Pass ``sample_mask=0`` to time every op (tests
-    do; the seconds total is then exact).
+    The FLOP-equivalent cost accounting the paper's overhead section
+    keys on.  The ``matrix.matmul`` site is module-global, so detach it
+    when done (``repro.hooks.detach(repro.kml.matrix)``).  Pass
+    ``sample_mask=0`` to time every op (tests do; the seconds total is
+    then exact).
     """
     from ..kml import matrix as matrix_mod
 
-    probe = Probe(Histogram(), sample_mask)
-    _bind(registry, probe, (
+    hook = _time(matrix_mod, "matrix.matmul", Histogram(), sample_mask)
+    return _bind(registry, hook, (
         ("ops", "counter", "kml_matrix_ops_total",
          "Matrix operations executed",
          _Labeled(("op",), ((("matmul",), "calls"),))),
         ("op_seconds", "counter", "kml_matrix_op_seconds_total",
          "Wall-clock seconds spent in matrix operations (sampled estimate)",
-         _Labeled(("op",), ((("matmul",), Probe.estimated_seconds),))),
+         _Labeled(("op",), ((("matmul",), Hook.estimated_seconds),))),
     ))
-    matrix_mod.set_op_observer(probe)
-    return _Detacher(lambda: matrix_mod.set_op_observer(None))
 
 
-def instrument_network(registry: MetricsRegistry) -> Callable[[], None]:
-    """Install the network forward/backward pass probes; returns a detacher."""
+def instrument_network(registry: MetricsRegistry) -> Dict[str, object]:
+    """Count and time network forward/backward passes.
+
+    Module-global sites, like ``instrument_matrix_ops``: detach
+    ``repro.kml.network`` when done.
+    """
     from ..kml import network as network_mod
 
-    probes = (Probe(Histogram()), Probe(Histogram()))
-    _bind(registry, probes, (
+    hooks = (_time(network_mod, "network.forward", Histogram()),
+             _time(network_mod, "network.backward", Histogram()))
+    return _bind(registry, hooks, (
         ("passes", "counter", "kml_network_passes_total",
          "Model graph traversals", _Labeled(("phase",), (
-             (("forward",), lambda p: p[0].calls),
-             (("backward",), lambda p: p[1].calls),
+             (("forward",), lambda h: h[0].calls),
+             (("backward",), lambda h: h[1].calls),
          ))),
         ("pass_seconds", "counter", "kml_network_pass_seconds_total",
          "Wall-clock seconds spent traversing the model graph",
          _Labeled(("phase",), (
-             (("forward",), lambda p: p[0].estimated_seconds()),
-             (("backward",), lambda p: p[1].estimated_seconds()),
+             (("forward",), lambda h: h[0].estimated_seconds()),
+             (("backward",), lambda h: h[1].estimated_seconds()),
          ))),
     ))
-    network_mod.set_pass_observer(*probes)
-    return _Detacher(lambda: network_mod.set_pass_observer(None, None))
-
-
-class _Detacher:
-    """Callable + context manager that undoes one instrumentation."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable[[], None]):
-        self._fn = fn
-
-    def __call__(self) -> None:
-        self._fn()
-
-    def __enter__(self) -> "_Detacher":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._fn()
 
 
 _MINIKV = (
@@ -403,9 +352,9 @@ def instrument_minikv(
     """KV op counters (from ``DBStats``) plus sampled op latencies."""
     out = _bind(registry, db, _MINIKV)
     del out["tables"]
-    _attach(db, Probe(out["get_latency"], sample_mask),
-            Probe(out["put_latency"], sample_mask),
-            Probe(out["compaction_seconds"]))
+    _time(db, "minikv.get", out["get_latency"], sample_mask)
+    _time(db, "minikv.put", out["put_latency"], sample_mask)
+    _time(db, "minikv.compaction", out["compaction_seconds"])
     return out
 
 

@@ -20,7 +20,7 @@ that is still "in flight" waits until its completion time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .clock import SimClock
 
@@ -53,19 +53,11 @@ class DeviceModel:
     per_page_s: float
     stats: DeviceStats = field(default_factory=DeviceStats)
     _busy_until: float = 0.0
-    #: Optional per-request observer ``(duration_s, n_pages, is_write)``,
-    #: installed by ``repro.obs`` to build the service-time histogram.
-    service_observer: Optional[Callable[[float, int, bool], None]] = None
-    #: Optional fault-injection site handle for ``device.submit``
-    #: (duck-typed; see repro.faults); None keeps the path free.
-    _fault_submit: Optional[object] = field(default=None, repr=False)
+    #: The device.submit hook (see repro.hooks): injects errors and
+    #: latency spikes, and/or observes each request's service time.
+    _submit_hook: Optional[object] = field(default=None, repr=False)
 
-    def attach_faults(self, plane) -> None:
-        """Resolve the ``device.submit`` injection site from a plane."""
-        self._fault_submit = plane.site("device.submit")
-
-    def detach_faults(self) -> None:
-        self._fault_submit = None
+    HOOK_SLOTS = {"device.submit": "_submit_hook"}
 
     def __post_init__(self):
         if self.request_latency_s < 0 or self.per_page_s <= 0:
@@ -87,13 +79,17 @@ class DeviceModel:
         """
         start = max(clock.now, self._busy_until)
         duration = self.service_time(n_pages)
-        if self._fault_submit is not None:
-            # Transient errors raise here; latency spikes stretch the
-            # request and are charged to the busy timeline like any
-            # other service time.
-            action = self._fault_submit.fire()
-            if action is not None:
-                duration += action.seconds
+        hook = self._submit_hook
+        if hook is not None:
+            if hook.rules:
+                # Transient errors raise here; latency spikes stretch
+                # the request and are charged to the busy timeline like
+                # any other service time.
+                action = hook.fire()
+                if action is not None:
+                    duration += action.seconds
+            if hook.hist is not None:
+                hook.hist[is_write].observe(duration)
         done = start + duration
         self._busy_until = done
         self.stats.busy_time += duration
@@ -103,8 +99,6 @@ class DeviceModel:
         else:
             self.stats.read_requests += 1
             self.stats.pages_read += n_pages
-        if self.service_observer is not None:
-            self.service_observer(duration, n_pages, is_write)
         return done
 
     @property

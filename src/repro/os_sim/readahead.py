@@ -47,14 +47,12 @@ class ReadaheadState:
     window: int = 0          # size of the most recent window
     window_end: int = 0      # first page *after* the covered region
     async_mark: int = -1     # crossing this page triggers async prefetch
-    seq_streak: int = 0      # consecutive sequential accesses
 
     def reset(self) -> None:
         self.next_expected = -1
         self.window = 0
         self.window_end = 0
         self.async_mark = -1
-        self.seq_streak = 0
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class ReadaheadPlan:
     start: int       # first page of the window
     count: int       # pages in the window (>= 1)
     is_async: bool   # True: prefetch without blocking the reader
-    sequential: bool # classified stream type for this access
 
 
 def _clamp_window(count: int, start: int, file_pages: int) -> int:
@@ -82,17 +79,14 @@ def plan_miss(
     Mutates ``state`` to reflect the access.  ``ra_pages <= 0`` disables
     readahead entirely (the FADV_RANDOM contract).
     """
-    sequential = page == state.next_expected and state.next_expected >= 0
     if ra_pages <= 0:
         state.reset()
         state.next_expected = page + 1
-        return ReadaheadPlan(page, _clamp_window(1, page, file_pages), False, sequential)
+        return ReadaheadPlan(page, _clamp_window(1, page, file_pages), False)
 
-    if sequential:
-        state.seq_streak += 1
+    if page == state.next_expected and state.next_expected >= 0:
         window = min(ra_pages, max(INITIAL_SEQ_WINDOW, state.window * 2))
     else:
-        state.seq_streak = 0
         window = max(1, ra_pages // RANDOM_WINDOW_DIVISOR)
 
     window = _clamp_window(window, page, file_pages)
@@ -101,7 +95,7 @@ def plan_miss(
     # Trigger the next async window once the reader is halfway through.
     state.async_mark = page + max(1, window // 2) if window > 1 else -1
     state.next_expected = page + 1
-    return ReadaheadPlan(page, window, False, sequential)
+    return ReadaheadPlan(page, window, False)
 
 
 def plan_hit(
@@ -114,10 +108,7 @@ def plan_hit(
     """
     sequential = page == state.next_expected and state.next_expected >= 0
     state.next_expected = page + 1
-    if sequential:
-        state.seq_streak += 1
-    else:
-        state.seq_streak = 0
+    if not sequential:
         state.async_mark = -1
         return None
     if ra_pages <= 0 or state.async_mark < 0 or page < state.async_mark:
@@ -131,4 +122,4 @@ def plan_hit(
     state.window = window
     state.window_end = start + window
     state.async_mark = page + max(1, window // 2)
-    return ReadaheadPlan(start, window, True, True)
+    return ReadaheadPlan(start, window, True)

@@ -15,7 +15,7 @@ Batch dispatch: a readahead window inserts many pages at one instant,
 and the page cache reports them with one :meth:`~TracepointRegistry.emit_pages`
 call instead of one ``emit`` per page.  A subscriber may register a
 page-batch form next to its per-event hook; when every subscriber of
-the tracepoint has one and no observability hook is attached, each
+the tracepoint has one and no dispatch hook is attached, each
 batch form is called once per batch.  Otherwise ``emit_pages`` falls
 back to one ``emit`` per page, so per-event subscribers (the trace
 writer, ad-hoc lambdas) and the per-event dispatch-latency histogram
@@ -61,6 +61,8 @@ PageBatchSubscriber = Callable[[str, float, int, Sequence[int]], None]
 class TracepointRegistry:
     """Named tracepoints with subscribe/emit and drop-safe dispatch."""
 
+    HOOK_SLOTS = {"tracepoints.dispatch": "_dispatch_hook"}
+
     def __init__(self, names=STANDARD_TRACEPOINTS):
         self._subscribers: Dict[str, List[Subscriber]] = {n: [] for n in names}
         # Each subscriber's page-batch form (None if it has none), in
@@ -70,12 +72,9 @@ class TracepointRegistry:
         }
         self.hit_counts: Dict[str, int] = {n: 0 for n in names}
         self.subscriber_errors = 0
-        # Optional dispatch-latency probe (duck-typed; see repro.obs).
-        self._obs = None
-
-    def attach_obs(self, probe) -> None:
-        """Install the dispatch-latency probe (``repro.obs.instrument.Probe``)."""
-        self._obs = probe
+        # The tracepoints.dispatch hook (see repro.hooks): times the
+        # dispatch of one event to all subscribers.
+        self._dispatch_hook = None
 
     @property
     def names(self):
@@ -104,24 +103,24 @@ class TracepointRegistry:
     def emit(self, name: str, timestamp: float, **fields: Any) -> None:
         """Fire a tracepoint; cheap when nobody is listening."""
         self.hit_counts[name] += 1
-        hooks = self._subscribers[name]
-        if not hooks:
+        subscribers = self._subscribers[name]
+        if not subscribers:
             return
         event = TraceEvent(name=name, timestamp=timestamp, fields=fields)
-        probe = self._obs
+        hook = self._dispatch_hook
         t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
+        if hook is not None:
+            hook.calls = n = hook.calls + 1
+            if not n & hook.mask:
                 t0 = time.perf_counter()
-        for hook in hooks:
+        for subscriber in subscribers:
             try:
-                hook(event)
+                subscriber(event)
             except Exception:
                 # A tracing hook must never take down the I/O path.
                 self.subscriber_errors += 1
         if t0:
-            probe.hist.observe(time.perf_counter() - t0)
+            hook.hist.observe(time.perf_counter() - t0)
 
     def emit_pages(
         self, name: str, timestamp: float, ino: int, pages: Sequence[int]
@@ -129,7 +128,7 @@ class TracepointRegistry:
         """Fire ``name`` once per page of ``pages``, all at ``timestamp``.
 
         Counts ``len(pages)`` hits.  When every subscriber registered a
-        page-batch form and no observability hook is attached, each
+        page-batch form and no dispatch hook is attached, each
         batch form is called once with the whole batch; a batch form
         that raises counts as one subscriber error, however many pages
         it was given.  Otherwise this is ``emit(name, timestamp,
@@ -138,7 +137,7 @@ class TracepointRegistry:
         observation per event.
         """
         forms = self._page_forms[name]
-        if None in forms or (forms and self._obs is not None):
+        if None in forms or (forms and self._dispatch_hook is not None):
             for page in pages:
                 self.emit(name, timestamp, ino=ino, page=page)
             return

@@ -125,6 +125,12 @@ class MemoryMap:
 class SimFS:
     """The simulated filesystem: one device, one page cache, many files."""
 
+    HOOK_SLOTS = {
+        "vfs.read": "_read_hook",
+        "vfs.write": "_write_hook",
+        "vfs.fsync": "_fsync_hook",
+    }
+
     def __init__(
         self,
         clock: SimClock,
@@ -138,23 +144,9 @@ class SimFS:
         self.tracepoints = tracepoints
         self._inodes: Dict[str, Inode] = {}
         self._next_ino = 1
-        # Optional fault-injection site handles (duck-typed; see
-        # repro.faults).  None when no rule targets the site, so the
-        # data path pays one `is not None` check.
-        self._fault_write = None
-        self._fault_fsync = None
-        self._fault_read = None
-
-    def attach_faults(self, plane) -> None:
-        """Resolve injection-site handles from a fault plane."""
-        self._fault_write = plane.site("vfs.write")
-        self._fault_fsync = plane.site("vfs.fsync")
-        self._fault_read = plane.site("vfs.read")
-
-    def detach_faults(self) -> None:
-        self._fault_write = None
-        self._fault_fsync = None
-        self._fault_read = None
+        # The vfs.* hooks (see repro.hooks): None unless a fault rule
+        # targets the site, so the data path pays one `is not None`.
+        self._read_hook = self._write_hook = self._fsync_hook = None
 
     # ------------------------------------------------------------------
     # Namespace
@@ -222,8 +214,9 @@ class SimFS:
         self._check_open(file)
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
-        if self._fault_read is not None:
-            self._fault_read.fire()  # may raise an injected error
+        hook = self._read_hook
+        if hook is not None:
+            hook.fire()  # may raise an injected error
         inode = file.inode
         end = min(offset + length, inode.size)
         if end <= offset:
@@ -249,8 +242,9 @@ class SimFS:
         if offset < 0:
             raise ValueError("offset must be non-negative")
         torn = None
-        if self._fault_write is not None:
-            torn = self._fault_write.fire()  # may raise
+        hook = self._write_hook
+        if hook is not None:
+            torn = hook.fire()  # may raise
             if torn is not None:
                 data = data[: torn.keep_bytes(len(data))]
         inode = file.inode
@@ -279,8 +273,9 @@ class SimFS:
     def fsync(self, file: File) -> None:
         """Flush dirty pages and wait for the device to drain."""
         self._check_open(file)
-        if self._fault_fsync is not None:
-            self._fault_fsync.fire()  # may raise an injected error
+        hook = self._fsync_hook
+        if hook is not None:
+            hook.fire()  # may raise an injected error
         self.cache.sync()
 
     def close(self, file: File) -> None:

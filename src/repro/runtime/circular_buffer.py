@@ -41,6 +41,8 @@ class CircularBuffer:
     contract.
     """
 
+    HOOK_SLOTS = {"buffer.push": "_push_hook"}
+
     def __init__(self, capacity: int, producers: str = "single"):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -57,23 +59,9 @@ class CircularBuffer:
         self._push_lock = (
             threading.Lock() if producers == "multi" else None
         )
-        # Optional push-latency probe (duck-typed; see repro.obs).  The
-        # producer owns its call counter, so plain ints are safe.
-        self._obs = None
-        # Optional fault-injection site handle (duck-typed; see
-        # repro.faults): forces drops to simulate overflow pressure.
-        self._fault_push = None
-
-    def attach_obs(self, probe) -> None:
-        """Install the push-latency probe (``repro.obs.instrument.Probe``)."""
-        self._obs = probe
-
-    def attach_faults(self, plane) -> None:
-        """Resolve the ``buffer.push`` injection site from a plane."""
-        self._fault_push = plane.site("buffer.push")
-
-    def detach_faults(self) -> None:
-        self._fault_push = None
+        # The buffer.push hook (see repro.hooks): times pushes and/or
+        # forces drops to simulate overflow pressure.
+        self._push_hook = None
 
     # ------------------------------------------------------------------
 
@@ -118,17 +106,16 @@ class CircularBuffer:
     def _push(self, item: Any) -> bool:
         if item is None:
             raise ValueError("None cannot be enqueued (it marks emptiness)")
-        fault = self._fault_push
-        if fault is not None and fault.fire() is not None:
-            # Injected overflow pressure: the sample is rejected exactly
-            # as if the ring were full, and accounted the same way.
-            self._dropped.fetch_add(1)
-            return False
-        probe = self._obs
+        hook = self._push_hook
         t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
+        if hook is not None:
+            if hook.rules and hook.fire() is not None:
+                # Injected overflow pressure: the sample is rejected
+                # exactly as if the ring were full, and counted the same.
+                self._dropped.fetch_add(1)
+                return False
+            hook.calls = n = hook.calls + 1
+            if not n & hook.mask:
                 t0 = time.perf_counter()
         head = self._head.load()
         nxt = self._next(head)
@@ -139,7 +126,7 @@ class CircularBuffer:
         self._head.store(nxt)  # publish after the slot is written
         self._pushed.fetch_add(1)
         if t0:
-            probe.hist.observe(time.perf_counter() - t0)
+            hook.hist.observe(time.perf_counter() - t0)
         return True
 
     def pop(self) -> Optional[Any]:

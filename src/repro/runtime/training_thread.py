@@ -64,6 +64,8 @@ class AsyncTrainer:
         trainer supervisor builds restart-with-backoff on.
     """
 
+    HOOK_SLOTS = {"trainer.batch": "_batch_hook"}
+
     def __init__(
         self,
         buffer: CircularBuffer,
@@ -90,22 +92,9 @@ class AsyncTrainer:
         self._error: Optional[BaseException] = None
         self.batches_trained = 0
         self.samples_seen = 0
-        # Optional batch-latency probe (duck-typed; see repro.obs).
-        self._obs = None
-        # Optional fault-injection site handle (duck-typed; see
-        # repro.faults): provokes training-thread crashes.
-        self._fault_batch = None
-
-    def attach_obs(self, probe) -> None:
-        """Install the batch-latency probe (``repro.obs.instrument.Probe``)."""
-        self._obs = probe
-
-    def attach_faults(self, plane) -> None:
-        """Resolve the ``trainer.batch`` injection site from a plane."""
-        self._fault_batch = plane.site("trainer.batch")
-
-    def detach_faults(self) -> None:
-        self._fault_batch = None
+        # The trainer.batch hook (see repro.hooks): times batches
+        # and/or provokes training-thread crashes.
+        self._batch_hook = None
 
     # ------------------------------------------------------------------
 
@@ -169,22 +158,22 @@ class AsyncTrainer:
                     pass  # a broken callback must not mask the crash
 
     def _process(self, batch: List[Any]) -> None:
-        probe = self._obs
+        hook = self._batch_hook
         t0 = 0.0
-        if probe is not None:
-            probe.calls = n = probe.calls + 1
-            if not n & probe.mask:
+        if hook is not None:
+            hook.calls = n = hook.calls + 1
+            if not n & hook.mask:
                 t0 = time.perf_counter()
         if self.normalize_fn is not None:
             batch = self.normalize_fn(batch)
         self.samples_seen += len(batch)
         if self._mode is Mode.TRAINING:
-            if self._fault_batch is not None:
-                self._fault_batch.fire()  # may raise an injected fault
+            if hook is not None and hook.rules:
+                hook.fire()  # may raise an injected fault
             self.train_fn(batch)
             self.batches_trained += 1
         if t0:
-            probe.hist.observe(time.perf_counter() - t0)
+            hook.hist.observe(time.perf_counter() - t0)
 
     def join(self, timeout: Optional[float] = None) -> None:
         """Wait for the thread to exit without shutdown semantics.

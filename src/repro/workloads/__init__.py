@@ -2,14 +2,12 @@
 
 from .base import Workload, make_key, make_value, KEY_FORMAT
 from .generators import (
-    EVAL_WORKLOADS,
     FillRandom,
     FillSeq,
     ReadRandom,
     ReadRandomWriteRandom,
     ReadReverse,
     ReadSeq,
-    TRAINING_WORKLOADS,
     UpdateRandom,
     populate_db,
     workload_by_name,
@@ -30,8 +28,6 @@ __all__ = [
     "make_key",
     "make_value",
     "KEY_FORMAT",
-    "EVAL_WORKLOADS",
-    "TRAINING_WORKLOADS",
     "FillRandom",
     "FillSeq",
     "ReadRandom",

@@ -56,12 +56,3 @@ class Workload:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(num_keys={self.num_keys})"
-
-
-class _NullWorkload(Workload):
-    """No-op workload for runner plumbing tests."""
-
-    name = "null"
-
-    def step(self) -> None:
-        return None

@@ -26,8 +26,6 @@ __all__ = [
     "FillRandom",
     "populate_db",
     "workload_by_name",
-    "TRAINING_WORKLOADS",
-    "EVAL_WORKLOADS",
 ]
 
 
@@ -154,19 +152,6 @@ class UpdateRandom(Workload):
         size = len(value) or self.value_size
         self.db.put(key, make_value(self.rng, size))
 
-
-#: The four the paper trains on (class label = position in this tuple).
-TRAINING_WORKLOADS = ("readseq", "readrandom", "readreverse", "readrandomwriterandom")
-
-#: The six of Table 2.
-EVAL_WORKLOADS = (
-    "readseq",
-    "readrandom",
-    "readreverse",
-    "readrandomwriterandom",
-    "updaterandom",
-    "mixgraph",
-)
 
 
 _BY_NAME = {

@@ -84,7 +84,7 @@ class TestMultiProducer:
         plane = FaultPlane(seed=2).inject(
             "buffer.push", FaultKind.DROP, probability=0.25
         )
-        buf.attach_faults(plane)
+        plane.attach(buf)
         accepted, consumed = run_storm(buf, producers=2, items_per_producer=1000)
         check_invariants(buf, accepted, consumed, attempts=2 * 1000)
         forced = plane.injection_counts().get(("buffer.push", "drop"), 0)

@@ -9,6 +9,7 @@ from repro.faults import (
     InjectedIOError,
     SimCrash,
 )
+from repro.hooks import detach
 from repro.kml import Linear, ModelFormatError, Sequential, load_model, save_model
 from repro.kml import model_io
 from repro.minikv.db import DBOptions, MiniKV
@@ -17,20 +18,20 @@ from repro.runtime.circular_buffer import CircularBuffer
 
 
 @pytest.fixture(autouse=True)
-def _clear_model_io_hook():
+def _detach_model_io():
     yield
-    model_io.set_fault_hook(None)
+    detach(model_io)
 
 
 class TestVfsSites:
     def test_write_error(self):
         stack = make_stack("nvme")
         plane = FaultPlane().inject("vfs.write", FaultKind.ERROR)
-        stack.fs.attach_faults(plane)
+        plane.attach(stack.fs)
         handle = stack.fs.open("f", create=True)
         with pytest.raises(InjectedIOError):
             stack.fs.write(handle, 0, b"payload")
-        stack.fs.detach_faults()
+        detach(stack.fs)
         stack.fs.write(handle, 0, b"payload")  # detaching disarms
 
     def test_torn_write_persists_prefix_then_crashes(self):
@@ -38,7 +39,7 @@ class TestVfsSites:
         plane = FaultPlane().inject(
             "vfs.write", FaultKind.TORN_WRITE, keep_fraction=0.5
         )
-        stack.fs.attach_faults(plane)
+        plane.attach(stack.fs)
         handle = stack.fs.open("f", create=True)
         with pytest.raises(SimCrash):
             stack.fs.write(handle, 0, b"x" * 100)
@@ -54,7 +55,7 @@ class TestVfsSites:
         )
         handle = stack.fs.open("f", create=True)
         stack.fs.write(handle, 0, b"data")
-        stack.fs.attach_faults(plane)
+        plane.attach(stack.fs)
         with pytest.raises(InjectedIOError):
             stack.fs.fsync(handle)
         assert stack.fs.read(handle, 0, 4) == b"data"  # nth=2: first is fine
@@ -68,7 +69,7 @@ class TestDeviceSite:
         plane = FaultPlane().inject(
             "device.submit", FaultKind.ERROR, transient=True
         )
-        stack.device.attach_faults(plane)
+        plane.attach(stack.device)
         with pytest.raises(OSError) as excinfo:
             stack.device.submit(stack.clock, 4)
         assert excinfo.value.transient
@@ -81,7 +82,7 @@ class TestDeviceSite:
         plane = FaultPlane().inject(
             "device.submit", FaultKind.DELAY, delay_s=2e-3
         )
-        stack.device.attach_faults(plane)
+        plane.attach(stack.device)
         done = stack.device.submit(stack.clock, 4)
         assert done == pytest.approx(baseline + 2e-3)
         assert stack.device.stats.busy_time == pytest.approx(baseline + 2e-3)
@@ -91,7 +92,7 @@ class TestBufferSite:
     def test_forced_drop_counts_like_overflow(self):
         buf = CircularBuffer(64)
         plane = FaultPlane().inject("buffer.push", FaultKind.DROP, every=2)
-        buf.attach_faults(plane)
+        plane.attach(buf)
         results = [buf.push(i) for i in range(10)]
         assert results.count(False) == 5
         assert buf.dropped == 5
@@ -111,11 +112,11 @@ class TestModelIoSite:
         plane = FaultPlane(seed=5).inject(
             "model_io.load", FaultKind.CORRUPT, corrupt="bitflip"
         )
-        model_io.set_fault_hook(plane.model_io_hook())
+        plane.attach(model_io)
         with pytest.raises(ModelFormatError):
             load_model(path)
         assert plane.injection_counts() == {("model_io.load", "corrupt"): 1}
-        model_io.set_fault_hook(None)
+        detach(model_io)
         load_model(path)  # clean again once the hook is gone
 
     def test_truncating_load_raises_format_error(self, tmp_path):
@@ -124,7 +125,7 @@ class TestModelIoSite:
         plane = FaultPlane(seed=6).inject(
             "model_io.load", FaultKind.CORRUPT, corrupt="truncate"
         )
-        model_io.set_fault_hook(plane.model_io_hook())
+        plane.attach(model_io)
         with pytest.raises(ModelFormatError):
             load_model(path)
 
@@ -146,7 +147,7 @@ class TestMiniKVRetries:
             "device.submit", FaultKind.ERROR, transient=True,
             every=1, max_injections=2,
         )
-        stack.device.attach_faults(plane)
+        plane.attach(stack.device)
         before = stack.clock.now
         assert db.get(b"key-07") == b"v" * 64
         assert db.stats.io_retries == 2
@@ -159,7 +160,7 @@ class TestMiniKVRetries:
         plane = FaultPlane().inject(
             "device.submit", FaultKind.ERROR, transient=True
         )
-        stack.device.attach_faults(plane)
+        plane.attach(stack.device)
         with pytest.raises(InjectedIOError):
             db.get(b"key-07")
         assert db.stats.io_giveups == 1
@@ -170,7 +171,7 @@ class TestMiniKVRetries:
         plane = FaultPlane().inject(
             "device.submit", FaultKind.ERROR, transient=False
         )
-        stack.device.attach_faults(plane)
+        plane.attach(stack.device)
         with pytest.raises(InjectedIOError):
             db.get(b"key-07")
         assert db.stats.io_retries == 0

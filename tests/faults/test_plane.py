@@ -15,31 +15,24 @@ from repro.faults import (
     build_scenario,
     scenario_names,
 )
-from repro.minikv.db import MiniKV
+from repro.hooks import SITES as HOOK_SITES, detach
+from repro.kml import model_io
+from repro.os_sim import make_stack
 
 
 class TestSiteRegistry:
-    def test_minikv_crash_points_stay_in_sync(self):
-        """Every registered crash point has a plane site and vice versa."""
-        plane_sites = {
-            name[len("minikv."):]
-            for name in SITES
-            if name.startswith("minikv.") and name != "minikv.wal.append"
-        }
-        assert plane_sites == set(MiniKV.CRASH_POINTS)
-
-    def test_every_site_has_description_and_kinds(self):
-        for name, (description, kinds) in SITES.items():
-            assert description
+    def test_every_site_is_a_hook_site_with_kinds(self):
+        for name, kinds in SITES.items():
             assert kinds, name
             assert all(isinstance(k, FaultKind) for k in kinds)
+            assert name in HOOK_SITES
 
     def test_unknown_site_rejected(self):
         plane = FaultPlane()
         with pytest.raises(FaultConfigError, match="unknown injection site"):
             plane.inject("no.such.site", FaultKind.ERROR)
-        with pytest.raises(FaultConfigError):
-            plane.site("no.such.site")
+        with pytest.raises(KeyError, match="unknown hook site"):
+            plane.hook("no.such.site")
 
     def test_disallowed_kind_rejected(self):
         with pytest.raises(FaultConfigError, match="does not support"):
@@ -68,7 +61,7 @@ class TestRuleValidation:
 
 class TestTriggering:
     def _fire_pattern(self, plane, site, n):
-        handle = plane.site(site)
+        handle = plane.hook(site)
         pattern = []
         for _ in range(n):
             try:
@@ -116,9 +109,15 @@ class TestTriggering:
 
     def test_site_resolution_is_none_without_rules(self):
         plane = FaultPlane().inject("vfs.write", FaultKind.ERROR)
-        assert plane.site("vfs.write") is not None
-        assert plane.site("vfs.fsync") is None
-        assert plane.model_io_hook() is None
+        fs = make_stack("nvme").fs
+        plane.attach(fs)
+        assert fs._write_hook is plane.hook("vfs.write")
+        assert fs._fsync_hook is None and fs._read_hook is None
+        plane.attach(model_io)
+        try:
+            assert model_io._load_hook is None
+        finally:
+            detach(model_io)
 
     def test_injection_accounting(self):
         plane = FaultPlane().inject("vfs.fsync", FaultKind.ERROR, nth=2)
@@ -151,7 +150,7 @@ class TestActions:
             "device.submit", FaultKind.ERROR, transient=False
         )
         with pytest.raises(InjectedIOError) as excinfo:
-            plane.site("device.submit").fire()
+            plane.hook("device.submit").fire()
         assert excinfo.value.transient is False
         assert isinstance(excinfo.value, OSError)
 

@@ -24,7 +24,7 @@ def make_trainer(buf, plane=None, **kwargs):
         buf, train_fn=trained.extend, poll_interval=0.001, batch_size=8, **kwargs
     )
     if plane is not None:
-        trainer.attach_faults(plane)
+        plane.attach(trainer)
     return trainer, trained
 
 

@@ -3,9 +3,9 @@
 ``Linear``, ``Sigmoid``, ``CrossEntropyLoss`` and ``SGD`` run a step on
 raw buffers through their dtype's kernel table, so a step never goes
 through ``Matrix`` operator dispatch, reports each of its matmuls to
-the op probe, and accumulates into gradient buffers each ``Parameter``
-allocated once.  The numerics golden pins that the values are the
-same bits as the ``Matrix`` formulas.
+the ``matrix.matmul`` hook, and accumulates into gradient buffers each
+``Parameter`` allocated once.  The numerics golden pins that the
+values are the same bits as the ``Matrix`` formulas.
 """
 
 from types import SimpleNamespace
@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.kml import CrossEntropyLoss, Linear, SGD, Sequential
-from repro.kml.matrix import Matrix, set_op_observer
+from repro.hooks import HookPlane, detach
+from repro.kml import matrix
+from repro.kml.matrix import Matrix
 from repro.readahead.model import build_network
 from repro.runtime.memory import MemoryAccountant
 
@@ -30,11 +32,13 @@ def _trainer(dtype):
 
 @pytest.fixture
 def probe():
-    """A matmul probe counting every call (``mask`` 0 also times each)."""
-    stub = SimpleNamespace(calls=0, mask=0, hist=SimpleNamespace(observe=lambda s: None))
-    set_op_observer(stub)
-    yield stub
-    set_op_observer(None)
+    """A matmul hook counting every call (``mask`` 0 also times each)."""
+    plane = HookPlane()
+    hook = plane.hook("matrix.matmul")
+    hook.hist, hook.mask = SimpleNamespace(observe=lambda s: None), 0
+    plane.attach(matrix)
+    yield hook
+    detach(matrix)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "fixed32"])

@@ -24,6 +24,8 @@ import sys
 import numpy as np
 
 from repro.faults import FaultKind, FaultPlane, InjectedIOError, TrainerSupervisor
+from repro.hooks import detach
+from repro.kml import matrix, network
 from repro.kml.matrix import Matrix
 from repro.minikv import DBOptions, MiniKV
 from repro.obs import MetricsRegistry, jsonl_lines, prometheus_text
@@ -105,18 +107,24 @@ def drive() -> MetricsRegistry:
     rng = np.random.default_rng(0)
     a = Matrix(rng.normal(size=(4, 3)), dtype="float32")
     b = Matrix(rng.normal(size=(3, 2)), dtype="float32")
-    with instrument_matrix_ops(metrics, sample_mask=0):
+    instrument_matrix_ops(metrics, sample_mask=0)
+    try:
         for _ in range(5):
             a @ b
+    finally:
+        detach(matrix)
 
     net = build_network()
     x = Matrix(rng.normal(size=(4, 5)), dtype="float32")
-    with instrument_network(metrics):
+    instrument_network(metrics)
+    try:
         out = net.forward(x)
         net.backward(Matrix(np.ones(out.shape), dtype="float32"))
+    finally:
+        detach(network)
 
     try:
-        plane.site("vfs.fsync").fire()
+        plane.hook("vfs.fsync").fire()
     except InjectedIOError:
         pass
 

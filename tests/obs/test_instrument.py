@@ -7,6 +7,8 @@ Every latency-sampling instrumentation here runs with ``sample_mask=0``
 import numpy as np
 import pytest
 
+from repro.hooks import detach
+from repro.kml import matrix, network
 from repro.kml.matrix import Matrix
 from repro.minikv import DBOptions, MiniKV
 from repro.obs import MetricsRegistry
@@ -170,21 +172,22 @@ class TestMatrixOps:
         rng = np.random.default_rng(0)
         a = Matrix(rng.normal(size=(4, 3)), dtype="float32")
         b = Matrix(rng.normal(size=(3, 2)), dtype="float32")
-        with instrument_matrix_ops(registry, sample_mask=0):
+        m = instrument_matrix_ops(registry, sample_mask=0)
+        try:
             for _ in range(5):
                 a @ b
-        ops = registry.counter("kml_matrix_ops_total", labels=("op",))
-        seconds = registry.counter(
-            "kml_matrix_op_seconds_total", labels=("op",)
-        )
-        assert ops.labels(op="matmul").value == 5
-        assert seconds.labels(op="matmul").value > 0.0
+        finally:
+            detach(matrix)
+        assert m["ops"].labels(op="matmul").value == 5
+        assert m["op_seconds"].labels(op="matmul").value > 0.0
         a @ b  # after detach: not counted
-        assert ops.labels(op="matmul").value == 5
+        assert m["ops"].labels(op="matmul").value == 5
 
-    def test_detacher_is_also_callable(self, registry):
-        detach = instrument_matrix_ops(registry, sample_mask=0)
-        detach()
+    def test_detach_restores_the_bare_kernel(self, registry):
+        instrument_matrix_ops(registry, sample_mask=0)
+        detach(matrix)
+        k = matrix.kernels("float32")
+        assert k.matmul is k.bare_matmul
         rng = np.random.default_rng(0)
         a = Matrix(rng.normal(size=(2, 2)), dtype="float32")
         a @ a
@@ -197,27 +200,26 @@ class TestNetwork:
         net = build_network()
         rng = np.random.default_rng(0)
         x = Matrix(rng.normal(size=(4, 5)), dtype="float32")
-        with instrument_network(registry):
+        m = instrument_network(registry)
+        try:
             out = net.forward(x)
             net.backward(Matrix(np.ones(out.shape), dtype="float32"))
-        passes = registry.counter("kml_network_passes_total", labels=("phase",))
-        seconds = registry.counter(
-            "kml_network_pass_seconds_total", labels=("phase",)
-        )
-        assert passes.labels(phase="forward").value == 1
-        assert passes.labels(phase="backward").value == 1
-        assert seconds.labels(phase="forward").value > 0.0
+        finally:
+            detach(network)
+        assert m["passes"].labels(phase="forward").value == 1
+        assert m["passes"].labels(phase="backward").value == 1
+        assert m["pass_seconds"].labels(phase="forward").value > 0.0
 
     def test_infer_counted_and_timed_as_forward_pass(self, registry):
         net = build_network()
         x = Matrix(np.random.default_rng(0).normal(size=(1, 5)), dtype="float32")
-        with instrument_network(registry):
+        m = instrument_network(registry)
+        try:
             net.infer(x)
             net.infer(x)
-        passes = registry.counter("kml_network_passes_total", labels=("phase",))
-        seconds = registry.counter(
-            "kml_network_pass_seconds_total", labels=("phase",)
-        )
+        finally:
+            detach(network)
+        passes, seconds = m["passes"], m["pass_seconds"]
         assert passes.labels(phase="forward").value == 2
         assert passes.labels(phase="backward").value == 0
         assert seconds.labels(phase="forward").value > 0.0
@@ -232,7 +234,7 @@ class TestFaults:
         metrics = instrument_faults(plane, registry)
         assert metrics["rules"].value == 1.0
         with pytest.raises(InjectedIOError):
-            plane.site("vfs.fsync").fire()
+            plane.hook("vfs.fsync").fire()
         registry.collect()  # sync hook pulls plane counts
         injected = metrics["injected"]
         assert injected.labels(site="vfs.fsync", kind="error").value == 1.0

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hooks import HookPlane
 from repro.os_sim.clock import SimClock
 from repro.os_sim.device import nvme_ssd
 from repro.os_sim.page_cache import CacheStats, PageCache
@@ -169,19 +170,27 @@ class InjectedError(Exception):
 
 
 class SubmitFault:
-    """A fault plane whose ``device.submit`` site raises on its ``k``-th firing."""
+    """A fault rule that raises on the ``k``-th ``device.submit`` firing."""
 
     def __init__(self, k):
         self.k = k
         self.fired = 0
 
-    def site(self, name):
-        return self
-
     def fire(self):
         self.fired += 1
         if self.fired == self.k:
             raise InjectedError(self.fired)
+
+
+class SubmitLog:
+    """A ``device.submit`` histogram that logs each served request."""
+
+    def __init__(self, side, is_write):
+        self.side = side
+        self.is_write = is_write
+
+    def observe(self, duration):
+        self.side.log.append(("submit", duration, self.is_write))
 
 
 class Side:
@@ -190,9 +199,14 @@ class Side:
     def __init__(self, cls, config, batched, fail_at):
         self.clock, self.device, self.tp = SimClock(), nvme_ssd(), TracepointRegistry()
         self.log = []
-        self.device.service_observer = lambda *submit: self.log.append(("submit",) + submit)
+        # The device.submit hook logs each request's service time (its
+        # page count is a function of it) and fails the fail_at-th one.
+        plane = HookPlane()
+        hook = plane.hook("device.submit")
+        hook.hist = (SubmitLog(self, False), SubmitLog(self, True))
         if fail_at:
-            self.device.attach_faults(SubmitFault(fail_at))
+            hook.rules.append(SubmitFault(fail_at))
+        plane.attach(self.device)
         for name in STANDARD_TRACEPOINTS:
             pages = self._on_pages if batched else None
             self.tp.subscribe(name, self._on_event, pages=pages)

@@ -19,8 +19,9 @@ class TestMissPlanning:
             state = ReadaheadState()
             plan = plan_miss(state, 100, ra, FILE_PAGES)
             assert plan.start == 100
+            # Classified random: the small window, which the state keeps.
             assert plan.count == max(1, ra // RANDOM_WINDOW_DIVISOR)
-            assert not plan.sequential
+            assert state.window == plan.count
             assert not plan.is_async
 
     def test_ra_zero_disables_readahead(self):
@@ -33,8 +34,9 @@ class TestMissPlanning:
         plan_miss(state, 0, 64, FILE_PAGES)     # random start
         first_window = state.window
         plan = plan_miss(state, 1, 64, FILE_PAGES)  # continues the stream
-        assert plan.sequential
+        # Classified sequential: the window doubles, and the state keeps it.
         assert plan.count == min(64, max(INITIAL_SEQ_WINDOW, first_window * 2))
+        assert state.window == plan.count
 
     def test_window_capped_at_ra(self):
         state = ReadaheadState()
@@ -65,7 +67,7 @@ class TestHitPlanning:
     def test_non_sequential_hit_returns_none(self):
         state = self._warm_sequential_state()
         assert plan_hit(state, 500, 64, FILE_PAGES) is None
-        assert state.seq_streak == 0
+        assert state.async_mark == -1  # the stream is broken
 
     def test_sequential_hits_before_mark_return_none(self):
         state = self._warm_sequential_state()

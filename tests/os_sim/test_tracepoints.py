@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hooks import HookPlane
 from repro.os_sim.tracepoints import STANDARD_TRACEPOINTS, TracepointRegistry
 
 
@@ -122,21 +123,19 @@ class TestEmitPages:
             def observe(self, value):
                 self.count += 1
 
-        class Probe:
-            hist = Histogram()
-            mask = 0
-            calls = 0
-
         registry = TracepointRegistry()
         events, batches = [], []
         registry.subscribe(
             "add_to_page_cache", events.append, pages=lambda *b: batches.append(b)
         )
-        registry.attach_obs(Probe)
+        plane = HookPlane()
+        hook = plane.hook("tracepoints.dispatch")
+        hook.hist, hook.mask = Histogram(), 0
+        plane.attach(registry)
         registry.emit_pages("add_to_page_cache", 0.0, 1, [1, 2, 3])
         assert batches == []
         assert len(events) == 3
-        assert Probe.hist.count == 3
+        assert hook.hist.count == 3
 
     def test_raising_batch_hook_counted_once_and_suppressed(self):
         registry = TracepointRegistry()

@@ -10,29 +10,36 @@ the change that adds it.
 
 A *reference* is an ``ast.Name`` or ``ast.Attribute`` with the
 definition's identifier, or a string constant equal to it: string
-constants count because ``obs.instrument`` binds ``attach_obs`` and its
-metric rows by name.  The definition itself, imports and ``__all__`` do
-not count.  Private and dunder names are exempt.  An ``ALLOWED`` entry
-fails once it is stale: the name is gone, or it has a real caller.
+constants count because the metric rows of ``obs.instrument`` read
+component attributes by name (``"pushed"`` reads
+``CircularBuffer.pushed`` through ``getattr``).  The definition itself,
+imports and ``__all__`` do not count.  Private and dunder names are
+exempt.  An ``ALLOWED`` entry fails once it is stale: the name is gone,
+or it has a real caller.
 
 The same pass fails on any import in a ``src`` module that the module
 neither uses nor re-exports through ``__all__``; package
 ``__init__.py`` files, which exist to re-export, are exempt.
 
-Two more scans cover what a caller search cannot see:
+Three more scans cover what a caller search cannot see:
 
 - a parameter of a public function or method that its own body never
   reads (``self`` / ``cls``, and bodies that only raise or pass, are
   exempt), listed as ``module.function(parameter)``;
-- a dataclass field in ``src/repro`` whose name no attribute and no
-  string constant in the callers carries, listed as
-  ``module.Class.field``: construction by keyword is not a read.
+- a dataclass field in ``src/repro`` that no caller reads, listed as
+  ``module.Class.field``.  A read is an attribute load, a ``getattr``
+  with the name as a string, or a string subscript key (a field of a
+  ``dataclasses.asdict`` dict).  Construction by keyword and stores,
+  ``+=`` included, are not reads;
+- a module-level ``UPPER_CASE`` constant in ``src/repro`` that no
+  caller loads by name or attribute, listed as ``module.NAME``.
 
 ``ALLOWED`` takes these entries too, with the same staleness rule.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -64,10 +71,6 @@ ALLOWED = {
         "int8 quantization (paper section 3.1), cited by docs/API.md",
     "repro.kml.autodiff.softmax_cross_entropy":
         "the reference the tests and the numerics golden compare against",
-    "repro.kml.model_io.set_fault_hook":
-        "the seam the model-file fuzz suite corrupts loads through",
-    "repro.faults.plane.FaultPlane.model_io_hook":
-        "the hook the model-file fuzz suite installs with set_fault_hook",
     "repro.os_sim.vfs.SimFS.mmap": "the paper's mmap interception",
     "repro.obs.instrument.instrument_supervisor":
         "its families are pinned by export_golden.prom",
@@ -87,7 +90,37 @@ ALLOWED = {
         "the Scheduler.dispatch protocol; the elevator reads head",
     "repro.iosched.schedulers.ElevatorScheduler.dispatch(now)":
         "the Scheduler.dispatch protocol; deadline scheduling reads now",
-    # Dataclass fields no caller reads.
+    # Dataclass fields no caller reads by attribute, getattr or key.
+    "repro.minikv.db.DBStats.gets":
+        "exported as kml_minikv_ops_total{op=get} by an instrument._stat row",
+    "repro.minikv.db.DBStats.puts":
+        "exported as kml_minikv_ops_total{op=put} by an instrument._stat row",
+    "repro.minikv.db.DBStats.deletes":
+        "exported as kml_minikv_ops_total{op=delete} by an instrument._stat row",
+    "repro.minikv.db.DBStats.seeks":
+        "exported as kml_minikv_ops_total{op=seek} by an instrument._stat row",
+    "repro.minikv.db.DBStats.get_hits":
+        "exported as kml_minikv_get_hits_total by an instrument._stat row",
+    "repro.os_sim.page_cache.CacheStats.evicted":
+        "whole-struct dataclasses.asdict into perfbench's digest; "
+        "sim_golden.json pins it",
+    "repro.os_sim.page_cache.CacheStats.prefetch_wasted":
+        "whole-struct dataclasses.asdict into perfbench's digest; "
+        "sim_golden.json pins it",
+    "repro.os_sim.page_cache.CacheStats.writebacks":
+        "whole-struct dataclasses.asdict into perfbench's digest; "
+        "sim_golden.json pins it",
+    "repro.iosched.engine.ScheduleResult.read_p99":
+        "best_scheduler's default metric, read as getattr(result, metric)",
+    "repro.iosched.engine.ScheduleResult.read_latencies_mean":
+        "the mean-latency accounting the iosched tests check",
+    "repro.iosched.engine.ScheduleResult.seek_distance_total":
+        "the elevator's seek-distance saving the iosched tests check",
+    # Module constants no caller reads.
+    "repro.kml.fixedpoint.FX_EPS":
+        "the Q16.16 resolution the fixed-point round-trip tests bound error by",
+    "repro.readahead.tuning.DEFAULT_TUNING_TABLE":
+        "the committed sweep result whose orderings the tuning tests check",
     "repro.readahead.agent.AgentDecision.inference_wall_s":
         "per-decision inference latency (paper section 4) for the "
         "planned per-tick decision log",
@@ -99,8 +132,6 @@ ALLOWED = {
         "crash-case context the crash-matrix tests check",
     "repro.faults.harness.CrashReport.pending_op":
         "crash-case context the crash-matrix tests check",
-    "repro.os_sim.readahead.ReadaheadPlan.sequential":
-        "the stream classification the readahead-algorithm tests check",
 }
 
 
@@ -217,12 +248,58 @@ def _dataclass_fields(tree, module):
 
 
 def _field_reads(tree):
-    """Attribute names and string constants: how a field can be read."""
+    """Attribute loads, ``getattr`` names and string subscript keys.
+
+    A subscript key reads a field of a ``dataclasses.asdict`` dict.  A
+    store, ``+=`` included, is not a read: a counter only ever bumped is
+    never looked at.
+    """
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.slice, ast.Constant)
+        ):
+            yield node.slice.value
+
+
+_UPPER_CASE = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
+
+
+def _constants(tree, module):
+    """``(module.NAME, NAME)`` of each module-level ``UPPER_CASE`` assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and _UPPER_CASE.match(target.id):
+                yield f"{module}.{target.id}", target.id
+
+
+def _loads(tree):
+    """Names and attributes ``tree`` loads, outside ``__all__``."""
+    skip = _all_nodes(tree)
+    for node in ast.walk(tree):
+        if id(node) in skip or not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
 
 
 def _unused_imports(tree):
@@ -305,6 +382,23 @@ def unread_fields(trees, fields):
     return {qualname for qualname, name in fields if name not in read}
 
 
+@pytest.fixture(scope="module")
+def constants(trees):
+    """``(module.NAME, NAME)`` of every module-level constant in ``src``."""
+    return [
+        constant
+        for path, tree in trees.items()
+        if SRC in path.parents
+        for constant in _constants(tree, _module_name(path))
+    ]
+
+
+@pytest.fixture(scope="module")
+def unread_constants(trees, constants):
+    loaded = {name for tree in trees.values() for name in _loads(tree)}
+    return {qualname for qualname, name in constants if name not in loaded}
+
+
 def test_callers_found():
     assert ROOT / "src" / "repro" / "cli.py" in CALLERS
     assert ROOT / "perfbench" / "run.py" in CALLERS
@@ -336,8 +430,17 @@ def test_every_dataclass_field_is_read(unread_fields):
     )
 
 
+def test_every_module_constant_is_read(unread_constants):
+    offenders = sorted(unread_constants - set(ALLOWED))
+    assert not offenders, (
+        "module constants nothing outside the tests reads (delete them, or "
+        f"add each to ALLOWED with its reason): {offenders}"
+    )
+
+
 def test_allowlist_entries_are_live_and_reasoned(
-    trees, definitions, uncalled, unread_parameters, fields, unread_fields
+    trees, definitions, uncalled, unread_parameters, fields, unread_fields,
+    constants, unread_constants,
 ):
     parameters = {
         f"{qualname}({arg.arg})"
@@ -347,8 +450,10 @@ def test_allowlist_entries_are_live_and_reasoned(
         for arg in ast.walk(function.args)
         if isinstance(arg, ast.arg)
     }
-    defined = {qualname for qualname, _ in definitions + fields} | parameters
-    flagged = uncalled | unread_parameters | unread_fields
+    defined = {
+        qualname for qualname, _ in definitions + fields + constants
+    } | parameters
+    flagged = uncalled | unread_parameters | unread_fields | unread_constants
     assert not _stale(ALLOWED, defined, flagged)
     assert all(reason.strip() for reason in ALLOWED.values())
 
@@ -398,8 +503,13 @@ def test_parameter_and_field_rules_on_a_sample():
         "    read_by_attr: int\n"
         "    read_by_string: int\n"
         "    never_read: int = 0\n"
+        "    only_bumped: int = 0\n"
+        "    by_key: int = 0\n"
         "    def total(self, used, unused, *, flag=None):\n"
+        "        self.only_bumped += 1\n"
+        "        label = 'never_read'\n"
         "        return self.read_by_attr + getattr(self, 'read_by_string') + used\n"
+        "    def keyed(self, stats): return stats['by_key']\n"
         "    @staticmethod\n"
         "    def build(first): return Record(1, 2, never_read=first)\n"
         "    def abstract(self, x):\n"
@@ -413,8 +523,29 @@ def test_parameter_and_field_rules_on_a_sample():
     ]
     read = set(_field_reads(tree))
     unread = [q for q, name in _dataclass_fields(tree, "m") if name not in read]
-    # Construction by keyword (``never_read=first``) is not a read.
-    assert unread == ["m.Record.never_read"]
+    # Construction by keyword (``never_read=first``), a ``+=`` and a
+    # bare string constant are not reads.
+    assert unread == ["m.Record.never_read", "m.Record.only_bumped"]
+
+
+def test_constant_rule_on_a_sample():
+    tree = ast.parse(
+        "__all__ = ['EXPORTED_ONLY']\n"
+        "EXPORTED_ONLY = 1\n"
+        "LOADED = 2\n"
+        "_PRIVATE = 3\n"
+        "lower = 4\n"
+        "ANNOTATED: int = 5\n"
+        "def f(): return LOADED + f.ANNOTATED\n"
+    )
+    names = dict(_constants(tree, "m"))
+    assert sorted(names) == [
+        "m.ANNOTATED", "m.EXPORTED_ONLY", "m.LOADED", "m._PRIVATE",
+    ]
+    loaded = set(_loads(tree))
+    # Neither ``__all__`` nor the assignment itself reads a constant.
+    unread = sorted(q for q, name in names.items() if name not in loaded)
+    assert unread == ["m.EXPORTED_ONLY", "m._PRIVATE"]
 
 
 def test_stale_entries_reported():
