@@ -105,29 +105,30 @@ class TornWrite:
 class Delay:
     """Add ``seconds`` of (simulated) latency to the operation."""
 
-    __slots__ = ("site", "seconds")
+    __slots__ = ("seconds",)
 
-    def __init__(self, site: str, seconds: float):
-        self.site = site
+    def __init__(self, seconds: float):
         self.seconds = seconds
 
 
 class DropSample:
-    """Reject the sample as if the buffer were full."""
+    """Reject the sample as if the buffer were full.
 
-    __slots__ = ("site",)
+    It carries nothing, so every drop rule returns one shared instance.
+    """
 
-    def __init__(self, site: str):
-        self.site = site
+    __slots__ = ()
+
+
+_DROP = DropSample()
 
 
 class CorruptBytes:
     """Damage bytes in flight: truncate, or flip a single bit."""
 
-    __slots__ = ("site", "mode", "_rng")
+    __slots__ = ("mode", "_rng")
 
-    def __init__(self, site: str, mode: str, rng: random.Random):
-        self.site = site
+    def __init__(self, mode: str, rng: random.Random):
         self.mode = mode
         self._rng = rng
 
@@ -239,10 +240,10 @@ class FaultRule:
         if kind is FaultKind.TORN_WRITE:
             return TornWrite(self.site, self.keep_fraction)
         if kind is FaultKind.DELAY:
-            return Delay(self.site, self.delay_s)
+            return Delay(self.delay_s)
         if kind is FaultKind.DROP:
-            return DropSample(self.site)
-        return CorruptBytes(self.site, self.corrupt, self._rng)
+            return _DROP
+        return CorruptBytes(self.corrupt, self._rng)
 
 
 # ----------------------------------------------------------------------

@@ -158,7 +158,13 @@ def _float_kernels(dtype: str) -> Kernels:
     def add_into(buf, delta):
         np.add(buf, delta, out=buf)
 
+    zero = encode(0.0)
+
     def colsum(a):
+        if a.shape[0] == 1:
+            # numpy's float64 sum of one row is 0.0 + each value: the
+            # same bits as adding 0.0 in the element type (-0.0 -> 0.0).
+            return np.add(a, zero)
         return encode(a.astype(np.float64).sum(axis=0, keepdims=True))
 
     return Kernels(
@@ -181,6 +187,11 @@ def _fixed_add_into(buf, delta):
     buf[...] = fx.fx_add(buf, delta)
 
 
+def _fixed_colsum(a):
+    # One row's int64 sum is the row itself, already inside int32.
+    return a.copy() if a.shape[0] == 1 else fx.fx_sum(a, axis=0)
+
+
 _KERNELS = {
     "float32": _float_kernels("float32"),
     "float64": _float_kernels("float64"),
@@ -195,7 +206,7 @@ _KERNELS = {
         neg=fx.fx_neg,
         add_into=_fixed_add_into,
         matmul=fx.fx_matmul,
-        colsum=lambda a: fx.fx_sum(a, axis=0),
+        colsum=_fixed_colsum,
     ),
 }
 

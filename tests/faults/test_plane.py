@@ -138,11 +138,11 @@ class TestActions:
         import random
 
         data = bytes(range(64))
-        flip = CorruptBytes("model_io.load", "bitflip", random.Random(1))
+        flip = CorruptBytes("bitflip", random.Random(1))
         flipped = flip.apply(data)
         assert len(flipped) == len(data)
         assert sum(a != b for a, b in zip(flipped, data)) == 1
-        cut = CorruptBytes("model_io.load", "truncate", random.Random(1))
+        cut = CorruptBytes("truncate", random.Random(1))
         assert len(cut.apply(data)) < len(data)
 
     def test_error_carries_transient_flag(self):

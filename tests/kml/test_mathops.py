@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.kml import fixedpoint, mathops
 
+from ..conftest import STRESS
+
 
 class TestExp:
     def test_matches_numpy_on_range(self):
@@ -135,15 +137,112 @@ class TestSoftmax:
         )
 
 
-class TestLibmFree:
-    """mathops builds its kernels from +, -, *, / and frexp/ldexp only."""
+def _same_bits(a, b) -> bool:
+    """Equal shapes, NaN in the same places and every other value the
+    same float64 bits (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    keep = ~np.isnan(a)
+    return np.array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
 
-    FORBIDDEN = {"exp", "expm1", "log", "log1p", "log2", "tanh", "sqrt", "power"}
+
+#: Values where the kernels branch or round: signed zeros, infinities,
+#: NaN, the exp clamp, where float sigmoid saturates (11.78), and
+#: subnormals of both widths.
+EDGES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 80.0, -80.0, 11.78, -11.78,
+    5e-324, -5e-324, 1e-310, 1e-45, -1e-45, 1e-40,
+]
+ROW_EXAMPLES = 1000 if STRESS else 200
+
+
+def _rows(dtype):
+    """1 x (1..17) rows of ``dtype``: edges, values in the range where
+    rounding differences show, and arbitrary floats."""
+    width = np.finfo(dtype).bits
+    element = st.one_of(
+        st.sampled_from(EDGES),
+        st.floats(-40.0, 40.0, width=width),
+        st.floats(width=width),
+    )
+    return st.lists(element, min_size=1, max_size=17).map(
+        lambda values: np.array([values], dtype=np.float64).astype(dtype)
+    )
+
+
+rows = st.sampled_from([np.float32, np.float64]).flatmap(_rows)
+
+
+class TestSingleRowPaths:
+    """The Python-float paths for small rows (sigmoid up to 16 values,
+    softmax of one row under 8) give the array path's bits."""
+
+    @given(rows)
+    @settings(max_examples=ROW_EXAMPLES, deadline=None)
+    def test_sigmoid_equals_the_array_path(self, row):
+        # Past 16 values the whole row takes the array path.
+        padded = np.concatenate([row, np.zeros_like(row, shape=(1, 17))], axis=1)
+        with np.errstate(all="ignore"):
+            small, wide = mathops.kml_sigmoid(row), mathops.kml_sigmoid(padded)
+        assert _same_bits(small, wide[:, : row.shape[1]])
+
+    @given(rows, st.sampled_from(EDGES) | st.floats())
+    @settings(max_examples=ROW_EXAMPLES, deadline=None)
+    def test_softmax_and_log_equals_a_batch_row(self, row, other):
+        with np.errstate(all="ignore"):
+            batch = np.concatenate([row, np.full_like(row, other)])
+            one = mathops.kml_softmax_and_log(row, axis=1)
+            two = mathops.kml_softmax_and_log(batch, axis=1)
+        assert _same_bits(one[0], two[0][:1])
+        assert _same_bits(one[1], two[1][:1])
+
+    def test_scalar_log_equals_kml_log(self):
+        values = EDGES + [-1.0, 0.5, 1.0, 7.0, 1e300]
+        for v in values + np.logspace(-300, 300, 601).tolist():
+            expected = mathops.kml_log(np.array([v]))[0]
+            assert _same_bits(mathops._log_float(v), expected), v
+
+    def test_the_small_rows_take_the_float_path(self, monkeypatch):
+        """Guards the property tests above against comparing the array
+        path with itself: a small row never reaches the array exp."""
+        def no_array_exp(x):
+            raise AssertionError("array exp on a small row")
+
+        monkeypatch.setattr(mathops, "_exp_clamped", no_array_exp)
+        monkeypatch.setattr(mathops, "kml_exp", no_array_exp)
+        row = np.linspace(-3.0, 3.0, 16).reshape(1, -1)
+        mathops.kml_sigmoid(row)
+        mathops.kml_softmax_and_log(row[:, :7], axis=1)
+        with pytest.raises(AssertionError):
+            mathops.kml_sigmoid(np.zeros((1, 17)))
+        with pytest.raises(AssertionError):
+            mathops.kml_softmax_and_log(row[:, :8], axis=1)
+
+
+class TestLibmFree:
+    """mathops builds its kernels from +, -, *, / and frexp/ldexp only.
+
+    ``**`` and the builtin ``pow`` count as libm: CPython computes a
+    float power with the C library's ``pow``.
+    """
+
+    FORBIDDEN = {
+        "exp", "expm1", "log", "log1p", "log2", "tanh", "sqrt", "power", "float_power",
+    }
 
     def _violations(self, source: str) -> list:
         found = []
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Import):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+                found.append("**")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "pow"
+            ):
+                found.append("pow()")
+            elif isinstance(node, ast.Import):
                 found += [a.name for a in node.names if a.name == "math"]
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "math":
@@ -166,7 +265,18 @@ class TestLibmFree:
 
     @pytest.mark.parametrize(
         "snippet",
-        ["import math", "from math import exp", "from numpy import log1p", "y = np.exp(x)", "np.sqrt(2.0)"],
+        [
+            "import math",
+            "from math import exp",
+            "from numpy import log1p",
+            "y = np.exp(x)",
+            "np.sqrt(2.0)",
+            "y = 2.0 ** k",
+            "y **= 0.5",
+            "y = pow(x, 3)",
+            "y = np.float_power(x, 2)",
+            "from numpy import float_power",
+        ],
     )
     def test_guard_catches(self, snippet):
         assert self._violations(snippet)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.kml import fixedpoint
 from repro.kml.matrix import DTYPES, Matrix, kernels, set_alloc_observer
 
 ALL_DTYPES = list(DTYPES)
@@ -202,6 +203,22 @@ class TestReductions:
         """The column sum layers call computes ``Matrix.sum(axis=0)``'s bits."""
         m = Matrix(np.random.default_rng(0).normal(size=(33, 7)), dtype=dtype)
         np.testing.assert_array_equal(kernels(dtype).colsum(m.raw), m.sum(axis=0).raw)
+
+    def test_kernel_colsum_of_one_row_keeps_the_summed_bits(self, dtype):
+        """A one-row gradient skips the reduction but gives its bits:
+        -0.0 still comes back +0.0, and fixed32 extremes stay put."""
+        k = kernels(dtype)
+        if dtype == "fixed32":
+            raw = np.array([[fixedpoint.FX_MIN, -1, 0, 1, fixedpoint.FX_MAX]], np.int32)
+            old = fixedpoint.fx_sum(raw, axis=0)
+        else:
+            values = [-0.0, 0.0, -1.5, 3e38, -np.inf, np.inf, np.nan, 1e-45]
+            raw = k.encode(np.array([values]))
+            old = k.encode(raw.astype(np.float64).sum(axis=0, keepdims=True))
+        new = k.colsum(raw)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+        assert new is not raw
 
     def test_mean(self, dtype):
         m = Matrix([[2.0, 4.0]], dtype=dtype)
