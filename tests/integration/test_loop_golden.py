@@ -15,7 +15,10 @@ what those callers produce, bit for bit:
 - ``sweep_best_readahead`` curves over readrandom and
   readrandomwriterandom (which writes, so its points share a DB that
   changes between them);
-- ``sweep_writeback_configs`` throughputs.
+- ``sweep_writeback_configs`` throughputs;
+- one UCB1 bandit run per knob it drives (readahead on readrandom,
+  writeback on fillrandom): every ``(sim_time, arm)`` pick, the
+  throughput, the per-arm mean rewards and the best arm.
 
 The scale is chosen so that every agent run predicts at least two
 classes and moves readahead away from 128.  Regenerate the fixture only
@@ -43,8 +46,13 @@ from repro.readahead import (
     collect_training_data,
     sweep_best_readahead,
 )
+from repro.readahead.rl import BanditReadaheadTuner
 from repro.workloads import load_stack, run_closed_loop
-from repro.writeback import sweep_writeback_configs
+from repro.writeback import (
+    DEFAULT_CONFIGS,
+    WritebackBanditTuner,
+    sweep_writeback_configs,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "loop_golden.json")
@@ -68,6 +76,14 @@ STUDY = dict(num_keys=3000, value_size=200, cache_pages=64)
 STUDY_MEMTABLE = 64 << 10
 STUDY_OPS = 400
 STUDY_SEED = 3
+
+# Bandit runs: enough windows for UCB1 to move past its first round.
+BANDIT_RA_ARMS = (8, 32, 128, 512)
+BANDIT_RA_WINDOW_S = 0.01
+BANDIT_WB = dict(num_keys=8000, value_size=400, cache_pages=256)
+BANDIT_WB_MEMTABLE = 128 << 10
+BANDIT_WB_SIM_SECONDS = 0.1
+BANDIT_WB_WINDOW_S = 0.002
 
 
 def _sha256(raw: bytes) -> str:
@@ -147,8 +163,56 @@ def writeback_sweep() -> dict:
     return {str(config): tput for config, tput in sweep.throughput.items()}
 
 
+def _bandit_record(result, history, means, best) -> dict:
+    return {
+        "history": [[t, str(arm)] for t, arm in history],
+        "throughput": result.throughput,
+        "arm_means": {str(arm): mean for arm, mean in means.items()},
+        "best_arm": str(best),
+    }
+
+
+def readahead_bandit_run() -> dict:
+    loaded = load_stack("nvme", NUM_KEYS, VALUE_SIZE, CACHE_PAGES, seed=SEED)
+    result, tuner = run_closed_loop(
+        loaded,
+        "readrandom",
+        policy=lambda stack: BanditReadaheadTuner(stack, arms=BANDIT_RA_ARMS),
+        ra_pages=128,
+        sim_seconds=SIM_SECONDS,
+        window=BANDIT_RA_WINDOW_S,
+    )
+    return _bandit_record(
+        result, tuner.history, tuner.arm_means(), tuner.best_arm
+    )
+
+
+def writeback_bandit_run() -> dict:
+    loaded = load_stack(
+        "nvme", memtable_bytes=BANDIT_WB_MEMTABLE, seed=STUDY_SEED,
+        **BANDIT_WB,
+    )
+    result, tuner = run_closed_loop(
+        loaded,
+        "fillrandom",
+        policy=lambda stack: WritebackBanditTuner(
+            stack, DEFAULT_CONFIGS, exploration=0.5
+        ),
+        prepare=DEFAULT_CONFIGS[0].apply,
+        sim_seconds=BANDIT_WB_SIM_SECONDS,
+        window=BANDIT_WB_WINDOW_S,
+    )
+    return _bandit_record(
+        result, tuner.history, tuner.config_means(), tuner.best_config
+    )
+
+
+BANDIT_RUNS = {"readahead": readahead_bandit_run, "writeback": writeback_bandit_run}
+
+
 def generate() -> dict:
     return {
+        "bandit": {knob: run() for knob, run in BANDIT_RUNS.items()},
         "agent": {
             f"{workload}/{device}": agent_run(workload, device)
             for workload in AGENT_WORKLOADS
@@ -191,6 +255,14 @@ def test_readahead_sweep_matches_golden(golden):
 
 def test_writeback_sweep_matches_golden(golden):
     assert writeback_sweep() == golden["writeback_sweep"]
+
+
+@pytest.mark.parametrize("knob", sorted(BANDIT_RUNS))
+def test_bandit_run_matches_golden(golden, knob):
+    expected = golden["bandit"][knob]
+    # The run must get past UCB1's play-every-arm-first round.
+    assert len(expected["history"]) > 2 * len(expected["arm_means"])
+    assert BANDIT_RUNS[knob]() == expected
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Tests for the I/O-scheduler case study."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,29 @@ from repro.iosched import (
     sweep_schedulers,
 )
 from repro.iosched.requests import IORequest
+
+
+#: What ``fitted_selector`` learns, pinned bit for bit: the sweep's
+#: winners, the held-out accuracy and the SHA-256 of the trained
+#: weights (every parameter's raw bytes, in ``parameters()`` order).
+SELECTOR_BEST_BY_KIND = {
+    "random_read": "elevator",
+    "sequential_read": "noop",
+    "write_burst": "elevator",
+    "mixed": "elevator",
+}
+SELECTOR_ACCURACY = 1.0
+SELECTOR_WEIGHTS_SHA256 = (
+    "75941cfd57a394e0a51c3ba2a56ea559d6071b13059dc9722b7aec7e102e548e"
+)
+
+
+@pytest.fixture(scope="module")
+def fitted_selector():
+    selector = SchedulerSelector(rng=np.random.default_rng(0))
+    return selector.fit_from_sweep(
+        disk_device(), windows_per_kind=15, window=80, epochs=200
+    )
 
 
 def req(rid, arrival, op, sector, pages=1):
@@ -185,17 +210,25 @@ class TestFeaturesAndSelector:
             tputs = [r.throughput for r in per.values()]
             assert max(tputs) < 1.02 * min(tputs)
 
-    def test_selector_classifies_and_selects(self):
-        selector = SchedulerSelector(rng=np.random.default_rng(0))
-        selector.fit_from_sweep(
-            disk_device(), windows_per_kind=15, window=80, epochs=200
-        )
+    def test_selector_classifies_and_selects(self, fitted_selector):
+        selector = fitted_selector
         assert selector.accuracy(windows_per_kind=6, window=80) > 0.85
         rng = np.random.default_rng(123)
         window = make_stream("random_read", 80, rng)
         assert selector.select(window) == "elevator"
         window = make_stream("sequential_read", 80, rng)
         assert selector.classify(window) == "sequential_read"
+
+    def test_selector_training_is_pinned(self, fitted_selector):
+        selector = fitted_selector
+        assert selector.best_by_kind == SELECTOR_BEST_BY_KIND
+        assert selector.accuracy(windows_per_kind=6, window=80) == (
+            SELECTOR_ACCURACY
+        )
+        digest = hashlib.sha256()
+        for param in selector.network.parameters():
+            digest.update(param.value.raw.tobytes())
+        assert digest.hexdigest() == SELECTOR_WEIGHTS_SHA256
 
     def test_unfitted_selector_rejects_select(self):
         selector = SchedulerSelector(rng=np.random.default_rng(1))
