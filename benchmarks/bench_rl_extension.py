@@ -2,8 +2,8 @@
 
 The paper's section 6 proposes moving from classification to
 reinforcement learning so the model adapts to workloads outside its
-training set.  This bench runs the UCB1 bandit from
-``repro.readahead.rl`` against the deployed classifier on mixgraph
+training set.  This bench runs the UCB1 bandit (``repro.kml.UCB1Tuner``
+over readahead values) against the deployed classifier on mixgraph
 (never trained on) and on readrandom.
 
 Expected shape: the bandit also beats vanilla (it needs no training
@@ -15,7 +15,7 @@ import pytest
 
 from common import run_loop, run_pair, write_result
 
-from repro.readahead import BanditReadaheadTuner
+from repro.kml import UCB1Tuner
 
 SIM_SECONDS = 2.0
 
@@ -24,7 +24,7 @@ def bandit_throughput(workload_name):
     result, tuner = run_loop(
         "nvme",
         workload_name,
-        lambda stack: BanditReadaheadTuner(stack, arms=(8, 32, 128, 512)),
+        lambda stack: UCB1Tuner((8, 32, 128, 512), stack.set_readahead),
         SIM_SECONDS,
     )
     return result.throughput, tuner

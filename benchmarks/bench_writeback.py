@@ -15,12 +15,9 @@ import pytest
 
 from common import write_result
 
+from repro.kml import UCB1Tuner
 from repro.workloads import load_stack, run_closed_loop
-from repro.writeback import (
-    DEFAULT_CONFIGS,
-    WritebackBanditTuner,
-    sweep_writeback_configs,
-)
+from repro.writeback import DEFAULT_CONFIGS, sweep_writeback_configs
 
 NUM_KEYS = 30_000
 VALUE_SIZE = 400
@@ -83,7 +80,9 @@ def test_online_tuner_beats_worst_policy(benchmark):
 
     def run_tuned():
         result, outcome["tuner"] = run_fillrandom(
-            lambda stack: WritebackBanditTuner(stack, exploration=0.5)
+            lambda stack: UCB1Tuner(
+                DEFAULT_CONFIGS, lambda c: c.apply(stack), exploration=0.5
+            )
         )
         outcome["tuned"] = result.throughput
         outcome["pinned"] = run_fillrandom()[0].throughput
@@ -97,9 +96,9 @@ def test_online_tuner_beats_worst_policy(benchmark):
         f"pinned worst policy : {outcome['pinned']:,.0f} ops/s",
         f"online tuner        : {outcome['tuned']:,.0f} ops/s "
         f"({outcome['tuned'] / outcome['pinned']:.2f}x)",
-        f"converged config    : {tuner.best_config}",
+        f"converged config    : {tuner.best_arm}",
     ]
     write_result("writeback_tuner.txt", "\n".join(lines))
 
     assert outcome["tuned"] > outcome["pinned"] * 1.2
-    assert tuner.best_config.writeback_batch > 1
+    assert tuner.best_arm.writeback_batch > 1

@@ -18,7 +18,7 @@ Run:  python examples/kernel_training.py
 
 import numpy as np
 
-from repro.kml import CrossEntropyLoss, SGD
+from repro.kml import CrossEntropyLoss, SGD, UCB1Tuner
 from repro.kml.matrix import Matrix
 from repro.obs import (
     MetricsRegistry,
@@ -28,7 +28,6 @@ from repro.obs import (
     instrument_tracepoints,
     instrument_trainer,
 )
-from repro.readahead import BanditReadaheadTuner
 from repro.readahead.features import FeatureCollector
 from repro.readahead.model import build_network
 from repro.runtime import (
@@ -115,7 +114,7 @@ def part2_bandit_tuner():
 
     result, tuner = run_closed_loop(
         loaded, "readrandom",
-        policy=lambda stack: BanditReadaheadTuner(stack, arms=(8, 32, 128, 512)),
+        policy=lambda stack: UCB1Tuner((8, 32, 128, 512), stack.set_readahead),
         ra_pages=128, sim_seconds=1.5, window=0.05, rng_seed=3,
     )
     tuned = result.throughput

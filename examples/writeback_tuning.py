@@ -11,12 +11,9 @@ throughput rewards alone, starting from the *worst* policy.
 Run:  python examples/writeback_tuning.py    (~1 minute)
 """
 
+from repro.kml import UCB1Tuner
 from repro.workloads import load_stack, run_closed_loop
-from repro.writeback import (
-    DEFAULT_CONFIGS,
-    WritebackBanditTuner,
-    sweep_writeback_configs,
-)
+from repro.writeback import DEFAULT_CONFIGS, sweep_writeback_configs
 
 NUM_KEYS = 20_000
 VALUE_SIZE = 400
@@ -47,14 +44,16 @@ def main():
     )
     result, tuner = run_closed_loop(
         loaded, "fillrandom",
-        policy=lambda stack: WritebackBanditTuner(stack, exploration=0.5),
+        policy=lambda stack: UCB1Tuner(
+            DEFAULT_CONFIGS, lambda c: c.apply(stack), exploration=0.5
+        ),
         prepare=DEFAULT_CONFIGS[0].apply,  # eager, unbatched: the worst arm
         sim_seconds=0.2, window=0.002,
     )
     print(f"  tuned throughput : {result.throughput:,.0f} ops/s")
-    print(f"  converged config : {tuner.best_config}")
+    print(f"  converged config : {tuner.best_arm}")
     print("  arm means        :")
-    for config, mean in tuner.config_means().items():
+    for config, mean in tuner.arm_means().items():
         print(f"    {str(config):22s} {mean:.3f}")
 
 

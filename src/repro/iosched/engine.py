@@ -85,7 +85,6 @@ def simulate(
     now = 0.0
     head = 0
     next_arrival = 0
-    in_queue = 0
     total = len(pending)
     served = 0
     while served < total:
@@ -93,21 +92,18 @@ def simulate(
         while next_arrival < total and pending[next_arrival].arrival <= now:
             scheduler.add(pending[next_arrival])
             next_arrival += 1
-            in_queue += 1
-        if in_queue == 0:
+        if not len(scheduler):
             now = pending[next_arrival].arrival
             continue
         request = scheduler.dispatch(now, head)
         assert request is not None
-        in_queue -= 1
         service = device.service_time(head, request)
-        request.start = max(now, request.arrival)
-        request.completion = request.start + service
+        request.completion = max(now, request.arrival) + service
         now = request.completion
         result.seek_distance_total += abs(request.sector - head)
         head = request.sector + request.n_pages
         served += 1
-        latency = request.completion - request.arrival
+        latency = request.latency
         if request.is_read:
             read_mean_acc += latency
             read_count += 1

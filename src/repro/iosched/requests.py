@@ -29,9 +29,7 @@ class IORequest:
     op: str                 # "read" | "write"
     sector: int             # position in [0, ADDRESS_SPACE)
     n_pages: int
-    # Filled by the engine:
-    start: float = field(default=0.0, compare=False)
-    completion: float = field(default=0.0, compare=False)
+    completion: float = field(default=0.0, compare=False)  # engine-filled
 
     @property
     def is_read(self) -> bool:

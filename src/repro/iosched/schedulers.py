@@ -13,7 +13,8 @@ Simplified but faithful versions of the Linux single-queue schedulers:
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from bisect import bisect_left, insort
+from collections import deque
 from typing import List, Optional
 
 from .requests import IORequest
@@ -44,24 +45,16 @@ class NoopScheduler(Scheduler):
     name = "noop"
 
     def __init__(self):
-        self._queue: List[IORequest] = []
-        self._head = 0
+        self._queue = deque()
 
     def add(self, request: IORequest) -> None:
         self._queue.append(request)
 
     def dispatch(self, now: float, head: int) -> Optional[IORequest]:
-        if self._head >= len(self._queue):
-            return None
-        request = self._queue[self._head]
-        self._head += 1
-        if self._head > 1024:  # compact occasionally
-            del self._queue[: self._head]
-            self._head = 0
-        return request
+        return self._queue.popleft() if self._queue else None
 
     def __len__(self) -> int:
-        return len(self._queue) - self._head
+        return len(self._queue)
 
 
 class DeadlineScheduler(Scheduler):
@@ -111,19 +104,11 @@ class DeadlineScheduler(Scheduler):
         if request is None:
             # No expiry pressure: serve in ascending sector order from
             # the head position (one-way scan with wrap).
-            index = self._find_from(head)
-            request = self._by_sector[index][2]
+            request = self._by_sector[_scan_from(self._by_sector, head)][2]
         self._done.add(request.request_id)
-        self._by_sector = [
-            entry for entry in self._by_sector if entry[1] != request.request_id
-        ]
+        key = (request.sector, request.request_id)
+        del self._by_sector[bisect_left(self._by_sector, key)]
         return request
-
-    def _find_from(self, head: int) -> int:
-        for i, (sector, _, _) in enumerate(self._by_sector):
-            if sector >= head:
-                return i
-        return 0  # wrap
 
     def __len__(self) -> int:
         return len(self._by_sector)
@@ -143,28 +128,27 @@ class ElevatorScheduler(Scheduler):
     def dispatch(self, now: float, head: int) -> Optional[IORequest]:
         if not self._by_sector:
             return None
-        index = 0
-        for i, (sector, _, _) in enumerate(self._by_sector):
-            if sector >= head:
-                index = i
-                break
-        _, _, request = self._by_sector.pop(index)
-        return request
+        return self._by_sector.pop(_scan_from(self._by_sector, head))[2]
 
     def __len__(self) -> int:
         return len(self._by_sector)
 
 
-SCHEDULER_NAMES = ("noop", "deadline", "elevator")
+def _scan_from(by_sector: List[tuple], head: int) -> int:
+    """Index of the first ``(sector, id, request)`` at or past ``head``,
+    wrapping to 0 past the last (a one-way scan)."""
+    index = bisect_left(by_sector, (head,))
+    return index if index < len(by_sector) else 0
+
+
+_SCHEDULERS = {
+    s.name: s for s in (NoopScheduler, DeadlineScheduler, ElevatorScheduler)
+}
+SCHEDULER_NAMES = tuple(_SCHEDULERS)
 
 
 def make_scheduler(name: str) -> Scheduler:
-    factories = {
-        "noop": NoopScheduler,
-        "deadline": DeadlineScheduler,
-        "elevator": ElevatorScheduler,
-    }
     try:
-        return factories[name]()
+        return _SCHEDULERS[name]()
     except KeyError:
         raise ValueError(f"unknown scheduler {name!r}") from None

@@ -3,21 +3,18 @@
 Completes the third use case the same way the readahead study works:
 study the problem (sweep schedulers per stream kind and device), derive
 features observable at the block layer (read fraction, mean request
-size, arrival clustering), train the same 3-layer KML network to
+size, arrival clustering), train the readahead classifier recipe
+(:class:`repro.kml.classifier.NeuralClassifier`, with smaller sizes) to
 classify the running stream, then actuate the scheduler choice.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..kml.layers import Linear, Sigmoid
-from ..kml.losses import CrossEntropyLoss
-from ..kml.network import Sequential
-from ..kml.optimizers import SGD
-from ..stats.zscore import ZScoreNormalizer
+from ..kml.classifier import NeuralClassifier
 from .engine import PositionalDevice, ScheduleResult, simulate
 from .requests import ADDRESS_SPACE, IORequest, STREAM_KINDS, make_stream
 from .schedulers import SCHEDULER_NAMES, make_scheduler
@@ -59,14 +56,11 @@ def stream_features(requests: Sequence[IORequest]) -> np.ndarray:
 
 
 def sweep_schedulers(
-    device: PositionalDevice,
-    kinds: Sequence[str] = STREAM_KINDS,
-    n_requests: int = 3000,
-    seed: int = 42,
+    device: PositionalDevice, n_requests: int = 3000, seed: int = 42
 ) -> Dict[str, Dict[str, ScheduleResult]]:
     """Run every stream kind under every scheduler on one device."""
     results: Dict[str, Dict[str, ScheduleResult]] = {}
-    for kind in kinds:
+    for kind in STREAM_KINDS:
         results[kind] = {}
         for name in SCHEDULER_NAMES:
             rng = np.random.default_rng(seed)
@@ -75,49 +69,39 @@ def sweep_schedulers(
     return results
 
 
-def best_scheduler(
-    per_scheduler: Dict[str, ScheduleResult], metric: str = "read_p99"
-) -> str:
-    """Lowest read p99 wins (ties to highest throughput)."""
-    def key(name: str):
-        result = per_scheduler[name]
-        primary = getattr(result, metric)
-        if primary == 0.0:  # no reads in the stream: use throughput
-            return (0.0, -result.throughput)
-        return (primary, -result.throughput)
+def best_scheduler(per_scheduler: Dict[str, ScheduleResult]) -> str:
+    """Lowest read p99 wins, ties to highest throughput.
 
-    return min(per_scheduler, key=key)
+    A stream with no reads has a read p99 of 0 under every scheduler,
+    so throughput alone decides it.
+    """
+    return min(
+        per_scheduler,
+        key=lambda name: (
+            per_scheduler[name].read_p99, -per_scheduler[name].throughput
+        ),
+    )
 
 
 class SchedulerSelector:
-    """KML network classifying streams, mapped to best schedulers.
+    """KML classifier over streams, mapped to best schedulers.
 
     ``fit_from_sweep`` builds the label map from a sweep (the analog of
-    the readahead tuning table) and trains on featurized windows of
-    generated streams.
+    the readahead tuning table) and trains ``classifier`` on featurized
+    windows of generated streams.  ``rng`` draws the classifier's
+    initial weights, then shuffles its training.
     """
 
     def __init__(self, rng: Optional[np.random.Generator] = None):
         self.rng = rng or np.random.default_rng()
-        self.kinds: Tuple[str, ...] = tuple(STREAM_KINDS)
-        self.network = Sequential(
-            [
-                Linear(NUM_STREAM_FEATURES, 16, rng=self.rng, name="fc1"),
-                Sigmoid(),
-                Linear(16, 8, rng=self.rng, name="fc2"),
-                Sigmoid(),
-                Linear(8, len(self.kinds), rng=self.rng, name="fc3"),
-            ],
-            name="iosched-nn",
-        )
-        self.normalizer = ZScoreNormalizer()
+        self.classifier: Optional[NeuralClassifier] = None
         self.best_by_kind: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
 
     def _dataset(self, windows_per_kind: int, window: int, seed: int):
         xs, ys = [], []
-        for label, kind in enumerate(self.kinds):
+        for label, kind in enumerate(STREAM_KINDS):
             rng = np.random.default_rng(seed + label)
             stream = make_stream(kind, windows_per_kind * window, rng)
             for w in range(windows_per_kind):
@@ -134,37 +118,30 @@ class SchedulerSelector:
         epochs: int = 300,
         seed: int = 7,
     ) -> "SchedulerSelector":
-        sweep = sweep_schedulers(device, self.kinds, seed=seed)
+        sweep = sweep_schedulers(device, seed=seed)
         self.best_by_kind = {
-            kind: best_scheduler(sweep[kind]) for kind in self.kinds
+            kind: best_scheduler(per) for kind, per in sweep.items()
         }
-        x, y = self._dataset(windows_per_kind, window, seed)
-        normalized = self.normalizer.fit(x).transform(x)
-        optimizer = SGD(self.network.parameters(), lr=0.05, momentum=0.9)
-        self.network.fit(
-            normalized, y, CrossEntropyLoss(), optimizer,
-            epochs=epochs, rng=self.rng,
-        )
+        self.classifier = NeuralClassifier(
+            NUM_STREAM_FEATURES, len(STREAM_KINDS), hidden=(16, 8), lr=0.05,
+            momentum=0.9, epochs=epochs, name="iosched-nn", rng=self.rng,
+        ).fit(*self._dataset(windows_per_kind, window, seed))
         return self
 
     # ------------------------------------------------------------------
 
     def classify(self, requests: Sequence[IORequest]) -> str:
-        features = stream_features(requests).reshape(1, -1)
-        normalized = self.normalizer.transform(features)
-        label = int(self.network.predict_classes(normalized)[0])
-        return self.kinds[label]
+        if self.classifier is None:
+            raise RuntimeError("selector not fitted")
+        label = int(self.classifier.predict(stream_features(requests))[0])
+        return STREAM_KINDS[label]
 
     def select(self, requests: Sequence[IORequest]) -> str:
         """Scheduler name for the observed window."""
-        if not self.best_by_kind:
-            raise RuntimeError("selector not fitted")
         return self.best_by_kind[self.classify(requests)]
 
     def accuracy(self, windows_per_kind: int = 10, window: int = 100,
                  seed: int = 99) -> float:
-        x, y = self._dataset(windows_per_kind, window, seed)
-        normalized = self.normalizer.transform(x)
-        return float(
-            np.mean(self.network.predict_classes(normalized) == y)
+        return self.classifier.accuracy(
+            *self._dataset(windows_per_kind, window, seed)
         )

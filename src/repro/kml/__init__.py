@@ -3,7 +3,9 @@
 This package reproduces the ML half of the paper -- matrices over three
 element types, approximated transcendental math, layers and losses with
 hand-written forward/backward passes, reverse-mode autodiff, SGD with
-momentum, decision trees, metrics, and the KML model file format.
+momentum, decision trees, metrics, and the KML model file format --
+plus the two learners the use cases share: the 3-layer classifier
+recipe and the UCB1 feedback tuner.
 """
 
 from .matrix import Matrix, DTYPES
@@ -12,6 +14,8 @@ from .layers import Layer, Parameter, Linear, Sigmoid, ReLU, Tanh, Softmax, Drop
 from .losses import Loss, CrossEntropyLoss, MSELoss, BinaryCrossEntropyLoss
 from .optimizers import Optimizer, SGD
 from .decision_tree import DecisionTreeClassifier
+from .classifier import NeuralClassifier
+from .bandit import UCB1Tuner
 from .metrics import (
     accuracy_score,
     classification_report,
@@ -48,6 +52,8 @@ __all__ = [
     "Optimizer",
     "SGD",
     "DecisionTreeClassifier",
+    "NeuralClassifier",
+    "UCB1Tuner",
     "accuracy_score",
     "classification_report",
     "confusion_matrix",

@@ -349,12 +349,16 @@ def instrument_minikv(
     registry: MetricsRegistry,
     sample_mask: int = DEFAULT_SAMPLE_MASK,
 ) -> Dict[str, object]:
-    """KV op counters (from ``DBStats``) plus sampled op latencies."""
+    """KV op counters (from ``DBStats``) plus sampled op latencies.
+
+    Every compaction is timed; ``sample_mask=-1`` times nothing.
+    """
     out = _bind(registry, db, _MINIKV)
     del out["tables"]
     _time(db, "minikv.get", out["get_latency"], sample_mask)
     _time(db, "minikv.put", out["put_latency"], sample_mask)
-    _time(db, "minikv.compaction", out["compaction_seconds"])
+    _time(db, "minikv.compaction", out["compaction_seconds"],
+          min(sample_mask, 0))
     return out
 
 

@@ -14,7 +14,6 @@ from .model import (
     build_network,
     build_tree,
 )
-from .rl import BanditReadaheadTuner
 from .trace import TraceWriter, dataset_from_traces, read_trace
 from .tuning import (
     DEFAULT_TUNING_TABLE,
@@ -38,7 +37,6 @@ __all__ = [
     "ReadaheadClassifier",
     "build_network",
     "build_tree",
-    "BanditReadaheadTuner",
     "TraceWriter",
     "dataset_from_traces",
     "read_trace",

@@ -8,18 +8,17 @@ per-request latency) against read latency (long write bursts occupy
 the device while reads queue).
 
 It reuses the same KML machinery as the readahead study -- tracepoint
-observation, per-window decisions, and the feedback (bandit) tuner the
-paper proposes for never-seen conditions.
+observation, per-window decisions, and the feedback tuner the paper
+proposes for never-seen conditions: :class:`repro.kml.UCB1Tuner` over
+``DEFAULT_CONFIGS``, actuating each with ``WritebackConfig.apply``.
 """
 
 from .configs import DEFAULT_CONFIGS, WritebackConfig
 from .study import WritebackSweep, sweep_writeback_configs
-from .tuner import WritebackBanditTuner
 
 __all__ = [
     "WritebackConfig",
     "DEFAULT_CONFIGS",
     "WritebackSweep",
     "sweep_writeback_configs",
-    "WritebackBanditTuner",
 ]

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict
 
 from ..workloads import load_stack, run_closed_loop
 from .configs import DEFAULT_CONFIGS, WritebackConfig
@@ -33,7 +33,6 @@ class WritebackSweep:
 def sweep_writeback_configs(
     device: str,
     workload_name: str,
-    configs: Sequence[WritebackConfig] = DEFAULT_CONFIGS,
     num_keys: int = 40_000,
     value_size: int = 400,
     cache_pages: int = 512,
@@ -41,14 +40,14 @@ def sweep_writeback_configs(
     ops_per_point: int = 4000,
     seed: int = 42,
 ) -> WritebackSweep:
-    """Measure a write-heavy workload under each writeback policy.
+    """Measure a write-heavy workload under each of ``DEFAULT_CONFIGS``.
 
     A deliberately small memtable keeps flush/writeback traffic inside
     the measurement window -- the opposite choice from the readahead
     benches, because here the write path *is* the subject.
     """
     sweep = WritebackSweep(device=device, workload=workload_name)
-    for config in configs:
+    for config in DEFAULT_CONFIGS:
         loaded = load_stack(
             device, num_keys, value_size, cache_pages,
             memtable_bytes=memtable_bytes, seed=seed,

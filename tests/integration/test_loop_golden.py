@@ -38,7 +38,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.kml import load_model
+from repro.kml import UCB1Tuner, load_model
 from repro.readahead import (
     CollectionConfig,
     ReadaheadAgent,
@@ -46,13 +46,8 @@ from repro.readahead import (
     collect_training_data,
     sweep_best_readahead,
 )
-from repro.readahead.rl import BanditReadaheadTuner
 from repro.workloads import load_stack, run_closed_loop
-from repro.writeback import (
-    DEFAULT_CONFIGS,
-    WritebackBanditTuner,
-    sweep_writeback_configs,
-)
+from repro.writeback import DEFAULT_CONFIGS, sweep_writeback_configs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "loop_golden.json")
@@ -163,12 +158,12 @@ def writeback_sweep() -> dict:
     return {str(config): tput for config, tput in sweep.throughput.items()}
 
 
-def _bandit_record(result, history, means, best) -> dict:
+def _bandit_record(result, tuner) -> dict:
     return {
-        "history": [[t, str(arm)] for t, arm in history],
+        "history": [[t, str(arm)] for t, arm in tuner.history],
         "throughput": result.throughput,
-        "arm_means": {str(arm): mean for arm, mean in means.items()},
-        "best_arm": str(best),
+        "arm_means": {str(arm): mean for arm, mean in tuner.arm_means().items()},
+        "best_arm": str(tuner.best_arm),
     }
 
 
@@ -177,14 +172,12 @@ def readahead_bandit_run() -> dict:
     result, tuner = run_closed_loop(
         loaded,
         "readrandom",
-        policy=lambda stack: BanditReadaheadTuner(stack, arms=BANDIT_RA_ARMS),
+        policy=lambda stack: UCB1Tuner(BANDIT_RA_ARMS, stack.set_readahead),
         ra_pages=128,
         sim_seconds=SIM_SECONDS,
         window=BANDIT_RA_WINDOW_S,
     )
-    return _bandit_record(
-        result, tuner.history, tuner.arm_means(), tuner.best_arm
-    )
+    return _bandit_record(result, tuner)
 
 
 def writeback_bandit_run() -> dict:
@@ -195,16 +188,14 @@ def writeback_bandit_run() -> dict:
     result, tuner = run_closed_loop(
         loaded,
         "fillrandom",
-        policy=lambda stack: WritebackBanditTuner(
-            stack, DEFAULT_CONFIGS, exploration=0.5
+        policy=lambda stack: UCB1Tuner(
+            DEFAULT_CONFIGS, lambda c: c.apply(stack), exploration=0.5
         ),
         prepare=DEFAULT_CONFIGS[0].apply,
         sim_seconds=BANDIT_WB_SIM_SECONDS,
         window=BANDIT_WB_WINDOW_S,
     )
-    return _bandit_record(
-        result, tuner.history, tuner.config_means(), tuner.best_config
-    )
+    return _bandit_record(result, tuner)
 
 
 BANDIT_RUNS = {"readahead": readahead_bandit_run, "writeback": writeback_bandit_run}

@@ -10,6 +10,7 @@ from repro.iosched import (
     DeadlineScheduler,
     ElevatorScheduler,
     NoopScheduler,
+    STREAM_KINDS,
     SchedulerSelector,
     best_scheduler,
     disk_device,
@@ -21,6 +22,7 @@ from repro.iosched import (
     sweep_schedulers,
 )
 from repro.iosched.requests import IORequest
+from repro.kml import load_model, save_model
 
 
 #: What ``fitted_selector`` learns, pinned bit for bit: the sweep's
@@ -226,9 +228,29 @@ class TestFeaturesAndSelector:
             SELECTOR_ACCURACY
         )
         digest = hashlib.sha256()
-        for param in selector.network.parameters():
+        for param in selector.classifier.network.parameters():
             digest.update(param.value.raw.tobytes())
         assert digest.hexdigest() == SELECTOR_WEIGHTS_SHA256
+
+    def test_model_round_trips_through_a_kml_file(
+        self, fitted_selector, tmp_path
+    ):
+        """The deployed model classifies raw windows as the selector does."""
+        selector = fitted_selector
+        path = str(tmp_path / "iosched.kml")
+        save_model(selector.classifier.to_deployable(), path)
+        model = load_model(path)
+        rng = np.random.default_rng(11)
+        windows = [
+            make_stream(kind, 80, rng)
+            for kind in STREAM_KINDS
+            for _ in range(3)
+        ]
+        raw = np.vstack([stream_features(w) for w in windows])
+        classes = model.predict_classes(raw)
+        assert [STREAM_KINDS[c] for c in classes] == [
+            selector.classify(w) for w in windows
+        ]
 
     def test_unfitted_selector_rejects_select(self):
         selector = SchedulerSelector(rng=np.random.default_rng(1))

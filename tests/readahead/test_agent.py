@@ -1,4 +1,4 @@
-"""Tests for the closed-loop agent and the RL tuner."""
+"""Tests for the closed-loop agent."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.kml.decision_tree import DecisionTreeClassifier
 from repro.os_sim import make_stack
 from repro.readahead.agent import ReadaheadAgent
 from repro.readahead.model import ReadaheadClassifier, WORKLOAD_CLASSES
-from repro.readahead.rl import BanditReadaheadTuner
 from repro.readahead.tuning import TuningTable
 from repro.runtime.circular_buffer import CircularBuffer
 
@@ -183,47 +182,6 @@ class TestLocalTree:
         )
         with pytest.raises(AttributeError):
             agent.on_tick(0.1, 1.0)
-
-
-class TestBandit:
-    def test_plays_every_arm_first(self):
-        stack = make_stack("nvme", ra_pages=128)
-        tuner = BanditReadaheadTuner(stack, arms=(8, 32, 128))
-        chosen = {tuner.on_tick(t, 100.0) for t in np.arange(0.1, 0.5, 0.1)}
-        assert chosen == {8, 32, 128}
-
-    def test_converges_to_best_arm(self):
-        stack = make_stack("nvme", ra_pages=128)
-        tuner = BanditReadaheadTuner(stack, arms=(8, 32, 128), exploration=0.4)
-        rewards = {8: 1000.0, 32: 400.0, 128: 150.0}
-        arm = tuner.on_tick(0.0, 0.0)
-        for step in range(1, 200):
-            arm = tuner.on_tick(step * 0.1, rewards[arm])
-        assert tuner.best_arm == 8
-        # Late-phase choices should mostly be the best arm.
-        late = [a for _, a in tuner.history[-50:]]
-        assert late.count(8) > 35
-
-    def test_actuates_stack(self):
-        stack = make_stack("nvme", ra_pages=128)
-        tuner = BanditReadaheadTuner(stack, arms=(16, 64))
-        arm = tuner.on_tick(0.1, 1.0)
-        assert stack.block.ra_pages == arm
-
-    def test_validation(self):
-        stack = make_stack("nvme")
-        with pytest.raises(ValueError):
-            BanditReadaheadTuner(stack, arms=(8,))
-        with pytest.raises(ValueError):
-            BanditReadaheadTuner(stack, exploration=0.0)
-
-    def test_arm_means_exposed(self):
-        stack = make_stack("nvme")
-        tuner = BanditReadaheadTuner(stack, arms=(8, 32))
-        tuner.on_tick(0.0, 0.0)
-        tuner.on_tick(0.1, 50.0)
-        means = tuner.arm_means()
-        assert set(means) == {8, 32}
 
 
 class TestConfidenceGate:

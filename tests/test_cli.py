@@ -301,6 +301,17 @@ class TestFaults:
         assert printed > 0
         assert reported == printed
 
+    def test_seeded_scenario_prints_the_same_bytes(self, capsys):
+        """The report holds only what the seed determines: no wall time."""
+        argv = ["faults", "--scenario", "torn-wal", "--ops", "200",
+                "--seed", "0"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "kml_minikv_put_latency_seconds: no observations" in outputs[0]
+
     def test_op_counters_cover_the_whole_run(self, capsys):
         """Recovery opens a fresh store; the counts survive it."""
         code = main(["faults", "--scenario", "torn-wal", "--ops", "200"])

@@ -110,8 +110,6 @@ ALLOWED = {
     "repro.os_sim.page_cache.CacheStats.writebacks":
         "whole-struct dataclasses.asdict into perfbench's digest; "
         "sim_golden.json pins it",
-    "repro.iosched.engine.ScheduleResult.read_p99":
-        "best_scheduler's default metric, read as getattr(result, metric)",
     "repro.iosched.engine.ScheduleResult.read_latencies_mean":
         "the mean-latency accounting the iosched tests check",
     "repro.iosched.engine.ScheduleResult.seek_distance_total":

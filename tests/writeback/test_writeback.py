@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.kml import UCB1Tuner
 from repro.minikv import DBOptions, MiniKV
 from repro.os_sim import make_stack
 from repro.workloads import populate_db, run_workload, workload_by_name
 from repro.writeback import (
     DEFAULT_CONFIGS,
-    WritebackBanditTuner,
     WritebackConfig,
     sweep_writeback_configs,
 )
@@ -114,25 +114,14 @@ class TestBanditTuner:
         db = MiniKV(stack, DBOptions(memtable_bytes=128 * 1024))
         populate_db(db, 8000, 400, np.random.default_rng(0))
         stack.drop_caches()
-        tuner = WritebackBanditTuner(stack, exploration=0.5)
+        tuner = UCB1Tuner(
+            DEFAULT_CONFIGS, lambda c: c.apply(stack), exploration=0.5
+        )
         workload = workload_by_name("fillrandom", 8000, 400)
         run_workload(
             stack, db, workload, n_ops=10**9, rng=np.random.default_rng(1),
             tick_interval=0.002, on_tick=tuner.on_tick, max_sim_seconds=0.12,
         )
-        assert all(s.pulls > 0 for s in tuner._stats.values())
+        assert {arm for _, arm in tuner.history} == set(DEFAULT_CONFIGS)
         # Converged config must not be the eager-unbatched arm.
-        assert tuner.best_config.writeback_batch > 1
-
-    def test_actuates_stack(self):
-        stack = make_stack("nvme")
-        tuner = WritebackBanditTuner(stack)
-        config = tuner.on_tick(0.0, 0.0)
-        assert WritebackConfig.read(stack) == config
-
-    def test_validation(self):
-        stack = make_stack("nvme")
-        with pytest.raises(ValueError):
-            WritebackBanditTuner(stack, configs=DEFAULT_CONFIGS[:1])
-        with pytest.raises(ValueError):
-            WritebackBanditTuner(stack, exploration=0)
+        assert tuner.best_arm.writeback_batch > 1
