@@ -19,7 +19,6 @@ from common import write_result
 from repro.iosched import (
     SCHEDULER_NAMES,
     SchedulerSelector,
-    best_scheduler,
     disk_device,
     flash_device,
     make_stream,
@@ -49,11 +48,12 @@ def test_scheduler_selection(benchmark):
             f"{n:>12s}" for n in SCHEDULER_NAMES
         ) + "   best"
         lines.append(header)
-        for kind, per in outcome[device_name].items():
+        sweep = outcome[device_name]
+        for kind, per in sweep.results.items():
             row = f"{kind:18s}" + "".join(
                 f"{per[n].throughput:>12,.0f}" for n in SCHEDULER_NAMES
             )
-            lines.append(row + f"   {best_scheduler(per)}")
+            lines.append(row + f"   {sweep.best(kind)}")
     selector = outcome["selector"]
     lines.append(
         f"\nclassifier accuracy on held-out windows: {outcome['accuracy']*100:.0f}%"
@@ -63,11 +63,11 @@ def test_scheduler_selection(benchmark):
 
     disk = outcome["disk"]
     for kind in ("random_read", "mixed"):
-        tput = {n: disk[kind][n].throughput for n in SCHEDULER_NAMES}
-        assert best_scheduler(disk[kind]) == "elevator"
+        tput = {n: disk.results[kind][n].throughput for n in SCHEDULER_NAMES}
+        assert disk.best(kind) == "elevator"
         assert tput["elevator"] > 2 * tput["noop"]
     flash = outcome["flash"]
-    for kind, per in flash.items():
+    for kind, per in flash.results.items():
         tputs = [r.throughput for r in per.values()]
         assert max(tputs) < 1.05 * min(tputs)  # immaterial on flash
     assert outcome["accuracy"] > 0.85

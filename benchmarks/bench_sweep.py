@@ -50,12 +50,12 @@ def test_readahead_sweep_best_value_map(benchmark):
         )
         lines.append(header)
         for workload in WORKLOADS:
-            curve = result.throughput[workload]
+            runs = result.results[workload]
             row = f"{workload:24s}" + "".join(
-                f"{curve[ra]:>8,.0f}" for ra in PAPER_RA_VALUES
+                f"{runs[ra].throughput:>8,.0f}" for ra in PAPER_RA_VALUES
             )
             lines.append(row)
-            best[(device, workload)] = result.best_ra(workload)
+            best[(device, workload)] = result.best(workload)
         lines.append(
             "best: "
             + ", ".join(
@@ -71,8 +71,8 @@ def test_readahead_sweep_best_value_map(benchmark):
         # Shape 2: random reads prefer small windows...
         assert best[(device, "readrandom")] <= 32
         # ...and degrade badly at the top of the range.
-        curve = result.throughput["readrandom"]
-        assert curve[best[(device, "readrandom")]] > 2.5 * curve[1024]
+        runs = result.results["readrandom"]
+        best_run = runs[best[(device, "readrandom")]]
+        assert best_run.throughput > 2.5 * runs[1024].throughput
         # Shape 3: sequential scans do NOT want the minimum on SSD.
-        seq_curve = sweeps["ssd"].throughput["readseq"]
-        assert max(seq_curve, key=seq_curve.get) > 8
+        assert best[("ssd", "readseq")] > 8

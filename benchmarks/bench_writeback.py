@@ -47,19 +47,25 @@ def test_writeback_policy_sweep(benchmark):
 
     lines = ["Writeback policy sweep (ops/sim-sec per configuration)"]
     for (device, workload), sweep in sorted(sweeps.items()):
-        rows = "  ".join(f"{c}:{t:,.0f}" for c, t in sweep.rows())
-        lines.append(f"{device:5s} {workload:12s} best={sweep.best()}  {rows}")
+        runs = sweep.results[workload]
+        ranked = sorted(runs, key=lambda c: runs[c].throughput, reverse=True)
+        rows = "  ".join(f"{c}:{runs[c].throughput:,.0f}" for c in ranked)
+        best = sweep.best(workload)
+        lines.append(f"{device:5s} {workload:12s} best={best}  {rows}")
     write_result("writeback_sweep.txt", "\n".join(lines))
 
     for device in ("nvme", "ssd"):
         sweep = sweeps[(device, "fillrandom")]
-        worst = min(sweep.throughput, key=lambda c: sweep.throughput[c])
+        runs = sweep.results["fillrandom"]
+        worst = min(runs, key=lambda c: runs[c].throughput)
         assert worst.writeback_batch == 1  # eager unbatched loses
-        assert sweep.throughput[sweep.best()] > 1.5 * sweep.throughput[worst]
+        best = sweep.best("fillrandom")
+        assert runs[best].throughput > 1.5 * runs[worst].throughput
     # Bigger spread on the slower device.
     def spread(device):
-        t = sweeps[(device, "fillrandom")].throughput
-        return max(t.values()) / min(t.values())
+        runs = sweeps[(device, "fillrandom")].results["fillrandom"]
+        t = [run.throughput for run in runs.values()]
+        return max(t) / min(t)
 
     assert spread("ssd") > spread("nvme")
 

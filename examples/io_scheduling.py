@@ -17,7 +17,6 @@ import numpy as np
 from repro.iosched import (
     SCHEDULER_NAMES,
     SchedulerSelector,
-    best_scheduler,
     disk_device,
     flash_device,
     make_stream,
@@ -30,11 +29,11 @@ def main():
     for device in (flash_device(), disk_device()):
         print(f"--- {device.name} ---")
         sweep = sweep_schedulers(device, n_requests=3000)
-        for kind, per in sweep.items():
+        for kind, per in sweep.results.items():
             cells = "  ".join(
                 f"{name}={per[name].throughput:>8,.0f}" for name in SCHEDULER_NAMES
             )
-            print(f"  {kind:16s} {cells}   -> {best_scheduler(per)}")
+            print(f"  {kind:16s} {cells}   -> {sweep.best(kind)}")
 
     print("\ntraining the KML scheduler selector on the disk profile ...")
     selector = SchedulerSelector(rng=np.random.default_rng(0))

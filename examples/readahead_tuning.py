@@ -72,10 +72,10 @@ def main():
         ops_per_point=2000,
         seed=SEED,
     )
-    for workload, curve in sweep.throughput.items():
-        best = sweep.best_ra(workload)
+    for workload, runs in sweep.results.items():
+        best = sweep.best(workload)
         print(f"  {workload:24s} best ra = {best:4d}   "
-              + "  ".join(f"{ra}:{tput:,.0f}" for ra, tput in sorted(curve.items())))
+              + "  ".join(f"{ra}:{runs[ra].throughput:,.0f}" for ra in sorted(runs)))
 
     # --- 5. deploy through the KML model file format
     path = os.path.join(tempfile.mkdtemp(), "readahead.kml")

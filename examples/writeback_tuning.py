@@ -34,9 +34,10 @@ def main():
             ops_per_point=3000,
         )
         print(f"  {device}:")
-        for config, throughput in sweep.rows():
-            print(f"    {config:22s} {throughput:>10,.0f} ops/s")
-        print(f"    best: {sweep.best()}")
+        runs = sweep.results["fillrandom"]
+        for config in sorted(runs, key=lambda c: runs[c].throughput, reverse=True):
+            print(f"    {str(config):22s} {runs[config].throughput:>10,.0f} ops/s")
+        print(f"    best: {sweep.best('fillrandom')}")
 
     print("\nonline tuner, starting pinned at the worst policy (ssd) ...")
     loaded = load_stack(

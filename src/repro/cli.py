@@ -214,7 +214,7 @@ def _cmd_sweep(args) -> int:
         ra_values = tuple(int(v) for v in args.ra_values.split(","))
     table = TuningTable()
     for device in args.devices.split(","):
-        partial, result = sweep_best_readahead(
+        partial, _ = sweep_best_readahead(
             device,
             WORKLOAD_CLASSES,
             ra_values=ra_values,

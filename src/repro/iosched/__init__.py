@@ -25,7 +25,6 @@ from .schedulers import (
 from .tuner import (
     NUM_STREAM_FEATURES,
     SchedulerSelector,
-    best_scheduler,
     stream_features,
     sweep_schedulers,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "make_scheduler",
     "NUM_STREAM_FEATURES",
     "SchedulerSelector",
-    "best_scheduler",
     "stream_features",
     "sweep_schedulers",
 ]

@@ -1,10 +1,10 @@
 """Scheduler selection: sweep + KML-style classifier over queue features.
 
 Completes the third use case the same way the readahead study works:
-study the problem (sweep schedulers per stream kind and device), derive
-features observable at the block layer (read fraction, mean request
-size, arrival clustering), train the readahead classifier recipe
-(:class:`repro.kml.classifier.NeuralClassifier`, with smaller sizes) to
+study the problem (:func:`repro.kml.sweep` of schedulers per stream
+kind), derive features observable at the block layer (read fraction,
+mean request size, arrival clustering), train the readahead classifier
+recipe (:class:`repro.kml.classifier.NeuralClassifier`, smaller) to
 classify the running stream, then actuate the scheduler choice.
 """
 
@@ -15,7 +15,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..kml.classifier import NeuralClassifier
-from .engine import PositionalDevice, ScheduleResult, simulate
+from ..kml.study import Sweep, sweep
+from .engine import PositionalDevice, simulate
 from .requests import ADDRESS_SPACE, IORequest, STREAM_KINDS, make_stream
 from .schedulers import SCHEDULER_NAMES, make_scheduler
 
@@ -57,29 +58,23 @@ def stream_features(requests: Sequence[IORequest]) -> np.ndarray:
 
 def sweep_schedulers(
     device: PositionalDevice, n_requests: int = 3000, seed: int = 42
-) -> Dict[str, Dict[str, ScheduleResult]]:
-    """Run every stream kind under every scheduler on one device."""
-    results: Dict[str, Dict[str, ScheduleResult]] = {}
-    for kind in STREAM_KINDS:
-        results[kind] = {}
-        for name in SCHEDULER_NAMES:
-            rng = np.random.default_rng(seed)
-            stream = make_stream(kind, n_requests, rng)
-            results[kind][name] = simulate(stream, make_scheduler(name), device)
-    return results
+) -> Sweep:
+    """Run every stream kind under every scheduler on one device, each
+    ``ScheduleResult`` on the same freshly seeded stream.
 
-
-def best_scheduler(per_scheduler: Dict[str, ScheduleResult]) -> str:
-    """Lowest read p99 wins, ties to highest throughput.
-
-    A stream with no reads has a read p99 of 0 under every scheduler,
-    so throughput alone decides it.
+    Lowest read p99 wins, ties to highest throughput: a stream with no
+    reads has a read p99 of 0 everywhere, so throughput decides it.
     """
-    return min(
-        per_scheduler,
-        key=lambda name: (
-            per_scheduler[name].read_p99, -per_scheduler[name].throughput
-        ),
+
+    def start(kind: str):
+        return lambda name: simulate(
+            make_stream(kind, n_requests, np.random.default_rng(seed)),
+            make_scheduler(name), device,
+        )
+
+    return sweep(
+        STREAM_KINDS, SCHEDULER_NAMES, start,
+        key=lambda result: (-result.read_p99, result.throughput),
     )
 
 
@@ -118,10 +113,8 @@ class SchedulerSelector:
         epochs: int = 300,
         seed: int = 7,
     ) -> "SchedulerSelector":
-        sweep = sweep_schedulers(device, seed=seed)
-        self.best_by_kind = {
-            kind: best_scheduler(per) for kind, per in sweep.items()
-        }
+        study = sweep_schedulers(device, seed=seed)
+        self.best_by_kind = {kind: study.best(kind) for kind in study.results}
         self.classifier = NeuralClassifier(
             NUM_STREAM_FEATURES, len(STREAM_KINDS), hidden=(16, 8), lr=0.05,
             momentum=0.9, epochs=epochs, name="iosched-nn", rng=self.rng,

@@ -4,8 +4,8 @@ This package reproduces the ML half of the paper -- matrices over three
 element types, approximated transcendental math, layers and losses with
 hand-written forward/backward passes, reverse-mode autodiff, SGD with
 momentum, decision trees, metrics, and the KML model file format --
-plus the two learners the use cases share: the 3-layer classifier
-recipe and the UCB1 feedback tuner.
+plus what the use cases share: the sweep that studies a knob, the
+3-layer classifier recipe and the UCB1 feedback tuner.
 """
 
 from .matrix import Matrix, DTYPES
@@ -16,6 +16,7 @@ from .optimizers import Optimizer, SGD
 from .decision_tree import DecisionTreeClassifier
 from .classifier import NeuralClassifier
 from .bandit import UCB1Tuner
+from .study import Sweep, sweep
 from .metrics import (
     accuracy_score,
     classification_report,
@@ -54,6 +55,8 @@ __all__ = [
     "DecisionTreeClassifier",
     "NeuralClassifier",
     "UCB1Tuner",
+    "Sweep",
+    "sweep",
     "accuracy_score",
     "classification_report",
     "confusion_matrix",

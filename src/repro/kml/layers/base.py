@@ -94,11 +94,12 @@ class Layer:
     def infer(self, x: Matrix) -> Matrix:
         """Forward pass for inference only: eval semantics, no caching.
 
-        Unlike :meth:`forward`, ``infer`` must not write any shared
-        layer state (cached activations, dropout masks), so
-        concurrent calls from multiple serving threads are safe.  The
-        base implementation falls back to :meth:`forward` -- correct
-        only for layers whose forward is already pure; stateful layers
+        Unlike :meth:`forward`, ``infer`` must not write any layer
+        state (cached activations, dropout masks), so a prediction
+        between a training step's forward and backward passes never
+        disturbs the activations that step cached.  The base
+        implementation falls back to :meth:`forward` -- correct only
+        for layers whose forward is already pure; stateful layers
         override it.
         """
         return self.forward(x)

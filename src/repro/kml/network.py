@@ -68,9 +68,9 @@ class Sequential:
         """Inference-only traversal: eval semantics, no shared-state writes.
 
         Uses each layer's :meth:`~repro.kml.layers.base.Layer.infer`, so
-        nothing is cached for a later ``backward()`` and dropout is off.
-        Safe to call concurrently from many serving threads over one
-        model instance; counted and timed by the forward pass hook.
+        nothing is cached for a later ``backward()`` and dropout is off:
+        a prediction never disturbs a training step's cached
+        activations.  Counted and timed by the forward pass hook.
         """
         hook = _forward_hook
         t0 = 0.0
@@ -223,9 +223,9 @@ class Sequential:
     def predict(self, x, dtype: Optional[str] = None) -> Matrix:
         """Inference pass (eval semantics); accepts arrays or a Matrix.
 
-        Runs through :meth:`infer`, which mutates no layer state -- no
-        train/eval mode flipping, no cached activations -- so concurrent
-        ``predict()`` calls from serving threads are safe.
+        Runs through :meth:`infer`, which writes no layer state -- no
+        train/eval mode flipping, no cached activations -- so a
+        prediction never disturbs a training step's cached activations.
         """
         dtype = self._infer_dtype(dtype)
         inp = x if isinstance(x, Matrix) else Matrix(np.asarray(x), dtype=dtype)

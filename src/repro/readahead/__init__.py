@@ -18,7 +18,6 @@ from .trace import TraceWriter, dataset_from_traces, read_trace
 from .tuning import (
     DEFAULT_TUNING_TABLE,
     PAPER_RA_VALUES,
-    SweepResult,
     TuningTable,
     sweep_best_readahead,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "read_trace",
     "DEFAULT_TUNING_TABLE",
     "PAPER_RA_VALUES",
-    "SweepResult",
     "TuningTable",
     "sweep_best_readahead",
 ]

@@ -5,23 +5,23 @@ The paper ran RocksDB under 20 readahead sizes from 8 to 1024 on two
 devices and "built a mapping from the workload type to the readahead
 value that provided the best throughput"; the deployed KML application
 looks predictions up in that mapping.  :func:`sweep_best_readahead`
-regenerates the mapping on the simulator; :data:`DEFAULT_TUNING_TABLE`
-ships the values such a sweep produces so agents can run without a
-multi-minute sweep.
+regenerates the mapping on the simulator with :func:`repro.kml.sweep`;
+:data:`DEFAULT_TUNING_TABLE` ships the values such a sweep produces so
+agents can run without a multi-minute sweep.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
+from ..kml.study import Sweep, sweep
 from ..workloads import load_stack, run_closed_loop
 
 __all__ = [
     "PAPER_RA_VALUES",
     "TuningTable",
-    "SweepResult",
     "sweep_best_readahead",
     "DEFAULT_TUNING_TABLE",
 ]
@@ -86,25 +86,6 @@ class TuningTable:
             return cls.from_json(f.read())
 
 
-@dataclass
-class SweepResult:
-    """Raw sweep data: throughput per (workload, ra) for one device."""
-
-    device: str
-    throughput: Dict[str, Dict[int, float]] = field(default_factory=dict)
-
-    def best_ra(self, workload: str) -> int:
-        curve = self.throughput[workload]
-        return max(curve, key=lambda ra: curve[ra])
-
-    def rows(self) -> List[Tuple[str, int, float]]:
-        out = []
-        for workload in sorted(self.throughput):
-            for ra in sorted(self.throughput[workload]):
-                out.append((workload, ra, self.throughput[workload][ra]))
-        return out
-
-
 def sweep_best_readahead(
     device: str,
     workloads: Sequence[str],
@@ -115,28 +96,28 @@ def sweep_best_readahead(
     ops_per_point: int = 3000,
     memtable_bytes: int = 8 << 20,
     seed: int = 42,
-) -> Tuple[TuningTable, SweepResult]:
-    """Measure throughput for every (workload, ra) point on one device.
+) -> Tuple[TuningTable, Sweep]:
+    """Measure every (workload, ra) point on one device.
 
     The DB is populated once per workload; caches are dropped between
-    points (the paper clears caches after every run).
+    points (the paper clears caches after every run).  The sweep holds
+    each point's :class:`~repro.workloads.RunResult`.
     """
-    result = SweepResult(device=device)
-    tuning = TuningTable()
-    for name in workloads:
+
+    def start(name: str):
         loaded = load_stack(
             device, num_keys, value_size, cache_pages,
             memtable_bytes=memtable_bytes, seed=seed, ra_pages=ra_values[0],
         )
-        curve: Dict[int, float] = {}
-        for ra in ra_values:
-            run, _ = run_closed_loop(
-                loaded, name, ra_pages=int(ra), n_ops=ops_per_point
-            )
-            curve[int(ra)] = run.throughput
-        result.throughput[name] = curve
-        tuning.set(device, name, result.best_ra(name))
-    return tuning, result
+        return lambda ra: run_closed_loop(
+            loaded, name, ra_pages=ra, n_ops=ops_per_point
+        )[0]
+
+    study = sweep(workloads, [int(ra) for ra in ra_values], start)
+    tuning = TuningTable()
+    for name in study.results:
+        tuning.set(device, name, study.best(name))
+    return tuning, study
 
 
 #: Values a full sweep produces on the shipped simulator parameters

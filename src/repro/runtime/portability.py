@@ -16,9 +16,11 @@ kernel; everything above the layer is byte-identical.
   counts the context switches they would cost), and file ops go through
   a restricted root, as a kernel module's would.
 
-The same model/agent code runs against either profile; the integration
-tests assert identical numerical behaviour across the two, which is the
-paper's interoperability claim.
+Of the paper's interoperability claim, ``TestInteroperability`` in the
+portability tests asserts that each profile's file API reaches a saved
+``.kml`` and that the model loaded from it predicts the same bits.  No
+KML kernel consults the environment yet: neither profile sees a model's
+own arithmetic.
 """
 
 from __future__ import annotations

@@ -7,18 +7,17 @@ per-request batch size trade write efficiency (batching amortizes
 per-request latency) against read latency (long write bursts occupy
 the device while reads queue).
 
-It reuses the same KML machinery as the readahead study -- tracepoint
+It reuses the same KML machinery as the readahead study -- the study
+(:func:`repro.kml.sweep` over ``DEFAULT_CONFIGS``), tracepoint
 observation, per-window decisions, and the feedback tuner the paper
 proposes for never-seen conditions: :class:`repro.kml.UCB1Tuner` over
 ``DEFAULT_CONFIGS``, actuating each with ``WritebackConfig.apply``.
 """
 
-from .configs import DEFAULT_CONFIGS, WritebackConfig
-from .study import WritebackSweep, sweep_writeback_configs
+from .configs import DEFAULT_CONFIGS, WritebackConfig, sweep_writeback_configs
 
 __all__ = [
     "WritebackConfig",
     "DEFAULT_CONFIGS",
-    "WritebackSweep",
     "sweep_writeback_configs",
 ]

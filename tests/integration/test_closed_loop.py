@@ -85,7 +85,7 @@ class TestTrainingPipeline:
 
 class TestSweep:
     def test_sweep_produces_full_table(self):
-        tuning, result = sweep_best_readahead(
+        tuning, sweep = sweep_best_readahead(
             "nvme",
             ("readrandom",),
             ra_values=(8, 128),
@@ -94,11 +94,11 @@ class TestSweep:
             cache_pages=128,
             ops_per_point=400,
         )
-        assert set(result.throughput["readrandom"]) == {8, 128}
+        assert set(sweep.results["readrandom"]) == {8, 128}
         assert tuning.best_ra("nvme", "readrandom") in (8, 128)
 
     def test_random_workload_prefers_small_ra(self):
-        _, result = sweep_best_readahead(
+        _, sweep = sweep_best_readahead(
             "ssd",
             ("readrandom",),
             ra_values=(8, 512),
@@ -107,8 +107,8 @@ class TestSweep:
             cache_pages=128,
             ops_per_point=800,
         )
-        curve = result.throughput["readrandom"]
-        assert curve[8] > curve[512]
+        runs = sweep.results["readrandom"]
+        assert runs[8].throughput > runs[512].throughput
 
 
 class TestClosedLoop:

@@ -131,7 +131,7 @@ def dataset_digest() -> dict:
 
 
 def readahead_sweep() -> dict:
-    _, result = sweep_best_readahead(
+    _, sweep = sweep_best_readahead(
         "ssd",
         ("readrandom", "readrandomwriterandom"),
         ra_values=(8, 32, 128),
@@ -141,8 +141,8 @@ def readahead_sweep() -> dict:
         **STUDY,
     )
     return {
-        workload: {str(ra): tput for ra, tput in curve.items()}
-        for workload, curve in result.throughput.items()
+        workload: {str(ra): run.throughput for ra, run in runs.items()}
+        for workload, runs in sweep.results.items()
     }
 
 
@@ -155,7 +155,8 @@ def writeback_sweep() -> dict:
         seed=STUDY_SEED,
         **STUDY,
     )
-    return {str(config): tput for config, tput in sweep.throughput.items()}
+    runs = sweep.results["fillrandom"]
+    return {str(config): run.throughput for config, run in runs.items()}
 
 
 def _bandit_record(result, tuner) -> dict:

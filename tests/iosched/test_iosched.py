@@ -12,7 +12,6 @@ from repro.iosched import (
     NoopScheduler,
     STREAM_KINDS,
     SchedulerSelector,
-    best_scheduler,
     disk_device,
     flash_device,
     make_scheduler,
@@ -204,11 +203,11 @@ class TestFeaturesAndSelector:
         disk = sweep_schedulers(disk_device(), n_requests=1200)
         # Disk random/mixed want the elevator by a wide margin.
         for kind in ("random_read", "mixed"):
-            assert best_scheduler(disk[kind]) == "elevator"
-            tputs = {n: r.throughput for n, r in disk[kind].items()}
+            assert disk.best(kind) == "elevator"
+            tputs = {n: r.throughput for n, r in disk.results[kind].items()}
             assert tputs["elevator"] > 2 * tputs["noop"]
         # On flash the choice is immaterial (all within 2%).
-        for kind, per in flash.items():
+        for kind, per in flash.results.items():
             tputs = [r.throughput for r in per.values()]
             assert max(tputs) < 1.02 * min(tputs)
 

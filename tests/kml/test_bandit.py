@@ -7,7 +7,8 @@ from repro.os_sim import make_stack
 from repro.writeback import DEFAULT_CONFIGS, WritebackConfig
 
 #: knob -> (arms, actuate(stack), read(stack)): readahead sizes through
-#: ``set_readahead``, writeback policies through ``WritebackConfig``.
+#: ``set_readahead``, writeback policies through ``WritebackConfig.apply``,
+#: each read back from the stack itself.
 KNOBS = {
     "readahead": (
         (8, 32, 128),
@@ -17,7 +18,9 @@ KNOBS = {
     "writeback": (
         DEFAULT_CONFIGS[1:4],
         lambda stack: lambda config: config.apply(stack),
-        WritebackConfig.read,
+        lambda stack: WritebackConfig(
+            stack.cache.dirty_threshold, stack.cache.writeback_batch
+        ),
     ),
 }
 

@@ -5,7 +5,6 @@ import pytest
 from repro.readahead.tuning import (
     DEFAULT_TUNING_TABLE,
     PAPER_RA_VALUES,
-    SweepResult,
     TuningTable,
 )
 
@@ -78,16 +77,3 @@ class TestTuningTable:
             seq_ra = DEFAULT_TUNING_TABLE.best_ra(device, "readseq")
             assert random_ra <= seq_ra
 
-
-class TestSweepResult:
-    def test_best_ra_picks_argmax(self):
-        result = SweepResult(device="nvme")
-        result.throughput["w"] = {8: 100.0, 64: 300.0, 512: 50.0}
-        assert result.best_ra("w") == 64
-
-    def test_rows_sorted(self):
-        result = SweepResult(device="nvme")
-        result.throughput["b"] = {64: 1.0, 8: 2.0}
-        result.throughput["a"] = {8: 3.0}
-        rows = result.rows()
-        assert rows == [("a", 8, 3.0), ("b", 8, 2.0), ("b", 64, 1.0)]

@@ -9,6 +9,9 @@ The repo benchmark in ``perfbench/`` is parsed the same way, never
 imported, and so are the methods it patches by name: each
 ``(owner, attr)`` of ``perfbench/layers.py``'s ``BOUNDARIES`` and each
 ``Owner.__dict__["attr"]`` it reads must be defined on that class.
+Each keyword a ``perfbench`` call passes to a ``repro`` function or
+class it imports must be a parameter of that callable, so a signature
+change that would break ``perfbench/make_inputs.py`` fails here.
 
 The same AST pass keeps the closed loop in one place: outside
 ``repro/workloads/``, no module in ``src/``, ``benchmarks/`` or
@@ -18,6 +21,7 @@ The same AST pass keeps the closed loop in one place: outside
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -26,6 +30,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(
     [*ROOT.glob("examples/*.py"), *ROOT.glob("benchmarks/*.py"), *ROOT.glob("perfbench/*.py")]
 )
+PERFBENCH = sorted(ROOT.glob("perfbench/*.py"))
 LAYERS = ROOT / "perfbench" / "layers.py"
 WORKLOADS_PKG = ROOT / "src" / "repro" / "workloads"
 LOOP_GUARDED = sorted(
@@ -96,6 +101,52 @@ def test_perfbench_patched_methods_exist():
         f"{owner}.{attr}" for owner, attr in patched if attr not in vars(owners[owner])
     ]
     assert not missing, f"perfbench/layers.py patches missing methods: {missing}"
+
+
+def _keyword_calls(source, names):
+    """``(line, name, keywords)`` for each call of one of ``names``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
+            keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+            yield node.lineno, node.func.id, keywords
+
+
+def _unknown_keywords(target, keywords):
+    """The ``keywords`` that ``target``'s signature does not take."""
+    params = inspect.signature(target).parameters
+    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        return []
+    return [kw for kw in keywords if kw not in params]
+
+
+def test_perfbench_keywords_match_repro_signatures():
+    checked, unknown = set(), []
+    for path in PERFBENCH:
+        imported = {
+            name: getattr(importlib.import_module(module), name)
+            for module, name in _repro_imports(path)
+        }
+        for line, name, keywords in _keyword_calls(path.read_text(), imported):
+            checked.add((path.name, name))
+            unknown += [
+                f"{path.name}:{line} {name}({kw}=)"
+                for kw in _unknown_keywords(imported[name], keywords)
+            ]
+    assert ("make_inputs.py", "sweep_best_readahead") in checked
+    assert not unknown, f"perfbench passes keywords repro does not take: {unknown}"
+
+
+def test_keyword_guard_catches_a_renamed_parameter():
+    def sweep(device, ops=1):
+        return device, ops
+
+    source = "sweep('nvme', ops=3)\nsweep('ssd', ops_per_point=3)\n"
+    found = [
+        (line, kw)
+        for line, _, keywords in _keyword_calls(source, {"sweep"})
+        for kw in _unknown_keywords(sweep, keywords)
+    ]
+    assert found == [(2, "ops_per_point")]
 
 
 def _populate_calls(source):

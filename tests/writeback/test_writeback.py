@@ -21,7 +21,6 @@ class TestConfig:
         config.apply(stack)
         assert stack.cache.dirty_threshold == 0.25
         assert stack.cache.writeback_batch == 32
-        assert WritebackConfig.read(stack) == config
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,18 +93,11 @@ class TestSweep:
             "ssd", "fillrandom", num_keys=8000, ops_per_point=1500,
             cache_pages=256, memtable_bytes=128 * 1024,
         )
-        worst = min(sweep.throughput, key=lambda c: sweep.throughput[c])
+        runs = sweep.results["fillrandom"]
+        worst = min(runs, key=lambda c: runs[c].throughput)
         assert worst.writeback_batch == 1
-        best = sweep.best()
-        assert sweep.throughput[best] > 2.0 * sweep.throughput[worst]
-
-    def test_rows_sorted_by_throughput(self):
-        sweep = sweep_writeback_configs(
-            "nvme", "fillrandom", num_keys=4000, ops_per_point=500,
-            cache_pages=256,
-        )
-        values = [t for _, t in sweep.rows()]
-        assert values == sorted(values, reverse=True)
+        best = sweep.best("fillrandom")
+        assert runs[best].throughput > 2.0 * runs[worst].throughput
 
 
 class TestBanditTuner:
