@@ -43,7 +43,7 @@ class InjectedIOError(InjectedFault, OSError):
     """
 
     def __init__(self, site: str, message: str = "", transient: bool = True):
-        InjectedFault.__init__(self, site, message)
+        super().__init__(site, message)
         self.transient = transient
 
 

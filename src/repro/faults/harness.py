@@ -79,19 +79,11 @@ class CrashRecoveryHarness:
     every crash point fires tens of times in ``num_ops`` operations.
     """
 
-    def __init__(
-        self,
-        num_ops: int = 120,
-        key_space: int = 24,
-        delete_fraction: float = 0.15,
-        memtable_bytes: int = 1024,
-        l0_compaction_trigger: int = 2,
-    ):
-        self.num_ops = num_ops
-        self.key_space = key_space
-        self.delete_fraction = delete_fraction
-        self.memtable_bytes = memtable_bytes
-        self.l0_compaction_trigger = l0_compaction_trigger
+    num_ops = 120
+    key_space = 24
+    delete_fraction = 0.15
+    memtable_bytes = 1024
+    l0_compaction_trigger = 2
 
     # ------------------------------------------------------------------
 

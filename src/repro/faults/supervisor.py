@@ -7,7 +7,8 @@ fires from the dying thread the moment the exception is caught) to make
 crashes *supervised*:
 
 - each crash is observed immediately, not at ``stop()``;
-- the trainer is restarted with capped exponential backoff;
+- the trainer is restarted with exponential backoff, capped at
+  ``BACKOFF_CAP_S``;
 - after ``max_restarts`` *consecutive* failures the supervisor gives
   up, switches the trainer to :class:`~repro.runtime.Mode.DEGRADED`,
   and stays there -- inference callers (the readahead agent) observe
@@ -21,11 +22,14 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from ..runtime.training_thread import AsyncTrainer, Mode
 
 __all__ = ["TrainerSupervisor"]
+
+#: The longest wait between two restarts, seconds.
+BACKOFF_CAP_S = 1.0
 
 
 class TrainerSupervisor:
@@ -39,15 +43,15 @@ class TrainerSupervisor:
     max_restarts:
         Give up after this many *consecutive* failures (the first crash
         counts; ``max_restarts=3`` allows three restart attempts).
-    backoff_s / backoff_cap_s:
+    backoff_s:
         Capped exponential restart backoff: the k-th consecutive
-        restart waits ``min(backoff_s * 2**(k-1), backoff_cap_s)``.
+        restart waits ``min(backoff_s * 2**(k-1), BACKOFF_CAP_S)``.
     min_healthy_s:
         Uptime after which a restarted trainer is considered recovered
         and the consecutive-failure counter resets.
-    on_degraded:
-        Optional callback invoked (with the final exception) when the
-        supervisor gives up.
+
+    When the supervisor gives up, :attr:`degraded` turns True and
+    :attr:`last_error` holds the final exception.
     """
 
     def __init__(
@@ -55,20 +59,16 @@ class TrainerSupervisor:
         trainer: AsyncTrainer,
         max_restarts: int = 3,
         backoff_s: float = 0.01,
-        backoff_cap_s: float = 1.0,
         min_healthy_s: float = 1.0,
-        on_degraded: Optional[Callable[[Optional[BaseException]], None]] = None,
     ):
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if backoff_s < 0 or backoff_cap_s < 0:
+        if backoff_s < 0:
             raise ValueError("backoff must be >= 0")
         self.trainer = trainer
         self.max_restarts = max_restarts
         self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
         self.min_healthy_s = min_healthy_s
-        self.on_degraded = on_degraded
         self.restarts = 0
         self.crashes = 0
         self.consecutive_failures = 0
@@ -140,16 +140,10 @@ class TrainerSupervisor:
             if self.consecutive_failures > self.max_restarts:
                 self._degraded = True
                 self.trainer.set_mode(Mode.DEGRADED)
-                callback = self.on_degraded
-                if callback is not None:
-                    try:
-                        callback(self.last_error)
-                    except Exception:
-                        pass
                 return
             delay = min(
                 self.backoff_s * (2 ** (self.consecutive_failures - 1)),
-                self.backoff_cap_s,
+                BACKOFF_CAP_S,
             )
             if self._stop_event.wait(delay):
                 return  # interruptible backoff sleep

@@ -18,6 +18,8 @@ __all__ = ["IORequest", "make_stream", "STREAM_KINDS"]
 
 #: Device address space, in pages (per-position seek cost is relative).
 ADDRESS_SPACE = 1 << 20
+#: Mean request arrivals per second (Poisson).
+ARRIVAL_RATE = 20_000.0
 
 
 @dataclass
@@ -47,18 +49,17 @@ def make_stream(
     kind: str,
     n_requests: int,
     rng: np.random.Generator,
-    arrival_rate: float = 20_000.0,
 ) -> List[IORequest]:
     """Generate a request stream of one of the canonical kinds.
 
-    ``arrival_rate`` is the mean arrivals per second (Poisson); the
+    Requests arrive at ``ARRIVAL_RATE`` per second on average; the
     engine decides how fast they are actually served.
     """
     if kind not in STREAM_KINDS:
         raise ValueError(f"unknown stream kind {kind!r}")
     if n_requests < 1:
         raise ValueError("n_requests must be >= 1")
-    gaps = rng.exponential(1.0 / arrival_rate, size=n_requests)
+    gaps = rng.exponential(1.0 / ARRIVAL_RATE, size=n_requests)
     arrivals = np.cumsum(gaps)
     requests: List[IORequest] = []
     sequential_position = int(rng.integers(0, ADDRESS_SPACE // 2))

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 NUM_STREAM_FEATURES = 5
+#: Seeds the sweep and the training streams of ``fit_from_sweep``.
+FIT_SEED = 7
 
 
 def stream_features(requests: Sequence[IORequest]) -> np.ndarray:
@@ -111,14 +113,13 @@ class SchedulerSelector:
         windows_per_kind: int = 30,
         window: int = 100,
         epochs: int = 300,
-        seed: int = 7,
     ) -> "SchedulerSelector":
-        study = sweep_schedulers(device, seed=seed)
+        study = sweep_schedulers(device, seed=FIT_SEED)
         self.best_by_kind = {kind: study.best(kind) for kind in study.results}
         self.classifier = NeuralClassifier(
             NUM_STREAM_FEATURES, len(STREAM_KINDS), hidden=(16, 8), lr=0.05,
             momentum=0.9, epochs=epochs, name="iosched-nn", rng=self.rng,
-        ).fit(*self._dataset(windows_per_kind, window, seed))
+        ).fit(*self._dataset(windows_per_kind, window, FIT_SEED))
         return self
 
     # ------------------------------------------------------------------

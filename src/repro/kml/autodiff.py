@@ -34,15 +34,12 @@ class Tensor:
         value,
         requires_grad: bool = False,
         _parents: Tuple["Tensor", ...] = (),
-        _backward: Optional[Callable[[], None]] = None,
-        name: str = "",
     ):
         self.value = np.asarray(value, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self._parents = _parents
-        self._backward = _backward or (lambda: None)
-        self.name = name
+        self._backward: Callable[[], None] = lambda: None
 
     # ------------------------------------------------------------------
 

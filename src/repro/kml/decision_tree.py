@@ -54,7 +54,6 @@ class DecisionTreeClassifier:
         self,
         max_depth: int = 8,
         min_samples_leaf: int = 1,
-        min_samples_split: int = 2,
     ):
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -62,7 +61,6 @@ class DecisionTreeClassifier:
             raise ValueError("min_samples_leaf must be >= 1")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
         self.root: Optional[TreeNode] = None
         self.num_classes = 0
         self.num_features = 0
@@ -92,11 +90,8 @@ class DecisionTreeClassifier:
         counts = self._class_counts(labels)
         prediction = int(np.argmax(counts))
         node = TreeNode(prediction=prediction, counts=counts)
-        if (
-            depth >= self.max_depth
-            or len(labels) < self.min_samples_split
-            or _gini(counts) == 0.0
-        ):
+        # A single sample is pure, so it never splits.
+        if depth >= self.max_depth or _gini(counts) == 0.0:
             return node
         split = self._best_split(x, labels, counts)
         if split is None:

@@ -51,12 +51,10 @@ class BloomFilter:
         self.count = 0
 
     @classmethod
-    def for_capacity(cls, n_items: int, bits_per_key: int = 10) -> "BloomFilter":
-        """Sized like RocksDB's default: ~10 bits/key, ~1% false positives."""
-        n_bits = max(64, n_items * bits_per_key)
-        # Optimal hash count is bits_per_key * ln2 ~= 0.69 * bits_per_key.
-        n_hashes = max(1, min(16, int(round(bits_per_key * 0.69))))
-        return cls(n_bits, n_hashes)
+    def for_capacity(cls, n_items: int) -> "BloomFilter":
+        """Sized like RocksDB's default, 10 bits per key: ~1% false
+        positives with the optimal 10 * ln 2 ~= 7 hashes."""
+        return cls(max(64, n_items * 10), 7)
 
     def _probes(self, key: bytes):
         h1 = _fnv1a(key)

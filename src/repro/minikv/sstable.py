@@ -66,21 +66,17 @@ def _decode_records(raw: bytes) -> Iterator[Record]:
 class SSTableBuilder:
     """Streams sorted records into a new SSTable file.
 
-    With ``align=True`` (RocksDB's ``block_align`` option, the default
-    here) data blocks are padded to ``block_size`` boundaries so a point
-    lookup touches exactly one page -- the configuration under which OS
-    readahead effects are cleanest.
+    Data blocks are padded to ``block_size`` boundaries (RocksDB's
+    ``block_align`` option) so a point lookup touches exactly one page
+    -- the configuration under which OS readahead effects are cleanest.
     """
 
-    def __init__(
-        self, fs: SimFS, name: str, block_size: int = 4096, align: bool = True
-    ):
+    def __init__(self, fs: SimFS, name: str, block_size: int = 4096):
         if block_size < 64:
             raise ValueError("block_size too small")
         self.fs = fs
         self.name = name
         self.block_size = block_size
-        self.align = align
         self._file = fs.open(name, create=True)
         self._offset = 0
         self._block = bytearray()
@@ -117,7 +113,7 @@ class SSTableBuilder:
         self.fs.write(self._file, self._offset, data)
         self._index.append((self._block_first_key, self._offset, len(data)))
         self._offset += len(data)
-        if self.align and self._offset % self.block_size != 0:
+        if self._offset % self.block_size != 0:
             pad = self.block_size - (self._offset % self.block_size)
             self.fs.write(self._file, self._offset, b"\x00" * pad)
             self._offset += pad

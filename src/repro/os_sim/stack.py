@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .block_layer import BlockLayer, DEFAULT_RA_PAGES
 from .clock import SimClock
 from .device import DeviceModel, nvme_ssd, sata_ssd
@@ -59,14 +57,15 @@ def make_stack(
     device_name: str = "nvme",
     cache_pages: int = DEFAULT_CACHE_PAGES,
     ra_pages: int = DEFAULT_RA_PAGES,
-    device: Optional[DeviceModel] = None,
 ) -> StorageStack:
-    """Build a stack for ``"nvme"`` or ``"ssd"`` (or an explicit model)."""
-    if device is None:
-        if device_name == "nvme":
-            device = nvme_ssd()
-        elif device_name == "ssd":
-            device = sata_ssd()
-        else:
-            raise ValueError(f"unknown device {device_name!r}; use 'nvme' or 'ssd'")
+    """Build a stack for ``"nvme"`` or ``"ssd"``.
+
+    A stack over any other :class:`DeviceModel` is ``StorageStack(device)``.
+    """
+    if device_name == "nvme":
+        device = nvme_ssd()
+    elif device_name == "ssd":
+        device = sata_ssd()
+    else:
+        raise ValueError(f"unknown device {device_name!r}; use 'nvme' or 'ssd'")
     return StorageStack(device, cache_pages=cache_pages, ra_pages=ra_pages)

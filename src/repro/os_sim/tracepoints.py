@@ -63,7 +63,8 @@ class TracepointRegistry:
 
     HOOK_SLOTS = {"tracepoints.dispatch": "_dispatch_hook"}
 
-    def __init__(self, names=STANDARD_TRACEPOINTS):
+    def __init__(self):
+        names = STANDARD_TRACEPOINTS
         self._subscribers: Dict[str, List[Subscriber]] = {n: [] for n in names}
         # Each subscriber's page-batch form (None if it has none), in
         # subscription order.

@@ -6,7 +6,8 @@ into the lock-free circular buffer for the async training thread, (3)
 runs inference on the deployed model, and (4) actuates -- sets the
 block-layer readahead via ioctl and the per-file ``ra_pages`` in every
 open struct file it is given.  The actuation changes future page-cache
-behaviour, which changes future features: the closed circuit.
+behaviour, which changes future features: the closed circuit.  Each
+tick makes one ``model.predict_classes(row)`` call.
 """
 
 from __future__ import annotations
@@ -67,16 +68,9 @@ class ReadaheadAgent:
     health:
         Optional zero-arg predicate (e.g. ``TrainerSupervisor.healthy``)
         consulted each tick.  While it returns False the agent skips
-        inference entirely and pins readahead to ``fallback_ra`` -- the
-        fault-containment behaviour when the ML plane is DEGRADED.
-    fallback_ra:
-        Readahead applied while unhealthy; defaults to the kernel
-        default (``DEFAULT_RA_PAGES``).
-
-    Every tick makes one inference call on ``model``:
-    ``model.predict_classes(row)``, or with ``confidence_threshold > 0``
-    ``model.predict(row).softmax(axis=1)``.  A decision tree has no
-    logits, so a gated tick on a tree raises.
+        inference entirely and pins readahead to the kernel default
+        (``DEFAULT_RA_PAGES``) -- the fault-containment behaviour when
+        the ML plane is DEGRADED.
     """
 
     def __init__(
@@ -88,16 +82,10 @@ class ReadaheadAgent:
         files: Optional[Iterable[File]] = None,
         sample_buffer: Optional[CircularBuffer] = None,
         smoothing: int = 1,
-        confidence_threshold: float = 0.0,
         health: Optional[Callable[[], bool]] = None,
-        fallback_ra: int = DEFAULT_RA_PAGES,
     ):
         if smoothing < 1:
             raise ValueError("smoothing must be >= 1")
-        if not 0.0 <= confidence_threshold < 1.0:
-            raise ValueError("confidence_threshold must be in [0, 1)")
-        if fallback_ra < 0:
-            raise ValueError("fallback_ra must be non-negative")
         for name in WORKLOAD_CLASSES:
             # A class the table lacks fails here, not at the first tick.
             tuning.best_ra(device, name)
@@ -108,13 +96,10 @@ class ReadaheadAgent:
         self.files: List[File] = list(files or [])
         self.sample_buffer = sample_buffer
         self.smoothing = smoothing
-        self.confidence_threshold = confidence_threshold
         self.health = health
-        self.fallback_ra = fallback_ra
         self.collector = FeatureCollector(stack)
         self.history: List[AgentDecision] = []
         self._recent_classes: List[int] = []
-        self.skipped_low_confidence = 0
         self.skipped_degraded = 0
 
     # ------------------------------------------------------------------
@@ -126,9 +111,9 @@ class ReadaheadAgent:
             # ML plane degraded: do not trust the model (and do not
             # feed the dead trainer); restore the heuristic default.
             self.skipped_degraded += 1
-            if self.stack.block.ra_pages != self.fallback_ra:
-                self.apply(self.fallback_ra)
-            predicted, name, ra = -1, "degraded", self.fallback_ra
+            if self.stack.block.ra_pages != DEFAULT_RA_PAGES:
+                self.apply(DEFAULT_RA_PAGES)
+            predicted, name, ra = -1, "degraded", DEFAULT_RA_PAGES
             inference_wall = 0.0
         else:
             if self.sample_buffer is not None:
@@ -148,13 +133,8 @@ class ReadaheadAgent:
     def _decide(self, row: np.ndarray) -> Tuple[int, int, float]:
         """Infer ``row``'s class and actuate: (class, ra_pages, wall s)."""
         wall_start = time.perf_counter_ns()
-        predicted, confident = self._classify(self.model, row)
+        predicted = int(self.model.predict_classes(row)[0])
         inference_wall = (time.perf_counter_ns() - wall_start) / 1e9
-        if not confident:
-            # Safety valve (paper section 3.3): an unconfident model
-            # leaves the current heuristic setting alone.
-            self.skipped_low_confidence += 1
-            return predicted, self.stack.block.ra_pages, inference_wall
         # Optional hysteresis: act on the majority class of the last k
         # predictions to damp per-window oscillation.
         self._recent_classes.append(predicted)
@@ -164,14 +144,6 @@ class ReadaheadAgent:
         ra = self.tuning.best_ra(self.device, WORKLOAD_CLASSES[acted])
         self.apply(ra)
         return acted, ra, inference_wall
-
-    def _classify(self, model, row: np.ndarray) -> Tuple[int, bool]:
-        """``model``'s class for ``row`` and whether the gate lets it act."""
-        if self.confidence_threshold == 0.0:
-            return int(model.predict_classes(row)[0]), True
-        probabilities = model.predict(row).softmax(axis=1).to_numpy()[0]
-        predicted = int(np.argmax(probabilities))
-        return predicted, probabilities[predicted] >= self.confidence_threshold
 
     def apply(self, ra_pages: int) -> None:
         """Actuate: block-layer ioctl plus per-file struct updates."""

@@ -12,12 +12,12 @@ only advances ``_head``, the consumer only advances ``_tail``, and each
 index is written with release semantics after the slot is populated, so
 no lock is needed.  (Under CPython the GIL provides the fences; the
 algorithm is nonetheless the kernel one, and the tests hammer it with
-real producer/consumer threads.)
+a real producer thread and a real consumer thread.)  One ring has one
+producer: the data-collection hook of one I/O path.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, List, Optional
 
@@ -27,27 +27,19 @@ __all__ = ["CircularBuffer"]
 
 
 class CircularBuffer:
-    """Bounded FIFO with drop-on-full semantics (SPSC by default).
+    """Bounded SPSC FIFO with drop-on-full semantics.
 
     ``capacity`` is the number of usable slots.  ``push`` never blocks:
     if the consumer has fallen behind, the sample is dropped and
     ``dropped`` increments, exactly the failure mode the paper warns
     about when the training thread is not scheduled often enough.
-
-    ``producers="multi"`` serializes the producer side with a lock (the
-    stand-in for the kernel's per-CPU serialization) so several I/O
-    paths can share one ring; the consumer side stays lock-free either
-    way.  The default ``"single"`` keeps the classic lock-free SPSC
-    contract.
     """
 
     HOOK_SLOTS = {"buffer.push": "_push_hook"}
 
-    def __init__(self, capacity: int, producers: str = "single"):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if producers not in ("single", "multi"):
-            raise ValueError("producers must be 'single' or 'multi'")
         # One slot is sacrificed to distinguish full from empty.
         self._slots: List[Optional[Any]] = [None] * (capacity + 1)
         self._capacity = capacity
@@ -56,9 +48,6 @@ class CircularBuffer:
         self._dropped = AtomicInt(0)
         self._pushed = AtomicInt(0)
         self._popped = AtomicInt(0)
-        self._push_lock = (
-            threading.Lock() if producers == "multi" else None
-        )
         # The buffer.push hook (see repro.hooks): times pushes and/or
         # forces drops to simulate overflow pressure.
         self._push_hook = None
@@ -97,13 +86,6 @@ class CircularBuffer:
 
     def push(self, item: Any) -> bool:
         """Producer side: enqueue or drop.  Returns False on drop."""
-        lock = self._push_lock
-        if lock is None:
-            return self._push(item)
-        with lock:
-            return self._push(item)
-
-    def _push(self, item: Any) -> bool:
         if item is None:
             raise ValueError("None cannot be enqueued (it marks emptiness)")
         hook = self._push_hook

@@ -1,9 +1,9 @@
 """Leveled logging behind the portability layer.
 
 Kernel KML logs through ``printk``; user-space KML through stdio.  The
-development API hides that difference.  Here the sink is pluggable so
-tests can capture log traffic, and the default sink buffers in memory
-(printing from a simulated kernel would be noise).
+development API hides that difference.  Here every record goes to a
+bounded in-memory ring, like the kernel's log buffer (printing from a
+simulated kernel would be noise).
 """
 
 from __future__ import annotations
@@ -12,9 +12,12 @@ import enum
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 __all__ = ["LogLevel", "KmlLogger"]
+
+#: Records the ring keeps; the oldest are discarded first.
+LOG_CAPACITY = 10_000
 
 
 class LogLevel(enum.IntEnum):
@@ -25,22 +28,15 @@ class LogLevel(enum.IntEnum):
 
 
 class KmlLogger:
-    """Thread-safe logger with a minimum level and a pluggable sink."""
+    """Thread-safe logger with a minimum level and a bounded ring."""
 
-    def __init__(
-        self,
-        level: LogLevel = LogLevel.INFO,
-        sink: Optional[Callable[[LogLevel, str], None]] = None,
-        capacity: int = 10_000,
-    ):
+    def __init__(self, level: LogLevel = LogLevel.INFO):
         self.level = level
-        self._sink = sink
         # deque(maxlen=...) evicts the oldest record in O(1); a plain
         # list's pop(0) is O(n) per log once at capacity.
         self._records: Deque[Tuple[float, LogLevel, str]] = deque(
-            maxlen=capacity
+            maxlen=LOG_CAPACITY
         )
-        self._capacity = capacity
         self._lock = threading.Lock()
 
     def log(self, level: LogLevel, message: str) -> None:
@@ -49,8 +45,6 @@ class KmlLogger:
         with self._lock:
             # Oldest records are discarded first (ring semantics).
             self._records.append((time.time(), level, message))
-        if self._sink is not None:
-            self._sink(level, message)
 
     def debug(self, message: str) -> None:
         self.log(LogLevel.DEBUG, message)
@@ -64,13 +58,10 @@ class KmlLogger:
     def err(self, message: str) -> None:
         self.log(LogLevel.ERR, message)
 
-    def records(self, level: Optional[LogLevel] = None):
-        """Snapshot of buffered records, optionally filtered by level."""
+    def records(self):
+        """Snapshot of buffered ``(time, level, message)`` records."""
         with self._lock:
-            snapshot = list(self._records)
-        if level is None:
-            return snapshot
-        return [r for r in snapshot if r[1] == level]
+            return list(self._records)
 
     def clear(self) -> None:
         with self._lock:

@@ -99,13 +99,12 @@ class KmlEnvironment:
         self,
         name: str,
         accountant: MemoryAccountant,
-        logger: Optional[KmlLogger] = None,
         file_root: Optional[str] = None,
         kernel_mode: bool = False,
     ):
         self.name = name
         self.memory = accountant
-        self.logger = logger or KmlLogger()
+        self.logger = KmlLogger()
         self.file_root = file_root
         self.kernel_mode = kernel_mode
         self._fpu_depth = 0
@@ -270,20 +269,19 @@ class KmlEnvironment:
         return [name for names in DEV_API_FUNCTIONS.values() for name in names]
 
 
-def user_environment(name: str = "user") -> KmlEnvironment:
+def user_environment() -> KmlEnvironment:
     """Unconstrained user-space profile (malloc, stdio, no FPU cost)."""
-    return KmlEnvironment(name=name, accountant=MemoryAccountant(name=name))
+    return KmlEnvironment(name="user", accountant=MemoryAccountant(name="user"))
 
 
 def kernel_environment(
-    name: str = "kernel",
     reservation: Optional[int] = 4 * 1024 * 1024,
     file_root: Optional[str] = None,
 ) -> KmlEnvironment:
     """Kernel profile: reserved memory, tracked FPU sections, jailed files."""
-    accountant = MemoryAccountant(reservation=reservation, name=name)
+    accountant = MemoryAccountant(reservation=reservation, name="kernel")
     return KmlEnvironment(
-        name=name,
+        name="kernel",
         accountant=accountant,
         file_root=file_root,
         kernel_mode=True,

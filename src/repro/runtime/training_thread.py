@@ -3,7 +3,8 @@
 Data normalization is computation-heavy and needs the FPU, so KML
 offloads it -- together with training -- to one asynchronous kernel
 thread created at model-initialization time; the only thing users
-supply is a pointer to the model's training function (section 3.2).
+supply is a pointer to the model's training function (section 3.2),
+which receives each drained batch as it was pushed.
 The prototype supports exactly one trainer thread because chain graphs
 are processed serially.
 
@@ -52,16 +53,13 @@ class AsyncTrainer:
         via :attr:`failed` / :attr:`error` and the ``on_error``
         callback) and re-raised on :meth:`stop` so silent failures
         cannot occur.
-    normalize_fn:
-        Optional pre-processing applied to each drained batch in *both*
-        modes (feature extraction happens even when only inferencing).
     poll_interval:
         Sleep between empty polls, seconds.
-    on_error:
-        Optional callback invoked *from the dying trainer thread* with
-        the captured exception, so a crash is observable the moment it
-        happens rather than only at :meth:`stop` -- the hook the
-        trainer supervisor builds restart-with-backoff on.
+
+    ``on_error``, when set, is called *from the dying trainer thread*
+    with the captured exception, so a crash is observable the moment it
+    happens rather than only at :meth:`stop` -- the hook the trainer
+    supervisor installs to restart with backoff.
     """
 
     HOOK_SLOTS = {"trainer.batch": "_batch_hook"}
@@ -70,10 +68,8 @@ class AsyncTrainer:
         self,
         buffer: CircularBuffer,
         train_fn: Callable[[List[Any]], None],
-        normalize_fn: Optional[Callable[[List[Any]], List[Any]]] = None,
         poll_interval: float = 0.001,
         batch_size: int = 64,
-        on_error: Optional[Callable[[BaseException], None]] = None,
     ):
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
@@ -81,10 +77,9 @@ class AsyncTrainer:
             raise ValueError("batch_size must be >= 1")
         self.buffer = buffer
         self.train_fn = train_fn
-        self.normalize_fn = normalize_fn
         self.poll_interval = poll_interval
         self.batch_size = batch_size
-        self.on_error = on_error
+        self.on_error: Optional[Callable[[BaseException], None]] = None
         self._mode = Mode.TRAINING
         self._mode_lock = threading.Lock()
         self._stop_event = threading.Event()
@@ -164,8 +159,6 @@ class AsyncTrainer:
             hook.calls = n = hook.calls + 1
             if not n & hook.mask:
                 t0 = time.perf_counter()
-        if self.normalize_fn is not None:
-            batch = self.normalize_fn(batch)
         self.samples_seen += len(batch)
         if self._mode is Mode.TRAINING:
             if hook is not None and hook.rules:

@@ -14,7 +14,7 @@ from .generators import (
 )
 from .mixgraph import MixGraph
 from .runner import (
-    DEFAULT_CPU_OP_S,
+    CPU_OP_S,
     LoadedStack,
     RunResult,
     load_stack,
@@ -37,7 +37,7 @@ __all__ = [
     "UpdateRandom",
     "populate_db",
     "MixGraph",
-    "DEFAULT_CPU_OP_S",
+    "CPU_OP_S",
     "RunResult",
     "run_workload",
     "workload_by_name",

@@ -28,6 +28,9 @@ __all__ = [
     "workload_by_name",
 ]
 
+#: db_bench readrandomwriterandom's default share of reads.
+READ_FRACTION = 0.9
+
 
 def populate_db(
     db: MiniKV,
@@ -124,16 +127,10 @@ class ReadRandomWriteRandom(Workload):
 
     name = "readrandomwriterandom"
 
-    def __init__(self, num_keys: int, value_size: int = 100, read_fraction: float = 0.9):
-        super().__init__(num_keys, value_size)
-        if not 0.0 <= read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
-        self.read_fraction = read_fraction
-
     def step(self) -> None:
         index = int(self.rng.integers(0, self.num_keys))
         key = make_key(index)
-        if self.rng.random() < self.read_fraction:
+        if self.rng.random() < READ_FRACTION:
             self.db.get(key)
         else:
             self.db.put(key, make_value(self.rng, self.value_size))

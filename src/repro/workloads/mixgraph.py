@@ -26,34 +26,23 @@ from .zipf import ZipfGenerator
 
 __all__ = ["MixGraph"]
 
+#: The mix above: get and put shares (the rest are scans), the key
+#: popularity's Zipf skew, the value sizes' Pareto shape, longest scan.
+GET_RATIO = 0.83
+PUT_RATIO = 0.14
+ZIPF_ALPHA = 0.9
+PARETO_SHAPE = 2.0
+MAX_SCAN_LEN = 128
+
 
 class MixGraph(Workload):
     """Facebook-style mixed get/put/seek workload."""
 
     name = "mixgraph"
 
-    def __init__(
-        self,
-        num_keys: int,
-        value_size: int = 100,
-        get_ratio: float = 0.83,
-        put_ratio: float = 0.14,
-        zipf_alpha: float = 0.9,
-        pareto_shape: float = 2.0,
-        max_scan_len: int = 128,
-    ):
-        super().__init__(num_keys, value_size)
-        if get_ratio < 0 or put_ratio < 0 or get_ratio + put_ratio > 1.0:
-            raise ValueError("get/put ratios must be non-negative, sum <= 1")
-        self.get_ratio = get_ratio
-        self.put_ratio = put_ratio
-        self.zipf_alpha = zipf_alpha
-        self.pareto_shape = pareto_shape
-        self.max_scan_len = max_scan_len
-
     def bind(self, db, rng):
         super().bind(db, rng)
-        self._zipf = ZipfGenerator(self.num_keys, self.zipf_alpha, rng)
+        self._zipf = ZipfGenerator(self.num_keys, ZIPF_ALPHA, rng)
         # Affine permutation scatters popular ranks across the keyspace
         # (multiplier coprime with num_keys guarantees a bijection).
         self._multiplier = self._coprime_multiplier(self.num_keys)
@@ -72,20 +61,20 @@ class MixGraph(Workload):
 
     def _sample_value_size(self) -> int:
         # Pareto with xm scaled so the mean is ~value_size.
-        shape = self.pareto_shape
+        shape = PARETO_SHAPE
         xm = self.value_size * (shape - 1.0) / shape
         size = int(xm * (1.0 + self.rng.pareto(shape)))
         return max(16, min(size, self.value_size * 20))
 
     def _sample_scan_length(self) -> int:
         length = int(1.0 + self.rng.pareto(1.5))
-        return max(1, min(length, self.max_scan_len))
+        return max(1, min(length, MAX_SCAN_LEN))
 
     def step(self) -> None:
         roll = self.rng.random()
-        if roll < self.get_ratio:
+        if roll < GET_RATIO:
             self.db.get(make_key(self._sample_key_index()))
-        elif roll < self.get_ratio + self.put_ratio:
+        elif roll < GET_RATIO + PUT_RATIO:
             self.db.put(
                 make_key(self._sample_key_index()),
                 make_value(self.rng, self._sample_value_size()),

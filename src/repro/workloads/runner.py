@@ -27,14 +27,14 @@ from .generators import populate_db, workload_by_name
 __all__ = [
     "RunResult",
     "run_workload",
-    "DEFAULT_CPU_OP_S",
+    "CPU_OP_S",
     "LoadedStack",
     "load_stack",
     "run_closed_loop",
 ]
 
 #: CPU work per logical DB op (key comparison, protocol, app logic).
-DEFAULT_CPU_OP_S = 2e-6
+CPU_OP_S = 2e-6
 
 
 @dataclass
@@ -62,7 +62,6 @@ def run_workload(
     workload: Workload,
     n_ops: int,
     rng: np.random.Generator,
-    cpu_op_s: float = DEFAULT_CPU_OP_S,
     tick_interval: float = 1.0,
     on_tick: Optional[TickCallback] = None,
     max_sim_seconds: Optional[float] = None,
@@ -88,8 +87,7 @@ def run_workload(
     executed = 0
     for _ in range(n_ops):
         workload.step()
-        if cpu_op_s > 0:
-            clock.advance(cpu_op_s)
+        clock.advance(CPU_OP_S)
         executed += 1
         while clock.now >= next_tick:
             window_ops = executed - ops_at_window_start

@@ -1,6 +1,7 @@
-"""Concurrency stress for the circular buffer: multi-producer push storms.
+"""Concurrency stress for the circular buffer: push storms.
 
-The invariants under contention:
+One producer thread pushes while one consumer thread drains, the SPSC
+contract of the ring.  The invariants under that race:
 
 - no sample is lost: every accepted (push -> True) sample is either
   still queued or was drained, exactly once;
@@ -19,17 +20,17 @@ from repro.obs.instrument import instrument_buffer
 from repro.runtime.circular_buffer import CircularBuffer
 
 
-def run_storm(buf, producers, items_per_producer, drain=True):
-    """Hammer ``buf`` from N producer threads + one draining consumer."""
-    accepted = [[] for _ in range(producers)]
+def run_storm(buf, attempts, drain=True):
+    """Push ``attempts`` items from one producer thread into ``buf``
+    while one consumer thread drains it."""
+    accepted = []
     done = threading.Event()
     consumed = []
 
-    def produce(worker):
-        for i in range(items_per_producer):
-            item = (worker, i)
+    def produce():
+        for item in range(attempts):
             if buf.push(item):
-                accepted[worker].append(item)
+                accepted.append(item)
 
     def consume():
         while not done.is_set() or len(buf) != 0:
@@ -38,19 +39,15 @@ def run_storm(buf, producers, items_per_producer, drain=True):
                 consumed.append(item)
 
     consumer = threading.Thread(target=consume)
-    threads = [
-        threading.Thread(target=produce, args=(w,)) for w in range(producers)
-    ]
+    producer = threading.Thread(target=produce)
     if drain:
         consumer.start()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    producer.start()
+    producer.join()
     done.set()
     if drain:
         consumer.join()
-    return [item for worker in accepted for item in worker], consumed
+    return accepted, consumed
 
 
 def check_invariants(buf, accepted, consumed, attempts):
@@ -62,62 +59,50 @@ def check_invariants(buf, accepted, consumed, attempts):
     assert len(buf) == 0
 
 
-class TestMultiProducer:
+class TestStorm:
     def test_storm_loses_and_duplicates_nothing(self):
-        buf = CircularBuffer(64, producers="multi")
-        accepted, consumed = run_storm(buf, producers=4, items_per_producer=2000)
-        check_invariants(buf, accepted, consumed, attempts=4 * 2000)
+        buf = CircularBuffer(64)
+        accepted, consumed = run_storm(buf, attempts=8000)
+        check_invariants(buf, accepted, consumed, attempts=8000)
 
     def test_overflow_accounting_matches_obs_counters(self):
-        buf = CircularBuffer(16, producers="multi")
+        buf = CircularBuffer(16)
         registry = MetricsRegistry()
         metrics = instrument_buffer(buf, registry)
-        accepted, consumed = run_storm(buf, producers=4, items_per_producer=1000)
-        check_invariants(buf, accepted, consumed, attempts=4 * 1000)
+        accepted, consumed = run_storm(buf, attempts=4000)
+        check_invariants(buf, accepted, consumed, attempts=4000)
         assert metrics["pushed"].value == float(buf.pushed)
         assert metrics["dropped"].value == float(buf.dropped)
         assert metrics["popped"].value == float(buf.popped)
         assert metrics["occupancy"].value == 0.0
 
     def test_injected_drops_count_with_natural_overflow(self):
-        buf = CircularBuffer(8, producers="multi")
+        buf = CircularBuffer(8)
         plane = FaultPlane(seed=2).inject(
             "buffer.push", FaultKind.DROP, probability=0.25
         )
         plane.attach(buf)
-        accepted, consumed = run_storm(buf, producers=2, items_per_producer=1000)
-        check_invariants(buf, accepted, consumed, attempts=2 * 1000)
+        accepted, consumed = run_storm(buf, attempts=2000)
+        check_invariants(buf, accepted, consumed, attempts=2000)
         forced = plane.injection_counts().get(("buffer.push", "drop"), 0)
         assert forced > 0
         assert buf.dropped >= forced  # natural overflow adds to it
 
-    def test_single_producer_mode_rejects_nothing_new(self):
-        # The SPSC contract is unchanged: no lock, same semantics.
-        buf = CircularBuffer(8)
-        assert buf._push_lock is None
-        assert CircularBuffer(8, producers="multi")._push_lock is not None
-        with pytest.raises(ValueError):
-            CircularBuffer(8, producers="both")
-
     def test_no_consumer_fills_then_drops(self):
-        buf = CircularBuffer(32, producers="multi")
-        accepted, _ = run_storm(
-            buf, producers=4, items_per_producer=100, drain=False
-        )
+        buf = CircularBuffer(32)
+        accepted, _ = run_storm(buf, attempts=400, drain=False)
         assert len(accepted) == 32
-        assert buf.dropped == 4 * 100 - 32
+        assert buf.dropped == 400 - 32
         assert len(buf.drain(max_items=32)) == 32
 
 
 @pytest.mark.stress
 class TestBigStorm:
     def test_sustained_contention(self):
-        buf = CircularBuffer(128, producers="multi")
+        buf = CircularBuffer(128)
         registry = MetricsRegistry()
         metrics = instrument_buffer(buf, registry)
-        accepted, consumed = run_storm(
-            buf, producers=8, items_per_producer=20_000
-        )
-        check_invariants(buf, accepted, consumed, attempts=8 * 20_000)
+        accepted, consumed = run_storm(buf, attempts=160_000)
+        check_invariants(buf, accepted, consumed, attempts=160_000)
         assert metrics["pushed"].value == float(buf.pushed)
         assert metrics["dropped"].value == float(buf.dropped)

@@ -18,10 +18,10 @@ def wait_until(predicate, timeout=5.0):
     return False
 
 
-def make_trainer(buf, plane=None, **kwargs):
+def make_trainer(buf, plane=None):
     trained = []
     trainer = AsyncTrainer(
-        buf, train_fn=trained.extend, poll_interval=0.001, batch_size=8, **kwargs
+        buf, train_fn=trained.extend, poll_interval=0.001, batch_size=8
     )
     if plane is not None:
         plane.attach(trainer)
@@ -72,13 +72,11 @@ class TestDegradation:
         buf = CircularBuffer(64)
         plane = build_scenario("trainer-crash")  # every batch fails
         trainer, _ = make_trainer(buf, plane)
-        seen = []
         supervisor = TrainerSupervisor(
             trainer,
             max_restarts=2,
             backoff_s=0.001,
             min_healthy_s=60.0,
-            on_degraded=seen.append,
         )
         supervisor.start()
         try:
@@ -92,7 +90,7 @@ class TestDegradation:
             # First crash + max_restarts failed restarts.
             assert supervisor.crashes == 3
             assert supervisor.restarts == 2
-            assert len(seen) == 1 and seen[0] is not None
+            assert supervisor.last_error is not None
         finally:
             supervisor.stop()
 
@@ -104,7 +102,8 @@ class TestDegradation:
         def prior_callback(exc):
             caught.append(exc)
 
-        trainer, _ = make_trainer(buf, plane, on_error=prior_callback)
+        trainer, _ = make_trainer(buf, plane)
+        trainer.on_error = prior_callback
         supervisor = TrainerSupervisor(
             trainer, max_restarts=0, backoff_s=0.001, min_healthy_s=60.0
         )

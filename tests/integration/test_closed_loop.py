@@ -6,22 +6,19 @@ full-scale versions (matching the paper's numbers) live in benchmarks/.
 """
 
 import numpy as np
-import pytest
 
 from repro.kml import load_model, save_model
 from repro.kml.metrics import k_fold_cross_validate
 from repro.readahead import (
-    CollectionConfig,
     ReadaheadAgent,
     ReadaheadClassifier,
     TuningTable,
-    collect_training_data,
     sweep_best_readahead,
 )
 from repro.runtime import AsyncTrainer, CircularBuffer, Mode
 from repro.workloads import load_stack, run_closed_loop
 
-TINY = dict(num_keys=6000, value_size=200, cache_pages=128)
+from .conftest import TINY
 
 
 def run_tiny_loop(device, policy=None, sim_seconds=0.8):
@@ -31,23 +28,6 @@ def run_tiny_loop(device, policy=None, sim_seconds=0.8):
         loaded, "readrandom", policy=policy, ra_pages=128,
         sim_seconds=sim_seconds, window=0.1, rng_seed=1,
     )
-
-
-@pytest.fixture(scope="module")
-def tiny_dataset():
-    config = CollectionConfig(
-        ra_values=(8, 64, 256),
-        windows_per_value=2,
-        ra_passes=2,
-        **TINY,
-    )
-    return collect_training_data(config)
-
-
-@pytest.fixture(scope="module")
-def tiny_classifier(tiny_dataset):
-    clf = ReadaheadClassifier(rng=np.random.default_rng(0), epochs=250)
-    return clf.fit(tiny_dataset.x, tiny_dataset.y)
 
 
 class TestCollection:

@@ -18,11 +18,7 @@ from repro.readahead import ReadaheadAgent, ReadaheadClassifier, TuningTable
 from repro.workloads import load_stack, run_closed_loop
 
 from . import test_loop_golden as golden
-from .test_closed_loop import (  # noqa: F401
-    run_tiny_loop,
-    tiny_classifier,
-    tiny_dataset,
-)
+from .test_closed_loop import run_tiny_loop
 
 
 @pytest.fixture(scope="module")

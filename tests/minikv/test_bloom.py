@@ -17,7 +17,7 @@ class TestBloom:
         assert all(bloom.may_contain(key) for key in keys)
 
     def test_false_positive_rate_reasonable(self):
-        bloom = BloomFilter.for_capacity(2000, bits_per_key=10)
+        bloom = BloomFilter.for_capacity(2000)
         for i in range(2000):
             bloom.add(f"member-{i}".encode())
         false_positives = sum(

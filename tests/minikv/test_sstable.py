@@ -54,19 +54,6 @@ class TestBuilder:
         lengths = [length for _, _, length in table._index]
         assert all(length <= PAGE_SIZE for length in lengths)
 
-    def test_unaligned_mode(self, fs):
-        builder = SSTableBuilder(fs, "sst", align=False)
-        for i in range(300):
-            builder.add(b"key-%06d" % i, b"x" * 100)
-        table = builder.finish()
-        # Without padding the data region is dense.
-        index = table._index
-        assert len(index) >= 2
-        assert all(
-            off == prev_off + prev_len
-            for (_, prev_off, prev_len), (_, off, _) in zip(index, index[1:])
-        )
-
     def test_tiny_block_size_rejected(self, fs):
         with pytest.raises(ValueError):
             SSTableBuilder(fs, "sst", block_size=32)

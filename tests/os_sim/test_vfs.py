@@ -3,6 +3,7 @@
 import pytest
 
 from repro.os_sim import make_stack
+from repro.os_sim.stack import StorageStack
 from repro.os_sim.device import PAGE_SIZE, DeviceModel
 
 
@@ -186,7 +187,7 @@ class TestStackFactory:
 
     def test_explicit_device_model(self):
         hdd = DeviceModel("hdd", request_latency_s=6e-3, per_page_s=25e-6)
-        stack = make_stack(device=hdd)
+        stack = StorageStack(hdd)
         assert stack.device.name == "hdd"
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.kml.decision_tree import DecisionTreeClassifier
 from repro.os_sim import make_stack
+from repro.os_sim.block_layer import DEFAULT_RA_PAGES
 from repro.readahead.agent import ReadaheadAgent
 from repro.readahead.model import ReadaheadClassifier, WORKLOAD_CLASSES
 from repro.readahead.tuning import TuningTable
@@ -140,7 +141,7 @@ class TestDegradedFallback:
         healthy = [True]
         agent = ReadaheadAgent(
             stack, trained_deployable, tuning, "nvme",
-            sample_buffer=buffer, health=lambda: healthy[0], fallback_ra=64,
+            sample_buffer=buffer, health=lambda: healthy[0],
         )
         feed_random_pattern(stack, np.random.default_rng(6), n=200)
         agent.on_tick(0.1, 1.0)
@@ -148,7 +149,7 @@ class TestDegradedFallback:
         healthy[0] = False
         decision = agent.on_tick(0.2, 1.0)
         assert decision.predicted_name == "degraded"
-        assert stack.block.ra_pages == 64
+        assert stack.block.ra_pages == DEFAULT_RA_PAGES
         assert len(buffer) == 1  # no new sample for the dead trainer
         assert agent.skipped_degraded == 1
         healthy[0] = True
@@ -156,13 +157,6 @@ class TestDegradedFallback:
         agent.on_tick(0.3, 1.0)  # recovery: inference resumes
         assert len(buffer) == 2
         assert agent.history[-1].predicted_name != "degraded"
-
-    def test_fallback_ra_validation(self, trained_deployable, tuning):
-        stack = make_stack("nvme", ra_pages=128)
-        with pytest.raises(ValueError):
-            ReadaheadAgent(
-                stack, trained_deployable, tuning, "nvme", fallback_ra=-1
-            )
 
 
 class TestLocalTree:
@@ -172,60 +166,3 @@ class TestLocalTree:
         decision = agent.on_tick(0.1, 1.0)
         assert decision.predicted_name == "readrandomwriterandom"
         assert stack.block.ra_pages == 8
-
-    def test_gated_tick_on_a_tree_raises(self, tuning):
-        """A tree has no logits to take a softmax of."""
-        stack = make_stack("nvme", ra_pages=128)
-        agent = ReadaheadAgent(
-            stack, constant_class_tree(1), tuning, "nvme",
-            confidence_threshold=0.5,
-        )
-        with pytest.raises(AttributeError):
-            agent.on_tick(0.1, 1.0)
-
-
-class TestConfidenceGate:
-    class _Model:
-        """Emits fixed logits so confidence is controllable."""
-
-        def __init__(self, logits):
-            self._logits = np.asarray(logits, dtype=np.float64)
-
-        def predict(self, x, dtype=None):
-            from repro.kml.matrix import Matrix
-
-            return Matrix(self._logits, dtype="float64")
-
-        def predict_classes(self, x, dtype=None):
-            return np.array([int(np.argmax(self._logits))])
-
-    def test_low_confidence_keeps_current_ra(self, tuning):
-        stack = make_stack("nvme", ra_pages=128)
-        # Near-uniform logits: max softmax prob ~0.25.
-        agent = ReadaheadAgent(
-            stack, self._Model([[0.0, 0.01, 0.0, 0.0]]), tuning, "nvme",
-            confidence_threshold=0.9,
-        )
-        decision = agent.on_tick(0.1, 1.0)
-        assert stack.block.ra_pages == 128  # untouched
-        assert decision.ra_pages == 128
-        assert agent.skipped_low_confidence == 1
-
-    def test_high_confidence_actuates(self, tuning):
-        stack = make_stack("nvme", ra_pages=128)
-        agent = ReadaheadAgent(
-            stack, self._Model([[0.0, 50.0, 0.0, 0.0]]), tuning, "nvme",
-            confidence_threshold=0.9,
-        )
-        decision = agent.on_tick(0.1, 1.0)
-        assert decision.predicted_name == "readrandom"
-        assert stack.block.ra_pages == tuning.best_ra("nvme", "readrandom")
-        assert agent.skipped_low_confidence == 0
-
-    def test_threshold_validation(self, trained_deployable, tuning):
-        stack = make_stack("nvme", ra_pages=128)
-        with pytest.raises(ValueError):
-            ReadaheadAgent(
-                stack, trained_deployable, tuning, "nvme",
-                confidence_threshold=1.0,
-            )

@@ -29,20 +29,27 @@ def run_traced(path, workload_name="readrandom", num_keys=4000, sim_s=0.35):
     return stack, writer
 
 
+@pytest.fixture(scope="module")
+def readrandom_trace(tmp_path_factory):
+    """``(path, records written)`` of one default ``run_traced`` run,
+    recorded once for the tests that only read it."""
+    path = str(tmp_path_factory.mktemp("trace") / "run.ktrace")
+    _, writer = run_traced(path)
+    return path, writer.records_written
+
+
 class TestRoundTrip:
-    def test_records_written_and_read_back(self, tmp_path):
-        path = str(tmp_path / "run.ktrace")
-        stack, writer = run_traced(path)
-        assert writer.records_written > 100
+    def test_records_written_and_read_back(self, readrandom_trace):
+        path, records_written = readrandom_trace
+        assert records_written > 100
         events = list(read_trace(path))
-        assert len(events) == writer.records_written
+        assert len(events) == records_written
         names = {e.name for e in events}
         assert "add_to_page_cache" in names
         assert "block_ra_set" in names
 
-    def test_timestamps_monotone(self, tmp_path):
-        path = str(tmp_path / "run.ktrace")
-        run_traced(path)
+    def test_timestamps_monotone(self, readrandom_trace):
+        path, _ = readrandom_trace
         timestamps = [e.timestamp for e in read_trace(path)]
         assert timestamps == sorted(timestamps)
 
@@ -103,12 +110,10 @@ class TestRoundTrip:
 
 
 class TestOfflineDataset:
-    def test_dataset_built_from_traces(self, tmp_path):
-        paths = []
-        for i, workload in enumerate(("readrandom", "readseq")):
-            path = str(tmp_path / f"{workload}.ktrace")
-            run_traced(path, workload_name=workload, sim_s=0.35)
-            paths.append((path, i))
+    def test_dataset_built_from_traces(self, tmp_path, readrandom_trace):
+        readseq = str(tmp_path / "readseq.ktrace")
+        run_traced(readseq, workload_name="readseq", sim_s=0.35)
+        paths = [(readrandom_trace[0], 0), (readseq, 1)]
         dataset = dataset_from_traces(paths, window_s=0.1)
         assert len(dataset) >= 2
         assert set(np.unique(dataset.y)) <= {0, 1}

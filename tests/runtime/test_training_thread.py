@@ -59,18 +59,13 @@ class TestModes:
     def test_inference_mode_skips_training(self):
         buf = CircularBuffer(64)
         trained = []
-        normalized = []
-        trainer = AsyncTrainer(
-            buf,
-            train_fn=trained.extend,
-            normalize_fn=lambda batch: (normalized.extend(batch), batch)[1],
-        )
+        trainer = AsyncTrainer(buf, train_fn=trained.extend)
         trainer.set_mode(Mode.INFERENCE)
         with trainer:
             for i in range(10):
                 buf.push(i)
-            assert wait_until(lambda: len(normalized) == 10)
-        assert trained == []  # normalization ran, training did not
+            assert wait_until(lambda: trainer.samples_seen == 10)
+        assert trained == []  # the batches were consumed, not trained on
         assert trainer.samples_seen == 10
 
     def test_mode_switch_at_runtime(self):
@@ -110,7 +105,8 @@ class TestFailure:
         def explode(batch):
             raise RuntimeError("prompt surfacing")
 
-        trainer = AsyncTrainer(buf, train_fn=explode, on_error=caught.append)
+        trainer = AsyncTrainer(buf, train_fn=explode)
+        trainer.on_error = caught.append
         trainer.start()
         assert not trainer.failed
         buf.push(1)
@@ -143,7 +139,8 @@ class TestFailure:
         def broken_callback(exc):
             raise ValueError("callback bug")
 
-        trainer = AsyncTrainer(buf, train_fn=explode, on_error=broken_callback)
+        trainer = AsyncTrainer(buf, train_fn=explode)
+        trainer.on_error = broken_callback
         trainer.start()
         buf.push(1)
         assert wait_until(lambda: trainer.failed)

@@ -21,7 +21,7 @@ The same pass fails on any import in a ``src`` module that the module
 neither uses nor re-exports through ``__all__``; package
 ``__init__.py`` files, which exist to re-export, are exempt.
 
-Three more scans cover what a caller search cannot see:
+Four more scans cover what a caller search cannot see:
 
 - a parameter of a public function or method that its own body never
   reads (``self`` / ``cls``, and bodies that only raise or pass, are
@@ -32,7 +32,15 @@ Three more scans cover what a caller search cannot see:
   ``dataclasses.asdict`` dict).  Construction by keyword and stores,
   ``+=`` included, are not reads;
 - a module-level ``UPPER_CASE`` constant in ``src/repro`` that no
-  caller loads by name or attribute, listed as ``module.NAME``.
+  caller loads by name or attribute, listed as ``module.NAME``;
+- a defaulted parameter of a public function or method (``__init__``
+  included, listed as ``module.Class(parameter)``) that no call outside
+  the tests passes, listed as ``module.function(parameter)``.  A call
+  passes a parameter by keyword, by reaching its position, or by any
+  ``*args`` / ``**kwargs``.  Calls resolve by the callee's identifier,
+  as the name scan does: a class name calls its ``__init__``, and so
+  does ``super().__init__`` in a subclass.  Dataclass fields are the
+  field scan's.
 
 ``ALLOWED`` takes these entries too, with the same staleness rule.
 """
@@ -130,6 +138,101 @@ ALLOWED = {
         "crash-case context the crash-matrix tests check",
     "repro.faults.harness.CrashReport.pending_op":
         "crash-case context the crash-matrix tests check",
+    # Defaulted parameters no call outside the tests passes.
+    "repro.readahead.agent.ReadaheadAgent(health)":
+        "fault containment: the agent pins the default readahead while "
+        "the ML plane is degraded (docs/FAULTS.md)",
+    "repro.readahead.agent.ReadaheadAgent(sample_buffer)":
+        "E8 in-loop training: the agent feeds the async trainer's ring",
+    "repro.readahead.agent.ReadaheadAgent(files)":
+        "the paper actuates per-file ra_pages too (docs/API.md, Table-1 "
+        "row 'Actuate readahead')",
+    "repro.runtime.portability.KmlEnvironment.kml_atomic_int(value)":
+        "paper section 3.3: a parameter of the 27-function development API",
+    "repro.runtime.portability.KmlEnvironment.kml_create_thread(name)":
+        "paper section 3.3: a parameter of the 27-function development API",
+    "repro.runtime.portability.KmlEnvironment.kml_file_open(mode)":
+        "paper section 3.3: a parameter of the 27-function development API",
+    "repro.runtime.portability.KmlEnvironment.kml_file_read(size)":
+        "paper section 3.3: a parameter of the 27-function development API",
+    "repro.runtime.portability.KmlEnvironment.kml_join_thread(timeout)":
+        "paper section 3.3: a parameter of the 27-function development API",
+    "repro.runtime.portability.kernel_environment(file_root)":
+        "paper section 3.3: jails the kernel profile's file API",
+    "repro.cli.main(argv)":
+        "the console entry point parses sys.argv when argv is None; the "
+        "CLI tests run it in-process with their own",
+    "repro.faults.supervisor.TrainerSupervisor(max_restarts)":
+        "the restart policy docs/FAULTS.md documents",
+    "repro.faults.supervisor.TrainerSupervisor(backoff_s)":
+        "the restart policy docs/FAULTS.md documents",
+    "repro.faults.supervisor.TrainerSupervisor(min_healthy_s)":
+        "the restart policy docs/FAULTS.md documents",
+    "repro.iosched.schedulers.DeadlineScheduler(read_deadline)":
+        "mq-deadline's read expiry, the knob that makes it a deadline "
+        "scheduler",
+    "repro.iosched.schedulers.DeadlineScheduler(write_deadline)":
+        "mq-deadline's write expiry, the knob that makes it a deadline "
+        "scheduler",
+    "repro.iosched.tuner.SchedulerSelector.fit_from_sweep(epochs)":
+        "the selector's training length, as NeuralClassifier takes it",
+    "repro.kml.layers.activations.ReLU(name)":
+        "model_io rebuilds the layer as _STATELESS_LAYERS[kind](name=...)",
+    "repro.kml.layers.activations.Tanh(name)":
+        "model_io rebuilds the layer as _STATELESS_LAYERS[kind](name=...)",
+    "repro.kml.layers.softmax.Softmax(name)":
+        "model_io rebuilds the layer as _STATELESS_LAYERS[kind](name=...)",
+    "repro.kml.layers.dropout.Dropout(rng)":
+        "seeds the dropout mask, as every stochastic piece takes an rng",
+    "repro.kml.matrix.Matrix.eye(dtype)":
+        "every Matrix constructor takes the element type",
+    "repro.kml.matrix.Matrix.ones(dtype)":
+        "every Matrix constructor takes the element type",
+    "repro.kml.quantize.quantize_model(exclude)":
+        "names the Linear layers kept float, the fused zscore by default",
+    "repro.obs.instrument.instrument_matrix_ops(sample_mask)":
+        "the timing sample rate, as instrument_buffer and "
+        "instrument_minikv take it; 0 times every op",
+    "repro.obs.metrics.Counter.inc(amount)":
+        "a Prometheus client counter's inc(amount); a negative amount "
+        "is rejected",
+    "repro.obs.metrics.MetricsRegistry.counter(help)":
+        "instrument._bind creates each family as "
+        "getattr(registry, kind)(name, help, labels=labels)",
+    "repro.obs.metrics.MetricsRegistry.counter(labels)":
+        "instrument._bind creates each family as "
+        "getattr(registry, kind)(name, help, labels=labels)",
+    "repro.obs.metrics.MetricsRegistry.gauge(help)":
+        "instrument._bind creates each family as "
+        "getattr(registry, kind)(name, help, labels=labels)",
+    "repro.obs.metrics.MetricsRegistry.gauge(labels)":
+        "instrument._bind creates each family as "
+        "getattr(registry, kind)(name, help, labels=labels)",
+    "repro.obs.metrics.MetricsRegistry.histogram(help)":
+        "instrument._bind creates each family as "
+        "getattr(registry, kind)(name, help, labels=labels)",
+    "repro.obs.metrics.MetricsRegistry.histogram(labels)":
+        "instrument._bind creates each family as "
+        "getattr(registry, kind)(name, help, labels=labels)",
+    "repro.obs.metrics.MetricsRegistry.histogram(buckets)":
+        "a histogram family's bucket bounds, as MetricFamily takes them",
+    "repro.os_sim.page_cache.PageCache(dirty_threshold)":
+        "a writeback knob A3 tunes; WritebackConfig.apply sets it on a "
+        "live cache",
+    "repro.os_sim.page_cache.PageCache(writeback_batch)":
+        "a writeback knob A3 tunes; WritebackConfig.apply sets it on a "
+        "live cache",
+    "repro.readahead.model.build_network(dtype)":
+        "the paper's network in either element type; the numerics golden "
+        "builds one per dtype",
+    "repro.readahead.trace.dataset_from_traces(skip_first_windows)":
+        "mirrors CollectionConfig.skip_first_windows for the offline path",
+    "repro.runtime.kml_logging.KmlLogger(level)":
+        "the minimum level behind kml_log_debug..kml_log_err",
+    "repro.workloads.base.Workload(value_size)":
+        "workload_by_name builds every workload as cls(num_keys, value_size)",
+    "repro.writeback.configs.sweep_writeback_configs(seed)":
+        "the study's seed; the loop golden pins its writeback sweep with it",
 }
 
 
@@ -319,6 +422,102 @@ def _unused_imports(tree):
                     yield node.lineno, bound
 
 
+def _signatures(tree, module):
+    """``(entry prefix, callee, positional, defaulted)`` of each public def.
+
+    ``callee`` is the identifier a call names: the function's own, or
+    the class's for an ``__init__``, whose entries read
+    ``module.Class(parameter)``.  ``positional`` are the parameters a
+    call fills by position (``self`` / ``cls`` dropped) and
+    ``defaulted`` those with a default.
+    """
+    stack = [(module, None, tree.body)]
+    while stack:
+        prefix, cls, body = stack.pop()
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                stack.append((f"{prefix}.{node.name}", node.name, node.body))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name == "__init__" and cls:
+                entry, callee = prefix, cls
+            elif node.name.startswith("_"):
+                continue
+            else:
+                entry, callee = f"{prefix}.{node.name}", node.name
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list
+            )
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg
+                for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            if cls and not static:
+                positional = positional[1:]
+            yield entry, callee, positional, defaulted
+
+
+def _calls(tree):
+    """``(callee identifier, call)`` of each call in ``tree``.
+
+    A call names its callee by ``Name`` or ``Attribute``; a
+    ``super().__init__(...)`` names each base of its class.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bases = [
+                base.id if isinstance(base, ast.Name) else base.attr
+                for base in node.bases
+                if isinstance(base, (ast.Name, ast.Attribute))
+            ]
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "__init__"
+                    and isinstance(call.func.value, ast.Call)
+                    and isinstance(call.func.value.func, ast.Name)
+                    and call.func.value.func.id == "super"
+                ):
+                    for base in bases:
+                        yield base, call
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id, node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def _unpassed_defaults(trees, module_of):
+    """``entry(parameter)`` for each default no call in ``trees`` passes.
+
+    A call passes a parameter by keyword, by reaching its position, or
+    by any ``*args`` / ``**kwargs``.  ``module_of`` maps each tree whose
+    definitions are scanned to its module name.
+    """
+    calls = {}
+    for tree in trees:
+        for callee, call in _calls(tree):
+            calls.setdefault(callee, []).append(call)
+    for tree, module in module_of.items():
+        for entry, callee, positional, defaulted in _signatures(tree, module):
+            passed = set()
+            for call in calls.get(callee, ()):
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords
+                ):
+                    passed.update(defaulted)
+                passed.update(positional[: len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            for name in defaulted:
+                if name not in passed:
+                    yield f"{entry}({name})"
+
+
 def _stale(allowed, defined, uncalled):
     """Allowlist entries that are gone or now have a caller."""
     return sorted(
@@ -397,6 +596,18 @@ def unread_constants(trees, constants):
     return {qualname for qualname, name in constants if name not in loaded}
 
 
+@pytest.fixture(scope="module")
+def unpassed_defaults(trees):
+    return set(_unpassed_defaults(
+        trees.values(),
+        {
+            tree: _module_name(path)
+            for path, tree in trees.items()
+            if SRC in path.parents
+        },
+    ))
+
+
 def test_callers_found():
     assert ROOT / "src" / "repro" / "cli.py" in CALLERS
     assert ROOT / "perfbench" / "run.py" in CALLERS
@@ -436,9 +647,18 @@ def test_every_module_constant_is_read(unread_constants):
     )
 
 
+def test_every_default_is_passed(unpassed_defaults):
+    offenders = sorted(unpassed_defaults - set(ALLOWED))
+    assert not offenders, (
+        "defaulted parameters only tests pass (make each a constant, "
+        "delete it with the branch it guards, give it a real caller, or "
+        f"add it to ALLOWED with its reason): {offenders}"
+    )
+
+
 def test_allowlist_entries_are_live_and_reasoned(
     trees, definitions, uncalled, unread_parameters, fields, unread_fields,
-    constants, unread_constants,
+    constants, unread_constants, unpassed_defaults,
 ):
     parameters = {
         f"{qualname}({arg.arg})"
@@ -447,11 +667,20 @@ def test_allowlist_entries_are_live_and_reasoned(
         for qualname, function, _ in _functions(tree, _module_name(path))
         for arg in ast.walk(function.args)
         if isinstance(arg, ast.arg)
+    } | {
+        f"{entry}({name})"
+        for path, tree in trees.items()
+        if SRC in path.parents
+        for entry, _, _, defaulted in _signatures(tree, _module_name(path))
+        for name in defaulted
     }
     defined = {
         qualname for qualname, _ in definitions + fields + constants
     } | parameters
-    flagged = uncalled | unread_parameters | unread_fields | unread_constants
+    flagged = (
+        uncalled | unread_parameters | unread_fields | unread_constants
+        | unpassed_defaults
+    )
     assert not _stale(ALLOWED, defined, flagged)
     assert all(reason.strip() for reason in ALLOWED.values())
 
@@ -553,4 +782,47 @@ def test_stale_entries_reported():
     assert _stale(allowed, defined, uncalled) == [
         "m.called: has a caller",
         "m.gone: not defined",
+    ]
+
+
+def test_default_rule_on_a_sample():
+    src = ast.parse(
+        "class Base:\n"
+        "    def __init__(self, size, by_super=1, unpassed=2):\n"
+        "        self.size = size\n"
+        "class Child(Base):\n"
+        "    def __init__(self, by_position=0, by_keyword=0):\n"
+        "        super().__init__(4, by_super=5)\n"
+        "    def method(self, first=0, second=0): ...\n"
+        "def spread(a, by_star=1): ...\n"
+        "def options(*, by_kwargs=0): ...\n"
+        "def tested(a, only_tests=None): ...\n"
+        "def _private(x=1): ...\n"
+        "Child(1, by_keyword=2).method(0)\n"
+        "spread(*args)\n"
+        "options(**settings)\n"
+        "tested(1)\n"
+    )
+    test = ast.parse("tested(1, only_tests=2)\n")
+    unpassed = sorted(_unpassed_defaults([src], {src: "m"}))
+    assert unpassed == [
+        "m.Base(unpassed)", "m.Child.method(second)", "m.tested(only_tests)",
+    ]
+    # A pass from a test file counts only if the scan is given that file,
+    # and ``CALLERS`` never holds one.
+    assert "m.tested(only_tests)" not in set(
+        _unpassed_defaults([src, test], {src: "m"})
+    )
+    defined = {
+        f"{entry}({name})"
+        for entry, _, _, defaulted in _signatures(src, "m")
+        for name in defaulted
+    }
+    allowed = {
+        "m.tested(only_tests)": "x", "m.Child(by_keyword)": "x",
+        "m.tested(gone)": "x",
+    }
+    assert _stale(allowed, defined, set(unpassed)) == [
+        "m.Child(by_keyword): has a caller",
+        "m.tested(gone): not defined",
     ]
