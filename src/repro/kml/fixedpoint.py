@@ -12,11 +12,12 @@ values saturate at the representable limits rather than wrapping, which
 is the numerically safer behaviour for neural-network weights.
 
 The kernels ``fx_add``/``sub``/``neg``/``mul``/``div``/``matmul``/``sum``
-and ``fx_sigmoid`` are integer-only.  ``fx_sigmoid`` reads a Q16.16
-lookup table that is built once per process, on first use, by running
-the float path (decode, :func:`~repro.kml.mathops.kml_sigmoid`,
-re-encode) over every input below saturation, so it is bit-identical to
-that path by construction.  The build takes a few tens of milliseconds
+and ``fx_sigmoid`` are integer-only; ``fx_matmul_wide`` is ``fx_matmul``
+without its final clamp, for callers that have proved it cannot bind.
+``fx_sigmoid`` reads a Q16.16 lookup table that is built once per
+process, on first use, by running the float path (decode,
+:func:`~repro.kml.mathops.kml_sigmoid`, re-encode) over every input
+below saturation, so it is bit-identical to that path by construction.  The build takes a few tens of milliseconds
 and the table holds about 1.5 MiB.
 """
 
@@ -40,6 +41,7 @@ __all__ = [
     "fx_div",
     "fx_neg",
     "fx_matmul",
+    "fx_matmul_wide",
     "fx_sum",
     "fx_sigmoid",
     "SIGMOID_LAST",
@@ -133,6 +135,13 @@ def fx_div(a, b):
     return _saturate(quotient)
 
 
+def fx_matmul_wide(a, b):
+    """:func:`fx_matmul` before its clamp: the shifted int64 products."""
+    out = np.matmul(a, b, dtype=np.int64)
+    np.right_shift(out, _SHIFT, out=out)
+    return out
+
+
 def fx_matmul(a, b):
     """Fixed-point matrix multiply with int64 accumulation.
 
@@ -140,7 +149,7 @@ def fx_matmul(a, b):
     single shift at the end, preserving one extra bit of precision over
     shifting every term (the same trick in-kernel KML uses).
     """
-    return _saturate(np.matmul(a, b, dtype=np.int64) >> _SHIFT)
+    return _saturate(fx_matmul_wide(a, b))
 
 
 def fx_sum(a, axis=None):

@@ -23,12 +23,14 @@ class Parameter:
 
     ``grad`` is an accumulator written in place: the parameter allocates
     its buffer once, layers add each backward pass into it
-    (:meth:`accumulate`) and :meth:`zero_grad` refills it with zeros.
-    Hold a copy, not ``grad`` itself, to keep a gradient across steps.
-    A matrix a caller assigns to ``grad`` is never written: the next
-    accumulation rebinds ``grad`` to a new sum and the next
-    ``zero_grad`` to the parameter's own buffer.  ``value`` is the
-    reverse: optimizers rebind it and never write it in place.
+    (:meth:`accumulate`) and :meth:`zero_grad` refills it with zeros;
+    :meth:`store` does both at once.  An optimizer may hand the
+    parameter a view of its own flat buffer to accumulate into instead
+    (:meth:`adopt_grad`).  Hold a copy, not ``grad`` itself, to keep a
+    gradient across steps.  A matrix a caller assigns to ``grad`` is
+    never written: the next accumulation rebinds ``grad`` to a new sum
+    and the next ``zero_grad`` to the parameter's own buffer.  ``value``
+    is the reverse: optimizers rebind it and never write it in place.
     """
 
     __slots__ = ("name", "value", "grad", "_own_grad")
@@ -58,6 +60,32 @@ class Parameter:
             kernels.add_into(grad.raw, delta)
         else:
             self.grad = grad + Matrix.from_raw(delta, kernels.dtype)
+
+    def store(self, delta: np.ndarray, kernels: Kernels) -> None:
+        """:meth:`zero_grad` then :meth:`accumulate` ``delta``, as one store."""
+        own = self._own_grad
+        raw = own.raw
+        # ``is not``: a numpy dtype is one shared object per type, and a
+        # false alarm only costs a reallocation.
+        if raw.dtype is not delta.dtype or raw.shape != delta.shape:
+            self.zero_grad()
+            own = self._own_grad
+            raw = own.raw
+        kernels.store(raw, delta)
+        self.grad = own
+
+    def adopt_grad(self, buffer: Matrix) -> None:
+        """Accumulate into ``buffer`` from now on, keeping the gradient.
+
+        ``buffer`` has the value's shape and dtype; it takes over the
+        parameter's own buffer, and ``grad`` if that is the own buffer.
+        """
+        own = self._own_grad
+        if own.shape == buffer.shape and own.dtype == buffer.dtype:
+            buffer.raw[...] = own.raw
+        if self.grad is own:
+            self.grad = buffer
+        self._own_grad = buffer
 
     @property
     def nbytes(self) -> int:

@@ -3,6 +3,17 @@
 Both passes run on raw buffers through the layer's kernel table
 (``repro.kml.matrix.kernels``), looked up once at construction, and
 compute what the same ``Matrix`` expressions would, bit for bit.
+
+The affine map is one raw step, :func:`affine`, which both the layer
+and ``Sequential``'s resolved training step (``repro.kml.network``)
+run.  It adds the bias into the matmul result in place (one buffer, not
+two), and in fixed32 skips both int32 clamps when the weights prove
+that neither can bind: for raw inputs bounded by ``R`` in magnitude
+(any int32: 2**31; a sigmoid's output, in [0, 2**16]: 2**16), no
+output exceeds ``ceil(R * max_j sum_i |W_ij| / 2**16) + max |b|``,
+which must stay below 2**31.  :meth:`Linear.resolved` checks this once
+per weight and bias matrix (matched by identity: parameters are
+rebound, never written in place) and input bound.
 """
 
 from __future__ import annotations
@@ -11,10 +22,47 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..matrix import Matrix, _wrap, checked_raw, kernels, observe_alloc
+from ..matrix import Kernels, Matrix, _wrap, checked_raw, kernels, observe_alloc
 from .base import Layer, Parameter
 
 __all__ = ["Linear"]
+
+#: How :func:`affine` runs a resolved ``Linear``: the bias added into the
+#: matmul result in place (the floats); the same, then narrowed to int32
+#: (fixed32, both clamps proved idle); through the saturating kernels
+#: (fixed32); as that, for a weight or bias of another shape, which
+#: ``Sequential``'s resolved step does not run.
+_IN_PLACE, _NARROW, _SATURATING, _MISSHAPEN = range(4)
+
+#: Bounds on the magnitude of raw fixed32 inputs: any int32, and a
+#: sigmoid's output.
+INT32_LIMIT = 2**31
+SIGMOID_LIMIT = 2**16
+
+
+def _output_limit(w: np.ndarray, b: np.ndarray, limit: int) -> int:
+    """A bound on ``|x @ w + b|`` in fixed32 for raw ``|x| <= limit``,
+    were no clamp applied: each shifted product sum is at most
+    ``ceil(limit * max_j sum_i |w_ij| / 2**16)`` in magnitude."""
+    column = int(np.abs(w, dtype=np.int64).sum(axis=0).max())
+    return ((limit * column + 0xFFFF) >> 16) + int(np.abs(b, dtype=np.int64).max())
+
+
+def affine(a: np.ndarray, resolved: tuple, k: Kernels) -> np.ndarray:
+    """The raw ``a @ W + b`` of a :meth:`Linear.resolved` tuple on
+    kernel table ``k``.  The matmul result is reported to the
+    allocation observer; the returned buffer is left to the caller."""
+    mode, w, b = resolved[3], resolved[4], resolved[5]
+    if mode >= _SATURATING:
+        product = k.matmul(a, w)
+        observe_alloc(product)
+        return k.add(product, b)
+    out = k.wide_matmul(a, w)
+    out += b
+    if mode == _IN_PLACE:
+        return out
+    observe_alloc(out)
+    return out.astype(np.int32)
 
 
 class Linear(Layer):
@@ -50,28 +98,56 @@ class Linear(Layer):
         self.bias = Parameter(f"{self.name}.bias", Matrix.zeros(1, out_features, dtype=dtype))
         self._kernels = kernels(dtype)
         self._input: Optional[np.ndarray] = None
+        self._resolved: tuple = (None, None, 0, _MISSHAPEN, None, None)
 
-    def _affine(self, x: Matrix):
-        """``(x's raw buffer, x @ W + b)``; the matmul buffer is reported
-        to the allocation observer as the ``Matrix`` expression would."""
+    def resolved(self, input_limit: int) -> tuple:
+        """``(weight, bias, input_limit, mode, matmul operand, raw
+        bias)`` for the current weight and bias matrices and raw inputs
+        bounded by ``input_limit`` in magnitude (fixed32; see the module
+        docstring), checked again only when one of the three changes.
+        The operand is the raw weight, or with idle clamps its int64
+        copy, which the int64 matmul would otherwise widen on every
+        call.  The tuple is stored at once, so a thread that rebinds a
+        weight never pairs it with another weight's mode.  Raises
+        ``TypeError`` for a weight or bias of another dtype."""
+        w, b = self.weight.value, self.bias.value
+        done = self._resolved
+        if done[0] is w and done[1] is b and done[2] == input_limit:
+            return done
+        w_raw, b_raw = checked_raw(w, self.dtype), checked_raw(b, self.dtype)
+        mode, operand = _IN_PLACE, w_raw
+        if (w_raw.shape, b_raw.shape) != (
+            (self.in_features, self.out_features), (1, self.out_features)
+        ):
+            mode = _MISSHAPEN
+        elif self.dtype == "fixed32":
+            mode = _SATURATING
+            if _output_limit(w_raw, b_raw, input_limit) < INT32_LIMIT:
+                mode, operand = _NARROW, w_raw.astype(np.int64)
+        self._resolved = done = (w, b, input_limit, mode, operand, b_raw)
+        return done
+
+    def _affine(self, x: Matrix, input_limit: int):
+        """``(x's raw buffer, x @ W + b)``."""
         if x.cols != self.in_features:
             raise ValueError(
                 f"{self.name}: expected {self.in_features} input features, got {x.cols}"
             )
-        k = self._kernels
         a = checked_raw(x, self.dtype)
-        product = k.matmul(a, checked_raw(self.weight.value, self.dtype))
-        observe_alloc(product)
-        return a, _wrap(k.add(product, self.bias.value.raw), self.dtype)
+        out = affine(a, self.resolved(input_limit), self._kernels)
+        return a, _wrap(out, self.dtype)
 
     def forward(self, x: Matrix) -> Matrix:
-        self._input, out = self._affine(x)
+        self._input, out = self._affine(x, INT32_LIMIT)
         return out
 
-    def infer(self, x: Matrix) -> Matrix:
-        # Same affine map as forward, but no cached input: safe for
-        # concurrent inference threads sharing one layer instance.
-        return self._affine(x)[1]
+    def infer(self, x: Matrix, input_limit: int = INT32_LIMIT) -> Matrix:
+        """``x @ W + b`` without caching the input: safe for concurrent
+        inference threads sharing one layer instance.  In fixed32 the
+        caller may promise a tighter bound on ``x``'s raw magnitudes
+        (``SIGMOID_LIMIT`` for a sigmoid's output), which lets smaller
+        weights skip the clamps; the floats ignore it."""
+        return self._affine(x, input_limit)[1]
 
     def backward(self, grad_output: Matrix) -> Matrix:
         x = self._input

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -18,13 +18,30 @@ class CrossEntropyLoss(Loss):
 
     Accepts integer class labels (array-like) or a one-hot ``Matrix``.
     The fused form keeps the backward pass to the numerically exact
-    ``softmax(logits) - onehot`` divided by the batch size.
+    ``softmax(logits) - onehot`` divided by the batch size.  The one-hot
+    row of a single label is encoded once and kept (read-only), since
+    online training passes one label per step.
     """
 
     def __init__(self):
         self._softmax: Optional[np.ndarray] = None
         self._onehot: Optional[np.ndarray] = None
         self._kernels: Optional[Kernels] = None
+        self._rows: Dict[Tuple[object, int], np.ndarray] = {}
+
+    def _encode(self, target, num_classes: int) -> np.ndarray:
+        """``one_hot_array(target, num_classes)``; a single label's row
+        is looked up once it has been encoded (and so validated)."""
+        labels = np.asarray(target)
+        if labels.size != 1:
+            return one_hot_array(labels, num_classes)
+        key = (labels.item(), num_classes)
+        row = self._rows.get(key)
+        if row is None:
+            row = one_hot_array(labels, num_classes)
+            row.flags.writeable = False
+            self._rows[key] = row
+        return row
 
     def forward(self, prediction: Matrix, target) -> float:
         k = kernels(prediction.dtype)
@@ -36,15 +53,15 @@ class CrossEntropyLoss(Loss):
                     f"one-hot target shape {onehot.shape} != logits {logits.shape}"
                 )
         else:
-            onehot = one_hot_array(target, logits.shape[1])
+            onehot = self._encode(target, logits.shape[1])
             if onehot.shape[0] != logits.shape[0]:
                 raise ValueError(
                     f"{onehot.shape[0]} labels for {logits.shape[0]} rows"
                 )
-        self._softmax, log_probs = mathops.kml_softmax_and_log(logits, axis=1)
         self._onehot = onehot
         self._kernels = k
-        return float(-(onehot * log_probs).sum() / logits.shape[0])
+        self._softmax, loss = mathops.kml_softmax_cross_entropy(logits, onehot)
+        return loss
 
     def backward(self) -> Matrix:
         if self._softmax is None or self._onehot is None:

@@ -16,13 +16,14 @@ the losses take softmax and log-softmax from here.
 Two paths, one result.  The online loop feeds these kernels one small
 row at a time, where a numpy call costs ~1 us of dispatch whatever its
 size: :func:`kml_sigmoid` on a 1x32 row is ~27 ufunc calls and ~21 us.
-So :func:`kml_sigmoid` on at most 16 values and
-:func:`kml_softmax_and_log` on one row of at most 7 run on Python
-floats instead.  That path applies the same IEEE double operations in
-the same order as the array path, so it returns the same bits (NaN
-aside, which stays NaN): ``// 1.0`` is floor, the exact ``2**k`` comes
-from a table ``np.ldexp`` builds once, and ``np.frexp`` splits the one
-value :func:`kml_log` needs.  ``tests/kml/test_mathops.py`` checks the
+So :func:`kml_sigmoid` on at most 16 values, and
+:func:`kml_softmax_and_log` and :func:`kml_softmax_cross_entropy` on
+one row of at most 7, run on Python floats instead.  That path
+applies the same IEEE double operations in the same order as the array
+path, so it returns the same bits (NaN aside, which stays NaN):
+``// 1.0`` is floor, the exact ``2**k`` comes from a table
+``np.ldexp`` builds once, and ``np.frexp`` splits the one value
+:func:`kml_log` needs.  ``tests/kml/test_mathops.py`` checks the
 two paths against each other bit for bit.  Measured on a 2-vCPU Xeon
 VM (best of 15 x 5,000 calls), the float path costs ~0.8 us a value:
 on a float32 sigmoid row it takes 8 / 13 / 20 / 29 us at 8 / 16 / 20 /
@@ -43,6 +44,7 @@ __all__ = [
     "kml_sqrt",
     "kml_softmax",
     "kml_softmax_and_log",
+    "kml_softmax_cross_entropy",
     "LN2",
     "EXP_CLAMP",
 ]
@@ -264,7 +266,8 @@ def kml_softmax(x, axis=-1):
 
 def _softmax_and_log_row(xs):
     """kml_softmax_and_log of one row of Python floats, in the array
-    path's operation order (its sum included: see _SOFTMAX_ROW_MAX)."""
+    path's operation order (its sum included: see _SOFTMAX_ROW_MAX), as
+    two lists of Python floats."""
     top = max(xs)  # with a NaN anywhere every output is NaN either way
     shifted = [v - top for v in xs]
     ex = _exp_floats(shifted)
@@ -272,10 +275,7 @@ def _softmax_and_log_row(xs):
     for e in ex:
         total += e
     log_total = _log_float(total)
-    return (
-        np.array([[e / total for e in ex]]),
-        np.array([[v - log_total for v in shifted]]),
-    )
+    return [e / total for e in ex], [v - log_total for v in shifted]
 
 
 def kml_softmax_and_log(x, axis=-1):
@@ -283,6 +283,27 @@ def kml_softmax_and_log(x, axis=-1):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2 and axis in (1, -1) and x.shape[0] == 1:
         if 0 < x.shape[1] <= _SOFTMAX_ROW_MAX:
-            return _softmax_and_log_row(x[0].tolist())
+            softmax, log_softmax = _softmax_and_log_row(x[0].tolist())
+            return np.array([softmax]), np.array([log_softmax])
     shifted, ex, total = _shifted_exp(x, axis)
     return ex / total, shifted - kml_log(total)
+
+
+def kml_softmax_cross_entropy(x, targets):
+    """``(softmax(x), loss)`` for 2-D logits ``x`` and target rows of
+    its shape, ``loss`` being ``-(targets * log(softmax(x))).sum()``
+    over the number of rows, as a Python float.
+
+    One row of up to 7 values takes the single-row path, summing the
+    products on Python floats one by one from 0.0 as numpy does (see
+    _SOFTMAX_ROW_MAX): the same bits, NaN aside.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] == 1 and 0 < x.shape[1] <= _SOFTMAX_ROW_MAX:
+        softmax, log_probs = _softmax_and_log_row(x[0].tolist())
+        total = 0.0
+        for weight, log_prob in zip(targets[0].tolist(), log_probs):
+            total += weight * log_prob
+        return np.array([softmax]), -total
+    softmax, log_probs = kml_softmax_and_log(x, axis=1)
+    return softmax, float(-(targets * log_probs).sum() / x.shape[0])

@@ -15,11 +15,13 @@ type; the element representation is selected by ``dtype``:
 All arithmetic dispatches through one :class:`Kernels` table per dtype
 (:func:`kernels`), so higher layers (layers, losses, optimizers) are
 dtype-agnostic, exactly as in KML where the same model graph can be
-instantiated over any supported element type.  The hot paths -- the
-``Linear``/``Sigmoid`` passes, the cross-entropy loss and the SGD step
--- look their table up once and run on raw buffers, wrapping only what
-they return; ``Matrix`` arithmetic applies the same kernels, so both
-compute the same bits.
+instantiated over any supported element type.  The hot paths -- a
+``Sequential``'s resolved ``Linear``/``Sigmoid`` steps
+(``repro.kml.network``), the layers' own passes, the cross-entropy loss
+and the SGD step over one flat buffer -- look their table up once and
+run on raw buffers, wrapping only what they return; ``Matrix``
+arithmetic applies the same kernels (``Matrix.sigmoid`` the table's
+``sigmoid``), so all compute the same bits.
 
 A real scalar operand (any ``numbers.Real``: Python or numpy ints and
 floats) is encoded once into the matrix's element type -- a 0-d
@@ -33,7 +35,10 @@ by construction); :meth:`Matrix.from_raw` validates outside buffers.
 
 Matrix allocations report their byte size to an optional observer so
 the runtime memory accountant (``repro.runtime.memory``) can reproduce
-the paper's memory-footprint measurements.
+the paper's memory-footprint measurements; a raw buffer a hot path
+keeps reports through :func:`observe_alloc`, and ``_view`` wraps a
+buffer already reported (or a view into one) without counting it
+again.
 """
 
 from __future__ import annotations
@@ -81,10 +86,15 @@ def set_alloc_observer(observer: Optional[Callable[[int], None]]) -> None:
 
 def _swap_matmul(hook) -> None:
     """The ``matrix.matmul`` slot's setter (see ``repro.hooks``): swap
-    every kernel table's ``matmul`` for one reporting to ``hook``, or
-    back to the bare kernel, so matmul pays nothing while detached."""
+    every kernel table's ``matmul`` and ``wide_matmul`` for ones
+    reporting to ``hook``, or back to the bare kernels, so a matmul pays
+    nothing while detached."""
     for k in _KERNELS.values():
-        k.matmul = k.bare_matmul if hook is None else _timed(k.bare_matmul, hook)
+        if hook is None:
+            k.matmul, k.wide_matmul = k.bare_matmul, k.bare_wide_matmul
+        else:
+            k.matmul = _timed(k.bare_matmul, hook)
+            k.wide_matmul = _timed(k.bare_wide_matmul, hook)
 
 
 HOOK_SLOTS = {"matrix.matmul": _swap_matmul}
@@ -120,17 +130,21 @@ class Kernels:
     ``decode`` a buffer into a new float64 array; ``one`` is the
     encoded constant 1.  ``add``/``sub``/``mul``/``div``/``neg`` are
     elementwise (fixed32 saturates), ``add_into(buf, delta)`` adds
-    ``delta`` into ``buf`` in place, ``matmul`` reports to the
-    ``matrix.matmul`` hook while one is attached (``bare_matmul`` never
-    does), and ``colsum`` is the 2-D column sum ``Matrix.sum(axis=0)``
-    computes (float64 accumulation for the floats, int64 for fixed32,
-    then encoded).
+    ``delta`` into ``buf`` in place, and ``store(buf, delta)`` writes
+    what that leaves in a zeroed ``buf`` (``0 + delta``: the floats turn
+    -0.0 into 0.0).  ``sigmoid`` is ``Matrix.sigmoid``'s kernel.
+    ``colsum`` is the 2-D column sum ``Matrix.sum(axis=0)`` computes
+    (float64 accumulation for the floats, int64 for fixed32, then
+    encoded).  ``matmul`` and ``wide_matmul`` report to the
+    ``matrix.matmul`` hook while one is attached (their ``bare_``
+    versions never do); ``wide_matmul`` is ``matmul`` before its final
+    fixed32 clamp (int64 for fixed32, ``matmul`` itself for the floats).
     """
 
     __slots__ = (
         "dtype", "encode", "decode", "one",
-        "add", "sub", "mul", "div", "neg", "add_into", "matmul", "bare_matmul",
-        "colsum",
+        "add", "sub", "mul", "div", "neg", "add_into", "store", "sigmoid",
+        "matmul", "bare_matmul", "wide_matmul", "bare_wide_matmul", "colsum",
     )
 
     def __init__(self, dtype: str, **ops):
@@ -138,6 +152,7 @@ class Kernels:
         for name, op in ops.items():
             setattr(self, name, op)
         self.bare_matmul = self.matmul
+        self.bare_wide_matmul = self.wide_matmul
         self.one = self.encode(1.0)
 
 
@@ -160,6 +175,13 @@ def _float_kernels(dtype: str) -> Kernels:
 
     zero = encode(0.0)
 
+    def store(buf, delta):
+        np.add(zero, delta, out=buf)
+
+    def sigmoid(a):
+        # mathops computes in float64 whatever its input.
+        return encode(mathops.kml_sigmoid(a))
+
     def colsum(a):
         if a.shape[0] == 1:
             # numpy's float64 sum of one row is 0.0 + each value: the
@@ -177,7 +199,10 @@ def _float_kernels(dtype: str) -> Kernels:
         div=div,
         neg=np.negative,
         add_into=add_into,
+        store=store,
+        sigmoid=sigmoid,
         matmul=np.matmul,
+        wide_matmul=np.matmul,
         colsum=colsum,
     )
 
@@ -205,7 +230,11 @@ _KERNELS = {
         div=fx.fx_div,
         neg=fx.fx_neg,
         add_into=_fixed_add_into,
+        # 0 + delta saturates to delta itself.
+        store=np.copyto,
+        sigmoid=fx.fx_sigmoid,
         matmul=fx.fx_matmul,
+        wide_matmul=fx.fx_matmul_wide,
         colsum=_fixed_colsum,
     ),
 }
@@ -242,6 +271,15 @@ def _wrap(data: np.ndarray, dtype: str) -> "Matrix":
     self._dtype = dtype
     if _alloc_observer is not None:
         _alloc_observer(data.nbytes)
+    return self
+
+
+def _view(data: np.ndarray, dtype: str) -> "Matrix":
+    """Wrap a buffer already reported to the allocation observer (or a
+    view into one), so that it is not counted twice."""
+    self = object.__new__(Matrix)
+    self._data = data
+    self._dtype = dtype
     return self
 
 
@@ -296,18 +334,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int, dtype: str = "float32") -> "Matrix":
         _check_dtype(dtype)
         return _wrap(np.zeros((rows, cols), dtype=_NUMPY_DTYPES[dtype]), dtype)
-
-    @classmethod
-    def ones(cls, rows: int, cols: int, dtype: str = "float32") -> "Matrix":
-        return cls(np.ones((rows, cols)), dtype=dtype)
-
-    @classmethod
-    def full(cls, rows: int, cols: int, value: float, dtype: str = "float32") -> "Matrix":
-        return cls(np.full((rows, cols), float(value)), dtype=dtype)
-
-    @classmethod
-    def eye(cls, n: int, dtype: str = "float32") -> "Matrix":
-        return cls(np.eye(n), dtype=dtype)
 
     @classmethod
     def uniform(
@@ -376,12 +402,6 @@ class Matrix:
 
     def __hash__(self):
         raise TypeError("Matrix is mutable and unhashable")
-
-    def allclose(self, other: "Matrix", atol: float = 1e-6) -> bool:
-        """Value comparison in decoded (real) space, tolerant of dtype."""
-        return self.shape == other.shape and bool(
-            np.allclose(self.to_numpy(), other.to_numpy(), atol=atol)
-        )
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -467,9 +487,7 @@ class Matrix:
         return _wrap_real(func(self._data), self._dtype)
 
     def sigmoid(self) -> "Matrix":
-        if self._dtype == "fixed32":
-            return _wrap(fx.fx_sigmoid(self._data), self._dtype)
-        return self._unary_real(mathops.kml_sigmoid)
+        return _wrap(_KERNELS[self._dtype].sigmoid(self._data), self._dtype)
 
     def tanh(self) -> "Matrix":
         return self._unary_real(mathops.kml_tanh)
@@ -512,7 +530,7 @@ class Matrix:
         Decoding is exact and order-preserving, so the encoded buffer
         has the same argmax as the real values.
         """
-        return np.argmax(self._data, axis=axis)
+        return self._data.argmax(axis=axis)
 
     def item(self) -> float:
         """Decode a 1x1 matrix to a Python float."""

@@ -5,6 +5,31 @@ each layer's output to its successors; gradients flow back along the
 reverse topological order (HotStorage '21, section 2).  The prototype
 supports *chain* graphs processed serially -- :class:`Sequential` is
 exactly that.
+
+``infer``/``predict``/``predict_classes`` run each layer's ``infer``.
+A ``Linear`` directly after a ``Sigmoid`` is told that its raw fixed32
+inputs lie in [0, 2**16], so that its clamps can be proved idle (see
+``repro.kml.layers.linear``).
+
+``train_step`` (so ``fit``) resolves a chain of exactly ``Linear`` and
+``Sigmoid`` layers, as the paper's network is, once into raw kernel
+steps (:class:`_Plan`) and runs those in place of each layer's
+``forward``/``zero_grad``/``backward``, in every dtype and at every
+batch size, computing the same bits.  At this size a call's dispatch
+costs more than its arithmetic, so the steps keep only what the values
+need: each ``Linear`` runs the layer's own raw step
+(``repro.kml.layers.linear.affine``), each gradient is stored as
+``0 + delta`` rather than zeroed and added to, and the first
+``Linear``'s input gradient, which no parameter needs, is not computed
+(``backward`` still returns it).  The plan is checked on each call by
+the identity of the layer list and of each weight and bias ``Matrix``;
+any other model, and any call the plan cannot run (another dtype,
+width or weight shape), takes the layered path, which raises the same
+errors it always did.  The ``matrix.matmul`` hook still sees every
+matmul, the ``network.forward``/``network.backward`` hooks count one
+traversal per call, and every buffer a step keeps is reported to the
+allocation observer.  ``train_step`` writes no layer's cached
+activations.
 """
 
 from __future__ import annotations
@@ -15,9 +40,11 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
+from .layers.activations import Sigmoid
 from .layers.base import Layer, Parameter
+from .layers.linear import INT32_LIMIT, SIGMOID_LIMIT, _MISSHAPEN, Linear, affine
 from .losses.base import Loss
-from .matrix import Matrix
+from .matrix import Matrix, _view, checked_raw, kernels, observe_alloc
 from .optimizers import Optimizer
 
 __all__ = ["Sequential"]
@@ -31,12 +58,107 @@ HOOK_SLOTS = {
 _forward_hook = _backward_hook = None
 
 
+def _begin(hook) -> float:
+    """The hook idiom's start (see repro.hooks): count the call; the
+    start time if this call is timed, else 0."""
+    if hook is None:
+        return 0.0
+    hook.calls = n = hook.calls + 1
+    return 0.0 if n & hook.mask else time.perf_counter()
+
+
+class _Plan:
+    """A ``Linear``/``Sigmoid`` chain resolved into raw kernel steps.
+
+    ``limits`` holds, per layer, the bound a ``Linear`` is resolved for
+    (``SIGMOID_LIMIT`` after a ``Sigmoid``, else ``INT32_LIMIT``) and
+    ``None`` for a ``Sigmoid``; it is empty when the chain cannot be
+    resolved (another layer type or subclass, no ``Linear``, mixed
+    dtypes, widths that do not chain).
+    """
+
+    __slots__ = ("layers", "limits", "kernels", "in_features", "first")
+
+    def __init__(self, layers: List[Layer]):
+        self.layers = list(layers)
+        self.limits: list = []
+        linears = [layer for layer in layers if type(layer) is Linear]
+        if not linears or any(type(layer) not in (Linear, Sigmoid) for layer in layers):
+            return
+        if any(layer.dtype != linears[0].dtype for layer in linears) or any(
+            a.out_features != b.in_features for a, b in zip(linears, linears[1:])
+        ):
+            return
+        self.kernels = kernels(linears[0].dtype)
+        self.in_features = linears[0].in_features
+        self.first = layers.index(linears[0])
+        self.limits = [
+            None if type(layer) is Sigmoid
+            else SIGMOID_LIMIT if i and type(layers[i - 1]) is Sigmoid
+            else INT32_LIMIT
+            for i, layer in enumerate(layers)
+        ]
+
+    def ready(self, x: Matrix) -> Optional[list]:
+        """Per layer, the ``Linear.resolved`` tuple the steps run on
+        ``x`` (``None`` for a ``Sigmoid``), or None if they cannot run
+        it.  A call runs exactly the tuples this returned."""
+        if not self.limits:
+            return None
+        if x.dtype != self.kernels.dtype or x.raw.shape[1] != self.in_features:
+            return None
+        resolved = []
+        for layer, limit in zip(self.layers, self.limits):
+            if limit is None:
+                resolved.append(None)
+                continue
+            done = layer.resolved(limit)
+            if done[3] == _MISSHAPEN:
+                return None
+            resolved.append(done)
+        return resolved
+
+    def forward(self, a: np.ndarray, resolved: list, acts: list) -> np.ndarray:
+        """The chain on raw input ``a``; ``acts`` receives each step's
+        input and then the output, for :meth:`backward`."""
+        k = self.kernels
+        for done in resolved:
+            acts.append(a)
+            a = k.sigmoid(a) if done is None else affine(a, done, k)
+            observe_alloc(a)
+        acts.append(a)
+        return a
+
+    def backward(self, g: np.ndarray, resolved: list, acts: list) -> None:
+        """Store every parameter's gradient for ``g``, the loss gradient
+        of the output of ``forward(..., acts)``, down to the first
+        ``Linear``, whose input gradient nothing needs."""
+        k = self.kernels
+        matmul, mul, sub, one = k.matmul, k.mul, k.sub, k.one
+        for i in range(len(resolved) - 1, self.first - 1, -1):
+            done = resolved[i]
+            if done is None:
+                s = acts[i + 1]
+                g = mul(mul(g, s), sub(one, s))
+            else:
+                layer = self.layers[i]
+                # Transposes are contiguous copies, as Matrix.T makes them.
+                layer.weight.store(matmul(np.ascontiguousarray(acts[i].T), g), k)
+                # Storing one row's column sum stores 0 + (g + 0): 0 + g.
+                layer.bias.store(g if g.shape[0] == 1 else k.colsum(g), k)
+                if i == self.first:
+                    return
+                g = matmul(g, np.ascontiguousarray(done[0].raw.T))
+            observe_alloc(g)
+
+
 class Sequential:
     """A serially-processed chain of layers with train/predict helpers."""
 
     def __init__(self, layers: Optional[Iterable[Layer]] = None, name: str = "model"):
         self.name = name
         self.layers: List[Layer] = list(layers or [])
+        self._plan: Optional[_Plan] = None
 
     def add(self, layer: Layer) -> "Sequential":
         """Append a layer; returns self for chaining."""
@@ -50,11 +172,7 @@ class Sequential:
     def forward(self, x: Matrix) -> Matrix:
         """Traverse the chain, feeding each output to the next layer."""
         hook = _forward_hook
-        t0 = 0.0
-        if hook is not None:
-            hook.calls = n = hook.calls + 1
-            if not n & hook.mask:
-                t0 = time.perf_counter()
+        t0 = _begin(hook)
         out = x
         for layer in self.layers:
             out = layer.forward(out)
@@ -70,17 +188,26 @@ class Sequential:
         Uses each layer's :meth:`~repro.kml.layers.base.Layer.infer`, so
         nothing is cached for a later ``backward()`` and dropout is off:
         a prediction never disturbs a training step's cached
-        activations.  Counted and timed by the forward pass hook.
+        activations.  In fixed32 a ``Linear`` after a ``Sigmoid`` is
+        passed the sigmoid's output bound.  Counted and timed by the
+        forward pass hook.
         """
         hook = _forward_hook
-        t0 = 0.0
-        if hook is not None:
-            hook.calls = n = hook.calls + 1
-            if not n & hook.mask:
-                t0 = time.perf_counter()
+        t0 = _begin(hook)
         out = x
-        for layer in self.layers:
-            out = layer.infer(out)
+        if x.dtype == "fixed32":
+            after_sigmoid = False
+            for layer in self.layers:
+                kind = type(layer)
+                if after_sigmoid and kind is Linear:
+                    out = layer.infer(out, SIGMOID_LIMIT)
+                else:
+                    out = layer.infer(out)
+                after_sigmoid = kind is Sigmoid
+        else:
+            # The float kernels ignore input bounds: skip the type checks.
+            for layer in self.layers:
+                out = layer.infer(out)
         if t0:
             hook.hist.observe(time.perf_counter() - t0)
         return out
@@ -88,17 +215,23 @@ class Sequential:
     def backward(self, grad_output: Matrix) -> Matrix:
         """Propagate gradients in reverse layer order."""
         hook = _backward_hook
-        t0 = 0.0
-        if hook is not None:
-            hook.calls = n = hook.calls + 1
-            if not n & hook.mask:
-                t0 = time.perf_counter()
+        t0 = _begin(hook)
         grad = grad_output
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         if t0:
             hook.hist.observe(time.perf_counter() - t0)
         return grad
+
+    def _plan_for(self, x: Matrix):
+        """``(plan, resolved)`` if the resolved plan can run ``x``, else
+        ``(None, None)``; the plan is rebuilt when the layer list has
+        changed."""
+        plan = self._plan
+        if plan is None or plan.layers != self.layers:
+            plan = self._plan = _Plan(self.layers)
+        resolved = plan.ready(x)
+        return (plan, resolved) if resolved is not None else (None, None)
 
     # ------------------------------------------------------------------
     # Parameters and modes
@@ -149,18 +282,38 @@ class Sequential:
     ) -> float:
         """One SGD iteration: forward, loss, backward, parameter update.
 
+        A resolved chain runs its plan's steps, with the same hooks and
+        the same bits as ``forward``, ``zero_grad`` and ``backward``
+        (see the module docstring).
+
         Raises ``ValueError`` when the loss is not finite (a NaN or
         infinite input, say), before any gradient is computed: the
         parameters, their gradients and the optimizer state are left as
         they were, where one such step would otherwise spread NaN into
         every weight, and with momentum into every later step.
         """
-        prediction = self.forward(x)
+        plan, resolved = self._plan_for(x)
+        if plan is None:
+            prediction = self.forward(x)
+        else:
+            acts: list = []
+            hook = _forward_hook
+            t0 = _begin(hook)
+            prediction = _view(plan.forward(x.raw, resolved, acts), x.dtype)
+            if t0:
+                hook.hist.observe(time.perf_counter() - t0)
         loss = loss_fn.forward(prediction, target)
         if not math.isfinite(loss):
             raise ValueError(f"training loss is {loss}; the step was not applied")
-        self.zero_grad()
-        self.backward(loss_fn.backward())
+        if plan is None:
+            self.zero_grad()
+            self.backward(loss_fn.backward())
+        else:
+            hook = _backward_hook
+            t0 = _begin(hook)
+            plan.backward(checked_raw(loss_fn.backward(), x.dtype), resolved, acts)
+            if t0:
+                hook.hist.observe(time.perf_counter() - t0)
         optimizer.step()
         return loss
 

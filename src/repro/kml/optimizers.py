@@ -12,9 +12,14 @@ from typing import Iterable, List
 import numpy as np
 
 from .layers.base import Parameter
-from .matrix import _wrap, kernels
+from .matrix import _NUMPY_DTYPES, _view, kernels, observe_alloc
 
 __all__ = ["Optimizer", "SGD"]
+
+#: Each parameter's slice of a flat buffer starts on this many bytes, the
+#: alignment its own allocation would have had, so a matmul over a view
+#: takes the same BLAS path as one over a separate array.
+_ALIGN = 16
 
 
 class Optimizer:
@@ -33,21 +38,82 @@ class Optimizer:
             param.zero_grad()
 
 
-class _Slot:
-    """One parameter's kernel table, encoded scalars and velocity.
+class _Group:
+    """The parameters of one dtype, laid out end to end in flat buffers.
 
-    The kernels and scalars are exactly what ``Matrix`` arithmetic
-    applies for the parameter's dtype, so the step computes the same
-    values without wrapping each intermediate.
+    ``grad`` and ``velocity`` are flat; each parameter accumulates into
+    a view of ``grad`` made once, and after a step its value is a view
+    of ``values``, the flat array the step made.  The kernels and the
+    encoded ``lr``/``momentum`` are what ``Matrix`` arithmetic applies
+    for the dtype, so the step computes the same values as the formula
+    applied parameter by parameter.
     """
 
-    __slots__ = ("param", "kernels", "momentum", "lr", "velocity")
+    __slots__ = (
+        "params", "kernels", "lr", "momentum", "spans",
+        "grad", "grad_views", "velocity", "values", "bound",
+    )
 
-    def __init__(self, param: Parameter, lr: float, momentum: float):
-        self.param = param
-        self.kernels = k = kernels(param.value.dtype)
-        self.momentum, self.lr = k.encode(momentum), k.encode(lr)
-        self.velocity = np.zeros_like(param.value.raw)
+    def __init__(self, params: List[Parameter], lr: float, momentum: float):
+        self.params = params
+        dtype = params[0].value.dtype
+        self.kernels = k = kernels(dtype)
+        self.lr = k.encode(lr)
+        self.momentum = k.encode(momentum) if momentum > 0.0 else None
+        align = _ALIGN // np.dtype(_NUMPY_DTYPES[dtype]).itemsize
+        self.spans = []
+        size = 0
+        for param in params:
+            rows, cols = shape = param.value.shape
+            self.spans.append((slice(size, size + rows * cols), shape))
+            size += -(-rows * cols // align) * align
+        self.grad = np.zeros(size, dtype=_NUMPY_DTYPES[dtype])
+        observe_alloc(self.grad)
+        self.velocity = np.zeros_like(self.grad)
+        self.grad_views = self._views(self.grad)
+        for param, view in zip(params, self.grad_views):
+            param.adopt_grad(view)
+        # Gathered at the first step: the values are the callers' arrays.
+        self.values = None
+        self.bound = [None] * len(params)
+
+    def _views(self, flat: np.ndarray) -> list:
+        """A matrix per parameter: its view of ``flat``."""
+        dtype = self.kernels.dtype
+        return [_view(flat[span].reshape(shape), dtype) for span, shape in self.spans]
+
+    def _gather(self, matrices) -> np.ndarray:
+        """A flat copy of ``matrices``, one per parameter, in the layout."""
+        flat = np.zeros_like(self.grad)
+        for (span, shape), param, m in zip(self.spans, self.params, matrices):
+            if m.shape != shape or m.dtype != self.kernels.dtype:
+                raise ValueError(
+                    f"{param.name}: expected a {self.kernels.dtype} {shape} "
+                    f"matrix, got {m.dtype} {m.shape}"
+                )
+            flat[span] = m.raw.reshape(-1)
+        return flat
+
+    def step(self) -> None:
+        k, params = self.kernels, self.params
+        grad, values = self.grad, self.values
+        for param, grad_view, bound in zip(params, self.grad_views, self.bound):
+            if param.grad is not grad_view:
+                grad = None
+            if param.value is not bound:
+                values = None
+        if grad is None:
+            grad = self._gather([param.grad for param in params])
+        if values is None:
+            values = self._gather([param.value for param in params])
+        update = grad
+        if self.momentum is not None:
+            update = self.velocity = k.add(k.mul(self.velocity, self.momentum), grad)
+        values = self.values = k.sub(values, k.mul(update, self.lr))
+        observe_alloc(values)
+        self.bound = bound = self._views(values)
+        for param, value in zip(params, bound):
+            param.value = value
 
 
 class SGD(Optimizer):
@@ -56,10 +122,14 @@ class SGD(Optimizer):
     ``v <- momentum * v + grad;  w <- w - lr * v`` -- the Sutskever et
     al. formulation cited by the paper.
 
-    The step runs on the raw buffers, with each parameter's kernels and
-    encoded ``lr``/``momentum`` resolved once, at construction; only the
-    new ``param.value`` is wrapped.  It is rebound, never written in
-    place, because callers may hold the old value.
+    The step runs once per dtype over flat buffers: the parameters'
+    gradients, velocities and values each laid end to end, so a step is
+    four kernel calls however many parameters there are.  Each
+    parameter's gradient buffer becomes a view of the optimizer's flat
+    one at construction; a gradient a caller assigns instead is copied
+    in at the step.  Each new ``param.value`` is a view of the step's
+    new flat array: rebound, never written in place, because callers
+    may hold the old value.
     """
 
     def __init__(
@@ -75,15 +145,11 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
-        self._slots = [_Slot(param, lr, momentum) for param in self.parameters]
+        by_dtype = {}
+        for param in self.parameters:
+            by_dtype.setdefault(param.value.dtype, []).append(param)
+        self._groups = [_Group(group, lr, momentum) for group in by_dtype.values()]
 
     def step(self) -> None:
-        use_momentum = self.momentum > 0.0
-        for slot in self._slots:
-            param, k = slot.param, slot.kernels
-            update = param.grad.raw
-            if use_momentum:
-                update = k.add(k.mul(slot.velocity, slot.momentum), update)
-                slot.velocity = update
-            new_value = k.sub(param.value.raw, k.mul(update, slot.lr))
-            param.value = _wrap(new_value, k.dtype)
+        for group in self._groups:
+            group.step()

@@ -31,7 +31,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from .atomics import AtomicInt
-from .kml_logging import KmlLogger
+from .kml_logging import KmlLogger, LogLevel
 from .memory import Allocation, KmlMemoryError, MemoryAccountant
 
 __all__ = [
@@ -104,7 +104,9 @@ class KmlEnvironment:
     ):
         self.name = name
         self.memory = accountant
-        self.logger = KmlLogger()
+        # Every level is kept, debug included: the four kml_log_* calls
+        # each reach the ring, and a caller raises ``logger.level`` to filter.
+        self.logger = KmlLogger(LogLevel.DEBUG)
         self.file_root = file_root
         self.kernel_mode = kernel_mode
         self._fpu_depth = 0

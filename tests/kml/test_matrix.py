@@ -41,11 +41,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unsupported dtype"):
             Matrix([[1.0]], dtype="int8")
 
-    def test_zeros_ones_full_eye(self, dtype):
-        assert Matrix.zeros(2, 3, dtype=dtype).to_numpy().sum() == 0
-        assert Matrix.ones(2, 3, dtype=dtype).to_numpy().sum() == 6
-        assert Matrix.full(2, 2, 2.5, dtype=dtype)[0, 0] == pytest.approx(2.5, abs=1e-4)
-        np.testing.assert_allclose(Matrix.eye(3, dtype=dtype).to_numpy(), np.eye(3))
+    def test_zeros(self, dtype):
+        zeros = Matrix.zeros(2, 3, dtype=dtype)
+        assert zeros.shape == (2, 3) and zeros.dtype == dtype
+        assert zeros.to_numpy().sum() == 0
 
     def test_uniform_uses_rng(self, dtype):
         rng = np.random.default_rng(0)
@@ -90,7 +89,7 @@ class TestArithmetic:
     def test_scalar_equals_full_matrix_operand(self, dtype, scalar):
         """A scalar gives exactly what a same-shaped constant matrix gives."""
         a = Matrix([[0.3, -7.5, 1e4], [2.0, 0.0, -1e-3]], dtype=dtype)
-        full = Matrix.full(a.rows, a.cols, float(scalar), dtype=dtype)
+        full = Matrix(np.full(a.shape, float(scalar)), dtype=dtype)
         assert a + scalar == a + full
         assert a - scalar == a - full
         assert scalar - a == full - a
@@ -148,7 +147,7 @@ class TestArithmetic:
     def test_property_add_commutative_float64(self, arr):
         a = Matrix(arr, dtype="float64")
         b = Matrix(arr * 0.5, dtype="float64")
-        assert (a + b).allclose(b + a)
+        assert np.allclose((a + b).to_numpy(), (b + a).to_numpy(), atol=1e-6)
 
     @given(small_matrices)
     @settings(max_examples=100, deadline=None)
@@ -162,8 +161,8 @@ class TestArithmetic:
     def test_property_matmul_identity(self, r, k, c):
         rng = np.random.default_rng(r * 100 + k * 10 + c)
         a = Matrix(rng.uniform(-5, 5, (r, c)), dtype="float64")
-        eye = Matrix.eye(c, dtype="float64")
-        assert (a @ eye).allclose(a)
+        eye = Matrix(np.eye(c), dtype="float64")
+        assert np.allclose((a @ eye).to_numpy(), a.to_numpy(), atol=1e-6)
 
 
 class TestNonlinearities:
@@ -241,7 +240,8 @@ class TestReductions:
 class TestConversionAndObserver:
     def test_astype_round_trip(self):
         m = Matrix([[1.5, -2.25]], dtype="float64")
-        assert m.astype("fixed32").astype("float64").allclose(m, atol=1e-4)
+        back = m.astype("fixed32").astype("float64")
+        assert np.allclose(back.to_numpy(), m.to_numpy(), atol=1e-4)
 
     def test_copy_is_independent(self, dtype):
         m = Matrix([[1.0]], dtype=dtype)

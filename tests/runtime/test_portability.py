@@ -97,6 +97,20 @@ class TestThreadingArea:
 
 
 class TestLoggingArea:
+    @pytest.mark.parametrize("env_factory", [user_environment, kernel_environment])
+    def test_debug_records_kept(self, env_factory):
+        env = env_factory()
+        env.kml_log_debug("d")
+        env.kml_log_info("i")
+        env.kml_log_warn("w")
+        env.kml_log_err("e")
+        assert [(r[1], r[2]) for r in env.logger.records()] == [
+            (LogLevel.DEBUG, "d"),
+            (LogLevel.INFO, "i"),
+            (LogLevel.WARN, "w"),
+            (LogLevel.ERR, "e"),
+        ]
+
     def test_levels_filtered(self):
         env = user_environment()
         env.logger.level = LogLevel.WARN

@@ -9,7 +9,8 @@ Test-only surface is therefore deleted, or justified in ``ALLOWED`` by
 the change that adds it.
 
 A *reference* is an ``ast.Name`` or ``ast.Attribute`` with the
-definition's identifier, or a string constant equal to it: string
+definition's identifier (not an attribute of numpy: ``np.full`` is
+numpy's name, not ``Matrix.full``), or a string constant equal to it: string
 constants count because the metric rows of ``obs.instrument`` read
 component attributes by name (``"pushed"`` reads
 ``CircularBuffer.pushed`` through ``getattr``).  The definition itself,
@@ -60,6 +61,9 @@ CALLERS = sorted(
     if "tests" not in path.relative_to(ROOT).parts
 )
 
+#: The names numpy is imported under.
+NUMPY_NAMES = ("np", "numpy")
+
 #: Public names with no caller outside the tests, each with its reason.
 ALLOWED = {
     "repro.runtime.portability.KmlEnvironment.api_functions":
@@ -75,6 +79,9 @@ ALLOWED = {
         "the paper's streaming Z-score for in-kernel training",
     "repro.stats.zscore.OnlineZScore.normalize":
         "OnlineZScore's normalization step",
+    "repro.kml.matrix.Matrix.exp":
+        "the from-scratch exponential (paper section 2) beside Matrix.log, "
+        "sqrt and softmax; the exp/log round-trip test checks it",
     "repro.kml.quantize.quantize_model":
         "int8 quantization (paper section 3.1), cited by docs/API.md",
     "repro.kml.autodiff.softmax_cross_entropy":
@@ -184,10 +191,6 @@ ALLOWED = {
         "model_io rebuilds the layer as _STATELESS_LAYERS[kind](name=...)",
     "repro.kml.layers.dropout.Dropout(rng)":
         "seeds the dropout mask, as every stochastic piece takes an rng",
-    "repro.kml.matrix.Matrix.eye(dtype)":
-        "every Matrix constructor takes the element type",
-    "repro.kml.matrix.Matrix.ones(dtype)":
-        "every Matrix constructor takes the element type",
     "repro.kml.quantize.quantize_model(exclude)":
         "names the Linear layers kept float, the fused zscore by default",
     "repro.obs.instrument.instrument_matrix_ops(sample_mask)":
@@ -227,8 +230,6 @@ ALLOWED = {
         "builds one per dtype",
     "repro.readahead.trace.dataset_from_traces(skip_first_windows)":
         "mirrors CollectionConfig.skip_first_windows for the offline path",
-    "repro.runtime.kml_logging.KmlLogger(level)":
-        "the minimum level behind kml_log_debug..kml_log_err",
     "repro.workloads.base.Workload(value_size)":
         "workload_by_name builds every workload as cls(num_keys, value_size)",
     "repro.writeback.configs.sweep_writeback_configs(seed)":
@@ -273,15 +274,26 @@ def _all_nodes(tree):
     }
 
 
+def _on_numpy(node):
+    """Whether ``node`` is an attribute of numpy (``np.full``, ``np.random.x``)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in NUMPY_NAMES
+
+
 def _references(tree):
-    """Identifiers ``tree`` references by name, attribute or string."""
+    """Identifiers ``tree`` references by name, attribute or string.
+
+    An attribute of numpy is numpy's name, not ours: ``np.full`` does
+    not reference ``Matrix.full``.
+    """
     skip = _all_nodes(tree)
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
         if isinstance(node, ast.Name):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not _on_numpy(node):
             yield node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
@@ -464,8 +476,9 @@ def _signatures(tree, module):
 def _calls(tree):
     """``(callee identifier, call)`` of each call in ``tree``.
 
-    A call names its callee by ``Name`` or ``Attribute``; a
-    ``super().__init__(...)`` names each base of its class.
+    A call names its callee by ``Name`` or ``Attribute`` (not by an
+    attribute of numpy); a ``super().__init__(...)`` names each base of
+    its class.
     """
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -488,7 +501,7 @@ def _calls(tree):
         elif isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name):
                 yield node.func.id, node
-            elif isinstance(node.func, ast.Attribute):
+            elif isinstance(node.func, ast.Attribute) and not _on_numpy(node.func):
                 yield node.func.attr, node
 
 
@@ -699,6 +712,8 @@ def test_guard_rules_on_a_sample():
     tree = ast.parse(
         "from os import path, sep\n"
         "import json\n"
+        "import numpy as np\n"
+        "np.orphan(np.random.by_attr)\n"
         "__all__ = ['Kept', 'sep', 'orphan']\n"
         "class Kept:\n"
         "    def used(self): return path.join(self.by_attr(), 'by_string')\n"
@@ -716,7 +731,8 @@ def test_guard_rules_on_a_sample():
     ]
     referenced = set(_references(tree))
     assert {"by_attr", "by_string", "path"} <= referenced
-    # Neither ``__all__`` nor the ``def`` itself references ``orphan``.
+    # Neither ``__all__``, the ``def`` itself nor numpy's ``np.orphan``
+    # references ``orphan``.
     assert "orphan" not in referenced and "Kept" not in referenced
     # ``json`` is unused; ``sep`` is re-exported; ``path`` is used.
     assert [name for _, name in _unused_imports(tree)] == ["json"]
