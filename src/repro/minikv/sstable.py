@@ -12,7 +12,8 @@ this is what couples the KV store to OS readahead behaviour.
 
 Index block: u32 count, then per data block
     u16 first_key_len | first_key | u64 offset | u32 length
-Bloom block: serialized BloomFilter over all keys.
+Bloom block: serialized BloomFilter over all keys, built in one
+``BloomFilter.from_keys`` pass when the table is finished.
 Footer (fixed size, at EOF):
     u64 index_off | u64 index_len | u64 bloom_off | u64 bloom_len | 4s magic
 """
@@ -136,10 +137,7 @@ class SSTableBuilder:
         index_raw = b"".join(parts)
         self.fs.write(self._file, index_off, index_raw)
         # Bloom block
-        bloom = BloomFilter.for_capacity(max(1, len(self._keys)))
-        for key in self._keys:
-            bloom.add(key)
-        bloom_raw = bloom.to_bytes()
+        bloom_raw = BloomFilter.from_keys(self._keys).to_bytes()
         bloom_off = index_off + len(index_raw)
         self.fs.write(self._file, bloom_off, bloom_raw)
         # Footer

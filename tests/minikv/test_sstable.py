@@ -1,5 +1,7 @@
 """Tests for SSTable building and reading."""
 
+import hashlib
+
 import pytest
 
 from repro.minikv.memtable import TOMBSTONE
@@ -57,6 +59,20 @@ class TestBuilder:
     def test_tiny_block_size_rejected(self, fs):
         with pytest.raises(ValueError):
             SSTableBuilder(fs, "sst", block_size=32)
+
+    def test_file_bytes_pinned(self, fs):
+        """Data blocks, index, bloom block and footer of one small table,
+        byte for byte: keys of 5-8 bytes, tombstones, empty values."""
+        builder = SSTableBuilder(fs, "pinned")
+        for key, i in sorted((b"key-%d" % (i * 37), i) for i in range(150)):
+            builder.add(key, TOMBSTONE if i % 17 == 0 else bytes([65 + i % 26]) * (i % 90))
+        table = builder.finish()
+        assert len(table._index) == 2
+        raw = fs.read(fs.open("pinned"), 0, fs.stat_size("pinned"))
+        assert len(raw) == 8470
+        assert hashlib.sha256(raw).hexdigest() == (
+            "dc2cd7e3242ea12e6fb08b5ee829eb87b722020aa65a77cd497a6f9288f7566a"
+        )
 
 class TestReader:
     def test_get_every_key(self, fs):

@@ -13,6 +13,7 @@ from repro.workloads import (
     ReadReverse,
     ReadSeq,
     UpdateRandom,
+    generators,
     load_stack,
     make_key,
     populate_db,
@@ -46,12 +47,75 @@ def loaded():
     return stack, db
 
 
+#: A value size at which ``populate_db`` draws 8 keys per rng call.
+BLOCK_VALUE_SIZE = generators._POPULATE_BLOCK_BYTES // 8
+BLOCK = generators._POPULATE_BLOCK_BYTES // BLOCK_VALUE_SIZE
+
+
+class RecordingDB:
+    """Forwards puts to ``db`` (if any) and keeps each value put."""
+
+    def __init__(self, db=None):
+        self.db = db
+        self.values = []
+
+    def put(self, key, value):
+        assert key == make_key(len(self.values))
+        self.values.append(value)
+        if self.db is not None:
+            self.db.put(key, value)
+
+    def close(self):
+        if self.db is not None:
+            self.db.close()
+
+
+def populated_values(num_keys, value_size, seed):
+    recorder = RecordingDB()
+    populate_db(recorder, num_keys, value_size, np.random.default_rng(seed))
+    return recorder.values
+
+
 class TestPopulate:
     def test_all_keys_present(self, loaded):
         _, db = loaded
         assert db.get(make_key(0)) is not None
         assert db.get(make_key(NUM_KEYS - 1)) is not None
         assert len(list(db.scan())) == NUM_KEYS
+
+    def test_same_seed_same_values(self):
+        assert populated_values(300, 50, 3) == populated_values(300, 50, 3)
+        assert populated_values(300, 50, 3) != populated_values(300, 50, 4)
+
+    def test_values_are_value_size_letters(self):
+        for value_size in (1, 7, 400):
+            values = populated_values(200, value_size, 0)
+            assert len(values) == 200
+            for value in values:
+                assert type(value) is bytes and len(value) == value_size
+                assert set(value) <= set(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+        letters = b"".join(populated_values(200, 400, 0))
+        assert len(set(letters)) == 26  # every letter drawn
+        with pytest.raises(ValueError, match="value_size"):
+            populated_values(1, 0, 0)
+
+    def test_values_prefix_stable_across_blocks(self):
+        longest = populated_values(2 * BLOCK + 3, BLOCK_VALUE_SIZE, 5)
+        for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK):
+            assert populated_values(n, BLOCK_VALUE_SIZE, 5) == longest[:n]
+        # Rows of one draw differ from each other.
+        assert len(set(longest)) == len(longest)
+
+    @pytest.mark.parametrize("num_keys", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_block_edges_load_and_read_back(self, num_keys):
+        stack = make_stack("nvme", cache_pages=2048)
+        db = MiniKV(stack, DBOptions(memtable_bytes=1 << 20))
+        recorder = RecordingDB(db)
+        populate_db(recorder, num_keys, BLOCK_VALUE_SIZE, np.random.default_rng(9))
+        assert len(recorder.values) == num_keys
+        for index, value in enumerate(recorder.values):
+            assert db.get(make_key(index)) == value
+        assert db.get(make_key(num_keys)) is None
 
 
 class TestWorkloadSemantics:
