@@ -19,7 +19,7 @@ from common import write_result
 
 from repro.kml import CrossEntropyLoss, SGD
 from repro.os_sim import make_stack
-from repro.os_sim.tracepoints import TraceEvent
+from repro.os_sim.tracepoints import PageRuns, TraceEvent
 from repro.readahead import FeatureCollector, ReadaheadClassifier
 from repro.readahead.model import build_network
 from repro.runtime.memory import MemoryAccountant
@@ -28,7 +28,7 @@ _RESULTS = {}
 
 
 #: A readahead window at the Linux default of 128 pages on a random miss
-#: (128 // 8): the batch one miss hands the collector.
+#: (128 // 8): the batch one miss hands the collector, as one run.
 WINDOW_PAGES = 16
 
 
@@ -70,10 +70,10 @@ def test_data_collection_per_event(benchmark):
 
 @pytest.mark.benchmark(group="overheads")
 def test_batched_data_collection_per_event(benchmark):
-    """One readahead window's inserts, dispatched as one page batch."""
+    """One readahead window's inserts, dispatched as one batch of one run."""
     stack = make_stack("nvme")
     collector = FeatureCollector(stack)
-    pages = list(range(1234, 1234 + WINDOW_PAGES))
+    pages = PageRuns([(1234, 1234 + WINDOW_PAGES)], WINDOW_PAGES)
 
     benchmark(
         stack.tracepoints.emit_pages, "add_to_page_cache", 0.0, 1, pages

@@ -115,10 +115,12 @@ class BloomFilter:
         if h2 % n_bits == 0:
             h2 += 1
         bits = self._bits
-        for i in range(self.n_hashes):
-            bit = (h1 + i * h2) % n_bits
+        # Probe i is (h1 + i * h2) % n_bits, reached by stepping h2.
+        bit = h1 % n_bits
+        for _ in range(self.n_hashes):
             if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
+            bit = (bit + h2) % n_bits
         return True
 
     # ------------------------------------------------------------------

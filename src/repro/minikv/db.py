@@ -107,6 +107,7 @@ class MiniKV:
         self._wal = WriteAheadLog(self.fs, f"{self.options.name}/wal")
         self._l0: List[SSTableReader] = []  # newest first
         self._l1: List[SSTableReader] = []  # at most one table
+        self._tables: List[SSTableReader] = []  # _l0 + _l1, the order gets probe
         self._next_table_seq = 0
         detach(self)  # every hook slot starts empty
         self._recover()
@@ -173,7 +174,8 @@ class MiniKV:
                     self._l1.append(SSTableReader(self.fs, value))
                 else:
                     raise ValueError(f"bad manifest line {line!r}")
-        referenced = {table.name for table in self._l0 + self._l1}
+            self._tables = self._l0 + self._l1
+        referenced = {table.name for table in self._tables}
         sst_prefix = f"{self.options.name}/sst-"
         for fname in self.fs.list_files():
             if fname.startswith(sst_prefix) and fname not in referenced:
@@ -249,6 +251,7 @@ class MiniKV:
         for key, value in self._memtable.items_sorted():
             builder.add(key, value)
         self._l0.insert(0, builder.finish())
+        self._tables = self._l0 + self._l1
         self._crash_point(self._flush_after_build_hook)
         self._write_manifest()
         self._crash_point(self._flush_after_manifest_hook)
@@ -288,6 +291,7 @@ class MiniKV:
         # deleted files, which is unrecoverable.
         self._l0 = []
         self._l1 = [merged]
+        self._tables = [merged]
         self._write_manifest()
         self._crash_point(self._compact_after_manifest_hook)
         for table in inputs:
@@ -343,7 +347,7 @@ class MiniKV:
         self.stats.gets += 1
         value = self._memtable.get(key)
         if value is None:
-            for table in self._l0 + self._l1:
+            for table in self._tables:
                 try:
                     value = table.get(key)
                 except Exception as exc:

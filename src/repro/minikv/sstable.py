@@ -203,11 +203,26 @@ class SSTableReader:
         idx = bisect_right(self._first_keys, key) - 1
         if idx < 0:
             return None
-        for record_key, value in _decode_records(self._read_block(idx)):
+        # _decode_records' walk, done in place: only the keys passed
+        # and the matched value are sliced.
+        _, off, length = self._index[idx]
+        raw = self.fs.read(self._file, off, length)
+        size = len(raw)
+        unpack_header = _RECORD_HEADER.unpack_from
+        header_size = _RECORD_HEADER.size
+        offset = 0
+        while offset + header_size <= size:
+            klen, vlen, flags = unpack_header(raw, offset)
+            start = offset + header_size
+            end = start + klen + vlen
+            if end > size:
+                raise ValueError("truncated record in data block")
+            record_key = raw[start : start + klen]
             if record_key == key:
-                return value
+                return TOMBSTONE if flags & _TOMBSTONE_FLAG else raw[start + klen : end]
             if record_key > key:
                 break
+            offset = end
         return None
 
     def scan(self, start_key: Optional[bytes] = None) -> Iterator[Record]:

@@ -330,9 +330,3 @@ class MetricsRegistry:
             hook()
         with self._lock:
             return [self._families[n] for n in sorted(self._families)]
-
-    def reset(self) -> None:
-        """Drop every family and hook (test isolation)."""
-        with self._lock:
-            self._families.clear()
-            self._hooks.clear()

@@ -12,8 +12,13 @@ Every page access goes through :meth:`PageCache.read_page` /
 - misses consult the per-file readahead state for a window, charge the
   device for one request covering the non-resident pages, and block
   until completion;
-- a window's ``add_to_page_cache`` events, one per inserted page, are
-  dispatched as one batch (:meth:`TracepointRegistry.emit_pages`);
+- a window's non-resident pages travel as the ascending runs
+  ``[first, end)`` that ``_missing_runs`` finds: one device request
+  for their total, one extent per run, and one
+  ``add_to_page_cache`` batch of those runs
+  (:class:`~repro.os_sim.tracepoints.PageRuns`, dispatched by
+  :meth:`TracepointRegistry.emit_pages`), so a window costs Python work
+  per run, not per page;
 - prefetched pages carry their in-flight completion time; a reader
   arriving early waits only the remaining time (that is how async
   readahead hides latency);
@@ -55,9 +60,26 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .clock import SimClock
 from .device import DeviceModel
 from .readahead import ReadaheadPlan, ReadaheadState, plan_hit, plan_miss
-from .tracepoints import TracepointRegistry
+from .tracepoints import PageRuns, TracepointRegistry
 
 __all__ = ["PageCache", "CacheStats"]
+
+
+def _split_runs(
+    runs: List[Tuple[int, int]], count: int
+) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """The lowest ``count`` pages of ``runs`` and the rest, both as runs."""
+    head = []
+    for i, (first, end) in enumerate(runs):
+        if end - first >= count:
+            head.append((first, first + count))
+            rest = runs[i + 1 :]
+            if end - first > count:
+                rest.insert(0, (first + count, end))
+            return head, rest
+        head.append((first, end))
+        count -= end - first
+    return head, []
 
 
 class _Extent:
@@ -342,10 +364,9 @@ class PageCache:
         runs = self._missing_runs(ino, start, start + plan.count)
         if not runs:
             return None
-        missing: List[int] = []
+        n = 0
         for first, end in runs:
-            missing += range(first, end)
-        n = len(missing)
+            n += end - first
         clock = self.clock
         tracepoints = self.tracepoints
         done = self.device.submit(clock, n, is_write=False)
@@ -354,15 +375,15 @@ class PageCache:
         tracepoints.emit(
             "readahead", now, ino=ino, start=start, count=n, is_async=is_async
         )
-        # A synchronous window's demanded page is ``missing[0]``; every
-        # other page of a window is prefetched.
+        # A synchronous window's demanded page is its first missing
+        # page, ``start``; every other page of a window is prefetched.
         demand = start if not is_async else -1
         stats = self.stats
         lru = self._lru
         capacity = self.capacity_pages
-        runs.reverse()  # pop() yields the lowest run left
-        pos = 0  # pages of ``missing`` inserted so far
-        emitted = 0  # pages of ``missing`` whose adds are dispatched
+        pos = 0  # pages of the window inserted so far
+        emitted = 0  # pages of the window whose adds are dispatched
+        pending: List[Tuple[int, int]] = []  # inserted runs not dispatched
         while True:
             over = self._len + n - pos - capacity
             if over > 0:
@@ -370,16 +391,20 @@ class PageCache:
             if over <= 0 or lru.next is lru:
                 # No dirty victim: the rest goes in at once, and any
                 # overflow left is the oldest of the window's own pages.
-                self._fill(ino, runs, n - pos, done, demand)
+                for first, end in runs:
+                    self._append(ino, first, end, done, demand)
                 stats.inserted += n - pos
                 stats.prefetch_inserted += n - pos - (pos == 0 and demand >= 0)
                 if over > 0:
                     self._evict_clean(over)
+                pending += runs
                 break
             # The oldest page is dirty: it is evicted by the insert that
             # overfills the cache, the k-th page from ``pos``.
             k = capacity - self._len + 1
-            self._fill(ino, runs, k, done, demand)
+            head, runs = _split_runs(runs, k)
+            for first, end in head:
+                self._append(ino, first, end, done, demand)
             stats.inserted += k
             stats.prefetch_inserted += k - 1 - (pos == 0 < k - 1 and demand >= 0)
             victim = lru.next
@@ -387,35 +412,27 @@ class PageCache:
             self._len -= 1
             stats.evicted += 1
             pos += k
-            if pos - 1 > emitted:
+            # The adds before the overfilling page go out before the
+            # victim's writeback; that page's add waits for the next batch.
+            last = head[-1][1] - 1
+            pending += head
+            if pending[-1][0] == last:
+                pending.pop()
+            else:
+                pending[-1] = (pending[-1][0], last)
+            if pending:
                 tracepoints.emit_pages(
-                    "add_to_page_cache", now, ino, missing[emitted : pos - 1]
+                    "add_to_page_cache", now, ino, PageRuns(pending, pos - 1 - emitted)
                 )
-                emitted = pos - 1
+            emitted = pos - 1
+            pending = [(last, last + 1)]
             self._dirty_count -= 1
             self._write_back_pages(1, victim.ino, victim.first)
-            stats.prefetch_inserted += missing[pos - 1] != demand
+            stats.prefetch_inserted += last != demand
         tracepoints.emit_pages(
-            "add_to_page_cache", now, ino, missing[emitted:] if emitted else missing
+            "add_to_page_cache", now, ino, PageRuns(pending, n - emitted)
         )
         return done
-
-    def _fill(
-        self,
-        ino: int,
-        runs: List[Tuple[int, int]],
-        count: int,
-        ready_at: float,
-        demand: int,
-    ) -> None:
-        """Append the lowest ``count`` pages of ``runs`` (highest run first)."""
-        while count:
-            first, end = runs.pop()
-            if end - first > count:
-                runs.append((first + count, end))
-                end = first + count
-            self._append(ino, first, end, ready_at, demand)
-            count -= end - first
 
     def _evict_clean(self, limit: int) -> int:
         """Evict up to ``limit`` pages from the LRU end, stopping at a dirty page.

@@ -21,7 +21,7 @@ readahead model learns to navigate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "ReadaheadState",
@@ -55,9 +55,12 @@ class ReadaheadState:
         self.async_mark = -1
 
 
-@dataclass(frozen=True)
-class ReadaheadPlan:
-    """What the page cache should read around one access."""
+class ReadaheadPlan(NamedTuple):
+    """What the page cache should read around one access.
+
+    An immutable value; a named tuple, since one is built per window and
+    a frozen dataclass costs about twice as much to build.
+    """
 
     start: int       # first page of the window
     count: int       # pages in the window (>= 1)
@@ -66,9 +69,9 @@ class ReadaheadPlan:
 
 def _clamp_window(count: int, start: int, file_pages: int) -> int:
     """Never plan past EOF; always cover at least the accessed page."""
-    if file_pages <= 0:
-        return max(1, count)
-    return max(1, min(count, file_pages - start))
+    if 0 < file_pages < start + count:
+        count = file_pages - start
+    return count if count > 1 else 1
 
 
 def plan_miss(
@@ -93,7 +96,7 @@ def plan_miss(
     state.window = window
     state.window_end = page + window
     # Trigger the next async window once the reader is halfway through.
-    state.async_mark = page + max(1, window // 2) if window > 1 else -1
+    state.async_mark = page + window // 2 if window > 1 else -1
     state.next_expected = page + 1
     return ReadaheadPlan(page, window, False)
 

@@ -13,22 +13,25 @@ the kernel's contract.
 
 Batch dispatch: a readahead window inserts many pages at one instant,
 and the page cache reports them with one :meth:`~TracepointRegistry.emit_pages`
-call instead of one ``emit`` per page.  A subscriber may register a
-page-batch form next to its per-event hook; when every subscriber of
-the tracepoint has one and no dispatch hook is attached, each
-batch form is called once per batch.  Otherwise ``emit_pages`` falls
-back to one ``emit`` per page, so per-event subscribers (the trace
-writer, ad-hoc lambdas) and the per-event dispatch-latency histogram
-see exactly what they would without batching.
+call instead of one ``emit`` per page.  The batch is a :class:`PageRuns`:
+the window's non-resident pages as the ascending runs ``[first, end)``
+the page cache reads them in, so the batch costs work per run, not per
+page.  A subscriber may register a page-batch form next to its
+per-event hook; when every subscriber of the tracepoint has one and no
+dispatch hook is attached, each batch form is called once per batch.
+Otherwise ``emit_pages`` falls back to one ``emit`` per page, expanding
+the runs in order, so per-event subscribers (the trace writer, ad-hoc
+lambdas) and the per-event dispatch-latency histogram see exactly what
+they would without batching.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["TraceEvent", "TracepointRegistry", "STANDARD_TRACEPOINTS"]
+__all__ = ["PageRuns", "TraceEvent", "TracepointRegistry", "STANDARD_TRACEPOINTS"]
 
 #: Tracepoints the simulated memory-management subsystem emits.
 STANDARD_TRACEPOINTS = (
@@ -53,9 +56,31 @@ class TraceEvent:
     fields: Dict[str, Any]
 
 
+class PageRuns:
+    """A batch of pages as ascending runs ``[first, end)`` of ``count`` pages.
+
+    It reads as the sequence of its pages (iteration yields each page in
+    order, ``len`` is ``count``), so a consumer that wants pages needs
+    nothing else; a run-aware one reads ``runs``.
+    """
+
+    __slots__ = ("runs", "count")
+
+    def __init__(self, runs: Sequence[Tuple[int, int]], count: int):
+        self.runs = runs
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[int]:
+        for first, end in self.runs:
+            yield from range(first, end)
+
+
 Subscriber = Callable[[TraceEvent], None]
 #: ``hook(name, timestamp, ino, pages)``: one call for a batch of pages.
-PageBatchSubscriber = Callable[[str, float, int, Sequence[int]], None]
+PageBatchSubscriber = Callable[[str, float, int, PageRuns], None]
 
 
 class TracepointRegistry:
@@ -128,21 +153,25 @@ class TracepointRegistry:
     ) -> None:
         """Fire ``name`` once per page of ``pages``, all at ``timestamp``.
 
-        Counts ``len(pages)`` hits.  When every subscriber registered a
-        page-batch form and no dispatch hook is attached, each
-        batch form is called once with the whole batch; a batch form
-        that raises counts as one subscriber error, however many pages
-        it was given.  Otherwise this is ``emit(name, timestamp,
-        ino=ino, page=page)`` for each page in order, with that path's
-        counting: one error per raising per-event call and one latency
-        observation per event.
+        ``pages`` is a :class:`PageRuns`, or any sequence of pages, which
+        is taken as runs of one page each.  Counts ``len(pages)`` hits.
+        When every subscriber registered a page-batch form and no
+        dispatch hook is attached, each batch form is called once with
+        the whole batch as a :class:`PageRuns`; a batch form that raises
+        counts as one subscriber error, however many pages it was given.
+        Otherwise this is ``emit(name, timestamp, ino=ino, page=page)``
+        for each page in order, with that path's counting: one error per
+        raising per-event call and one latency observation per event.
         """
+        if type(pages) is not PageRuns:
+            pages = PageRuns([(page, page + 1) for page in pages], len(pages))
         forms = self._page_forms[name]
         if None in forms or (forms and self._dispatch_hook is not None):
-            for page in pages:
-                self.emit(name, timestamp, ino=ino, page=page)
+            for first, end in pages.runs:
+                for page in range(first, end):
+                    self.emit(name, timestamp, ino=ino, page=page)
             return
-        self.hit_counts[name] += len(pages)
+        self.hit_counts[name] += pages.count
         for form in forms:
             try:
                 form(name, timestamp, ino, pages)

@@ -218,17 +218,21 @@ class SimFS:
         if hook is not None:
             hook.fire()  # may raise an injected error
         inode = file.inode
-        end = min(offset + length, inode.size)
+        data = inode.data
+        size = len(data)
+        end = min(offset + length, size)
         if end <= offset:
             return b""
-        first_page = offset // PAGE_SIZE
-        last_page = (end - 1) // PAGE_SIZE
-        for page in range(first_page, last_page + 1):
-            self.cache.read_page(
-                inode.ino, page, file.ra_state, file.ra_pages, inode.size_pages
-            )
+        # File.ra_pages and Inode.size_pages, read once for the call.
+        ra_pages = file.ra_override
+        if ra_pages is None:
+            ra_pages = self.block.ra_pages
+        size_pages = (size + PAGE_SIZE - 1) // PAGE_SIZE
+        read_page, ino, ra_state = self.cache.read_page, inode.ino, file.ra_state
+        for page in range(offset // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1):
+            read_page(ino, page, ra_state, ra_pages, size_pages)
         file.pos = end
-        return bytes(inode.data[offset:end])
+        return bytes(data[offset:end])
 
     def write(self, file: File, offset: int, data: bytes) -> int:
         """Byte-range write: extend the inode, dirty the pages.

@@ -20,21 +20,27 @@ users implement: it subscribes to ``add_to_page_cache`` /
 ``mark_page_accessed`` / ``writeback_dirty_page``, recording the inode
 number, the page offset, and the event time -- exactly the fields the
 paper's readahead hooks record.  There is one fold of the offset
-statistics, whichever form a page arrives in: a readahead window's
-inserts arrive as one page batch (see
-:meth:`TracepointRegistry.emit_pages`), and a single event is a batch
-of one page.
+statistics, and it takes runs of consecutive pages: a readahead
+window's inserts arrive as one batch of runs (a
+:class:`~repro.os_sim.tracepoints.PageRuns`, see
+:meth:`TracepointRegistry.emit_pages`), and a single event is a run of
+one page.  Within a run every step after the first is exactly ``+1``,
+so the fold skips the step bookkeeping there and adds the run's steps
+to the signed sum at once; the Welford and mean-delta updates still
+run page by page, in order, so the features are the bits a per-page
+fold gives.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from itertools import repeat
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..kml.mathops import kml_sqrt
 from ..os_sim.stack import StorageStack
-from ..os_sim.tracepoints import TraceEvent, TracepointRegistry
+from ..os_sim.tracepoints import PageRuns, TraceEvent, TracepointRegistry
 
 __all__ = ["FeatureCollector", "FEATURE_NAMES", "PAPER_FEATURES", "NUM_FEATURES"]
 
@@ -111,26 +117,37 @@ class FeatureCollector:
 
     def _on_offset_event(self, event: TraceEvent) -> None:
         fields = event.fields
-        self._on_offset_pages(event.name, event.timestamp, fields["ino"], (fields["page"],))
+        page = fields["page"]
+        self._fold(event.name, fields["ino"], ((page, page + 1),), 1)
 
     def _on_offset_pages(
-        self, name: str, timestamp: float, ino: int, pages: Sequence[int]
+        self, name: str, timestamp: float, ino: int, pages: PageRuns
     ) -> None:
-        """Fold ``pages`` into the offset statistics, in order.
+        self._fold(name, ino, pages.runs, pages.count)
+
+    def _fold(
+        self, name: str, ino: int, runs: Sequence[Tuple[int, int]], n: int
+    ) -> None:
+        """Fold the ``n`` pages of ``runs`` into the offset statistics, in order.
 
         Welford's update gives the mean (ii) and, through ``m2``, the
         standard deviation (iii); the step from the previous offset
         feeds the mean absolute delta (iv) and the signed delta sum.
+        A run's first page takes the general step.  Each later page is
+        one above the last, a step of ``+1.0``: its ``abs`` is 1.0, the
+        ``previous`` bookkeeping waits for the run's end, and the
+        run's ``k`` unit steps go into ``signed_sum`` as one ``float(k)``
+        (the sum stays an integer below 2**53, so that is exact).  The
+        counters run as floats there, which converts them exactly too.
         The state lives in local variables for the loop.
         """
-        n = len(pages)
         if not n:
             return
         count, mean, m2 = self.count, self.mean, self.m2
         previous, deltas = self.previous, self.deltas
         abs_mean, signed_sum = self.abs_mean, self.signed_sum
-        for page in pages:
-            offset = float(page)
+        for first, end in runs:
+            offset = float(first)
             count += 1
             delta = offset - mean
             mean += delta / count
@@ -140,6 +157,20 @@ class FeatureCollector:
                 deltas += 1
                 abs_mean += (abs(step) - abs_mean) / deltas
                 signed_sum += step
+            k = end - first - 1
+            if k:
+                counted, stepped = float(count), float(deltas)
+                for _ in repeat(None, k):
+                    offset += 1.0
+                    counted += 1.0
+                    stepped += 1.0
+                    delta = offset - mean
+                    mean += delta / counted
+                    m2 += delta * (offset - mean)
+                    abs_mean += (1.0 - abs_mean) / stepped
+                count += k
+                deltas += k
+                signed_sum += float(k)
             previous = offset
         self.count, self.mean, self.m2 = count, mean, m2
         self.previous, self.deltas = previous, deltas

@@ -53,8 +53,3 @@ class CumulativeMovingStd:
     @property
     def std(self) -> float:
         return float(kml_sqrt(self.variance))
-
-    def reset(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0

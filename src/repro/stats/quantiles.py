@@ -107,11 +107,3 @@ class P2Quantile:
             len(ordered) - 1, int(round(self.quantile * (len(ordered) - 1)))
         )
         return ordered[index]
-
-    def reset(self) -> None:
-        self._initial.clear()
-        self._heights.clear()
-        self._positions.clear()
-        self._desired.clear()
-        self._increments.clear()
-        self.count = 0

@@ -51,8 +51,5 @@ class Workload:
         """Execute one logical operation against the bound DB."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Drop any iteration state (called when a scan wraps)."""
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(num_keys={self.num_keys})"

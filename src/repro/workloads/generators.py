@@ -118,9 +118,6 @@ class ReadSeq(Workload):
             self._iter = self.db.scan()
             next(self._iter)
 
-    def reset(self) -> None:
-        self._iter = None
-
 
 class ReadReverse(Workload):
     """Backward iteration over the whole DB, one entry per op."""
@@ -139,9 +136,6 @@ class ReadReverse(Workload):
         except StopIteration:
             self._iter = self.db.scan_reverse()
             next(self._iter)
-
-    def reset(self) -> None:
-        self._iter = None
 
 
 class ReadRandom(Workload):

@@ -1,11 +1,13 @@
 """Tests for SSTable building and reading."""
 
 import hashlib
+import struct
+from bisect import bisect_right
 
 import pytest
 
 from repro.minikv.memtable import TOMBSTONE
-from repro.minikv.sstable import SSTableBuilder, SSTableReader
+from repro.minikv.sstable import SSTableBuilder, SSTableReader, _decode_records
 from repro.os_sim import make_stack
 from repro.os_sim.device import PAGE_SIZE
 
@@ -146,3 +148,85 @@ class TestReader:
         table = builder.finish()
         assert len(table._index) >= 10
         assert table.get(b"k07") == bytes([7]) * 3000
+
+
+def decoded_get(table, key):
+    """The point lookup as a walk of ``_decode_records`` over the key's
+    block, stopping at the first larger key (no bloom check)."""
+    idx = bisect_right(table._first_keys, key) - 1
+    if idx < 0:
+        return None
+    for record_key, value in _decode_records(table._read_block(idx)):
+        if record_key == key:
+            return value
+        if record_key > key:
+            break
+    return None
+
+
+class TestInPlaceScan:
+    """``SSTableReader.get`` scans its block in place; it must answer as
+    the record decoder does, with the bloom filter out of the way so
+    absent keys reach the scan."""
+
+    @pytest.fixture
+    def table(self, fs):
+        # Keys of 5-8 bytes, so a shorter key can be a prefix of a longer
+        # one; every 17th record a tombstone; values of 0-89 bytes.
+        builder = SSTableBuilder(fs, "mixed")
+        for key, i in sorted((b"key-%d" % (i * 37), i) for i in range(400)):
+            builder.add(key, TOMBSTONE if i % 17 == 0 else bytes([65 + i % 26]) * (i % 90))
+        table = builder.finish()
+        table.bloom.may_contain = lambda key: True
+        return table
+
+    def test_every_key_tombstones_included(self, table):
+        keys = [key for key, _ in table.scan()]
+        assert len(keys) == 400
+        tombstones = 0
+        for key in keys:
+            value = table.get(key)
+            assert value == decoded_get(table, key)
+            assert value is not None
+            tombstones += value is TOMBSTONE
+        assert tombstones == 24
+
+    def test_absent_keys_before_between_and_after_blocks(self, table):
+        keys = [key for key, _ in table.scan()]
+        assert len(table._index) >= 3
+        absent = [b"", b"a", b"key-", b"key-0", b"zzz", keys[-1] + b"\x00"]
+        for key in keys:
+            absent += [key[:-1], key + b"0", key[:-1] + b"\xff"]
+        # Just past the last key of each block, before the next block.
+        for first_key in table._first_keys[1:]:
+            index = keys.index(first_key)
+            absent.append(keys[index - 1] + b"\x00")
+        present = set(keys)
+        absent = [key for key in absent if key not in present]
+        assert len(absent) > 800
+        for key in absent:
+            assert table.get(key) is None
+            assert decoded_get(table, key) is None
+
+    def test_truncated_record_still_raises(self, fs, table):
+        block_off, block_len = table._index[1][1:]
+        block = fs.read(table._file, block_off, block_len)
+        records = list(_decode_records(block))
+        # Make the third record of block 1 claim more value bytes than
+        # the block holds.
+        offset = 0
+        for key, value in records[:2]:
+            offset += 7 + len(key) + (0 if value is TOMBSTONE else len(value))
+        handle = fs.open("mixed")
+        fs.write(handle, block_off + offset + 2, struct.pack("<I", block_len))
+        # Keys before the damaged record are still found, and an absent
+        # key before it stops at the first larger key; one at or past it
+        # raises, as the decoder does.
+        assert table.get(records[0][0]) == records[0][1]
+        assert table.get(records[1][0]) == decoded_get(table, records[1][0])
+        assert table.get(records[0][0] + b"\x00") is None
+        for key in (records[2][0], records[-1][0]):
+            with pytest.raises(ValueError, match="truncated"):
+                table.get(key)
+            with pytest.raises(ValueError, match="truncated"):
+                decoded_get(table, key)

@@ -183,13 +183,6 @@ class TestRegistry:
         reg.collect()
         assert c.value == 2.0
 
-    def test_reset_drops_everything(self):
-        reg = MetricsRegistry()
-        reg.counter("kml_a_total").inc()
-        reg.reset()
-        assert reg.collect() == []
-        assert reg.counter("kml_a_total").value == 0.0
-
     def test_histogram_custom_buckets(self):
         reg = MetricsRegistry()
         h = reg.histogram("kml_h_seconds", buckets=(1.0, 2.0))

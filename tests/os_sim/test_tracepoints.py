@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hooks import HookPlane
-from repro.os_sim.tracepoints import STANDARD_TRACEPOINTS, TracepointRegistry
+from repro.os_sim.tracepoints import STANDARD_TRACEPOINTS, PageRuns, TracepointRegistry
 
 
 class TestRegistry:
@@ -68,9 +68,33 @@ class TestRegistry:
 class TestEmitPages:
     def test_counts_hits_without_subscribers(self):
         registry = TracepointRegistry()
-        registry.emit_pages("add_to_page_cache", 0.0, 1, [4, 5, 6])
+        registry.emit_pages("add_to_page_cache", 0.0, 1, PageRuns([(4, 7)], 3))
         assert registry.hit_counts["add_to_page_cache"] == 3
         assert registry.subscriber_errors == 0
+
+    def test_page_runs_read_as_their_pages(self):
+        pages = PageRuns([(4, 7), (9, 10), (12, 14)], 6)
+        assert list(pages) == [4, 5, 6, 9, 12, 13]
+        assert len(pages) == 6
+
+    def test_generic_subscriber_expands_runs_in_order(self):
+        registry = TracepointRegistry()
+        events = []
+        registry.subscribe("add_to_page_cache", events.append)
+        registry.emit_pages("add_to_page_cache", 0.0, 7, PageRuns([(3, 5), (8, 9)], 3))
+        assert [e.fields["page"] for e in events] == [3, 4, 8]
+        assert registry.hit_counts["add_to_page_cache"] == 3
+
+    def test_page_list_reaches_batch_forms_as_runs_of_one(self):
+        registry = TracepointRegistry()
+        batches = []
+        registry.subscribe(
+            "add_to_page_cache", lambda e: None, pages=lambda *b: batches.append(b)
+        )
+        registry.emit_pages("add_to_page_cache", 0.0, 1, [9, 3, 4])
+        (name, timestamp, ino, pages), = batches
+        assert pages.runs == [(9, 10), (3, 4), (4, 5)]
+        assert pages.count == 3
 
     def test_generic_subscriber_gets_one_event_per_page(self):
         registry = TracepointRegistry()
@@ -91,8 +115,9 @@ class TestEmitPages:
             events.append,
             pages=lambda *batch: batches.append(batch),
         )
-        registry.emit_pages("add_to_page_cache", 1.0, 2, [10, 11])
-        assert batches == [("add_to_page_cache", 1.0, 2, [10, 11])]
+        runs = PageRuns([(10, 12)], 2)
+        registry.emit_pages("add_to_page_cache", 1.0, 2, runs)
+        assert batches == [("add_to_page_cache", 1.0, 2, runs)]
         assert events == []
         assert registry.hit_counts["add_to_page_cache"] == 2
         # A plain emit still reaches the per-event hook.
@@ -106,15 +131,16 @@ class TestEmitPages:
             "add_to_page_cache", batched.append, pages=lambda *b: batches.append(b)
         )
         registry.subscribe("add_to_page_cache", generic.append)
-        registry.emit_pages("add_to_page_cache", 0.0, 1, [5, 6])
+        registry.emit_pages("add_to_page_cache", 0.0, 1, PageRuns([(5, 7)], 2))
         assert batches == []
         assert [e.fields["page"] for e in batched] == [5, 6]
         assert [e.fields["page"] for e in generic] == [5, 6]
         assert registry.hit_counts["add_to_page_cache"] == 2
         # Once the generic subscriber leaves, batches go through whole.
         registry.unsubscribe("add_to_page_cache", generic.append)
-        registry.emit_pages("add_to_page_cache", 0.0, 1, [7])
-        assert batches == [("add_to_page_cache", 0.0, 1, [7])]
+        runs = PageRuns([(7, 8)], 1)
+        registry.emit_pages("add_to_page_cache", 0.0, 1, runs)
+        assert batches == [("add_to_page_cache", 0.0, 1, runs)]
 
     def test_attached_obs_falls_back_to_per_page_dispatch(self):
         class Histogram:
@@ -132,7 +158,7 @@ class TestEmitPages:
         hook = plane.hook("tracepoints.dispatch")
         hook.hist, hook.mask = Histogram(), 0
         plane.attach(registry)
-        registry.emit_pages("add_to_page_cache", 0.0, 1, [1, 2, 3])
+        registry.emit_pages("add_to_page_cache", 0.0, 1, PageRuns([(1, 4)], 3))
         assert batches == []
         assert len(events) == 3
         assert hook.hist.count == 3
@@ -148,7 +174,7 @@ class TestEmitPages:
         registry.subscribe(
             "add_to_page_cache", lambda e: None, pages=lambda *b: batches.append(b)
         )
-        registry.emit_pages("add_to_page_cache", 0.0, 1, [1, 2, 3])  # must not raise
+        registry.emit_pages("add_to_page_cache", 0.0, 1, PageRuns([(1, 4)], 3))  # must not raise
         assert registry.subscriber_errors == 1
         assert len(batches) == 1  # later hooks still run
         assert registry.hit_counts["add_to_page_cache"] == 3

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.os_sim import make_stack
+from repro.os_sim.tracepoints import PageRuns
 from repro.readahead.features import (
     FEATURE_NAMES,
     NUM_FEATURES,
     PAPER_FEATURES,
     FeatureCollector,
 )
+
+from ..conftest import STRESS
 
 
 @pytest.fixture
@@ -25,6 +28,44 @@ def stack():
 def emit_accesses(stack, pages, ino=1, name="mark_page_accessed"):
     for page in pages:
         stack.tracepoints.emit(name, stack.now, ino=ino, page=page)
+
+
+def expand(runs):
+    """The pages of ``runs``, in order."""
+    return [page for first, end in runs for page in range(first, end)]
+
+
+def per_page_fold(collector, name, ino, pages):
+    """The collector's fold as it was before it took runs: every page,
+    in order, takes the general step from the previous offset."""
+    count, mean, m2 = collector.count, collector.mean, collector.m2
+    previous, deltas = collector.previous, collector.deltas
+    abs_mean, signed_sum = collector.abs_mean, collector.signed_sum
+    for page in pages:
+        offset = float(page)
+        count += 1
+        delta = offset - mean
+        mean += delta / count
+        m2 += delta * (offset - mean)
+        if previous is not None:
+            step = offset - previous
+            deltas += 1
+            abs_mean += (abs(step) - abs_mean) / deltas
+            signed_sum += step
+        previous = offset
+    collector.count, collector.mean, collector.m2 = count, mean, m2
+    collector.previous, collector.deltas = previous, deltas
+    collector.abs_mean, collector.signed_sum = abs_mean, signed_sum
+    n = len(pages)
+    if not n:
+        return
+    collector._window_events += n
+    collector.events_seen += n
+    if name == "mark_page_accessed":
+        collector._hits += n
+    else:
+        collector._inserts += n
+    collector._inodes.add(ino)
 
 
 class TestFeatureDefinitions:
@@ -137,9 +178,13 @@ class TestCollection:
         for window in range(5):
             for _ in range(20):
                 ino = int(rng.integers(1, 4))
-                pages = rng.integers(0, 1 << 40, size=int(rng.integers(0, 17))).tolist()
+                starts = rng.integers(0, 1 << 40, size=int(rng.integers(0, 4))).tolist()
+                runs = [(start, start + int(rng.integers(1, 17))) for start in starts]
+                pages = expand(runs)
                 emit_accesses(per_event, pages, ino=ino, name="add_to_page_cache")
-                batched.tracepoints.emit_pages("add_to_page_cache", 0.0, ino, pages)
+                batched.tracepoints.emit_pages(
+                    "add_to_page_cache", 0.0, ino, PageRuns(runs, len(pages))
+                )
                 hit = int(rng.integers(0, 1 << 40))
                 emit_accesses(per_event, [hit], ino=ino)
                 emit_accesses(batched, [hit], ino=ino)
@@ -150,7 +195,10 @@ class TestCollection:
         base=st.integers(0, 1 << 40),
         spread=st.sampled_from([64, 1 << 40]),
         batches=st.lists(
-            st.tuples(st.booleans(), st.lists(st.integers(0, 1 << 40), max_size=16)),
+            st.tuples(
+                st.booleans(),
+                st.lists(st.tuples(st.integers(0, 1 << 40), st.integers(1, 8)), max_size=6),
+            ),
             min_size=1,
             max_size=12,
         ),
@@ -166,10 +214,16 @@ class TestCollection:
         collector = FeatureCollector(stack)
         offsets = []
         for batched, draws in batches:
-            pages = [base + draw % (spread + 1) for draw in draws]
+            runs = []
+            for draw, length in draws:
+                first = base + draw % (spread + 1)
+                runs.append((first, first + length))
+            pages = expand(runs)
             offsets += pages
             if batched:
-                stack.tracepoints.emit_pages("add_to_page_cache", 0.0, 1, pages)
+                stack.tracepoints.emit_pages(
+                    "add_to_page_cache", 0.0, 1, PageRuns(runs, len(pages))
+                )
             else:
                 emit_accesses(stack, pages, name="add_to_page_cache")
         values = np.array(offsets, dtype=np.float64)
@@ -194,3 +248,88 @@ class TestCollection:
             assert alive() is None
         finally:
             gc.enable()
+
+
+# A collector state a fold can start from: None for a fresh collector
+# (``previous`` is None), else count, mean, m2, previous, deltas,
+# abs_mean and signed_sum.  Every step is a difference of two integer
+# offsets, so a reachable ``signed_sum`` is an integer.
+prior_st = st.none() | st.tuples(
+    st.integers(1, 1 << 40),
+    st.floats(0, 2.0**41),
+    st.floats(0, 2.0**82),
+    st.integers(0, 1 << 40),
+    st.integers(0, 1 << 40),
+    st.floats(0, 2.0**41),
+    st.integers(-(1 << 41), 1 << 41),
+)
+run_st = st.tuples(st.integers(0, 1 << 40), st.integers(1, 256))
+# A window's batch of 0-4 runs, or a hit on one page, with its inode.
+op_st = st.tuples(
+    st.integers(1, 3),
+    st.lists(run_st, max_size=4) | st.integers(0, 1 << 40),
+)
+
+
+class TestRunFold:
+    @given(prior=prior_st, ops=st.lists(op_st, min_size=1, max_size=8))
+    @settings(max_examples=500 if STRESS else 100, deadline=None)
+    def test_runs_fold_to_the_bits_of_their_pages(self, prior, ops):
+        """A batch of runs folds to exactly what the per-page loop gives."""
+        folded = FeatureCollector(make_stack("nvme", cache_pages=16))
+        reference = FeatureCollector(make_stack("nvme", cache_pages=16))
+        reference.detach()
+        if prior is not None:
+            for collector in (folded, reference):
+                (collector.count, collector.mean, collector.m2, previous,
+                 collector.deltas, collector.abs_mean, signed_sum) = prior
+                collector.previous = float(previous)
+                collector.signed_sum = float(signed_sum)
+        tracepoints = folded._registry
+        for ino, op in ops:
+            if isinstance(op, int):
+                tracepoints.emit("mark_page_accessed", 0.0, ino=ino, page=op)
+                per_page_fold(reference, "mark_page_accessed", ino, [op])
+                continue
+            runs = [(first, first + length) for first, length in op]
+            pages = expand(runs)
+            tracepoints.emit_pages(
+                "add_to_page_cache", 0.0, ino, PageRuns(runs, len(pages))
+            )
+            per_page_fold(reference, "add_to_page_cache", ino, pages)
+        assert folded.snapshot_all().tobytes() == reference.snapshot_all().tobytes()
+        assert folded.events_seen == reference.events_seen
+
+
+class TestRunShapedWindowPath:
+    def test_readrandom_miss_hands_the_collector_one_run_per_window(self, monkeypatch):
+        """Engagement guard: at ra 128 each random miss inserts a 16-page
+        window, which must reach the collector's batch form as one run
+        in one call, with no add event dispatched page by page."""
+        batches, per_event = [], []
+        fold = FeatureCollector._on_offset_pages
+
+        def spy_fold(collector, name, timestamp, ino, pages):
+            batches.append((name, list(pages.runs), pages.count))
+            fold(collector, name, timestamp, ino, pages)
+
+        def spy_event(collector, event):
+            per_event.append(event.name)
+
+        monkeypatch.setattr(FeatureCollector, "_on_offset_pages", spy_fold)
+        monkeypatch.setattr(FeatureCollector, "_on_offset_event", spy_event)
+        stack = make_stack("nvme", cache_pages=64, ra_pages=128)
+        handle = stack.fs.open("table", create=True)
+        stack.fs.write(handle, 0, b"x" * 4096 * 4096)
+        stack.drop_caches()
+        collector = FeatureCollector(stack)
+        rng = np.random.default_rng(0)
+        pages = rng.choice(4096 // 16, size=40, replace=False) * 16
+        for page in pages.tolist():
+            stack.fs.read(handle, page * 4096, 4096)
+        assert per_event == []
+        assert batches == [
+            ("add_to_page_cache", [(page, page + 16)], 16) for page in pages.tolist()
+        ]
+        assert collector.events_seen == 40 * 16
+        assert stack.tracepoints.hit_counts["readahead"] == 40

@@ -46,8 +46,3 @@ class TestWelfordStd:
     def test_property_matches_numpy(self, values):
         stat = welford(values)
         assert stat.std == pytest.approx(float(np.std(values)), rel=1e-6, abs=1e-6)
-
-    def test_reset(self):
-        stat = welford([1, 2, 3])
-        stat.reset()
-        assert stat.count == 0 and stat.std == 0.0

@@ -56,12 +56,6 @@ class TestP2:
         with pytest.raises(ValueError):
             P2Quantile(1.0)
 
-    def test_reset(self):
-        estimator = P2Quantile(0.5)
-        feed(estimator, range(100))
-        estimator.reset()
-        assert estimator.count == 0 and estimator.value == 0.0
-
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
                     min_size=6, max_size=300))
     @settings(max_examples=100, deadline=None)

@@ -13,7 +13,15 @@ definition's identifier (not an attribute of numpy: ``np.full`` is
 numpy's name, not ``Matrix.full``), or a string constant equal to it: string
 constants count because the metric rows of ``obs.instrument`` read
 component attributes by name (``"pushed"`` reads
-``CircularBuffer.pushed`` through ``getattr``).  The definition itself,
+``CircularBuffer.pushed`` through ``getattr``).  An attribute is
+resolved by its receiver where the scan can see the receiver's type:
+``self`` and ``cls`` in a method, a parameter with a plain annotation,
+a local or module global that only one constructor builds, or a
+``self`` attribute that only one such type is assigned to
+(``seen = set()`` makes ``seen.add`` a ``set`` method, which
+references no ``add`` of ours).  A resolved attribute references that
+name only in the receiver's class, its ancestors and its descendants;
+any other attribute matches by name alone.  The definition itself,
 imports and ``__all__`` do not count.  Private and dunder names are
 exempt.  An ``ALLOWED`` entry fails once it is stale: the name is gone,
 or it has a real caller.
@@ -281,22 +289,241 @@ def _on_numpy(node):
     return isinstance(node, ast.Name) and node.id in NUMPY_NAMES
 
 
-def _references(tree):
-    """Identifiers ``tree`` references by name, attribute or string.
+#: Builtin types a local or global can be built by (``seen = set()``).
+BUILTIN_TYPES = frozenset(
+    ("set", "frozenset", "list", "dict", "tuple", "bytes", "bytearray", "str")
+)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
-    An attribute of numpy is numpy's name, not ours: ``np.full`` does
-    not reference ``Matrix.full``.
+
+def _constructed(value):
+    """The type ``value`` builds, if the scan can see it: a literal
+    list, dict or set, or a call of a builtin type or of a class name
+    (a capitalised ``Name``)."""
+    if isinstance(value, (ast.List, ast.ListComp)):
+        return "list"
+    if isinstance(value, (ast.Dict, ast.DictComp)):
+        return "dict"
+    if isinstance(value, (ast.Set, ast.SetComp)):
+        return "set"
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        name = value.func.id
+        if name in BUILTIN_TYPES or name[:1].isupper():
+            return name
+    return None
+
+
+def _annotated(annotation):
+    """The type a plain annotation names (``k: Kernels``), if any: not a
+    subscripted one, and not ``Any`` or ``object``."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        name = annotation.value
+    elif isinstance(annotation, ast.Name):
+        name = annotation.id
+    elif isinstance(annotation, ast.Attribute):
+        name = annotation.attr
+    else:
+        return None
+    return name if name.isidentifier() and name not in ("Any", "object") else None
+
+
+def _in_scope(node):
+    """The nodes of ``node``'s own scope: its descendants, but not the
+    bodies of the functions, lambdas and classes nested in it."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _in_scope(child)
+
+
+def _bind(types, name, built):
+    """Record a binding: a name keeps a type only while every binding
+    gives it that one type."""
+    types[name] = built if types.get(name, built) == built else None
+
+
+def _single_target(node):
+    """The one target of ``x = value`` or ``x: T = value``, else None."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        return node.targets[0]
+    if isinstance(node, ast.AnnAssign):
+        return node.target
+    return None
+
+
+def _assigned_type(node):
+    """The type an assignment gives its targets: what its value
+    constructs, else the plain annotation of ``x: T = value``."""
+    built = _constructed(node.value) if node.value is not None else None
+    if built is None and isinstance(node, ast.AnnAssign):
+        built = _annotated(node.annotation)
+    return built
+
+
+def _scope_types(scope, owner=None):
+    """Name -> type for the names ``scope`` binds: the type of a
+    parameter's plain annotation, or the one type every assignment of a
+    name gives it; None (shadowed, unknown) for any other binding.  A
+    method's first parameter is ``owner``, its class, unless static."""
+    types = {}
+    if not isinstance(scope, ast.Module):
+        arguments = scope.args
+        positional = [*arguments.posonlyargs, *arguments.args]
+        for arg in [*positional, *arguments.kwonlyargs, arguments.vararg, arguments.kwarg]:
+            if arg is not None:
+                types[arg.arg] = _annotated(arg.annotation) if arg.annotation else None
+        static = any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in getattr(scope, "decorator_list", ())
+        )
+        if owner and positional and not static:
+            types[positional[0].arg] = owner
+    assigned = set()
+    for node in _in_scope(scope):
+        target = _single_target(node)
+        if isinstance(target, ast.Name):
+            assigned.add(id(target))
+            _bind(types, target.id, _assigned_type(node))
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            if id(node) not in assigned:
+                types[node.id] = None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            types[node.name] = None
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                types[(alias.asname or alias.name).split(".")[0]] = None
+    return types
+
+
+def _attribute_types(tree):
+    """Class name -> attribute -> type, for the ``self.<attribute>``
+    assignments in each class's methods (see :func:`_assigned_type`;
+    any other store of the attribute makes its type unknown)."""
+    out = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        types = out.setdefault(cls.name, {})
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if _on_self(target):
+                        _bind(types, target.attr, _assigned_type(node))
+                    else:
+                        for sub in ast.walk(target):
+                            if _on_self(sub):
+                                types[sub.attr] = None
+            elif isinstance(node, ast.AugAssign) and _on_self(node.target):
+                types[node.target.attr] = None
+    return out
+
+
+def _on_self(node):
+    """Whether ``node`` is an attribute of ``self``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def _references(tree):
+    """What ``tree`` references by name, attribute or string.
+
+    An attribute whose receiver's type the scan can see is resolved: it
+    yields ``(type, attribute)``.  The receiver is a name -- ``self`` or
+    ``cls`` in a method, a parameter with a plain annotation, or a local
+    or module global that only a constructor builds (see
+    :func:`_constructed`) -- or an attribute of ``self`` that only one
+    type is assigned to.  Every other reference yields the bare
+    identifier, which matches any definition of that name.  An
+    attribute of numpy is numpy's name, not ours: ``np.full`` does not
+    reference ``Matrix.full``.
     """
     skip = _all_nodes(tree)
-    for node in ast.walk(tree):
-        if id(node) in skip:
+    attributes = _attribute_types(tree)
+
+    def receiver_type(receiver, env):
+        if isinstance(receiver, ast.Name):
+            return env.get(receiver.id)
+        if isinstance(receiver, ast.Attribute) and isinstance(receiver.value, ast.Name):
+            owner = env.get(receiver.value.id)
+            return attributes.get(owner, {}).get(receiver.attr) if owner else None
+        return None
+
+    def walk(node, env, owner):
+        for child in ast.iter_child_nodes(node):
+            if id(child) in skip:
+                continue
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, env, child.name)
+                continue
+            if isinstance(child, _SCOPES):
+                yield from walk(child, {**env, **_scope_types(child, owner)}, None)
+                continue
+            if isinstance(child, ast.Name):
+                yield child.id
+            elif isinstance(child, ast.Attribute) and not _on_numpy(child):
+                known = receiver_type(child.value, env)
+                yield (known, child.attr) if known else child.attr
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                yield child.value
+            yield from walk(child, env, None)
+
+    return walk(tree, _scope_types(tree), None)
+
+
+def _class_bases(tree):
+    """Class name -> the names of its bases, for each class in ``tree``."""
+    return {
+        node.name: [
+            base.id if isinstance(base, ast.Name) else base.attr
+            for base in node.bases
+            if isinstance(base, (ast.Name, ast.Attribute))
+        ]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _unreferenced(definitions, references, bases):
+    """The qualified names of ``definitions`` that ``references`` miss.
+
+    A bare identifier references every definition of its name.  A
+    resolved ``(type, attribute)`` references a method or nested class
+    of that name only in a class related to ``type``: the class itself,
+    an ancestor or a descendant (a base class calling ``self.hook()``
+    reaches a subclass's ``hook``).  ``bases`` maps each class name to
+    its bases' names.
+    """
+
+    def lineage(name):
+        seen, todo = set(), [name]
+        while todo:
+            current = todo.pop()
+            if current not in seen:
+                seen.add(current)
+                todo += bases.get(current, ())
+        return seen
+
+    names = {ref for ref in references if isinstance(ref, str)}
+    typed = {}
+    for ref in references:
+        if isinstance(ref, tuple):
+            typed.setdefault(ref[1], set()).add(ref[0])
+    missed = set()
+    for qualname, name in definitions:
+        if name in names:
             continue
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and not _on_numpy(node):
-            yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+        owner = qualname.split(".")[-2]
+        if owner in bases and any(
+            owner in lineage(known) or known in lineage(owner)
+            for known in typed.get(name, ())
+        ):
+            continue
+        missed.add(qualname)
+    return missed
 
 
 def _functions(tree, module):
@@ -561,8 +788,13 @@ def definitions(trees):
 
 @pytest.fixture(scope="module")
 def uncalled(trees, definitions):
-    referenced = {name for tree in trees.values() for name in _references(tree)}
-    return {qualname for qualname, name in definitions if name not in referenced}
+    referenced = {ref for tree in trees.values() for ref in _references(tree)}
+    bases = {}
+    for path, tree in trees.items():
+        if SRC in path.parents:
+            for name, names in _class_bases(tree).items():
+                bases.setdefault(name, []).extend(names)
+    return _unreferenced(definitions, referenced, bases)
 
 
 @pytest.fixture(scope="module")
@@ -730,12 +962,63 @@ def test_guard_rules_on_a_sample():
         "m.Kept.used", "m.orphan",
     ]
     referenced = set(_references(tree))
-    assert {"by_attr", "by_string", "path"} <= referenced
+    # ``self.by_attr`` resolves to its class.
+    assert {("Kept", "by_attr"), "by_string", "path"} <= referenced
     # Neither ``__all__``, the ``def`` itself nor numpy's ``np.orphan``
     # references ``orphan``.
     assert "orphan" not in referenced and "Kept" not in referenced
+    assert _unreferenced(names.items(), referenced, _class_bases(tree)) == {
+        "m.Kept", "m.Kept.orphan", "m.Kept.used", "m.orphan",
+    }
     # ``json`` is unused; ``sep`` is re-exported; ``path`` is used.
     assert [name for _, name in _unused_imports(tree)] == ["json"]
+
+
+def test_guard_catches_a_method_named_like_a_builtin_call():
+    """A test-only ``BloomFilter.add`` beside a ``set.add`` in ``src``:
+    the ``set.add`` resolves to ``set`` and references nothing of ours.
+    Receivers whose type the scan cannot see still match by name."""
+    tree = ast.parse(
+        "SEEN = set()\n"
+        "class BloomFilter:\n"
+        "    def add(self, key): ...\n"
+        "    def may_contain(self, key): return self._probe(key)\n"
+        "    def _probe(self, key): ...\n"
+        "class Filter(BloomFilter):\n"
+        "    def hook(self): ...\n"
+        "class Table:\n"
+        "    def __init__(self):\n"
+        "        self._keys = set()\n"
+        "    def build(self, keys):\n"
+        "        seen = set()\n"
+        "        for key in keys:\n"
+        "            seen.add(key)\n"
+        "            SEEN.add(key)\n"
+        "            self._keys.discard(key)\n"
+        "        bloom = Filter()\n"
+        "        return bloom.may_contain(keys[0])\n"
+        "def typed(table: Table):\n"
+        "    return table.build([])\n"
+        "def unknown(table, other):\n"
+        "    other = table.filter()\n"
+        "    return other.contains(1)\n"
+        "def shadowed(seen):\n"
+        "    return seen.hook()\n"
+    )
+    referenced = set(_references(tree))
+    assert {
+        ("set", "add"), ("set", "discard"), ("Filter", "may_contain"),
+        ("Table", "build"), "contains", "hook",
+    } <= referenced
+    assert not {"add", "may_contain", "build", "discard"} & referenced
+    definitions = dict(_definitions(tree, "m"))
+    missed = _unreferenced(definitions.items(), referenced, _class_bases(tree))
+    # ``Filter()`` reaches its base's ``may_contain``; nothing reaches
+    # ``add``; ``hook`` matches by name through an unknown receiver.
+    assert missed == {"m.BloomFilter.add", "m.typed", "m.unknown", "m.shadowed"}
+    # Take the ``set`` away and the same call matches by name again.
+    untyped = ast.parse("def f(seen):\n    seen.add(1)\n")
+    assert "add" in set(_references(untyped))
 
 
 def test_parameter_and_field_rules_on_a_sample():
