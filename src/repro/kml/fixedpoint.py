@@ -69,6 +69,7 @@ _LO, _HI = np.array(int(FX_MIN), np.int64), np.array(int(FX_MAX), np.int64)
 _LO_F64, _HI_F64 = np.array(float(FX_MIN)), np.array(float(FX_MAX))
 _SCALE = np.array(float(SCALE))
 _SHIFT = np.array(FRAC_BITS, np.int64)
+_INT64 = np.dtype(np.int64)
 
 
 def _saturate(x64):
@@ -136,8 +137,16 @@ def fx_div(a, b):
 
 
 def fx_matmul_wide(a, b):
-    """:func:`fx_matmul` before its clamp: the shifted int64 products."""
-    out = np.matmul(a, b, dtype=np.int64)
+    """:func:`fx_matmul` before its clamp: the shifted int64 products.
+
+    An int64 ``b`` (a ``Linear``'s weight widened once) takes ``np.dot``,
+    which widens ``a`` itself and dispatches faster; integer sums do not
+    depend on the loop that forms them.
+    """
+    if b.dtype is _INT64:
+        out = np.dot(a, b)
+    else:
+        out = np.matmul(a, b, dtype=np.int64)
     np.right_shift(out, _SHIFT, out=out)
     return out
 

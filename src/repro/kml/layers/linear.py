@@ -8,12 +8,19 @@ The affine map is one raw step, :func:`affine`, which both the layer
 and ``Sequential``'s resolved training step (``repro.kml.network``)
 run.  It adds the bias into the matmul result in place (one buffer, not
 two), and in fixed32 skips both int32 clamps when the weights prove
-that neither can bind: for raw inputs bounded by ``R`` in magnitude
-(any int32: 2**31; a sigmoid's output, in [0, 2**16]: 2**16), no
+that neither can bind: for raw inputs bounded by ``R`` in magnitude, no
 output exceeds ``ceil(R * max_j sum_i |W_ij| / 2**16) + max |b|``,
 which must stay below 2**31.  :meth:`Linear.resolved` checks this once
 per weight and bias matrix (matched by identity: parameters are
 rebound, never written in place) and input bound.
+
+The bound ``R`` is carried down the chain (``repro.kml.network``):
+each layer's output bound is the next ``Linear``'s input bound.  Any
+int32 is 2**31, a sigmoid's output in [0, 2**16] is 2**16, and a
+``Linear`` whose clamps are idle bounds its output by the sum above
+(a clamping one by 2**31).  So a ``Linear`` fed by another with small
+weights, as the deployed model's first hidden layer is fed by its
+z-score layer, can skip its clamps too.
 """
 
 from __future__ import annotations
@@ -98,56 +105,59 @@ class Linear(Layer):
         self.bias = Parameter(f"{self.name}.bias", Matrix.zeros(1, out_features, dtype=dtype))
         self._kernels = kernels(dtype)
         self._input: Optional[np.ndarray] = None
-        self._resolved: tuple = (None, None, 0, _MISSHAPEN, None, None)
+        self._resolved: tuple = (None, None, 0, _MISSHAPEN, None, None, INT32_LIMIT)
 
     def resolved(self, input_limit: int) -> tuple:
         """``(weight, bias, input_limit, mode, matmul operand, raw
-        bias)`` for the current weight and bias matrices and raw inputs
-        bounded by ``input_limit`` in magnitude (fixed32; see the module
-        docstring), checked again only when one of the three changes.
-        The operand is the raw weight, or with idle clamps its int64
-        copy, which the int64 matmul would otherwise widen on every
-        call.  The tuple is stored at once, so a thread that rebinds a
-        weight never pairs it with another weight's mode.  Raises
-        ``TypeError`` for a weight or bias of another dtype."""
+        bias, output_limit)`` for the current weight and bias matrices
+        and raw inputs bounded by ``input_limit`` in magnitude (fixed32;
+        see the module docstring), checked again only when one of the
+        three changes.  The operand is the raw weight, or with idle
+        clamps its int64 copy, which the int64 matmul would otherwise
+        widen on every call; ``output_limit`` bounds the raw outputs'
+        magnitude (2**31 unless the clamps are idle).  The tuple is
+        stored at once, and always as a new tuple, so a thread that
+        rebinds a weight never pairs it with another weight's mode.
+        Raises ``TypeError`` for a weight or bias of another dtype."""
         w, b = self.weight.value, self.bias.value
         done = self._resolved
         if done[0] is w and done[1] is b and done[2] == input_limit:
             return done
         w_raw, b_raw = checked_raw(w, self.dtype), checked_raw(b, self.dtype)
-        mode, operand = _IN_PLACE, w_raw
+        mode, operand, output_limit = _IN_PLACE, w_raw, INT32_LIMIT
         if (w_raw.shape, b_raw.shape) != (
             (self.in_features, self.out_features), (1, self.out_features)
         ):
             mode = _MISSHAPEN
         elif self.dtype == "fixed32":
             mode = _SATURATING
-            if _output_limit(w_raw, b_raw, input_limit) < INT32_LIMIT:
-                mode, operand = _NARROW, w_raw.astype(np.int64)
-        self._resolved = done = (w, b, input_limit, mode, operand, b_raw)
+            bound = _output_limit(w_raw, b_raw, input_limit)
+            if bound < INT32_LIMIT:
+                mode, operand, output_limit = _NARROW, w_raw.astype(np.int64), bound
+        self._resolved = done = (w, b, input_limit, mode, operand, b_raw, output_limit)
         return done
 
-    def _affine(self, x: Matrix, input_limit: int):
-        """``(x's raw buffer, x @ W + b)``."""
-        if x.cols != self.in_features:
-            raise ValueError(
-                f"{self.name}: expected {self.in_features} input features, got {x.cols}"
-            )
+    def _raw_input(self, x: Matrix) -> np.ndarray:
+        """``x``'s raw buffer; raises for another dtype or width."""
         a = checked_raw(x, self.dtype)
-        out = affine(a, self.resolved(input_limit), self._kernels)
-        return a, _wrap(out, self.dtype)
+        if a.shape[1] != self.in_features:
+            raise ValueError(
+                f"{self.name}: expected {self.in_features} input features, got {a.shape[1]}"
+            )
+        return a
 
     def forward(self, x: Matrix) -> Matrix:
-        self._input, out = self._affine(x, INT32_LIMIT)
-        return out
+        self._input = a = self._raw_input(x)
+        return _wrap(affine(a, self.resolved(INT32_LIMIT), self._kernels), self.dtype)
 
     def infer(self, x: Matrix, input_limit: int = INT32_LIMIT) -> Matrix:
         """``x @ W + b`` without caching the input: safe for concurrent
         inference threads sharing one layer instance.  In fixed32 the
         caller may promise a tighter bound on ``x``'s raw magnitudes
-        (``SIGMOID_LIMIT`` for a sigmoid's output), which lets smaller
-        weights skip the clamps; the floats ignore it."""
-        return self._affine(x, input_limit)[1]
+        (the output bound of the layer that made ``x``), which lets
+        smaller weights skip the clamps; the floats ignore it."""
+        out = affine(self._raw_input(x), self.resolved(input_limit), self._kernels)
+        return _wrap(out, self.dtype)
 
     def backward(self, grad_output: Matrix) -> Matrix:
         x = self._input

@@ -68,4 +68,7 @@ class CrossEntropyLoss(Loss):
             raise RuntimeError("backward() before forward()")
         n = self._softmax.shape[0]
         k = self._kernels
-        return _wrap(k.encode((self._softmax - self._onehot) / n), k.dtype)
+        grad = self._softmax - self._onehot
+        if n > 1:  # dividing by 1 leaves every float64 as it is
+            grad /= n
+        return _wrap(k.encode(grad), k.dtype)

@@ -14,22 +14,25 @@ table ``repro.kml.fixedpoint`` builds from :func:`kml_sigmoid`), and
 the losses take softmax and log-softmax from here.
 
 Two paths, one result.  The online loop feeds these kernels one small
-row at a time, where a numpy call costs ~1 us of dispatch whatever its
-size: :func:`kml_sigmoid` on a 1x32 row is ~27 ufunc calls and ~21 us.
-So :func:`kml_sigmoid` on at most 16 values, and
+row at a time, where a numpy call costs ~0.4-1 us of dispatch whatever
+its size: :func:`kml_sigmoid` on a 1x32 row is ~27 ufunc calls and
+~12 us.  So :func:`kml_sigmoid` on at most 16 values, and
 :func:`kml_softmax_and_log` and :func:`kml_softmax_cross_entropy` on
 one row of at most 7, run on Python floats instead.  That path
 applies the same IEEE double operations in the same order as the array
 path, so it returns the same bits (NaN aside, which stays NaN):
 ``// 1.0`` is floor, the exact ``2**k`` comes from a table
 ``np.ldexp`` builds once, and ``np.frexp`` splits the one value
-:func:`kml_log` needs.  ``tests/kml/test_mathops.py`` checks the
-two paths against each other bit for bit.  Measured on a 2-vCPU Xeon
-VM (best of 15 x 5,000 calls), the float path costs ~0.8 us a value:
-on a float32 sigmoid row it takes 8 / 13 / 20 / 29 us at 8 / 16 / 20 /
-24 values against ~21-25 us for the array path, which wins from ~24
-values on, so 16 keeps a margin and the network's 1x32 layer stays on
-arrays.  The 1x4 loss row's softmax and log drop from ~55 to ~11 us.
+:func:`kml_log` needs.  The sigmoid runs as one fused loop per value
+(``-|x|``, the -80 clamp, exp, the division), not as list passes
+zipped together.  ``tests/kml/test_mathops.py`` checks the two paths
+against each other bit for bit.  Measured on a 2-vCPU Xeon VM (best of
+15 x 5,000 calls), the fused loop costs ~0.45 us a value: on a float32
+sigmoid row it takes 4.3 / 7.5 / 9.2 / 11.3 / 14.1 us at 8 / 16 / 20
+/ 24 / 32 values against ~11.2-11.9 us for the array path, which wins
+from ~26 values on, so 16 keeps a margin and the network's 1x32 layer
+stays on arrays.  The 1x4 loss row's softmax and log drop from ~55 to
+~11 us.
 """
 
 from __future__ import annotations
@@ -163,6 +166,25 @@ def _exp_floats(xs):
     return out
 
 
+def _sigmoid_floats(xs):
+    """kml_sigmoid of each Python float in ``xs``: :func:`_exp_floats`
+    of ``-|x|`` fused into the one loop that divides it out."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = _EXP_FLOATS
+    ln2, lo, pow2 = LN2, -EXP_CLAMP, _POW2
+    out = []
+    for v in xs:
+        e = -abs(v)
+        if e < lo:
+            e = lo
+        if e == e:  # NaN stays NaN
+            k = (e / ln2 + 0.5) // 1.0
+            r = e - k * ln2
+            e = ((((((c7 * r + c6) * r + c5) * r + c4) * r + c3) * r + c2) * r + c1) * r + c0
+            e *= pow2[k]
+        out.append((1.0 if v >= 0.0 else e) / (1.0 + e))
+    return out
+
+
 def kml_log(x):
     """Natural log via mantissa/exponent split plus an atanh series.
 
@@ -210,12 +232,12 @@ def kml_sigmoid(x):
     <= 0, avoiding overflow for large-magnitude inputs.  Up to 16
     values go through Python floats (see the module docstring).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.size <= _SIGMOID_ROW_MAX:
-        xs = x.ravel().tolist()
-        ez = _exp_floats([-abs(v) for v in xs])
-        out = [(1.0 if v >= 0.0 else e) / (1.0 + e) for v, e in zip(xs, ez)]
-        return np.array(out).reshape(x.shape)
+        # A float32 or float64 buffer lists its values exactly as float64.
+        xs = (x if x.dtype.char in "fd" else x.astype(np.float64)).ravel().tolist()
+        return np.array(_sigmoid_floats(xs)).reshape(x.shape)
+    x = np.asarray(x, dtype=np.float64)
     pos = x >= _ZERO
     z = np.abs(x)
     np.negative(z, out=z)

@@ -156,6 +156,21 @@ class Kernels:
         self.one = self.encode(1.0)
 
 
+def _float_matmul(a, b):
+    """``np.matmul(a, b)`` of two 2-D float buffers.
+
+    For an inner dimension of 2 or more this is ``np.dot``, the same
+    BLAS product with less dispatch.  Over an inner dimension of 1
+    (an outer product, or a one-element operand) ``np.dot`` multiplies
+    instead of accumulating from 0, or scales by BLAS ``scal``: an
+    underflowing product stays -0.0 and ``0 * inf`` gives 0, not NaN.
+    So that case keeps ``np.matmul``.
+    """
+    if a.shape[1] > 1:
+        return np.dot(a, b)
+    return np.matmul(a, b)
+
+
 def _float_kernels(dtype: str) -> Kernels:
     np_dtype = _NUMPY_DTYPES[dtype]
 
@@ -201,8 +216,8 @@ def _float_kernels(dtype: str) -> Kernels:
         add_into=add_into,
         store=store,
         sigmoid=sigmoid,
-        matmul=np.matmul,
-        wide_matmul=np.matmul,
+        matmul=_float_matmul,
+        wide_matmul=_float_matmul,
         colsum=colsum,
     )
 

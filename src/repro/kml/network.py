@@ -7,9 +7,10 @@ supports *chain* graphs processed serially -- :class:`Sequential` is
 exactly that.
 
 ``infer``/``predict``/``predict_classes`` run each layer's ``infer``.
-A ``Linear`` directly after a ``Sigmoid`` is told that its raw fixed32
-inputs lie in [0, 2**16], so that its clamps can be proved idle (see
-``repro.kml.layers.linear``).
+In fixed32 each ``Linear`` is told the bound its predecessor proved on
+its raw inputs -- 2**16 after a ``Sigmoid``, the proved output bound
+after a ``Linear`` whose clamps are idle, 2**31 otherwise -- so that
+its own clamps can be proved idle (see ``repro.kml.layers.linear``).
 
 ``train_step`` (so ``fit``) resolves a chain of exactly ``Linear`` and
 ``Sigmoid`` layers, as the paper's network is, once into raw kernel
@@ -18,7 +19,8 @@ steps (:class:`_Plan`) and runs those in place of each layer's
 batch size, computing the same bits.  At this size a call's dispatch
 costs more than its arithmetic, so the steps keep only what the values
 need: each ``Linear`` runs the layer's own raw step
-(``repro.kml.layers.linear.affine``), each gradient is stored as
+(``repro.kml.layers.linear.affine``) under the bound carried down the
+chain as in ``infer``, each gradient is stored as
 ``0 + delta`` rather than zeroed and added to, and the first
 ``Linear``'s input gradient, which no parameter needs, is not computed
 (``backward`` still returns it).  The plan is checked on each call by
@@ -70,18 +72,16 @@ def _begin(hook) -> float:
 class _Plan:
     """A ``Linear``/``Sigmoid`` chain resolved into raw kernel steps.
 
-    ``limits`` holds, per layer, the bound a ``Linear`` is resolved for
-    (``SIGMOID_LIMIT`` after a ``Sigmoid``, else ``INT32_LIMIT``) and
-    ``None`` for a ``Sigmoid``; it is empty when the chain cannot be
-    resolved (another layer type or subclass, no ``Linear``, mixed
-    dtypes, widths that do not chain).
+    ``runnable`` is False when the chain cannot be resolved (another
+    layer type or subclass, no ``Linear``, mixed dtypes, widths that do
+    not chain).
     """
 
-    __slots__ = ("layers", "limits", "kernels", "in_features", "first")
+    __slots__ = ("layers", "runnable", "kernels", "in_features", "first")
 
     def __init__(self, layers: List[Layer]):
         self.layers = list(layers)
-        self.limits: list = []
+        self.runnable = False
         linears = [layer for layer in layers if type(layer) is Linear]
         if not linears or any(type(layer) not in (Linear, Sigmoid) for layer in layers):
             return
@@ -89,33 +89,32 @@ class _Plan:
             a.out_features != b.in_features for a, b in zip(linears, linears[1:])
         ):
             return
+        self.runnable = True
         self.kernels = kernels(linears[0].dtype)
         self.in_features = linears[0].in_features
         self.first = layers.index(linears[0])
-        self.limits = [
-            None if type(layer) is Sigmoid
-            else SIGMOID_LIMIT if i and type(layers[i - 1]) is Sigmoid
-            else INT32_LIMIT
-            for i, layer in enumerate(layers)
-        ]
 
     def ready(self, x: Matrix) -> Optional[list]:
         """Per layer, the ``Linear.resolved`` tuple the steps run on
-        ``x`` (``None`` for a ``Sigmoid``), or None if they cannot run
-        it.  A call runs exactly the tuples this returned."""
-        if not self.limits:
+        ``x`` (``None`` for a ``Sigmoid``), each resolved under the
+        bound its predecessor proved, or None if they cannot run it.  A
+        call runs exactly the tuples this returned."""
+        if not self.runnable:
             return None
         if x.dtype != self.kernels.dtype or x.raw.shape[1] != self.in_features:
             return None
         resolved = []
-        for layer, limit in zip(self.layers, self.limits):
-            if limit is None:
+        limit = INT32_LIMIT
+        for layer in self.layers:
+            if type(layer) is Sigmoid:
                 resolved.append(None)
+                limit = SIGMOID_LIMIT
                 continue
             done = layer.resolved(limit)
             if done[3] == _MISSHAPEN:
                 return None
             resolved.append(done)
+            limit = done[6]
         return resolved
 
     def forward(self, a: np.ndarray, resolved: list, acts: list) -> np.ndarray:
@@ -188,22 +187,29 @@ class Sequential:
         Uses each layer's :meth:`~repro.kml.layers.base.Layer.infer`, so
         nothing is cached for a later ``backward()`` and dropout is off:
         a prediction never disturbs a training step's cached
-        activations.  In fixed32 a ``Linear`` after a ``Sigmoid`` is
-        passed the sigmoid's output bound.  Counted and timed by the
-        forward pass hook.
+        activations.  In fixed32 each ``Linear`` is passed the bound its
+        predecessor proved on its output (see the module docstring).
+        Counted and timed by the forward pass hook.
         """
         hook = _forward_hook
         t0 = _begin(hook)
         out = x
         if x.dtype == "fixed32":
-            after_sigmoid = False
+            limit = INT32_LIMIT
             for layer in self.layers:
                 kind = type(layer)
-                if after_sigmoid and kind is Linear:
-                    out = layer.infer(out, SIGMOID_LIMIT)
+                if kind is Linear:
+                    before = layer._resolved
+                    out = layer.infer(out, limit)
+                    done = layer._resolved
+                    # ``resolved`` stores each tuple once, as a new one, so
+                    # a tuple there before and after the call is the one
+                    # the call ran; otherwise another thread may have
+                    # rebound the weights, and only 2**31 is proved.
+                    limit = done[6] if done is before else INT32_LIMIT
                 else:
                     out = layer.infer(out)
-                after_sigmoid = kind is Sigmoid
+                    limit = SIGMOID_LIMIT if kind is Sigmoid else INT32_LIMIT
         else:
             # The float kernels ignore input bounds: skip the type checks.
             for layer in self.layers:

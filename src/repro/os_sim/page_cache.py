@@ -372,9 +372,10 @@ class PageCache:
         done = self.device.submit(clock, n, is_write=False)
         now = clock.now
         is_async = plan.is_async
-        tracepoints.emit(
-            "readahead", now, ino=ino, start=start, count=n, is_async=is_async
-        )
+        if not tracepoints.count_unheard("readahead"):
+            tracepoints.emit(
+                "readahead", now, ino=ino, start=start, count=n, is_async=is_async
+            )
         # A synchronous window's demanded page is its first missing
         # page, ``start``; every other page of a window is prefetched.
         demand = start if not is_async else -1

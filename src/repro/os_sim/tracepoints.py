@@ -126,6 +126,18 @@ class TracepointRegistry:
         del self._subscribers[name][index]
         del self._page_forms[name][index]
 
+    def count_unheard(self, name: str) -> bool:
+        """Count one hit of ``name`` if it has no subscriber, and say so.
+
+        False (and nothing counted) means someone listens: the caller
+        then fires the event with :meth:`emit`.  A hot path whose event
+        nobody reads skips building its fields.
+        """
+        if self._subscribers[name]:
+            return False
+        self.hit_counts[name] += 1
+        return True
+
     def emit(self, name: str, timestamp: float, **fields: Any) -> None:
         """Fire a tracepoint; cheap when nobody is listening."""
         self.hit_counts[name] += 1

@@ -165,6 +165,64 @@ class TestArithmetic:
         assert np.allclose((a @ eye).to_numpy(), a.to_numpy(), atol=1e-6)
 
 
+#: Values where a float product rounds or propagates specially: signed
+#: zeros, subnormals of both widths, infinities and NaN.
+MATMUL_EDGES = [0.0, -0.0, 1e-45, -1e-40, 5e-324, -1e-310, np.inf, -np.inf, np.nan]
+#: How a hot path lays its operands out: a single row times a weight,
+#: a column times a row (a single row's weight gradient), a batch of 32
+#: rows, a weight that is a view into SGD's flat parameter buffer, and
+#: contiguous copies of transposes (the backward pass's operands).
+MATMUL_FORMS = ("row", "outer", "batch", "flat_view", "transposes")
+
+
+@st.composite
+def matmul_operands(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    form = draw(st.sampled_from(MATMUL_FORMS))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rows = {"outer": n, "batch": 32}.get(form, 1)
+    inner = 1 if form == "outer" else n
+    elements = st.one_of(
+        st.sampled_from(MATMUL_EDGES),
+        st.floats(-10.0, 10.0, width=np.finfo(dtype).bits),
+        st.floats(width=np.finfo(dtype).bits),
+    )
+    if form == "transposes":
+        a = np.ascontiguousarray(draw(arrays(dtype, (inner, rows), elements=elements)).T)
+        b = np.ascontiguousarray(draw(arrays(dtype, (m, inner), elements=elements)).T)
+        return a, b
+    a = draw(arrays(dtype, (rows, inner), elements=elements))
+    b = draw(arrays(dtype, (inner, m), elements=elements))
+    if form == "flat_view":
+        # SGD lays parameters end to end on 16-byte boundaries; any
+        # element offset is tried too.
+        offset = draw(st.integers(0, 8)) * (16 // np.dtype(dtype).itemsize)
+        offset += draw(st.sampled_from([0, 0, 1, 3]))
+        flat = np.zeros(offset + b.size + 7, dtype=dtype)
+        view = flat[offset : offset + b.size].reshape(b.shape)
+        view[...] = b
+        b = view
+    return a, b
+
+
+class TestFloatMatmulKernel:
+    """The float kernels' ``matmul`` and ``wide_matmul`` (``np.dot``,
+    cheaper to dispatch) give ``np.matmul``'s bytes on every operand
+    layout the hot paths use."""
+
+    @given(matmul_operands())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_np_matmul_byte_for_byte(self, operands):
+        a, b = operands
+        k = kernels("float32" if a.dtype == np.float32 else "float64")
+        with np.errstate(all="ignore"):
+            expected = np.matmul(a, b)
+            for kernel in (k.bare_matmul, k.bare_wide_matmul):
+                got = kernel(a, b)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+
 class TestNonlinearities:
     def test_sigmoid_range(self, dtype):
         m = Matrix([[-100.0, 0.0, 100.0]], dtype=dtype)

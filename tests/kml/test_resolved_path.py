@@ -1,19 +1,23 @@
 """The resolved Linear/Sigmoid path computes what the layers compute, bit for bit.
 
 ``Sequential`` runs a Linear/Sigmoid chain's ``train_step`` as raw
-kernel steps, and its ``infer``/``predict`` tell a ``Linear`` after a
-``Sigmoid`` its input bound, which lets fixed32 skip clamps (see
-``repro.kml.network`` and ``repro.kml.layers.linear``).  These tests
+kernel steps, and its ``infer``/``predict`` tell each ``Linear`` the
+bound its predecessor proved on its input, which lets fixed32 skip
+clamps (see ``repro.kml.network`` and ``repro.kml.layers.linear``).  These tests
 build the layered reference themselves -- each layer's ``infer`` with
 no bound; ``forward``, ``zero_grad`` and ``backward`` with SGD written
 as ``Matrix`` arithmetic -- and compare logits, losses, weights,
 velocities and gradients byte for byte: in every dtype, at batch sizes
 1 and 32, over multi-step trajectories, on inputs holding NaN, +-inf
 and a feature 0 beyond fixed32's 32,767, and with fixed32 weights too
-large for the no-saturation bound.  The engagement guard fails if the
-paper's network ever falls back to the layers silently.
+large for the no-saturation bound.  Random fixed32 chains check each
+``Linear`` against the saturating kernels on inputs at the bound it was
+resolved under.  The engagement guards fail if the paper's network
+ever falls back to the layers or the sigmoid leaves its fused loop
+silently, or if the benchmark model's fc1 stops skipping its clamps.
 """
 
+import os
 import sys
 import threading
 
@@ -21,8 +25,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.kml import CrossEntropyLoss, Linear, SGD, Sequential, Sigmoid, Tanh, mathops
+from repro.kml import (
+    CrossEntropyLoss, Linear, SGD, Sequential, Sigmoid, Tanh, fixedpoint, load_model, mathops,
+)
 from repro.kml.layers import Layer
 from repro.kml.layers import linear as linear_module
 from repro.kml.losses.base import one_hot_array
@@ -30,6 +37,10 @@ from repro.kml.matrix import Matrix
 from repro.readahead.model import build_network
 
 DTYPES = ("float32", "float64", "fixed32")
+#: The deployed float32 model the repository benchmark runs.
+BENCHMARK_MODEL = os.path.join(
+    os.path.dirname(__file__), "..", "..", "perfbench", "inputs", "readahead_nn.kml"
+)
 LR = 0.01
 MEANS = np.array([30_000.0, 900.0, 800.0, 60.0, 96.0])
 STDS = np.array([12_000.0, 300.0, 250.0, 40.0, 48.0])
@@ -42,6 +53,20 @@ def deployable(dtype, seed):
     zscore.weight.value = Matrix(np.diag(1.0 / STDS), dtype=dtype)
     zscore.bias.value = Matrix((-MEANS / STDS).reshape(1, -1), dtype=dtype)
     return Sequential([zscore] + network.layers)
+
+
+def in_fixed32(model):
+    """A copy of a Linear/Sigmoid chain with its weights in fixed32."""
+    layers = []
+    for layer in model.layers:
+        if type(layer) is Linear:
+            copy = Linear(layer.in_features, layer.out_features, dtype="fixed32",
+                          rng=np.random.default_rng(0), name=layer.name)
+            copy.weight.value = Matrix(layer.weight.value.to_numpy(), dtype="fixed32")
+            copy.bias.value = Matrix(layer.bias.value.to_numpy(), dtype="fixed32")
+            layer = copy
+        layers.append(layer)
+    return Sequential(layers)
 
 
 def layered_infer(model, x):
@@ -261,15 +286,144 @@ class TestInference:
         assert_same(got.raw, layered_infer(model, Matrix(x, dtype="fixed32")).raw)
 
     def test_deployed_model_modes(self):
-        """fixed32: the z-score layer clears the any-int32 bound, fc1 (fed
-        by it) saturates, and fc2 and fc3 (fed by sigmoids) clear the
-        sigmoid bound."""
+        """fixed32: the z-score layer clears the any-int32 bound; fc1,
+        resolved anew on the first call, clamps under 2**31 there and
+        clears the z-score layer's bound from the second call on; fc2
+        and fc3 (fed by sigmoids) clear the sigmoid bound."""
         model = deployable("fixed32", 21)
-        model.predict(windows(np.random.default_rng(22), 1, 1.0), dtype="fixed32")
+        x = windows(np.random.default_rng(22), 1, 1.0)
+        model.predict(x, dtype="fixed32")
         assert modes(model) == [
             linear_module._NARROW, linear_module._SATURATING,
             linear_module._NARROW, linear_module._NARROW,
         ]
+        model.predict(x, dtype="fixed32")
+        assert modes(model) == 4 * [linear_module._NARROW]
+
+
+@st.composite
+def fixed32_chains(draw):
+    """1-4 fixed32 Linears, some followed by a Sigmoid, with raw weights
+    and biases up to 2**2 .. 2**22 in magnitude, so that some layers
+    prove their clamps idle and some do not.  In each Linear the column
+    with the largest absolute weight sum carries the largest absolute
+    bias, negative: inputs at minus the bound's sign pattern reach the
+    bound exactly."""
+    count = draw(st.integers(1, 4))
+    widths = [draw(st.integers(1, 6)) for _ in range(count + 1)]
+    layers = []
+    for i in range(count):
+        top = 2 ** draw(st.integers(2, 22))
+        ints = st.integers(-top, top)
+        w = draw(arrays(np.int64, (widths[i], widths[i + 1]), elements=ints))
+        b = draw(arrays(np.int64, (1, widths[i + 1]), elements=ints))
+        b[0, np.abs(w).sum(axis=0).argmax()] = -np.abs(b).max()
+        linear = Linear(widths[i], widths[i + 1], dtype="fixed32", rng=np.random.default_rng(0))
+        linear.weight.value = Matrix.from_raw(w.astype(np.int32), "fixed32")
+        linear.bias.value = Matrix.from_raw(b.astype(np.int32), "fixed32")
+        layers.append(linear)
+        if i < count - 1 and draw(st.booleans()):
+            layers.append(Sigmoid())
+    return Sequential(layers)
+
+
+INT32_EDGES = np.array([2**31 - 1, -(2**31), 2**31 - 2, -(2**31) + 1, 0, 1, -1])
+
+
+class TestChainedBounds:
+    """In fixed32 each Linear is resolved under the bound its
+    predecessor proved (2**31 first, 2**16 after a Sigmoid, a narrow
+    Linear's output bound after it), and every mode gives the saturating
+    kernels' bytes on inputs at that bound."""
+
+    @given(fixed32_chains(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_each_linear_under_its_chained_bound(self, model, seed):
+        rng = np.random.default_rng(seed)
+        x = Matrix.from_raw(
+            rng.choice(INT32_EDGES, size=(8, model.layers[0].in_features)).astype(np.int32),
+            "fixed32",
+        )
+        # A Linear resolved anew hands its successor 2**31 on that call:
+        # one call per Linear settles the chain.
+        for _ in model.layers:
+            logits = model.predict(x)
+        limit = 2**31
+        for layer in model.layers:
+            if type(layer) is Sigmoid:
+                limit = 2**16
+                continue
+            w, b = layer.weight.value.raw, layer.bias.value.raw
+            column = int(np.abs(w.astype(np.int64)).sum(axis=0).max())
+            bound = -(-limit * column // 2**16) + int(np.abs(b.astype(np.int64)).max())
+            out_limit = bound if bound < 2**31 else 2**31
+            mode = linear_module._NARROW if bound < 2**31 else linear_module._SATURATING
+            assert layer._resolved[2:4] == (limit, mode)
+            assert layer._resolved[6] == out_limit
+            # Each column's sign pattern at plus and minus the bound.
+            signs = np.sign(w.T.astype(np.int64))
+            rows = np.concatenate([signs * limit, -signs * limit])
+            if limit == 2**31:
+                rows = np.concatenate(
+                    [rows, rng.choice(INT32_EDGES, size=(8, layer.in_features))]
+                )
+            rows = np.clip(rows, -(2**31), 2**31 - 1).astype(np.int32)
+            got = layer.infer(Matrix.from_raw(rows, "fixed32"), limit).raw
+            expected = fixedpoint.fx_add(fixedpoint.fx_matmul(rows, w), b)
+            assert_same(got, expected)
+            assert int(np.abs(expected.astype(np.int64)).max()) <= out_limit
+            limit = out_limit
+        # The reference resolves every Linear under 2**31: it comes last.
+        assert_same(logits.raw, layered_infer(model, x).raw)
+
+    def test_the_benchmark_model_runs_every_linear_narrow(self):
+        """Engagement guard: the deployed model's z-score layer proves a
+        bound of 348,589,318, under which fc1 proves its own below
+        2**31, so every Linear of the fixed32 copy skips its clamps."""
+        model = in_fixed32(load_model(BENCHMARK_MODEL))
+        x = windows(np.random.default_rng(23), 1, 1.0)
+        for _ in range(2):
+            got = model.predict(x, dtype="fixed32")
+        assert modes(model) == 4 * [linear_module._NARROW]
+        zscore, fc1 = model.layers[0], model.layers[1]
+        assert zscore._resolved[6] == fc1._resolved[2] == 348_589_318
+        assert fc1._resolved[6] < 2**31
+        assert_same(got.raw, layered_infer(model, Matrix(x, dtype="fixed32")).raw)
+
+    def test_a_bound_resolved_meanwhile_is_not_passed_on(self, monkeypatch):
+        """Another thread may rebind a weight and resolve it between a
+        Linear's call and the read of its bound.  The z-score layer runs
+        a large weight, under which fc1 must clamp, and the small one is
+        resolved in its place before the call returns: fc1 gets 2**31,
+        not the small weight's bound."""
+        model = in_fixed32(load_model(BENCHMARK_MODEL))
+        zscore = model.layers[0]
+        small = zscore.weight.value
+        large = Matrix(
+            np.random.default_rng(24).choice([-1.0, 1.0], size=(5, 5)) * 20_000.0,
+            dtype="fixed32",
+        )
+        x = Matrix(windows(np.random.default_rng(25), 8, 1.0), dtype="fixed32")
+        zscore.weight.value = large
+        expected = layered_infer(model, x)
+        zscore.weight.value = small
+        for _ in range(2):
+            model.predict(x)
+        assert modes(model)[1] == linear_module._NARROW
+        infer = Linear.infer
+
+        def infer_then_rebind(layer, *args):
+            out = infer(layer, *args)
+            if layer is zscore:
+                zscore.weight.value = small
+                zscore.resolved(2**31)
+            return out
+
+        monkeypatch.setattr(Linear, "infer", infer_then_rebind)
+        zscore.weight.value = large
+        got = model.predict(x)
+        assert model.layers[1]._resolved[2] == 2**31
+        assert_same(got.raw, expected.raw)
 
 
 class TestTrainingPlan:
@@ -301,11 +455,11 @@ class TestTrainingPlan:
         network.add(Sigmoid())
         reference.network.add(Sigmoid())
         step([0, 3])
-        assert network._plan is not plan and network._plan.limits
+        assert network._plan is not plan and network._plan.runnable
         network.layers[1] = Tanh()
         reference.network.layers[1] = Tanh()
         step([2, 2])
-        assert not network._plan.limits
+        assert not network._plan.runnable
 
 
 class TestConcurrentInference:
@@ -313,8 +467,10 @@ class TestConcurrentInference:
         """Readers share one model while a writer swaps the z-score
         layer's and fc2's weights, each between one its bound clears
         and one it does not: every prediction is one of the four
-        layered results, never a weight run with another's mode, and
-        fc1, fed by the z-score layer, never skips its clamps."""
+        layered results, never a weight run with another's mode.  Once
+        the readers stop, one more prediction under the writer's last
+        weights (the z-score layer's large one) equals their layered
+        result, with fc1 clamping."""
         model = deployable("fixed32", 18)
         zscore, fc2 = model.layers[0], model.layers[3]
         rng = np.random.default_rng(19)
@@ -326,11 +482,15 @@ class TestConcurrentInference:
             for layer in (zscore, fc2)
         ]
         x = windows(np.random.default_rng(20), 8, 1.0)
-        expected = set()
+        expected = {}
         for z_weight in choices[0]:
             for fc2_weight in choices[1]:
                 zscore.weight.value, fc2.weight.value = z_weight, fc2_weight
-                expected.add(layered_infer(model, Matrix(x, dtype="fixed32")).raw.tobytes())
+                expected[id(z_weight), id(fc2_weight)] = layered_infer(
+                    model, Matrix(x, dtype="fixed32")
+                ).raw.tobytes()
+        last = expected[id(choices[0][1]), id(choices[1][1])]
+        expected = set(expected.values())
         assert len(expected) == 4
         stop, unexpected, done = threading.Event(), [], []
 
@@ -357,6 +517,10 @@ class TestConcurrentInference:
             sys.setswitchinterval(old)
         assert not any(thread.is_alive() for thread in readers)
         assert done and not unexpected
+        # A reader's last call may have stored fc1 under the small weight's
+        # bound; this call, after the writer's last rebind, settles it.
+        assert zscore.weight.value is choices[0][1] and fc2.weight.value is choices[1][1]
+        assert model.predict(x, dtype="fixed32").raw.tobytes() == last
         assert model.layers[1]._resolved[3] == linear_module._SATURATING
 
 
@@ -421,7 +585,10 @@ class TestEngagement:
     """The paper's network runs ``predict_classes`` through each layer's
     ``infer`` once and makes no ``forward``/``backward`` call there, and
     makes no layer call at all in ``train_step``: a silent fallback to
-    the layered training step fails here."""
+    the layered training step fails here.  In the floats a single row's
+    16-wide sigmoid takes the fused Python-float loop, and nothing else
+    does: the 32-wide one and a batch's stay on arrays, and fixed32
+    looks its table up."""
 
     @pytest.fixture
     def layer_calls(self, monkeypatch):
@@ -442,15 +609,33 @@ class TestEngagement:
                 monkeypatch.setattr(cls, name, recorded(name, method))
         return calls
 
+    @pytest.fixture
+    def fused_rows(self, monkeypatch):
+        """The length of each row the fused sigmoid loop is given."""
+        rows = []
+        fused = mathops._sigmoid_floats
+
+        def record(xs):
+            rows.append(len(xs))
+            return fused(xs)
+
+        monkeypatch.setattr(mathops, "_sigmoid_floats", record)
+        return rows
+
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_predict_and_train_step(self, dtype, layer_calls):
+    def test_predict_and_train_step(self, dtype, layer_calls, fused_rows):
+        fused = [] if dtype == "fixed32" else [16]
         model = deployable(dtype, 15)
         model.predict_classes(np.array([[30_000.0, 950.0, 830.0, 70.0, 128.0]]), dtype=dtype)
+        assert fused_rows == fused
         model.predict_classes(windows(np.random.default_rng(16), 32, 1.0), dtype=dtype)
         assert layer_calls == 2 * [f"{type(layer).__name__}.infer" for layer in model.layers]
+        assert fused_rows == fused
         layer_calls.clear()
+        fused_rows.clear()
         network = build_network(dtype=dtype, rng=np.random.default_rng(17))
         optimizer = SGD(network.parameters(), lr=LR, momentum=0.99)
         x = Matrix([[0.3, -1.2, 0.8, 2.5, -0.1]], dtype=dtype)
         network.train_step(x, [2], CrossEntropyLoss(), optimizer)
         assert layer_calls == []
+        assert fused_rows == fused

@@ -17,6 +17,7 @@ import pytest
 from repro.kml import CrossEntropyLoss, Linear, SGD, Sequential
 from repro.hooks import HookPlane, detach
 from repro.kml import matrix
+from repro.kml import network as network_module
 from repro.kml.matrix import Matrix
 from repro.readahead.model import build_network
 from repro.runtime.memory import MemoryAccountant
@@ -35,13 +36,25 @@ def _trainer(dtype):
 
 @pytest.fixture
 def probe():
-    """A matmul hook counting every call (``mask`` 0 also times each)."""
+    """Hooks counting every matmul and every forward and backward
+    traversal (``mask`` 0 also times each), by site name."""
     plane = HookPlane()
-    hook = plane.hook("matrix.matmul")
-    hook.hist, hook.mask = SimpleNamespace(observe=lambda s: None), 0
+    hooks = {}
+    for site in ("matrix.matmul", "network.forward", "network.backward"):
+        hook = hooks[site] = plane.hook(site)
+        hook.hist, hook.mask = SimpleNamespace(observe=lambda s: None), 0
     plane.attach(matrix)
-    yield hook
+    plane.attach(network_module)
+    yield hooks
     detach(matrix)
+    detach(network_module)
+
+
+def _calls(probe):
+    calls = {site: hook.calls for site, hook in probe.items()}
+    for hook in probe.values():
+        hook.calls = 0
+    return calls
 
 
 @pytest.mark.parametrize("dtype", ["float32", "fixed32"])
@@ -61,18 +74,21 @@ def test_step_makes_no_operator_dispatch(dtype, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("dtype", ["float32", "fixed32"])
+@pytest.mark.parametrize("dtype", ["float32", "float64", "fixed32"])
 def test_probe_counts_every_matmul(dtype, probe):
+    """Pins the kernel calls of the online op: a step or a prediction
+    that makes another matmul or traversal fails here, timing aside."""
     network, optimizer, loss_fn = _trainer(dtype)
     network.train_step(Matrix(ROW, dtype=dtype), [2], loss_fn, optimizer)
     # 3 forward, 2 per Linear backward but fc1's input gradient, which no
     # parameter needs and the step does not compute.
-    assert probe.calls == 8
+    assert _calls(probe) == {"matrix.matmul": 8, "network.forward": 1, "network.backward": 1}
 
-    probe.calls = 0
     zscore = Linear(5, 5, dtype=dtype, rng=np.random.default_rng(1))
-    Sequential([zscore] + network.layers).predict_classes(FEATURES)
-    assert probe.calls == 4
+    model = Sequential([zscore] + network.layers)
+    for _ in range(2):  # the second runs the bounds the first resolved
+        model.predict_classes(FEATURES, dtype=dtype)
+        assert _calls(probe) == {"matrix.matmul": 4, "network.forward": 1, "network.backward": 0}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "fixed32"])

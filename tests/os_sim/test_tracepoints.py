@@ -65,6 +65,45 @@ class TestRegistry:
         assert registry.subscriber_errors == 1
         assert len(good_events) == 1  # later hooks still run
 
+    def test_count_unheard_counts_only_without_subscribers(self):
+        registry = TracepointRegistry()
+        assert registry.count_unheard("readahead")
+        assert registry.hit_counts["readahead"] == 1
+        events = []
+        registry.subscribe("readahead", events.append)
+        assert not registry.count_unheard("readahead")
+        assert registry.hit_counts["readahead"] == 1
+        assert events == []
+
+
+class TestReadaheadTracepoint:
+    """The page cache counts each readahead window whether or not it
+    builds the event, and a subscriber still gets every window."""
+
+    @staticmethod
+    def _misses(stack, events=None):
+        if events is not None:
+            stack.tracepoints.subscribe("readahead", events.append)
+        handle = stack.fs.open("table", create=True)
+        stack.fs.write(handle, 0, b"x" * 4096 * 2048)
+        stack.drop_caches()
+        before = stack.tracepoints.hit_counts["readahead"]
+        for page in (0, 704, 1408, 304, 1904):
+            stack.fs.read(handle, page * 4096, 4096)
+        return stack.tracepoints.hit_counts["readahead"] - before
+
+    def test_windows_counted_with_and_without_a_subscriber(self):
+        from repro.os_sim import make_stack
+
+        events = []
+        quiet = self._misses(make_stack("nvme", cache_pages=64, ra_pages=16))
+        heard = self._misses(make_stack("nvme", cache_pages=64, ra_pages=16), events)
+        assert quiet == heard == len(events) == 5
+        assert [(e.fields["start"], e.fields["is_async"]) for e in events] == [
+            (page, False) for page in (0, 704, 1408, 304, 1904)
+        ]
+
+
 class TestEmitPages:
     def test_counts_hits_without_subscribers(self):
         registry = TracepointRegistry()
