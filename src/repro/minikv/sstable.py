@@ -196,13 +196,18 @@ class SSTableReader:
         return self.fs.read(self._file, off, length)
 
     def get(self, key: bytes):
-        """Value bytes, TOMBSTONE, or None if not in this table."""
-        if not self._index or not self.bloom.may_contain(key):
+        """Value bytes, TOMBSTONE, or None if not in this table.
+
+        A key below the table's first key is answered before the bloom
+        filter is probed, as RocksDB's FilePicker checks a file's key
+        range before its filter: a probe could only pass it on a false
+        positive, and it would then find no block to read.
+        """
+        first_keys = self._first_keys
+        if not first_keys or key < first_keys[0] or not self.bloom.may_contain(key):
             return None
-        # Rightmost block whose first key <= key.
-        idx = bisect_right(self._first_keys, key) - 1
-        if idx < 0:
-            return None
+        # Rightmost block whose first key <= key; there is one.
+        idx = bisect_right(first_keys, key) - 1
         # _decode_records' walk, done in place: only the keys passed
         # and the matched value are sliced.
         _, off, length = self._index[idx]

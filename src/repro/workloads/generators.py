@@ -8,7 +8,7 @@ the semantics of the RocksDB db_bench benchmark of the same name.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,14 +138,47 @@ class ReadReverse(Workload):
             next(self._iter)
 
 
+#: Keys ``ReadRandom`` draws per rng call (see its docstring).
+_READRANDOM_BLOCK = 1024
+
+
 class ReadRandom(Workload):
-    """Uniform-random point gets over the key space."""
+    """Uniform-random point gets over the key space.
+
+    One ``rng.integers(0, num_keys, size=B)`` call draws the keys of the
+    next B ops, and the ops take them in order: one numpy call per key
+    costs more than the key.  With numpy's bounded integers (Lemire's
+    method over the bit generator's own 32- or 64-bit stream) a block
+    returns the values B one-key calls return, and leaves the generator
+    in the same state.  A run ends mid-block, so :meth:`unbind` rewinds
+    the generator to its state before the block and redraws only the
+    keys used: the generator then ends where per-op draws leave it.
+    Both hold only while nothing else draws from ``rng`` during the run.
+    """
 
     name = "readrandom"
 
+    def bind(self, db, rng):
+        super().bind(db, rng)
+        self._keys: List[bytes] = []  # the block's unused keys, last first
+        self._block_state: Optional[dict] = None
+
     def step(self) -> None:
-        key = make_key(int(self.rng.integers(0, self.num_keys)))
-        self.db.get(key)
+        keys = self._keys
+        if not keys:
+            rng = self.rng
+            self._block_state = rng.bit_generator.state
+            drawn = rng.integers(0, self.num_keys, size=_READRANDOM_BLOCK).tolist()
+            keys = self._keys = [make_key(index) for index in reversed(drawn)]
+        self.db.get(keys.pop())
+
+    def unbind(self) -> None:
+        unused = len(self._keys)
+        if unused:
+            rng = self.rng
+            rng.bit_generator.state = self._block_state
+            rng.integers(0, self.num_keys, size=_READRANDOM_BLOCK - unused)
+            self._keys = []
 
 
 class ReadRandomWriteRandom(Workload):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.minikv.bloom import BloomFilter
+from repro.minikv import bloom as bloom_module
+from repro.minikv.bloom import BloomFilter, _fnv1a
 
 from ..conftest import STRESS
 
@@ -28,6 +29,14 @@ def reference_probes(key, n_bits, n_hashes):
     if h2 % n_bits == 0:
         h2 += 1
     return [(h1 + i * h2) % n_bits for i in range(n_hashes)]
+
+
+def reference_answer(bloom, key):
+    """``may_contain`` as the full probe sequence answers it."""
+    return all(
+        bloom._bits[bit >> 3] & (1 << (bit & 7))
+        for bit in reference_probes(bytes(key), bloom.n_bits, bloom.n_hashes)
+    )
 
 
 def reference_bits(keys, n_bits, n_hashes):
@@ -66,11 +75,7 @@ class TestBloom:
         for key in rng.integers(0, 20_000, size=10_000):
             key = b"key-%d" % key
             for bloom in blooms:  # the same key, probed table after table
-                expected = all(
-                    bloom._bits[bit >> 3] & (1 << (bit & 7))
-                    for bit in reference_probes(key, bloom.n_bits, bloom.n_hashes)
-                )
-                assert bloom.may_contain(key) == expected
+                assert bloom.may_contain(key) == reference_answer(bloom, key)
 
     def test_mutated_bytearray_key_is_rehashed(self):
         bloom = BloomFilter.from_keys([b"present"])
@@ -146,3 +151,91 @@ class TestBloom:
         bloom = BloomFilter.from_keys(keys)
         assert bloom.to_bytes() == expected
         assert all(bloom.may_contain(key) for key in keys)
+
+
+def half_set_filters(seed):
+    """Filters of several geometries with about half their bits set."""
+    rng = np.random.default_rng(seed)
+    blooms = []
+    for n_bits, n_hashes in ((64, 1), (1000, 3), (4099, 7), (65536, 16)):
+        bloom = BloomFilter(n_bits, n_hashes)
+        bloom._bits = bytearray(rng.integers(0, 256, size=len(bloom._bits), dtype=np.uint8))
+        blooms.append(bloom)
+    return blooms
+
+
+def h1_of(key):
+    """The FNV-1a hash ``may_contain`` starts its probes from.
+
+    A one-hash filter probes only bit ``h1 % n_bits``.  Filters of 2**16
+    and 2**16 + 1 bits, each with that bit alone set (or alone clear),
+    pin ``h1`` modulo both; their product exceeds 2**32, so that pins
+    the whole 32-bit ``h1`` (Chinese remainder theorem).
+    """
+    expected = _fnv1a(bytes(key))
+    for n_bits in (1 << 16, (1 << 16) + 1):
+        bit = expected % n_bits
+        only = BloomFilter(n_bits, 1)
+        only._bits[bit >> 3] |= 1 << (bit & 7)
+        all_but = BloomFilter(n_bits, 1)
+        all_but._bits = bytearray(b"\xff" * len(all_but._bits))
+        all_but._bits[bit >> 3] &= ~(1 << (bit & 7)) & 0xFF
+        if not only.may_contain(key) or all_but.may_contain(key):
+            return None
+    return expected
+
+
+#: Keys of 0-24 bytes: unrelated ones, and db_bench-like families that
+#: share everything but a numeric tail.
+KEYS = st.one_of(
+    st.binary(max_size=24),
+    st.builds(
+        lambda stem, index, width: stem + b"%0*d" % (width, index),
+        st.sampled_from([b"", b"u", b"user", b"user00000001", b"key-"]),
+        st.integers(0, 10**6),
+        st.integers(1, 12),
+    ).map(lambda key: key[:24]),
+)
+
+
+class TestPrefixMemo:
+    """``may_contain`` takes FNV-1a of all but a key's last 4 bytes from
+    a module-level memo; a pure cache, so no answer may change."""
+
+    @given(st.lists(KEYS, min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_answers_and_h1_match_the_reference(self, keys, seed):
+        blooms = half_set_filters(seed)
+        for key in keys + keys[::-1]:  # every prefix seen both cold and warm
+            assert h1_of(key) == _fnv1a(key)
+            for bloom in blooms:
+                assert bloom.may_contain(key) == reference_answer(bloom, key)
+
+    @given(st.lists(st.tuples(KEYS, KEYS), min_size=1, max_size=20))
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_bytearray_mutated_between_calls(self, pairs):
+        bloom = half_set_filters(3)[2]
+        for first, second in pairs:
+            key = bytearray(first)
+            assert h1_of(key) == _fnv1a(first)
+            assert bloom.may_contain(key) == reference_answer(bloom, first)
+            key[:] = second  # the memo must not answer for the old bytes
+            assert h1_of(key) == _fnv1a(second)
+            assert bloom.may_contain(key) == reference_answer(bloom, second)
+            assert all(type(prefix) is bytes for prefix in bloom_module._prefix_memo)
+
+    def test_memo_keeps_prefix_states(self):
+        bloom = BloomFilter.from_keys([b"user000000000001"])
+        bloom.may_contain(b"user000000012345")
+        assert bloom_module._prefix_memo[b"user00000001"] == _fnv1a(b"user00000001")
+        bloom.may_contain(b"ab")  # shorter than the tail: the prefix is empty
+        assert bloom_module._prefix_memo[b""] == _fnv1a(b"")
+
+    def test_memo_stays_within_its_cap(self):
+        cap = bloom_module._PREFIX_MEMO_CAP
+        bloom = half_set_filters(4)[1]
+        for index in range(10_000):
+            key = b"p%07d" % index + b"tail"
+            assert bloom.may_contain(key) == reference_answer(bloom, key)
+            assert len(bloom_module._prefix_memo) <= cap
+        assert bloom_module._prefix_memo[b"p0009999"] == _fnv1a(b"p0009999")

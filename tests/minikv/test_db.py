@@ -252,3 +252,39 @@ class TestOpenFiles:
         handle.set_ra_pages(16)
         stack.block.ioctl_blkraset(256)
         assert handle.ra_pages == 16
+
+
+#: One L0 table's worth of ops: (delete?, key index) pairs.
+TABLE_OPS = st.lists(st.tuples(st.booleans(), st.integers(10, 89)), min_size=1, max_size=25)
+
+
+class TestOverlappingTables:
+    """Gets over 2-5 overlapping L0 tables, some of whose first keys
+    exclude the key, answer as a reference dict does."""
+
+    @given(st.lists(TABLE_OPS, min_size=2, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_get_equals_reference(self, tables):
+        db, _ = small_db(memtable_bytes=1 << 20, l0_compaction_trigger=8)
+        reference = {}
+        for ops in tables:
+            for delete, index in ops:
+                key = b"k%03d" % index
+                if delete:
+                    db.delete(key)
+                    reference.pop(key, None)
+                else:
+                    value = b"v%d-%d" % (index, db.stats.puts)
+                    db.put(key, value)
+                    reference[key] = value
+            db.flush()
+        assert db.num_l0_tables == len(tables)
+        assert db.num_l1_tables == 0
+        # Keys below every table, present and deleted ones, gaps, and
+        # keys above every table.
+        keys = [b"\x00", b"a", b"k", b"k000", b"k009", b"k01"]
+        keys += [b"k%03d" % index for index in range(10, 90)]
+        keys += [b"k%03d\x00" % index for index in range(10, 90, 7)]
+        keys += [b"k090", b"k999", b"l", b"z\xff"]
+        for key in keys:
+            assert db.get(key) == reference.get(key)

@@ -164,6 +164,49 @@ def decoded_get(table, key):
     return None
 
 
+class TestFirstKeySkip:
+    """A key below a table's first key is answered before the bloom
+    filter is probed, with no block read."""
+
+    @pytest.fixture
+    def table(self, fs):
+        builder = SSTableBuilder(fs, "ranged")
+        for i in range(100, 600):
+            builder.add(b"key-%06d" % i, b"v%d" % i)
+        table = builder.finish()
+        assert len(table._index) >= 3
+        return table
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("not reached for a key below the first key")
+
+    def test_below_first_key_probes_nothing(self, fs, table, monkeypatch):
+        monkeypatch.setattr(table.bloom, "may_contain", self.refuse)
+        monkeypatch.setattr(fs, "read", self.refuse)
+        for key in (b"\x00", b"a", b"key-", b"key-000000", b"key-000099",
+                    b"key-0000999", b"key-000099\xff"):
+            assert table.get(key) is None
+
+    def test_first_key_and_later_blocks_still_found(self, table):
+        first_keys = table._first_keys
+        for key in [first_keys[0], first_keys[0] + b"\x00", first_keys[-1],
+                    b"key-000101", b"key-000599"]:
+            expected = b"v%d" % int(key[4:10]) if len(key) == 10 else None
+            assert table.get(key) == expected
+
+    def test_bloom_still_guards_keys_at_or_above_first_key(self, fs, table, monkeypatch):
+        monkeypatch.setattr(table.bloom, "may_contain", lambda key: False)
+        monkeypatch.setattr(fs, "read", self.refuse)
+        for key in (table._first_keys[0], b"key-000350", b"zzz"):
+            assert table.get(key) is None
+
+    def test_empty_table(self, fs, monkeypatch):
+        table = SSTableBuilder(fs, "empty").finish()
+        monkeypatch.setattr(table.bloom, "may_contain", self.refuse)
+        assert table.get(b"anything") is None
+
+
 class TestInPlaceScan:
     """``SSTableReader.get`` scans its block in place; it must answer as
     the record decoder does, with the bloom filter out of the way so
