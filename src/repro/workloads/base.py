@@ -51,10 +51,5 @@ class Workload:
         """Execute one logical operation against the bound DB."""
         raise NotImplementedError
 
-    def unbind(self) -> None:
-        """Called once after stepping ends, also when a step raised: hand
-        back whatever was drawn from the rng ahead of the ops run, so
-        the rng ends where one draw per op would leave it."""
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(num_keys={self.num_keys})"

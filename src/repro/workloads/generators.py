@@ -149,11 +149,11 @@ class ReadRandom(Workload):
     next B ops, and the ops take them in order: one numpy call per key
     costs more than the key.  With numpy's bounded integers (Lemire's
     method over the bit generator's own 32- or 64-bit stream) a block
-    returns the values B one-key calls return, and leaves the generator
-    in the same state.  A run ends mid-block, so :meth:`unbind` rewinds
-    the generator to its state before the block and redraws only the
-    keys used: the generator then ends where per-op draws leave it.
-    Both hold only while nothing else draws from ``rng`` during the run.
+    returns the values B one-key calls return, so the keys served are
+    those of per-op draws while nothing else draws from ``rng`` during
+    the run.  The generator is drawn up to one block ahead of the ops:
+    a run that ends mid-block leaves it where the whole block's draws
+    do, not where its ops' draws would.
     """
 
     name = "readrandom"
@@ -161,24 +161,13 @@ class ReadRandom(Workload):
     def bind(self, db, rng):
         super().bind(db, rng)
         self._keys: List[bytes] = []  # the block's unused keys, last first
-        self._block_state: Optional[dict] = None
 
     def step(self) -> None:
         keys = self._keys
         if not keys:
-            rng = self.rng
-            self._block_state = rng.bit_generator.state
-            drawn = rng.integers(0, self.num_keys, size=_READRANDOM_BLOCK).tolist()
+            drawn = self.rng.integers(0, self.num_keys, size=_READRANDOM_BLOCK).tolist()
             keys = self._keys = [make_key(index) for index in reversed(drawn)]
         self.db.get(keys.pop())
-
-    def unbind(self) -> None:
-        unused = len(self._keys)
-        if unused:
-            rng = self.rng
-            rng.bit_generator.state = self._block_state
-            rng.integers(0, self.num_keys, size=_READRANDOM_BLOCK - unused)
-            self._keys = []
 
 
 class ReadRandomWriteRandom(Workload):

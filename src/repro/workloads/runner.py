@@ -4,9 +4,7 @@ Throughput is ops per *simulated* second.  The runner charges a small
 per-op CPU cost (application work between I/Os) and invokes an optional
 ``on_tick`` callback at every simulated-second boundary -- that callback
 is where the KML readahead agent runs its once-per-second inference,
-closing the paper's Figure-1 loop.  Every run ends with the workload's
-``unbind``, also when a step raises, so a workload that draws its rng
-ahead of its ops hands back what it did not use.
+closing the paper's Figure-1 loop.
 
 :func:`run_closed_loop` is that loop with its cold-start protocol: every
 study, benchmark and CLI run goes through it on a stack that
@@ -72,10 +70,7 @@ def run_workload(
 
     ``on_tick`` fires at every ``tick_interval`` of simulated time with
     the throughput of the window just closed; the timeline of those
-    samples is returned for Figure-2-style plots.  The workload's
-    ``unbind`` runs when the run ends, however it ends, so a workload
-    that draws from ``rng`` ahead of its ops (``ReadRandom``, by the
-    block) leaves ``rng`` where one draw per op would.
+    samples is returned for Figure-2-style plots.
     """
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
@@ -90,27 +85,20 @@ def run_workload(
     ops_at_window_start = 0
     timeline: List[Tuple[float, float]] = []
     executed = 0
-    try:
-        for _ in range(n_ops):
-            workload.step()
-            clock.advance(CPU_OP_S)
-            executed += 1
-            while clock.now >= next_tick:
-                window_ops = executed - ops_at_window_start
-                rate = window_ops / tick_interval
-                timeline.append((next_tick - start, rate))
-                if on_tick is not None:
-                    on_tick(next_tick - start, rate)
-                ops_at_window_start = executed
-                next_tick += tick_interval
-            if max_sim_seconds is not None and clock.now - start >= max_sim_seconds:
-                break
-    finally:
-        # A wrapper that is not a Workload may have no unbind; its
-        # inner workload's rng then stays ahead of the ops run.
-        unbind = getattr(workload, "unbind", None)
-        if unbind is not None:
-            unbind()
+    for _ in range(n_ops):
+        workload.step()
+        clock.advance(CPU_OP_S)
+        executed += 1
+        while clock.now >= next_tick:
+            window_ops = executed - ops_at_window_start
+            rate = window_ops / tick_interval
+            timeline.append((next_tick - start, rate))
+            if on_tick is not None:
+                on_tick(next_tick - start, rate)
+            ops_at_window_start = executed
+            next_tick += tick_interval
+        if max_sim_seconds is not None and clock.now - start >= max_sim_seconds:
+            break
     elapsed = clock.now - start
     return RunResult(
         workload=workload.name, ops=executed, elapsed=elapsed, timeline=timeline
