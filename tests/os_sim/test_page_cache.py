@@ -194,6 +194,43 @@ class TestTracepoints:
         cache.read_page(7, 42, ReadaheadState(), 0, FILE_PAGES)
         assert events[0].fields == {"ino": 7, "page": 42}
 
+    @staticmethod
+    def _writes_and_hits(listen):
+        """Write misses and hits (with evictions), then read hits."""
+        cache, clock, _, registry = make_cache(capacity=4)
+        events, emitted = [], {}
+        if listen:
+            for name in ("mark_page_accessed", "add_to_page_cache"):
+                registry.subscribe(name, events.append)
+            emit = registry.emit
+
+            def counting_emit(name, timestamp, **fields):
+                emitted[name] = emitted.get(name, 0) + 1
+                emit(name, timestamp, **fields)
+
+            registry.emit = counting_emit
+        expected = []
+        for page in (0, 1, 0, 2, 3, 4, 4, 1, 0):
+            added = (INO, page) not in cache
+            cache.write_page(INO, page)
+            name = "add_to_page_cache" if added else "mark_page_accessed"
+            expected.append((name, clock.now, {"ino": INO, "page": page}))
+        for page in (4, 0):
+            cache.read_page(INO, page, ReadaheadState(), 0, FILE_PAGES)
+            expected.append(("mark_page_accessed", clock.now, {"ino": INO, "page": page}))
+        return registry, events, emitted, expected
+
+    def test_write_path_counts_equal_with_and_without_a_subscriber(self):
+        quiet, _, _, _ = self._writes_and_hits(listen=False)
+        heard, events, emitted, expected = self._writes_and_hits(listen=True)
+        assert quiet.hit_counts == heard.hit_counts
+        for name in ("mark_page_accessed", "add_to_page_cache"):
+            assert quiet.hit_counts[name] == emitted[name]
+        assert emitted == {
+            "add_to_page_cache": 7, "mark_page_accessed": 4, "writeback_dirty_page": 9
+        }
+        assert [(e.name, e.timestamp, e.fields) for e in events] == expected
+
     def test_validation(self):
         clock, device, registry = SimClock(), nvme_ssd(), TracepointRegistry()
         with pytest.raises(ValueError):

@@ -1,10 +1,17 @@
 """Tests for the VFS, block layer, and readahead plumbing."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.os_sim import make_stack
+from repro.os_sim.clock import SimClock
+from repro.os_sim.page_cache import PageCache
 from repro.os_sim.stack import StorageStack
-from repro.os_sim.device import PAGE_SIZE, DeviceModel
+from repro.os_sim.device import PAGE_SIZE, DeviceModel, nvme_ssd
+from repro.os_sim.tracepoints import TracepointRegistry
 
 
 @pytest.fixture
@@ -143,6 +150,53 @@ class TestDataPath:
         stack.fs.write(f, 0, b"x" * PAGE_SIZE * 3)
         stack.fs.fsync(f)
         assert stack.cache.dirty_pages == 0
+
+
+#: One write as (where, distance, length): at EOF, ``distance`` bytes
+#: back from EOF (an overwrite, which may run past it), or ``distance``
+#: bytes past EOF (a gap).  Lengths up to three pages straddle pages.
+writes = st.lists(
+    st.tuples(
+        st.sampled_from(["eof", "inside", "gap"]),
+        st.integers(0, 3 * PAGE_SIZE),
+        st.one_of(st.just(0), st.integers(1, 3 * PAGE_SIZE)),
+    ),
+    max_size=12,
+)
+
+
+class TestWriteModel:
+    """``SimFS.write`` against a bytearray and a page-by-page cache."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(writes)
+    def test_bytes_and_cache_match_models(self, ops):
+        stack = make_stack("nvme", cache_pages=6)
+        f = stack.fs.open("data", create=True)
+        model = bytearray()
+        reference = PageCache(SimClock(), nvme_ssd(), TracepointRegistry(), capacity_pages=6)
+        for n, (where, distance, length) in enumerate(ops):
+            if where == "eof":
+                offset = len(model)
+            elif where == "inside":
+                offset = max(0, len(model) - 1 - distance)
+            else:
+                offset = len(model) + 1 + distance
+            data = bytes([n % 251 + 1]) * length
+            assert stack.fs.write(f, offset, data) == length
+            assert f.pos == offset + length
+            if offset > len(model):
+                model.extend(bytes(offset - len(model)))
+            model[offset : offset + length] = data
+            if length:
+                last = (offset + length - 1) // PAGE_SIZE
+                for page in range(offset // PAGE_SIZE, last + 1):
+                    reference.write_page(f.inode.ino, page)
+            assert f.inode.data == model
+        assert dataclasses.asdict(stack.cache.stats) == dataclasses.asdict(reference.stats)
+        assert stack.tracepoints.hit_counts == reference.tracepoints.hit_counts
+        assert stack.device.stats == reference.device.stats
+        assert stack.clock.now == reference.clock.now
 
 
 class TestReadaheadPlumbing:
