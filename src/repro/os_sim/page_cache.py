@@ -208,10 +208,18 @@ class PageCache:
 
     def write_page(self, ino: int, page: int) -> None:
         """Full-page write: write-allocate, mark dirty, maybe write back."""
-        ext = self._find(ino, page)
-        if ext is not None:
+        ext = self._lru.prev
+        if ext.first == page and ext.end == page + 1 and ext.ino == ino:
+            # The MRU page, where each append lands: touching it only
+            # marks it demanded.
             prefetched = page != ext.demand
-            ext = self._touch(ext, page)
+            ext.demand = page
+        else:
+            ext = self._find(ino, page)
+            if ext is not None:
+                prefetched = page != ext.demand
+                ext = self._touch(ext, page)
+        if ext is not None:
             self._record_hit(ino, page, ext.ready_at, prefetched)
             if not ext.dirty:
                 ext.dirty = True
@@ -224,9 +232,11 @@ class PageCache:
             while self._len > self.capacity_pages:
                 self._evict_one()
             self._dirty_count += 1
-            self.tracepoints.emit(
-                "add_to_page_cache", self.clock.now, ino=ino, page=page
-            )
+            tracepoints = self.tracepoints
+            if not tracepoints.count_unheard("add_to_page_cache"):
+                tracepoints.emit(
+                    "add_to_page_cache", self.clock.now, ino=ino, page=page
+                )
         if self._dirty_count > self.dirty_threshold * self.capacity_pages:
             self.writeback(self.writeback_batch)
 
@@ -350,9 +360,9 @@ class PageCache:
             # The page is still in flight from an async window.
             stats.wait_time += ready_at - self.clock.now
             self.clock.advance_to(ready_at)
-        self.tracepoints.emit(
-            "mark_page_accessed", self.clock.now, ino=ino, page=page
-        )
+        tracepoints = self.tracepoints
+        if not tracepoints.count_unheard("mark_page_accessed"):
+            tracepoints.emit("mark_page_accessed", self.clock.now, ino=ino, page=page)
 
     def _issue_window(self, ino: int, plan: ReadaheadPlan) -> Optional[float]:
         """Read the non-resident pages of a window in one device request.

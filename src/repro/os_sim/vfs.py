@@ -242,7 +242,8 @@ class SimFS:
         durable before a simulated crash -- the failure mode WAL CRC
         detection exists for.
         """
-        self._check_open(file)
+        if file.closed:  # _check_open, inline on the write path
+            self._check_open(file)
         if offset < 0:
             raise ValueError("offset must be non-negative")
         torn = None
@@ -252,22 +253,26 @@ class SimFS:
             if torn is not None:
                 data = data[: torn.keep_bytes(len(data))]
         inode = file.inode
+        extent = inode.data
+        size = len(extent)
         end = offset + len(data)
-        if end > inode.size:
-            inode.data.extend(b"\x00" * (end - inode.size))
-        inode.data[offset:end] = data
-        if data:
-            first_page = offset // PAGE_SIZE
-            last_page = (end - 1) // PAGE_SIZE
-            for page in range(first_page, last_page + 1):
-                self.cache.write_page(inode.ino, page)
+        if offset == size:
+            extent += data  # an append: one extension, no zero-fill
+        else:
+            if end > size:
+                extent.extend(b"\x00" * (end - size))
+            extent[offset:end] = data
+        if end > offset:
+            write_page, ino = self.cache.write_page, inode.ino
+            for page in range(offset // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1):
+                write_page(ino, page)
         file.pos = end
         if torn is not None:
             torn.crash()  # raises SimCrash; the prefix above is durable
         return len(data)
 
     def append(self, file: File, data: bytes) -> int:
-        return self.write(file, file.inode.size, data)
+        return self.write(file, len(file.inode.data), data)
 
     def mmap(self, file: File) -> MemoryMap:
         """Map an open file (see :class:`MemoryMap`)."""
