@@ -194,7 +194,9 @@ class MiniKV:
     # ------------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._check_key(key)
+        # _check_key and _maybe_flush, inline on the load path.
+        if not isinstance(key, (bytes, bytearray)) or not key:
+            raise ValueError("keys must be non-empty bytes")
         hook = self._put_hook
         t0 = 0.0
         if hook is not None:
@@ -207,9 +209,11 @@ class MiniKV:
         if crash is not None:
             # Crash window: WAL record durable, memtable not yet updated.
             crash.fire()
-        self._memtable.put(key, value)
+        memtable = self._memtable
+        memtable.put(key, value)
         self.stats.puts += 1
-        self._maybe_flush()
+        if memtable.approx_bytes >= self.options.memtable_bytes:
+            self.flush()
         if t0:
             hook.hist.observe(time.perf_counter() - t0)
 

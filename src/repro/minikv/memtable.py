@@ -24,31 +24,30 @@ class MemTable:
 
     def __init__(self):
         self._entries = {}
-        self._approx_bytes = 0
+        self.approx_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def approx_bytes(self) -> int:
-        return self._approx_bytes
-
     def put(self, key: bytes, value: bytes) -> None:
-        self._account(key, self._entries.get(key))
+        old = self._entries.get(key)
+        if old is not None:
+            self._account(key, old)
         self._entries[key] = value
-        self._approx_bytes += len(key) + len(value) + self.RECORD_OVERHEAD
+        self.approx_bytes += len(key) + len(value) + self.RECORD_OVERHEAD
 
     def delete(self, key: bytes) -> None:
         """Record a tombstone (the delete must shadow older SSTables)."""
-        self._account(key, self._entries.get(key))
+        old = self._entries.get(key)
+        if old is not None:
+            self._account(key, old)
         self._entries[key] = TOMBSTONE
-        self._approx_bytes += len(key) + self.RECORD_OVERHEAD
+        self.approx_bytes += len(key) + self.RECORD_OVERHEAD
 
     def _account(self, key: bytes, old) -> None:
-        if old is None:
-            return
+        """Take back the bytes of the entry ``key`` overwrites."""
         old_len = 0 if old is TOMBSTONE else len(old)
-        self._approx_bytes -= len(key) + old_len + self.RECORD_OVERHEAD
+        self.approx_bytes -= len(key) + old_len + self.RECORD_OVERHEAD
 
     def get(self, key: bytes):
         """Returns the value, TOMBSTONE, or None (not present here)."""
@@ -61,4 +60,4 @@ class MemTable:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._approx_bytes = 0
+        self.approx_bytes = 0

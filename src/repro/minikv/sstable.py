@@ -38,16 +38,6 @@ _TOMBSTONE_FLAG = 0x01
 Record = Tuple[bytes, object]  # (key, value bytes or TOMBSTONE)
 
 
-def _encode_record(key: bytes, value) -> bytes:
-    if value is TOMBSTONE:
-        flags, body = _TOMBSTONE_FLAG, b""
-    else:
-        flags, body = 0, value
-    if len(key) > 0xFFFF:
-        raise ValueError("key too long for SSTable record")
-    return _RECORD_HEADER.pack(len(key), len(body), flags) + key + body
-
-
 def _decode_records(raw: bytes) -> Iterator[Record]:
     offset = 0
     while offset + _RECORD_HEADER.size <= len(raw):
@@ -80,8 +70,10 @@ class SSTableBuilder:
         self.block_size = block_size
         self._file = fs.open(name, create=True)
         self._offset = 0
-        self._block = bytearray()
-        self._block_first_key: Optional[bytes] = None
+        # The open block: header, key and body of each record, joined
+        # once when the block is written, and their total length.
+        self._block: List[bytes] = []
+        self._block_len = 0
         self._index: List[Tuple[bytes, int, int]] = []
         self._keys: List[bytes] = []
         self._last_key: Optional[bytes] = None
@@ -94,32 +86,38 @@ class SSTableBuilder:
         if self._last_key is not None and key <= self._last_key:
             raise ValueError("keys must be strictly ascending")
         self._last_key = key
-        record = _encode_record(key, value)
+        if value is TOMBSTONE:
+            flags, body = _TOMBSTONE_FLAG, b""
+        else:
+            flags, body = 0, value
+        if len(key) > 0xFFFF:
+            raise ValueError("key too long for SSTable record")
+        size = _RECORD_HEADER.size + len(key) + len(body)
         # Cut the block *before* overflowing so blocks stay <= block_size
         # (required for page alignment to hold).
-        if self._block and len(self._block) + len(record) > self.block_size:
+        block_size = self.block_size
+        if self._block_len and self._block_len + size > block_size:
             self._flush_block()
-        if self._block_first_key is None:
-            self._block_first_key = key
-        self._block += record
+        self._block += (_RECORD_HEADER.pack(len(key), len(body), flags), key, body)
+        self._block_len += size
         self._keys.append(key)
-        if len(self._block) >= self.block_size:
+        if self._block_len >= block_size:
             self._flush_block()
 
     def _flush_block(self) -> None:
         if not self._block:
             return
-        assert self._block_first_key is not None
-        data = bytes(self._block)
+        data = b"".join(self._block)
         self.fs.write(self._file, self._offset, data)
-        self._index.append((self._block_first_key, self._offset, len(data)))
+        # The block's first key follows its first header.
+        self._index.append((self._block[1], self._offset, len(data)))
         self._offset += len(data)
         if self._offset % self.block_size != 0:
             pad = self.block_size - (self._offset % self.block_size)
             self.fs.write(self._file, self._offset, b"\x00" * pad)
             self._offset += pad
-        self._block = bytearray()
-        self._block_first_key = None
+        self._block = []
+        self._block_len = 0
 
     def finish(self) -> "SSTableReader":
         """Write index, bloom, footer; returns a reader over the table."""

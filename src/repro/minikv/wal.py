@@ -23,6 +23,7 @@ __all__ = ["WriteAheadLog", "WAL_TOMBSTONE_FLAG"]
 WAL_TOMBSTONE_FLAG = 0x01
 
 _HEADER = struct.Struct("<HIBI")  # klen, vlen, flags, crc
+_FLAG_BYTES = (b"\x00", bytes([WAL_TOMBSTONE_FLAG]))
 
 
 class WriteAheadLog:
@@ -46,13 +47,19 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
 
     def append(self, key: bytes, value: Optional[bytes]) -> None:
-        """Log one put (value bytes) or delete (value None)."""
+        """Log one put (value bytes) or delete (value None).
+
+        The CRC is chained over key, body and flag byte, which equals
+        the CRC of their concatenation without building it.
+        """
         if len(key) > 0xFFFF:
             raise ValueError("key too long for WAL record")
-        flags = WAL_TOMBSTONE_FLAG if value is None else 0
-        body = value or b""
-        crc = zlib.crc32(key + body + bytes([flags])) & 0xFFFFFFFF
-        record = _HEADER.pack(len(key), len(body), flags, crc) + key + body
+        if value is None:
+            flags, body = WAL_TOMBSTONE_FLAG, b""
+        else:
+            flags, body = 0, value
+        crc = zlib.crc32(_FLAG_BYTES[flags], zlib.crc32(body, zlib.crc32(key)))
+        record = b"".join((_HEADER.pack(len(key), len(body), flags, crc), key, body))
         hook = self._append_hook
         if hook is not None:
             # may raise; a TornWrite action persists a partial record
@@ -63,7 +70,10 @@ class WriteAheadLog:
                     self._handle(), record[: action.keep_bytes(len(record))]
                 )
                 action.crash()
-        self.fs.append(self._handle(), record)
+        file = self._file
+        if file is None or file.closed:
+            file = self._handle()
+        self.fs.append(file, record)
 
     def sync(self) -> None:
         self.fs.fsync(self._handle())
