@@ -10,6 +10,10 @@ Ours run in CPython, so the absolute numbers are larger; what must
 reproduce is the *scale relationship*: per-event collection orders of
 magnitude cheaper than inference, inference cheaper than training, and
 a model small enough (KBs) to live in a kernel.
+
+One row has no paper figure: a minikv put, the unit of the load phase
+every Table-2 run starts with (WAL record, SimFS append, memtable, and
+its share of the flushes to SSTables).
 """
 
 import numpy as np
@@ -18,6 +22,7 @@ import pytest
 from common import write_result
 
 from repro.kml import CrossEntropyLoss, SGD
+from repro.minikv import MiniKV
 from repro.os_sim import make_stack
 from repro.os_sim.tracepoints import PageRuns, TraceEvent
 from repro.readahead import FeatureCollector, ReadaheadClassifier
@@ -31,10 +36,14 @@ _RESULTS = {}
 #: (128 // 8): the batch one miss hands the collector, as one run.
 WINDOW_PAGES = 16
 
+#: Puts per timed load: with the default 1 MiB memtable and Table-2's
+#: 400 B values, two flushes.
+LOAD_PUTS = 5000
+
 
 def _report_if_complete():
     needed = {"collect_us", "collect_batch_us", "infer_us", "train_us",
-              "model_bytes", "inference_traffic"}
+              "model_bytes", "inference_traffic", "put_us"}
     if not needed <= set(_RESULTS):
         return
     lines = [
@@ -51,6 +60,8 @@ def _report_if_complete():
         "   (paper: 3,916 B)",
         f"inference alloc traffic   : {_RESULTS['inference_traffic']:,d} B"
         "   (paper transient: 676 B)",
+        f"minikv put                : {_RESULTS['put_us']:,.1f} us"
+        f"   (no paper figure; per put over a {LOAD_PUTS:,d}-put load)",
     ]
     write_result("overheads.txt", "\n".join(lines))
 
@@ -135,3 +146,24 @@ def test_memory_footprint(benchmark, classifier):
     # Kernel-resident scale: the paper's model was <4 KB; ours has the
     # same architecture plus a fused normalization layer at float32.
     assert model_bytes < 16 * 1024
+
+
+@pytest.mark.benchmark(group="overheads")
+def test_minikv_put(benchmark):
+    """Sequential puts into a fresh store, flushes included, per put."""
+    keys = [b"%016d" % i for i in range(LOAD_PUTS)]
+    value = b"v" * 400
+
+    def fresh_db():
+        return (MiniKV(make_stack("nvme")),), {}
+
+    def load(db):
+        for key in keys:
+            db.put(key, value)
+        return db
+
+    db = benchmark.pedantic(load, setup=fresh_db, rounds=5)
+    _RESULTS["put_us"] = benchmark.stats["mean"] / LOAD_PUTS * 1e6
+    _report_if_complete()
+    assert db.stats.flushes == 2
+    assert benchmark.stats["mean"] / LOAD_PUTS < 1e-3
